@@ -272,22 +272,7 @@ class MealyMachine:
         """
         if set(self.inputs) != set(other.inputs):
             raise MealyDefinitionError("machines have different input alphabets")
-        start = (self.initial_state, other.initial_state)
-        visited = {start}
-        queue: deque = deque([(start, ())])
-        while queue:
-            (state_a, state_b), word = queue.popleft()
-            for symbol in self.inputs:
-                next_a, out_a = self.step(state_a, symbol)
-                next_b, out_b = other.step(state_b, symbol)
-                extended = word + (symbol,)
-                if out_a != out_b:
-                    return extended
-                pair = (next_a, next_b)
-                if pair not in visited:
-                    visited.add(pair)
-                    queue.append((pair, extended))
-        return None
+        return shortest_counterexample(self, other.initial_state, other.step)
 
     def equivalent(self, other: "MealyMachine") -> bool:
         """Return ``True`` iff the two machines have the same trace semantics."""
@@ -321,6 +306,51 @@ class MealyMachine:
                     (state, symbol, self.outputs[(state, symbol)], self.transitions[(state, symbol)])
                 )
         return rows
+
+
+def shortest_counterexample(
+    machine: MealyMachine,
+    initial_state: StateT,
+    step: Callable[[StateT, Input], Tuple[StateT, Output]],
+    *,
+    max_pairs: Optional[int] = None,
+) -> Optional[Tuple[Input, ...]]:
+    """Return a shortest input word on which ``machine`` and a step function disagree.
+
+    The other side is any deterministic system given as ``initial_state``
+    plus ``step(state, input) -> (next_state, output)`` — another machine's
+    :meth:`MealyMachine.step` or a policy's control-state step — and is
+    never enumerated.  The walk is a breadth-first search over pairs
+    ``(machine state, other state)`` from the two initial states, reading
+    ``machine.inputs`` in order and stopping at the first differing output,
+    so a wrong system costs the pairs up to its shortest counterexample and
+    an equivalent one its reachable pairs.  Returns ``None`` when the two
+    are trace-equivalent.  The caller ensures ``step`` accepts every symbol
+    of ``machine.inputs``.
+
+    Raises :class:`MealyDefinitionError` when more than ``max_pairs`` pairs
+    are visited.
+    """
+    start = (machine.initial_state, initial_state)
+    visited = {start}
+    queue: deque = deque([(start, ())])
+    while queue:
+        (state_a, state_b), word = queue.popleft()
+        for symbol in machine.inputs:
+            next_a, out_a = machine.step(state_a, symbol)
+            next_b, out_b = step(state_b, symbol)
+            extended = word + (symbol,)
+            if out_a != out_b:
+                return extended
+            pair = (next_a, next_b)
+            if pair not in visited:
+                if max_pairs is not None and len(visited) >= max_pairs:
+                    raise MealyDefinitionError(
+                        f"product walk exceeded max_pairs={max_pairs}"
+                    )
+                visited.add(pair)
+                queue.append((pair, extended))
+    return None
 
 
 def mealy_from_step_function(

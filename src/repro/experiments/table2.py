@@ -78,8 +78,9 @@ class Table2Row:
     identified: Optional[str]
     cache_hits: int = 0
     tests_skipped: int = 0
-    #: Which student produced the row (``"lstar"`` / ``"kv"``) — kept per
-    #: row so mixed-learner sweeps stay honest about who asked how much.
+    #: Which student produced the row (``"lstar"`` / ``"kv"`` / ``"ttt"``) —
+    #: kept per row so mixed-learner sweeps stay honest about who asked how
+    #: much.
     learner: str = "lstar"
     #: Executed membership queries per equivalence round, in round order.
     per_round_queries: Tuple[int, ...] = ()
@@ -161,8 +162,9 @@ def run_table2(
     resumes from what it already measured.  ``kernel`` selects the simulator
     execution strategy (``auto``/``python``/``numpy``/``scalar``); answers,
     machines and probe columns are identical across kernels.  ``learner``
-    selects the student (``"lstar"`` or ``"kv"``); both learn identical
-    minimal machines, so state and match columns are learner-invariant.
+    selects the student (``"lstar"``, ``"kv"`` or ``"ttt"``); all three learn
+    identical minimal machines, so state and match columns are
+    learner-invariant.
     """
     if configurations is None:
         configurations = table2_configurations(mode)

@@ -1,19 +1,22 @@
 """The main learning loop (the student of Section 3.1).
 
-Two learners implement the student side behind one interface:
+Three learners implement the student side behind one interface:
 
 * :class:`MealyLearner` — Angluin's L* with an observation table
   (:mod:`repro.learning.observation_table`), the paper's configuration;
 * :class:`~repro.learning.kv.KVLearner` — the Kearns–Vazirani
   classification-tree learner (:mod:`repro.learning.kv`), which refines a
   discrimination tree per counterexample instead of refilling an
-  O(|S×Σ|·|E|) table every round.
+  O(|S×Σ|·|E|) table every round;
+* :class:`~repro.learning.ttt.TTTLearner` — the same tree with TTT
+  discriminator finalization and incremental sifting
+  (:mod:`repro.learning.ttt`).
 
-Both share :class:`ActiveLearner`: the query-engine wrapping, worker-pool
+All share :class:`ActiveLearner`: the query-engine wrapping, worker-pool
 ownership, per-round executed-query accounting and statistics collection
 live here once, so the learners differ only in *how* they turn answers
-into hypotheses.  :func:`make_learner` builds either by name (the
-``--learner {lstar,kv}`` knob of the pipeline and CLI).
+into hypotheses.  :func:`make_learner` builds any of them by name (the
+``--learner {lstar,kv,ttt}`` knob of the pipeline and CLI).
 
 The loop mirrors Section 3.4 of the paper: the membership oracle is Polca
 (or any other output-query oracle), the equivalence oracle is the k-deep
@@ -67,7 +70,8 @@ class LearningResult:
     #: (the refinement that produced a round's hypothesis counts toward that
     #: round).  Sums to ``statistics.membership_queries`` for cached engines.
     per_round_queries: List[int] = field(default_factory=list)
-    #: Name of the learner that produced this result (``"lstar"`` / ``"kv"``).
+    #: Name of the learner that produced this result (``"lstar"`` / ``"kv"``
+    #: / ``"ttt"``).
     learner: str = "lstar"
     #: Executed membership queries attributed to the learner's own probes —
     #: the engine total minus what the equivalence oracle executed through

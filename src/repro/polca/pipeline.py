@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.mealy import MealyMachine
-from repro.errors import LearningError
+from repro.core.alphabet import policy_input_alphabet
+from repro.core.mealy import MealyDefinitionError, MealyMachine, shortest_counterexample
+from repro.errors import LearningError, PolicyError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LEARNER_NAMES, LearningResult, make_learner
 from repro.learning.oracles import CachedMembershipOracle
@@ -45,6 +46,13 @@ class PolicyLearningReport:
         return self.machine.size
 
 
+#: Most (machine state, candidate control state) pairs one identification
+#: walk may visit.  Against a minimal machine an equivalent candidate's walk
+#: visits one pair per reachable control state, so this caps the candidate's
+#: state space as :meth:`ReplacementPolicy.to_mealy`'s ``max_states`` would.
+IDENTIFICATION_MAX_PAIRS = 200_000
+
+
 def identify_policy(
     machine: MealyMachine,
     associativity: int,
@@ -55,17 +63,41 @@ def identify_policy(
     This is how Table 4 labels learned automata: machines equivalent to a
     manually implemented reference (e.g. tree PLRU) get that name; machines
     equivalent to none of the references are "previously undocumented".
+
+    Each candidate is instantiated at ``associativity`` and checked by one
+    lazy product walk (:func:`~repro.core.mealy.shortest_counterexample`):
+    a breadth-first search over (machine state, candidate control state)
+    pairs that steps the candidate through ``policy.step`` and stops at the
+    first differing output.  A wrong candidate costs a handful of pairs, an
+    equivalent one its reachable states, and no reference machine is built,
+    so ``machine`` need not be minimal.  Candidates are tried in the given
+    order, by default the registry's sorted names, and the first equivalent
+    one wins: where policies coincide at an associativity the alphabetically
+    first is reported (PLRU-2 reads ``"NEW1"``, MRU-2 ``"LRU"``).  A
+    candidate is skipped when the registry does not define it at this
+    associativity (PLRU at non-powers of two) or when its walk visits more
+    than :data:`IDENTIFICATION_MAX_PAIRS` pairs.
+
+    Raises :class:`~repro.core.mealy.MealyDefinitionError` when the input
+    alphabet of ``machine`` is not the policy alphabet of ``associativity``.
     """
+    if set(machine.inputs) != set(policy_input_alphabet(associativity)):
+        raise MealyDefinitionError(
+            f"machine alphabet is not the policy alphabet of associativity {associativity}"
+        )
     names = list(candidates) if candidates is not None else available_policies()
     for name in names:
         try:
             policy = make_policy(name, associativity)
-            reference = policy.to_mealy(max_states=200_000).minimize()
-        except Exception:  # policy not defined for this associativity (e.g. PLRU assoc 6)
+            counterexample = shortest_counterexample(
+                machine,
+                policy.initial_state(),
+                policy.step,
+                max_pairs=IDENTIFICATION_MAX_PAIRS,
+            )
+        except (PolicyError, MealyDefinitionError):  # not defined here, or past the bound
             continue
-        if reference.size != machine.size:
-            continue
-        if reference.equivalent(machine):
+        if counterexample is None:
             return name
     return None
 
@@ -126,9 +158,11 @@ class PolicyLearningPipeline:
         self.oracle_factory = oracle_factory
         self.resume = resume
         #: Which student runs the loop: ``"lstar"`` (observation table, the
-        #: paper's configuration) or ``"kv"`` (classification tree — far
-        #: fewer membership queries per discovered state on large policies).
-        #: Both learn the same minimal machine bit-identically.
+        #: paper's configuration), ``"kv"`` (classification tree — far
+        #: fewer membership queries per discovered state on large policies)
+        #: or ``"ttt"`` (the tree with discriminator finalization and
+        #: incremental sifting).  All three learn the same minimal machine
+        #: bit-identically.
         self.learner = learner.lower()
         #: Execution strategy for Polca's probes over simulated targets:
         #: ``"auto"`` (tabulated kernel when the policy tabulates, numpy

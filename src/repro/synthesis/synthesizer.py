@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import EVICT, Line, policy_input_alphabet
-from repro.core.mealy import MealyMachine
+from repro.core.mealy import MealyMachine, shortest_counterexample
 from repro.errors import SynthesisError
 from repro.learning.wpmethod import characterization_set, state_cover
 from repro.policies.base import ReplacementPolicy
@@ -136,8 +136,9 @@ def _full_equivalence_counterexample(
     """Exact trace-equivalence check; returns a counterexample word or ``None``."""
     policy = program.as_policy()
     bound = (program.max_age + 1) ** program.associativity * 4 + 16
-    candidate_machine = policy.to_mealy(max_states=bound)
-    return machine.find_counterexample(candidate_machine)
+    return shortest_counterexample(
+        machine, policy.initial_state(), policy.step, max_pairs=bound
+    )
 
 
 def synthesize_explanation(

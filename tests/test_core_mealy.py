@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mealy import MealyDefinitionError, MealyMachine, mealy_from_step_function
+from repro.core.alphabet import EVICT, Line
+from repro.core.mealy import (
+    MealyDefinitionError,
+    MealyMachine,
+    mealy_from_step_function,
+    shortest_counterexample,
+)
+from repro.policies.registry import make_policy
+from repro.synthesis import reference_explanation
+from repro.synthesis.synthesizer import _full_equivalence_counterexample
 
 
 def _toggle_machine():
@@ -125,6 +134,38 @@ class TestEquivalence:
         rows = _toggle_machine().transition_table()
         assert len(rows) == 4
         assert ("even", "a", 0, "odd") in rows
+
+
+class TestShortestCounterexample:
+    def test_step_function_side_is_never_enumerated(self):
+        # An unbounded counter that tracks the toggle's parity until its
+        # fourth step: no finite enumeration exists, the walk still ends.
+        def step(state, symbol):
+            parity, steps = state
+            if symbol == "a":
+                parity ^= 1
+            output = 9 if steps == 3 else state[0]
+            return (parity, steps + 1), output
+
+        word = shortest_counterexample(_toggle_machine(), (0, 0), step)
+        assert word == ("a", "a", "a", "a")
+
+    def test_max_pairs_bounds_visited_pairs(self):
+        machine = _toggle_machine()
+        assert shortest_counterexample(machine, "even", machine.step, max_pairs=2) is None
+        with pytest.raises(MealyDefinitionError, match="max_pairs=1"):
+            shortest_counterexample(machine, "even", machine.step, max_pairs=1)
+
+    def test_synthesis_check_walks_the_candidate_in_enumerated_order(self):
+        # A wrong Table 5 candidate: the lazily stepped explanation yields
+        # the word a walk over its enumerated machine finds.
+        program = reference_explanation("SRRIP-FP", 4)
+        machine = make_policy("NEW2", 4).to_mealy().minimize()
+        enumerated = machine.find_counterexample(program.as_policy().to_mealy())
+        walked = _full_equivalence_counterexample(program, machine)
+        assert walked == enumerated == (
+            Line(0), Line(0), Line(0), Line(1), Line(2), Line(3), EVICT
+        )
 
 
 class TestStepFunctionEnumeration:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.alphabet import EVICT, MISS_OUTPUT, Line, policy_input_alphabet
+from repro.core.mealy import MealyDefinitionError
 from repro.core.trace import Trace
 from repro.errors import NonDeterminismError, PolicyError
 from repro.polca import (
@@ -16,9 +17,12 @@ from repro.polca import (
     default_block_names,
     polca_check_trace,
 )
+from repro.polca import pipeline
 from repro.polca.pipeline import identify_policy, learn_policy_from_cache, learn_simulated_policy
 from repro.polca.reset import reset_for_table4
-from repro.policies.registry import make_policy
+from repro.policies import registry
+from repro.policies.lru import LRUPolicy
+from repro.policies.registry import available_policies, make_policy
 
 
 class TestBlockNames:
@@ -197,6 +201,84 @@ class TestPipeline:
         machine = make_policy("LRU", 2).to_mealy().minimize()
         assert identify_policy(machine, 2, candidates=["LRU"]) == "LRU"
 
+    def test_identify_policy_accepts_non_minimal_machine(self):
+        machine = make_policy("NEW1", 2).to_mealy()
+        assert machine.size == 4 and machine.minimize().size == 2
+        assert identify_policy(machine, 2, ["NEW1"]) == "NEW1"
+
     def test_learn_simulated_policy_requires_policy_instance(self):
         with pytest.raises(Exception):
             learn_simulated_policy("LRU")
+
+
+def _enumerate_and_minimize_identify(machine, references):
+    """Reference identification: minimized references, a size filter, then equivalence."""
+    for name, reference in references:
+        if reference.size == machine.size and reference.equivalent(machine):
+            return name
+    return None
+
+
+@pytest.fixture(scope="module")
+def registry_references():
+    """Every registry policy's minimized machine at associativities 2-4, each built once."""
+    references = {}
+    for associativity in (2, 3, 4):
+        references[associativity] = []
+        for name in available_policies():
+            try:
+                policy = make_policy(name, associativity)
+            except PolicyError:  # PLRU is defined at powers of two only
+                continue
+            machine = policy.to_mealy(max_states=200_000).minimize()
+            references[associativity].append((name, machine))
+    return references
+
+
+class TestIdentifyPolicy:
+    @pytest.mark.parametrize("associativity", [2, 3, 4])
+    def test_matches_enumerate_and_minimize_reference(self, registry_references, associativity):
+        references = registry_references[associativity]
+        for name, machine in references:
+            expected = _enumerate_and_minimize_identify(machine, references)
+            assert expected is not None
+            assert identify_policy(machine, associativity) == expected, name
+
+    def test_reference_covers_every_defined_registry_machine(self, registry_references):
+        assert sum(len(machines) for machines in registry_references.values()) == 41
+
+    def test_first_equivalent_candidate_in_sorted_order_wins(self):
+        plru = make_policy("PLRU", 2).to_mealy().minimize()
+        mru = make_policy("MRU", 2).to_mealy().minimize()
+        assert identify_policy(plru, 2) == "NEW1"
+        assert identify_policy(mru, 2) == "LRU"
+
+    def test_plru8_ground_truth_identifies_as_plru(self):
+        machine = make_policy("PLRU", 8).to_mealy().minimize()
+        assert machine.size == 128
+        assert identify_policy(machine, 8) == "PLRU"
+
+    def test_candidate_past_the_pair_bound_is_skipped(self, monkeypatch):
+        reference = make_policy("LRU", 3).to_mealy()
+        machine = reference.minimize()
+        # Against a minimal machine the walk visits one pair per reachable
+        # control state, so the bound acts like to_mealy's max_states.
+        monkeypatch.setattr(pipeline, "IDENTIFICATION_MAX_PAIRS", reference.size)
+        assert identify_policy(machine, 3, ["LRU"]) == "LRU"
+        monkeypatch.setattr(pipeline, "IDENTIFICATION_MAX_PAIRS", reference.size - 1)
+        assert identify_policy(machine, 3, ["LRU"]) is None
+
+    def test_candidate_errors_other_than_undefined_propagate(self, monkeypatch):
+        class BrokenLRU(LRUPolicy):
+            def on_hit(self, state, line):
+                raise RuntimeError("instrumented on_hit failure")
+
+        monkeypatch.setitem(registry._REGISTRY, "BROKEN", BrokenLRU)
+        machine = make_policy("LRU", 2).to_mealy().minimize()
+        with pytest.raises(RuntimeError, match="instrumented"):
+            identify_policy(machine, 2, ["BROKEN", "LRU"])
+
+    def test_alphabet_must_match_associativity(self):
+        machine = make_policy("LRU", 2).to_mealy().minimize()
+        with pytest.raises(MealyDefinitionError, match="associativity 3"):
+            identify_policy(machine, 3)
