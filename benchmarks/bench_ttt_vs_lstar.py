@@ -1,20 +1,20 @@
-"""L* vs Kearns–Vazirani vs TTT: cost per discovered state across the registry.
+"""L* vs TTT: cost per discovered state across the registry.
 
-The acceptance experiment of the tree-learner PRs, in three parts:
+The acceptance experiment of the tree learner, in three parts:
 
 * **Curve** — every registry policy at associativity 2, conformance depth
-  1, learned by all three learners.  For each policy the benchmark records
-  the learner-attributed executed membership queries *and symbols* (engine
+  1, learned by both learners.  For each policy the benchmark records the
+  learner-attributed executed membership queries *and symbols* (engine
   totals minus conformance-suite executions — the apples-to-apples cost of
   the learning algorithm, see ``LearningResult.learner_queries`` /
-  ``learner_symbols``), wall-clock seconds, and — for the tree learners —
-  the longest discriminator of the final classification tree.  All three
-  learners must produce bit-identical minimal machines.
-* **Head-to-head** — the configurations the PRs' acceptance criteria name:
-  PLRU at associativity 8 (the paper's 128-state machine) and SRRIP-HP at
-  conformance depth 2.  KV must issue strictly fewer learner-attributed
-  queries than L*; TTT must additionally keep PLRU-8 wall clock within
-  1.5x of L* (KV is ~2-4x) while executing the fewest learner symbols.
+  ``learner_symbols``), wall-clock seconds, and — for TTT — the longest
+  discriminator of the final classification tree and how many
+  discriminators it finalized.  Both learners must produce bit-identical
+  minimal machines.
+* **Head-to-head** — PLRU at associativity 8 (the paper's 128-state
+  machine) and SRRIP-HP at conformance depth 2.  TTT must issue strictly
+  fewer learner-attributed queries and symbols than L*, and keep PLRU-8
+  wall clock within 1.5x of L*'s.
 * **Budgeted attempt** — PLRU-16 (32768 states) and SRRIP-HP-4 at depth 3
   under a hard executed-query budget that no learner can finish within
   (L* cannot finish these in any practical budget; PLRU-16 alone is days of
@@ -25,15 +25,17 @@ The acceptance experiment of the tree-learner PRs, in three parts:
 Run standalone (``--json OUT`` writes a machine-readable result so the
 perf trajectory accumulates ``BENCH_*.json`` points)::
 
-    PYTHONPATH=src python benchmarks/bench_kv_vs_lstar.py --json BENCH_kv_vs_lstar.json
+    PYTHONPATH=src python benchmarks/bench_ttt_vs_lstar.py --json BENCH_ttt_vs_lstar.json
 
-or through pytest (the PLRU-8 head-to-head takes ~30 s and is marked slow)::
+or through pytest (the PLRU-8 head-to-head takes ~10 s and is marked slow)::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_kv_vs_lstar.py -m "not slow"
+    PYTHONPATH=src python -m pytest benchmarks/bench_ttt_vs_lstar.py -m "not slow"
 """
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 
@@ -41,14 +43,11 @@ import pytest
 
 from repro.errors import BudgetExceeded
 from repro.learning import CachedMembershipOracle, ConformanceEquivalenceOracle
-from repro.learning.learner import make_learner
+from repro.learning.learner import LEARNER_NAMES, make_learner
 from repro.policies.registry import available_policies, make_policy
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
-
-#: Every learner the benchmark compares, in report order.
-LEARNERS = ("lstar", "kv", "ttt")
 
 #: The acceptance head-to-heads: (policy, associativity, conformance depth).
 HEAD_TO_HEAD = [
@@ -57,9 +56,9 @@ HEAD_TO_HEAD = [
 ]
 
 #: Registry policies with at least 7 minimal states at associativity 2 —
-#: the rows where the TTT acceptance criterion demands strictly fewer
-#: learner-attributed executed symbols than KV (on tiny machines the two
-#: trees coincide and the probe sets are too small to separate).
+#: the rows where the acceptance criterion demands strictly fewer
+#: learner-attributed executed symbols than L* (on tiny machines the probe
+#: sets are too small to separate the learners meaningfully).
 LARGE_CURVE_POLICIES = ("BIP", "BRRIP-FP", "CLOCK", "NEW2", "SRRIP-FP", "SRRIP-HP")
 
 #: Configurations L* cannot finish: (policy, associativity, depth, budget).
@@ -96,15 +95,15 @@ class QueryBudgetOracle:
         return self.inner.output_query(word)
 
 
-def run_trio(policy_name, associativity, depth, learners=LEARNERS):
-    """Learn one configuration with every learner; assert identical machines."""
+def run_pair(policy_name, associativity, depth):
+    """Learn one configuration with both learners; assert identical machines."""
     entry = {
         "policy": policy_name,
         "associativity": associativity,
         "depth": depth,
     }
     machines = {}
-    for learner_name in learners:
+    for learner_name in LEARNER_NAMES:
         start = time.perf_counter()
         report = learn_simulated_policy(
             make_policy(policy_name, associativity),
@@ -123,33 +122,24 @@ def run_trio(policy_name, associativity, depth, learners=LEARNERS):
             "rounds": result.rounds,
             "seconds": round(seconds, 3),
         }
-        # Tree learners carry their final classification tree's longest
-        # discriminator; the observation table has no analogue.
+        # The tree carries its longest discriminator and finalization count;
+        # the observation table has no analogue.
         if "max_discriminator_length" in report.extra:
             record["max_discriminator_length"] = report.extra["max_discriminator_length"]
-        if "ttt_finalized_discriminators" in report.extra:
             record["finalized_discriminators"] = report.extra[
                 "ttt_finalized_discriminators"
             ]
         entry[learner_name] = record
-    baseline = learners[0]
-    for learner_name in learners[1:]:
-        assert machines[learner_name] == machines[baseline], (
-            f"{policy_name}-{associativity}: {learner_name} learned a different "
-            f"machine than {baseline}!"
-        )
+    assert machines["ttt"] == machines["lstar"], (
+        f"{policy_name}-{associativity}: ttt learned a different machine than lstar!"
+    )
     entry["identical_machines"] = True
-    states = entry[baseline]["states"]
-    for learner_name in learners:
+    states = entry["lstar"]["states"]
+    for learner_name in LEARNER_NAMES:
         entry[f"{learner_name}_queries_per_state"] = round(
             entry[learner_name]["learner_queries"] / states, 2
         )
     return entry
-
-
-def run_pair(policy_name, associativity, depth):
-    """Back-compat wrapper: the original two-learner comparison."""
-    return run_trio(policy_name, associativity, depth, learners=("lstar", "kv"))
 
 
 def run_budgeted(policy_name, associativity, depth, budget, learner_name):
@@ -166,10 +156,6 @@ def run_budgeted(policy_name, associativity, depth, budget, learner_name):
         finished, states = True, result.num_states
     except BudgetExceeded:
         finished, states = False, learner.states_discovered
-    finally:
-        close = getattr(equivalence, "close", None)
-        if close is not None:
-            close()
     return {
         "finished": finished,
         "states_discovered": states,
@@ -181,27 +167,29 @@ def run_budgeted(policy_name, associativity, depth, budget, learner_name):
 def run_benchmark(policies=None):
     """Produce the full BENCH payload (curve + head-to-heads + budgeted)."""
     payload = {
-        "benchmark": "bench_kv_vs_lstar",
-        "learners": list(LEARNERS),
+        "benchmark": "bench_ttt_vs_lstar",
+        "environment": {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "learners": list(LEARNER_NAMES),
         "curve": [],
         "head_to_head": [],
         "budgeted_attempts": [],
     }
     for policy_name in policies if policies is not None else available_policies():
-        payload["curve"].append(run_trio(policy_name, 2, 1))
+        payload["curve"].append(run_pair(policy_name, 2, 1))
     for policy_name, associativity, depth in HEAD_TO_HEAD:
-        entry = run_trio(policy_name, associativity, depth)
-        entry["kv_strictly_fewer"] = (
-            entry["kv"]["learner_queries"] < entry["lstar"]["learner_queries"]
+        entry = run_pair(policy_name, associativity, depth)
+        entry["ttt_strictly_fewer_queries"] = (
+            entry["ttt"]["learner_queries"] < entry["lstar"]["learner_queries"]
         )
-        entry["ttt_fewest_symbols"] = entry["ttt"]["learner_symbols"] == min(
-            entry[name]["learner_symbols"] for name in LEARNERS
+        entry["ttt_strictly_fewer_symbols"] = (
+            entry["ttt"]["learner_symbols"] < entry["lstar"]["learner_symbols"]
         )
         entry["ttt_wall_vs_lstar"] = round(
             entry["ttt"]["seconds"] / entry["lstar"]["seconds"], 2
-        )
-        entry["kv_wall_vs_lstar"] = round(
-            entry["kv"]["seconds"] / entry["lstar"]["seconds"], 2
         )
         payload["head_to_head"].append(entry)
     for policy_name, associativity, depth, budget in BUDGETED_ATTEMPTS:
@@ -211,7 +199,7 @@ def run_benchmark(policies=None):
             "depth": depth,
             "budget": budget,
         }
-        for learner_name in LEARNERS:
+        for learner_name in LEARNER_NAMES:
             entry[learner_name] = run_budgeted(
                 policy_name, associativity, depth, budget, learner_name
             )
@@ -221,39 +209,33 @@ def run_benchmark(policies=None):
 
 def report_payload(payload):
     print(
-        f"{'policy':>10} {'states':>6} "
-        f"{'L* lq':>7} {'KV lq':>7} {'TTT lq':>7} "
-        f"{'L* sym':>8} {'KV sym':>8} {'TTT sym':>8} "
-        f"{'KV disc':>7} {'TTT disc':>8}"
+        f"{'policy':>10} {'states':>6} {'L* lq':>7} {'TTT lq':>7} "
+        f"{'L* sym':>8} {'TTT sym':>8} {'TTT disc':>8} {'final':>5}"
     )
     for entry in payload["curve"]:
         print(
             f"{entry['policy']:>10} {entry['lstar']['states']:>6} "
             f"{entry['lstar']['learner_queries']:>7} "
-            f"{entry['kv']['learner_queries']:>7} "
             f"{entry['ttt']['learner_queries']:>7} "
             f"{entry['lstar']['learner_symbols']:>8} "
-            f"{entry['kv']['learner_symbols']:>8} "
             f"{entry['ttt']['learner_symbols']:>8} "
-            f"{entry['kv']['max_discriminator_length']:>7} "
-            f"{entry['ttt']['max_discriminator_length']:>8}"
+            f"{entry['ttt']['max_discriminator_length']:>8} "
+            f"{entry['ttt']['finalized_discriminators']:>5}"
         )
     for entry in payload["head_to_head"]:
         print(
             f"head-to-head {entry['policy']}-{entry['associativity']} depth "
             f"{entry['depth']}: learner queries L* {entry['lstar']['learner_queries']} "
-            f"/ KV {entry['kv']['learner_queries']} / TTT "
-            f"{entry['ttt']['learner_queries']}; symbols "
-            f"{entry['lstar']['learner_symbols']} / {entry['kv']['learner_symbols']} "
-            f"/ {entry['ttt']['learner_symbols']}; wall "
-            f"{entry['lstar']['seconds']}s / {entry['kv']['seconds']}s / "
-            f"{entry['ttt']['seconds']}s (TTT/L* = {entry['ttt_wall_vs_lstar']})"
+            f"/ TTT {entry['ttt']['learner_queries']}; symbols "
+            f"{entry['lstar']['learner_symbols']} / {entry['ttt']['learner_symbols']}; "
+            f"wall {entry['lstar']['seconds']}s / {entry['ttt']['seconds']}s "
+            f"(TTT/L* = {entry['ttt_wall_vs_lstar']})"
         )
     for entry in payload["budgeted_attempts"]:
         cutoffs = ", ".join(
             f"{name} finished={entry[name]['finished']} at "
             f"{entry[name]['states_discovered']} states"
-            for name in LEARNERS
+            for name in LEARNER_NAMES
         )
         print(
             f"budgeted {entry['policy']}-{entry['associativity']} depth "
@@ -266,12 +248,13 @@ def check_acceptance(payload):
     findings = []
     for entry in payload["head_to_head"]:
         label = f"{entry['policy']}-{entry['associativity']}"
-        assert entry["kv_strictly_fewer"], (
-            f"{label}: KV did not issue strictly fewer learner-attributed "
+        assert entry["ttt_strictly_fewer_queries"], (
+            f"{label}: TTT did not issue strictly fewer learner-attributed "
             "queries than L*"
         )
-        assert entry["ttt_fewest_symbols"], (
-            f"{label}: TTT did not execute the fewest learner-attributed symbols"
+        assert entry["ttt_strictly_fewer_symbols"], (
+            f"{label}: TTT did not execute strictly fewer learner-attributed "
+            "symbols than L*"
         )
         if entry["policy"] == "PLRU" and entry["associativity"] == 8:
             assert entry["ttt_wall_vs_lstar"] <= 1.5, (
@@ -287,22 +270,21 @@ def check_acceptance(payload):
         entry = by_policy.get(policy_name)
         if entry is None:
             continue
-        assert entry["ttt"]["learner_symbols"] < entry["kv"]["learner_symbols"], (
+        assert entry["ttt"]["learner_symbols"] < entry["lstar"]["learner_symbols"], (
             f"{policy_name}: TTT learner symbols "
-            f"{entry['ttt']['learner_symbols']} not strictly below KV's "
-            f"{entry['kv']['learner_symbols']}"
-        )
-        assert (
-            entry["ttt"]["max_discriminator_length"]
-            <= entry["kv"]["max_discriminator_length"]
-        ), (
-            f"{policy_name}: TTT max discriminator length "
-            f"{entry['ttt']['max_discriminator_length']} exceeds KV's "
-            f"{entry['kv']['max_discriminator_length']}"
+            f"{entry['ttt']['learner_symbols']} not strictly below L*'s "
+            f"{entry['lstar']['learner_symbols']}"
         )
         findings.append(
             f"{policy_name}: TTT {entry['ttt']['learner_symbols']} symbols "
-            f"< KV {entry['kv']['learner_symbols']}"
+            f"< L* {entry['lstar']['learner_symbols']}"
+        )
+    for entry in payload["curve"] + payload["head_to_head"]:
+        # Dormant finalization would leave every discriminator at its
+        # verbatim Rivest–Schapire length; the counter must move.
+        assert entry["ttt"]["finalized_discriminators"] >= 1, (
+            f"{entry['policy']}-{entry['associativity']}: TTT finalized no "
+            "discriminator"
         )
     return findings
 
@@ -311,41 +293,37 @@ def check_acceptance(payload):
 
 
 def test_curve_smoke_identical_and_no_worse():
-    """Cheap registry slice: identical machines, tree learners no worse."""
+    """Cheap registry slice: identical machines, TTT no worse than L*."""
     for policy_name in ("LRU", "CLOCK", "SRRIP-FP"):
-        entry = run_trio(policy_name, 2, 1)
+        entry = run_pair(policy_name, 2, 1)
         assert entry["identical_machines"]
-        assert entry["kv"]["learner_queries"] <= entry["lstar"]["learner_queries"]
-        assert entry["ttt"]["learner_queries"] <= entry["kv"]["learner_queries"]
+        assert entry["ttt"]["learner_queries"] <= entry["lstar"]["learner_queries"]
 
 
-def test_curve_ttt_fewest_symbols_on_large_policies():
-    """On >= 7-state registry policies TTT pays the fewest learner symbols."""
+def test_curve_ttt_fewer_symbols_on_large_policies():
+    """On >= 7-state registry policies TTT pays fewer learner symbols."""
     for policy_name in ("CLOCK", "NEW2"):
-        entry = run_trio(policy_name, 2, 1)
-        assert entry["ttt"]["learner_symbols"] < entry["kv"]["learner_symbols"]
-        assert (
-            entry["ttt"]["max_discriminator_length"]
-            <= entry["kv"]["max_discriminator_length"]
-        )
+        entry = run_pair(policy_name, 2, 1)
+        assert entry["ttt"]["learner_symbols"] < entry["lstar"]["learner_symbols"]
+        assert entry["ttt"]["finalized_discriminators"] >= 1
 
 
 def test_head_to_head_srrip_depth2():
-    """SRRIP-HP at depth 2: KV strictly fewer queries, TTT fewest symbols."""
-    entry = run_trio("SRRIP-HP", 2, 2)
+    """SRRIP-HP at depth 2: TTT strictly fewer queries and symbols than L*."""
+    entry = run_pair("SRRIP-HP", 2, 2)
     assert entry["identical_machines"]
-    assert entry["kv"]["learner_queries"] < entry["lstar"]["learner_queries"]
-    assert entry["ttt"]["learner_symbols"] <= entry["kv"]["learner_symbols"]
+    assert entry["ttt"]["learner_queries"] < entry["lstar"]["learner_queries"]
+    assert entry["ttt"]["learner_symbols"] < entry["lstar"]["learner_symbols"]
 
 
 @pytest.mark.slow
 def test_head_to_head_plru8():
-    """PLRU-8 (128 states): tree learners cheaper; TTT wall within 1.5x L*."""
-    entry = run_trio("PLRU", 8, 1)
+    """PLRU-8 (128 states): TTT cheaper than L*, wall within 1.5x L*."""
+    entry = run_pair("PLRU", 8, 1)
     assert entry["lstar"]["states"] == 128
     assert entry["identical_machines"]
-    assert entry["kv"]["learner_queries"] < entry["lstar"]["learner_queries"]
-    assert entry["ttt"]["learner_symbols"] < entry["kv"]["learner_symbols"]
+    assert entry["ttt"]["learner_queries"] < entry["lstar"]["learner_queries"]
+    assert entry["ttt"]["learner_symbols"] < entry["lstar"]["learner_symbols"]
     assert entry["ttt"]["seconds"] <= 1.5 * entry["lstar"]["seconds"]
 
 

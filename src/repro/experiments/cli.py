@@ -27,6 +27,8 @@ from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3
 from repro.experiments.table4 import format_table4, run_table4
 from repro.experiments.table5 import format_table5, run_table5
+from repro.learning.learner import LEARNER_NAMES
+from repro.polca.algorithm import POLCA_KERNELS
 
 
 def _make_store(cache_path: Optional[str], store_server: Optional[str] = None):
@@ -172,25 +174,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernel",
-        choices=["auto", "python", "numpy", "scalar"],
+        choices=POLCA_KERNELS,
         default="auto",
-        help="simulator execution kernel for table2/table4: auto picks the "
-        "tabulated numpy kernel when numpy is importable and the policy "
-        "tabulates (falling back to the pure-Python tabulated stepper, then "
-        "to the scalar path); python/numpy force a tabulated kernel; scalar "
+        help="simulator execution kernel for table2/table4: auto uses the "
+        "tabulated kernel when the policy tabulates and falls back to the "
+        "scalar path otherwise; python forces the tabulated kernel; scalar "
         "forces the legacy per-symbol stepper — results are identical "
         "either way",
     )
     parser.add_argument(
         "--learner",
-        choices=["lstar", "kv", "ttt"],
+        choices=LEARNER_NAMES,
         default="lstar",
         help="learning algorithm for table2/table4: lstar (observation table, "
-        "the paper's configuration), kv (Kearns–Vazirani classification "
-        "tree — far fewer membership queries per discovered state on large "
-        "policies), or ttt (TTT-refined tree: discriminator finalization + "
-        "incremental sifting — fewest executed symbols and the best wall "
-        "clock of the three); all learn identical minimal machines",
+        "the paper's configuration) or ttt (Kearns–Vazirani classification "
+        "tree with TTT discriminator finalization and incremental sifting — "
+        "fewer executed symbols and a shorter wall clock on large "
+        "policies); both learn identical minimal machines",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit raw results as JSON instead of tables"

@@ -78,7 +78,7 @@ class Table2Row:
     identified: Optional[str]
     cache_hits: int = 0
     tests_skipped: int = 0
-    #: Which student produced the row (``"lstar"`` / ``"kv"`` / ``"ttt"``) —
+    #: Which student produced the row (``"lstar"`` / ``"ttt"``) —
     #: kept per row so mixed-learner sweeps stay honest about who asked how
     #: much.
     learner: str = "lstar"
@@ -160,11 +160,10 @@ def run_table2(
     :class:`~repro.store.PrefixStore` (one namespace per policy target);
     with a path the store is saved after every row, so an interrupted sweep
     resumes from what it already measured.  ``kernel`` selects the simulator
-    execution strategy (``auto``/``python``/``numpy``/``scalar``); answers,
-    machines and probe columns are identical across kernels.  ``learner``
-    selects the student (``"lstar"``, ``"kv"`` or ``"ttt"``); all three learn
-    identical minimal machines, so state and match columns are
-    learner-invariant.
+    execution strategy (``auto``/``python``/``scalar``); answers, machines
+    and probe columns are identical across kernels.  ``learner`` selects the
+    student (``"lstar"`` or ``"ttt"``); both learn identical minimal
+    machines, so state and match columns are learner-invariant.
     """
     if configurations is None:
         configurations = table2_configurations(mode)

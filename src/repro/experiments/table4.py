@@ -97,7 +97,7 @@ class Table4Row:
     #: Executed membership queries of the shared query engine (like Table 2's
     #: column; worker-count-invariant since worker deltas merge on collect).
     membership_queries: int = 0
-    #: Which student produced the row (``"lstar"`` / ``"kv"`` / ``"ttt"``).
+    #: Which student produced the row (``"lstar"`` / ``"ttt"``).
     learner: str = "lstar"
     #: Executed membership queries per equivalence round, in round order.
     per_round_queries: tuple = ()

@@ -13,10 +13,15 @@ conformance tester stage whole rounds of words, and the
 prefix-subsumes and caches them in a response trie before anything reaches
 the system under learning.
 
+Two learners sit on that engine: L* (:class:`MealyLearner`, the paper's
+configuration) and the TTT classification-tree learner
+(:class:`~repro.learning.ttt.TTTLearner`); :func:`make_learner` builds
+either by name.
+
 Both query sides additionally scale across processes
-(:mod:`repro.learning.parallel`): with ``workers=N`` a shared
-:class:`~repro.learning.parallel.WorkerPool` answers the observation
-table's round batches *and* the
+(:mod:`repro.learning.parallel`): one shared
+:class:`~repro.learning.parallel.WorkerPool`, passed as ``pool=``, answers
+the learner's round batches *and* the
 :class:`~repro.learning.equivalence.ConformanceEquivalenceOracle`'s
 lazily streamed Wp-suite chunks (bounded in-flight window); workers
 rebuild the system under test from a picklable oracle factory and answers
@@ -34,7 +39,6 @@ from repro.learning.query_engine import (
 )
 from repro.learning.oracles import (
     CachedMembershipOracle,
-    DictCachedMembershipOracle,
     FunctionOracle,
     MealyMachineOracle,
     MembershipOracle,
@@ -77,7 +81,6 @@ from repro.learning.learner import (
     learn_mealy_machine,
     make_learner,
 )
-from repro.learning.kv import ClassificationTree, KVLearner
 from repro.learning.ttt import TTTLearner, TTTTree
 
 __all__ = [
@@ -88,7 +91,6 @@ __all__ = [
     "supports_batching",
     "supports_resume",
     "CachedMembershipOracle",
-    "DictCachedMembershipOracle",
     "FunctionOracle",
     "MealyMachineOracle",
     "MembershipOracle",
@@ -120,8 +122,6 @@ __all__ = [
     "MealyLearner",
     "learn_mealy_machine",
     "make_learner",
-    "ClassificationTree",
-    "KVLearner",
     "TTTLearner",
     "TTTTree",
 ]

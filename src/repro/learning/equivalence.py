@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from concurrent.futures import Executor, Future
+from concurrent.futures import Future
 from itertools import islice
 from typing import (
     Deque,
@@ -36,13 +36,12 @@ from typing import (
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle, QueryStatistics
-from repro.learning.parallel import OracleFactory, WorkerPool
+from repro.learning.parallel import WorkerPool
 from repro.learning.query_engine import dedupe_and_subsume, output_query_batch
 from repro.learning.wpmethod import iter_w_method_suite, iter_wp_method_suite
 
 Input = Hashable
 Word = Tuple[Input, ...]
-OutputWord = Tuple[Hashable, ...]
 
 
 def _chunks(words: Iterator[Word], size: int) -> Iterator[List[Word]]:
@@ -71,12 +70,7 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     materialises the full suite (at depth ≥ 2 PLRU-8's suite is ~350k
     words) before the first chunk executes.  Each batch is answered
     through the batched-oracle protocol so duplicate and prefix-subsumed
-    test words never reach the system under learning twice.  For
-    simulator-backed oracles whose ``output_query`` is safe to call
-    concurrently (e.g. :class:`~repro.learning.oracles.MealyMachineOracle`),
-    an optional :class:`concurrent.futures.Executor` fans a batch out over
-    threads; stateful oracles (Polca over one cache set) must keep the
-    default serial execution.
+    test words never reach the system under learning twice.
 
     When ``max_tests`` truncates the suite, the dropped words are counted in
     ``statistics.tests_skipped``: a truncated suite voids the
@@ -87,27 +81,24 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     Process-parallel execution
     --------------------------
 
-    With ``workers=N`` (N > 1) and a picklable ``oracle_factory`` (see
-    :mod:`repro.learning.parallel`) — or a shared
-    :class:`~repro.learning.parallel.WorkerPool` via ``pool=`` — suite
-    chunks are shipped to a process pool whose workers each rebuild a fresh
-    system under test from the factory.  At most ``max_inflight`` chunks
-    are in flight at once (a bounded window over the lazy suite: the
-    parent holds no more than ``max_inflight × batch_size`` queued words,
-    tracked in :attr:`peak_inflight_words`), and chunks are consumed *in
-    suite order*, so the returned counterexample is always the first
-    mismatching word — identical to a serial run, which keeps learned
-    machines bit-identical across worker counts.  Worker answers are
-    merged back into the shared
-    :class:`~repro.learning.oracles.CachedMembershipOracle` trie when the
-    oracle is one, so they feed the learner's cache and still trip
-    non-determinism detection; words the shared trie already knows are
-    never shipped.  Per-worker executed-query counts accumulate on the
-    pool's ``worker_query_counts`` / ``worker_symbol_counts`` (keyed by
-    worker PID) — shared with the observation-table fill when the pool is.
-    Call :meth:`close` (or use the oracle as a context manager) to shut an
-    *owned* pool down; a pool passed in via ``pool=`` belongs to the
-    caller and is left running.
+    With a parallel :class:`~repro.learning.parallel.WorkerPool` passed as
+    ``pool=``, suite chunks are shipped to worker processes that each
+    rebuild a fresh system under test from the pool's oracle factory.  At
+    most ``max_inflight`` chunks are in flight at once (a bounded window
+    over the lazy suite: the parent holds no more than ``max_inflight ×
+    batch_size`` queued words, tracked in :attr:`peak_inflight_words`), and
+    chunks are consumed *in suite order*, so the returned counterexample is
+    always the first mismatching word — identical to a serial run, which
+    keeps learned machines bit-identical across worker counts.  Worker
+    answers are merged back into the shared
+    :class:`~repro.learning.oracles.CachedMembershipOracle` trie, so they
+    feed the learner's cache and still trip non-determinism detection;
+    words the shared trie already knows are never shipped.  The oracle must
+    therefore be such an engine (``cached_answer`` / ``record_external``);
+    a parallel pool over any other oracle raises
+    :class:`~repro.errors.LearningError`.  The pool belongs to the caller,
+    and its ``worker_query_counts`` / ``worker_symbol_counts`` hold the
+    per-worker accounting.
     """
 
     def __init__(
@@ -118,10 +109,6 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         method: str = "wp",
         max_tests: Optional[int] = None,
         batch_size: int = 64,
-        executor: Optional[Executor] = None,
-        workers: Optional[int] = None,
-        oracle_factory: Optional[OracleFactory] = None,
-        start_method: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
         max_inflight: int = 4,
     ) -> None:
@@ -131,90 +118,27 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if pool is not None:
-            if workers is not None or oracle_factory is not None:
-                raise LearningError(
-                    "pass either a shared pool or workers/oracle_factory, not both"
-                )
-            if executor is not None:
-                raise LearningError(
-                    "pass either a thread executor or a worker pool, not both"
-                )
-            workers = pool.workers
-            oracle_factory = pool.oracle_factory
-        elif workers is not None and workers > 1:
-            if oracle_factory is None:
-                raise LearningError(
-                    "workers > 1 needs an oracle_factory so pool workers can "
-                    "rebuild the system under test (see repro.learning.parallel)"
-                )
-            if executor is not None:
-                raise LearningError(
-                    "pass either a thread executor or workers/oracle_factory, not both"
-                )
+        if (
+            pool is not None
+            and pool.parallel
+            and not (hasattr(oracle, "cached_answer") and hasattr(oracle, "record_external"))
+        ):
+            raise LearningError(
+                "parallel conformance testing merges worker answers into a "
+                "shared query engine; wrap the oracle in a "
+                "CachedMembershipOracle before passing a worker pool"
+            )
         self.oracle = oracle
         self.depth = depth
         self.method = method
         self.max_tests = max_tests
         self.batch_size = batch_size
-        self.executor = executor
-        self.workers = workers
-        self.oracle_factory = oracle_factory
-        self.start_method = start_method
+        self.pool = pool
         self.max_inflight = max_inflight
         self.statistics = QueryStatistics()
         #: Peak number of suite words queued in the parent at once (parallel
         #: path): bounded by ``max_inflight * batch_size`` by construction.
         self.peak_inflight_words = 0
-        self._shared_pool = pool
-        self._pool: Optional[WorkerPool] = None  # owned pool, created lazily
-
-    # -------------------------------------------------------- pool lifecycle
-
-    @property
-    def _parallel(self) -> bool:
-        if self._shared_pool is not None:
-            return self._shared_pool.parallel
-        return self.workers is not None and self.workers > 1
-
-    def _active_pool(self) -> WorkerPool:
-        if self._shared_pool is not None:
-            return self._shared_pool
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.oracle_factory, self.workers, start_method=self.start_method
-            )
-        return self._pool
-
-    @property
-    def worker_query_counts(self) -> Dict[int, int]:
-        """Executed queries per pool worker (shared with the fill when the pool is)."""
-        pool = self._shared_pool or self._pool
-        return pool.worker_query_counts if pool is not None else {}
-
-    @property
-    def worker_symbol_counts(self) -> Dict[int, int]:
-        """Executed symbols per pool worker (shared with the fill when the pool is)."""
-        pool = self._shared_pool or self._pool
-        return pool.worker_symbol_counts if pool is not None else {}
-
-    def close(self) -> None:
-        """Shut down an *owned* worker pool (idempotent; shared pools stay up).
-
-        The pool object is kept so its per-worker accounting stays readable
-        after the run; only its executor is torn down (and lazily recreated
-        if the oracle is used again).
-        """
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "ConformanceEquivalenceOracle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -------------------------------------------------------------- the suite
 
@@ -223,11 +147,10 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         try:
             return generate(hypothesis, self.depth)
         except LearningError:
-            # The W-set construction requires a minimal machine.  Since the
-            # observation table keeps its suffix set suffix-closed, its
-            # hypotheses are minimal by construction and this fallback
-            # should be unreachable from the learner — keep it as a guarded
-            # safety net for hand-built hypotheses, but make it loud.
+            # The W-set construction requires a minimal machine.  Both
+            # learners hand over minimal hypotheses by construction, so this
+            # fallback should be unreachable from the learner — keep it as a
+            # guarded safety net for hand-built hypotheses, but make it loud.
             warnings.warn(
                 "conformance suite requested for a non-minimal hypothesis; "
                 "falling back to the minimized machine (suffix-closed "
@@ -252,56 +175,33 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
             else:
                 self.statistics.tests_skipped += 1
 
-    def _answer_chunk(self, chunk: Sequence[Word]) -> List[Tuple]:
-        if self.executor is not None:
-            return [tuple(o) for o in self.executor.map(self.oracle.output_query, chunk)]
-        return output_query_batch(self.oracle, chunk)
+    def _finish_truncation(self, suite: Iterator[Word]) -> None:
+        """Counterexample found: words beyond a ``max_tests`` cap were never
+        going to run regardless of it, so count them exactly like a run
+        that reached the end of the suite."""
+        if self.max_tests is not None:
+            for _ in suite:
+                pass
 
     def find_counterexample(self, hypothesis: MealyMachine) -> Optional[Word]:
         self.statistics.equivalence_queries += 1
         suite: Iterator[Word] = iter(self._suite(hypothesis))
         if self.max_tests is not None:
             suite = self._truncated(suite)
-        if self._parallel:
+        if self.pool is not None and self.pool.parallel:
             return self._find_counterexample_parallel(hypothesis, suite)
         for chunk in _chunks(suite, self.batch_size):
             self.statistics.test_words += len(chunk)
-            actuals = self._answer_chunk(chunk)
+            actuals = output_query_batch(self.oracle, chunk)
             for word, actual in zip(chunk, actuals):
                 if actual != hypothesis.run(word):
-                    # Finish the truncation accounting: the generator is
-                    # abandoned mid-stream, but words beyond the cap were
-                    # never going to run regardless of this counterexample.
-                    if self.max_tests is not None:
-                        for _ in suite:
-                            pass
+                    self._finish_truncation(suite)
                     return word
         return None
 
     # --------------------------------------------------------- parallel path
 
     def _find_counterexample_parallel(
-        self, hypothesis: MealyMachine, suite: Iterator[Word]
-    ) -> Optional[Word]:
-        cached_answer = getattr(self.oracle, "cached_answer", None)
-        record_external = getattr(self.oracle, "record_external", None)
-        if cached_answer is not None and record_external is not None:
-            return self._parallel_with_shared_trie(hypothesis, suite)
-        return self._parallel_without_trie(hypothesis, suite)
-
-    def _drain_and_cancel(self, suite: Iterator[Word], pending) -> None:
-        """Counterexample found: cancel queued chunks, finish truncation accounting."""
-        for item in pending:
-            future = item[2]  # (chunk, missing, future, ...) in both paths
-            if future is not None:
-                future.cancel()
-        # Words beyond a max_tests cap were never going to run regardless of
-        # this counterexample — count them exactly like a serial run.
-        if self.max_tests is not None:
-            for _ in suite:
-                pass
-
-    def _parallel_with_shared_trie(
         self, hypothesis: MealyMachine, suite: Iterator[Word]
     ) -> Optional[Word]:
         """The engine-backed parallel path, accounting-identical to serial.
@@ -318,7 +218,7 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         shared trie — exactly the words a serial run would have found
         cached.
         """
-        pool = self._active_pool()
+        pool = self.pool
         cached_answer = self.oracle.cached_answer
         record_external = self.oracle.record_external
         # Worker executions are real queries against the system under
@@ -401,63 +301,10 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
                         "by its chunk"
                     )
                 if actual != hypothesis.run(word):
-                    self._drain_and_cancel(suite, pending)
-                    return word
-
-    def _parallel_without_trie(
-        self, hypothesis: MealyMachine, suite: Iterator[Word]
-    ) -> Optional[Word]:
-        """Parallel path for plain oracles (no shared cache to merge into).
-
-        Answers for worker-executed words ride in a parent-side dictionary:
-        duplicates across chunks ride with the first chunk that contains
-        them, so later chunks may need them again.
-        """
-        pool = self._active_pool()
-        pending: Deque[Tuple[List[Word], List[Word], Optional[Future]]] = deque()
-        assigned: set = set()
-        inflight_words = 0
-        answers: Dict[Word, OutputWord] = {}
-        exhausted = False
-
-        def submit_next() -> bool:
-            nonlocal inflight_words
-            chunk = [tuple(word) for word in islice(suite, self.batch_size)]
-            if not chunk:
-                return False
-            missing: List[Word] = []
-            for word in chunk:
-                if word in assigned:
-                    continue
-                assigned.add(word)
-                missing.append(word)
-            future = pool.submit(missing) if missing else None
-            pending.append((chunk, missing, future))
-            inflight_words += len(chunk)
-            self.peak_inflight_words = max(self.peak_inflight_words, inflight_words)
-            return True
-
-        while True:
-            while not exhausted and len(pending) < self.max_inflight:
-                if not submit_next():
-                    exhausted = True
-            if not pending:
-                return None
-            chunk, missing, future = pending.popleft()
-            inflight_words -= len(chunk)
-            self.statistics.test_words += len(chunk)
-            if future is not None:
-                worker_answers = pool.collect(future, missing)
-                self.statistics.parallel_chunks += 1
-                self.statistics.parallel_words += len(missing)
-                for word, outputs in zip(missing, worker_answers):
-                    answers[word] = outputs
-            for word in chunk:
-                actual = answers.get(word)
-                if actual is None:
-                    actual = tuple(self.oracle.output_query(word))
-                if actual != hypothesis.run(word):
-                    self._drain_and_cancel(suite, pending)
+                    for _, _, queued, _ in pending:
+                        if queued is not None:
+                            queued.cancel()
+                    self._finish_truncation(suite)
                     return word
 
 

@@ -1,642 +1,10 @@
-"""Kearns–Vazirani classification-tree learner for Mealy machines.
+"""The Kearns–Vazirani name of the classification tree.
 
-Where L* (:class:`~repro.learning.learner.MealyLearner`) refills an
-O(|S×Σ|·|E|) observation table on every stabilisation round, the
-Kearns–Vazirani learner maintains a *classification tree*: inner nodes
-carry distinguishing suffixes, leaves carry access words — one leaf per
-discovered state.  A word is classified by *sifting* it down the tree:
-at each inner node the oracle answers ``word + suffix`` and the output
-tail selects the child to descend into.  Sifting a word whose output
-tail has no child discovers a new state on the spot, without a
-counterexample.  Each equivalence counterexample is decomposed with the
-same Rivest–Schapire binary search as PR 4's suffix machinery and adds
-exactly one leaf (state) plus one discriminator, so every round does
-only the work the new evidence demands.
-
-The learner plugs in behind the :class:`~repro.learning.learner.ActiveLearner`
-interface, so it transparently reuses
-
-* the batched query engine — every sift level of a hypothesis rebuild is
-  dispatched as one deduped / prefix-subsumed batch through
-  :func:`~repro.learning.query_engine.output_query_batch`;
-* the shared :class:`~repro.learning.parallel.WorkerPool` (sift batches
-  fan out across processes exactly like table-fill batches);
-* the simkernel ``--kernel`` path and ``--resume`` stores, which live
-  below the membership oracle and never see which learner is asking.
-
-Mealy-specific subtlety: intermediate KV hypotheses need not be minimal
-(two leaves can be merged behaviourally until a discriminator separates
-them *in the hypothesis*), but the Wp-method suite generator requires
-minimal machines (see :func:`~repro.learning.wpmethod.characterization_set`).
-:meth:`KVLearner._stable_hypothesis` therefore repairs minimality
-internally: any equivalent state pair yields an internal counterexample
-from the pair's lowest common ancestor suffix, which refines the tree
-without spending an equivalence query.  This is the classification-tree
-analogue of the PR 4 suffix-closure fix — every hypothesis handed to the
-conformance tester is minimal, so the minimize-and-warn fallback never
-fires.
+The tree learner lives in :mod:`repro.learning.ttt`; this module only
+re-exports its tree class under the historical name, for callers that
+still import it from here.
 """
 
-from __future__ import annotations
+from repro.learning.ttt import TTTTree as ClassificationTree
 
-import time
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
-
-from repro.core.mealy import MealyMachine
-from repro.errors import BudgetExceeded, LearningError
-from repro.learning.learner import ActiveLearner, LearningResult
-from repro.learning.oracles import MembershipOracle
-from repro.learning.parallel import WorkerPool
-from repro.learning.query_engine import output_query_batch
-
-Input = Hashable
-Word = Tuple[Input, ...]
-OutputWord = Tuple[Hashable, ...]
-
-
-class _Leaf:
-    """A leaf of the classification tree: one discovered state.
-
-    ``access`` is the state's access word; ``state`` its index in creation
-    order (the hypothesis state id).  ``parent``/``key`` locate the leaf in
-    its parent's child map so a split can replace it in O(1).
-    """
-
-    __slots__ = ("access", "state", "parent", "key")
-
-    def __init__(
-        self,
-        access: Word,
-        state: int,
-        parent: Optional["_Inner"],
-        key: Optional[OutputWord],
-    ) -> None:
-        self.access = access
-        self.state = state
-        self.parent = parent
-        self.key = key
-
-
-class _Inner:
-    """An inner node: a distinguishing suffix with output-tail children.
-
-    ``chain`` holds the single-symbol suffixes still to be laid out below
-    this node: the tree is seeded with one discriminator per input symbol
-    (the classification-tree analogue of L*'s initial columns), and the
-    chain materialises lazily as sifted words reach each level.
-
-    ``temporary`` marks a discriminator taken verbatim from a
-    Rivest–Schapire decomposition (so its length tracks the counterexample,
-    not the tree): plain KV never sets it, the TTT refinement
-    (:mod:`repro.learning.ttt`) flags split nodes and later finalizes them
-    to their shortest verified equivalent.
-    """
-
-    __slots__ = ("suffix", "children", "parent", "key", "chain", "temporary")
-
-    def __init__(
-        self,
-        suffix: Word,
-        parent: Optional["_Inner"],
-        key: Optional[OutputWord],
-        chain: Tuple[Word, ...] = (),
-    ) -> None:
-        self.suffix = suffix
-        self.children: Dict[OutputWord, _Node] = {}
-        self.parent = parent
-        self.key = key
-        self.chain = chain
-        self.temporary = False
-
-
-_Node = Union[_Leaf, _Inner]
-
-
-class ClassificationTree:
-    """The discrimination data structure of the Kearns–Vazirani learner.
-
-    The tree starts as a single leaf for the empty access word (the initial
-    state).  Two operations grow it:
-
-    * :meth:`sift` (and the batched sifting inside :meth:`hypothesis`)
-      creates a leaf whenever a word's output tail has no child yet —
-      sift-based state discovery;
-    * :meth:`split` replaces a leaf by an inner node with two children —
-      the Rivest–Schapire decomposition of a counterexample.
-
-    Access words are prefix-closed by construction (every new access word
-    extends an existing one by a single symbol), which keeps the key
-    invariant that the hypothesis agrees with the target on every access
-    word — the foundation of the binary-search soundness argument in
-    :meth:`refine`.
-    """
-
-    def __init__(
-        self,
-        alphabet: Sequence[Input],
-        oracle: MembershipOracle,
-        *,
-        pool: Optional[WorkerPool] = None,
-        chunk_size: int = 64,
-    ) -> None:
-        if not alphabet:
-            raise LearningError("cannot learn over an empty input alphabet")
-        self.alphabet = tuple(alphabet)
-        self.oracle = oracle
-        self.pool = pool
-        self.chunk_size = chunk_size
-        self._access: List[Word] = []
-        self._leaves: Dict[Word, _Leaf] = {}
-        #: Growth accounting, reported by the pipeline: how many states each
-        #: discovery mechanism contributed and how many internal minimality
-        #: repairs ran.
-        self.leaves_from_sifting = 0
-        self.leaves_from_splits = 0
-        self.internal_refinements = 0
-        # Seed the tree with one single-symbol discriminator per input (the
-        # analogue of L*'s initial columns): the first hypothesis already
-        # partitions states by output signature instead of starting from one
-        # merged state and paying an equivalence round per output split.
-        # The initial state's leaf is created lazily by the first
-        # :meth:`hypothesis` call, where ε's chain probes batch together with
-        # the speculative transition probes that prefix-subsume them.
-        chain = tuple((symbol,) for symbol in self.alphabet)
-        self.root: _Node = _Inner(chain[0], None, None, chain[1:])
-
-    # ------------------------------------------------------------- inspection
-
-    @property
-    def num_states(self) -> int:
-        return len(self._access)
-
-    @property
-    def num_discriminators(self) -> int:
-        return len(self._access) - 1
-
-    def access_words(self) -> Tuple[Word, ...]:
-        """Access words in state order (state ``i`` → ``access_words()[i]``)."""
-        return tuple(self._access)
-
-    def access_word(self, state: int) -> Word:
-        return self._access[state]
-
-    def discriminators(self) -> Tuple[Word, ...]:
-        """All distinguishing suffixes currently in the tree (preorder)."""
-        suffixes: List[Word] = []
-        stack: List[_Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Inner):
-                suffixes.append(node.suffix)
-                stack.extend(node.children.values())
-        return tuple(suffixes)
-
-    def discriminator_lengths(self) -> Dict[int, int]:
-        """Histogram ``{suffix length: count}`` over the tree's discriminators.
-
-        Only discriminators with at least one leaf below them count — a
-        chain node that never materialised children is not a discriminator
-        the learner ever paid for.
-        """
-        histogram: Dict[int, int] = {}
-        stack: List[_Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Inner) and node.children:
-                histogram[len(node.suffix)] = histogram.get(len(node.suffix), 0) + 1
-                stack.extend(node.children.values())
-        return histogram
-
-    @property
-    def max_discriminator_length(self) -> int:
-        """Longest discriminator a sift can currently pay for (0 for a bare tree)."""
-        histogram = self.discriminator_lengths()
-        return max(histogram) if histogram else 0
-
-    # -------------------------------------------------------------- internals
-
-    def _answer_batch(self, words: Sequence[Word]) -> List[OutputWord]:
-        if self.pool is not None and self.pool.parallel:
-            return self.pool.answer_batch(self.oracle, words, chunk_size=self.chunk_size)
-        return output_query_batch(self.oracle, words)
-
-    def _create_leaf(
-        self,
-        access: Word,
-        parent: Optional[_Inner],
-        key: Optional[OutputWord],
-        *,
-        origin: str,
-    ) -> _Leaf:
-        leaf = _Leaf(access, len(self._access), parent, key)
-        self._access.append(access)
-        self._leaves[access] = leaf
-        if parent is not None:
-            parent.children[key] = leaf
-        if origin == "sift":
-            self.leaves_from_sifting += 1
-        else:
-            self.leaves_from_splits += 1
-        return leaf
-
-    def _create_child(self, word: Word, node: _Inner, key: OutputWord) -> _Node:
-        """Materialise the child for a fresh output tail under ``node``.
-
-        While the seeded single-symbol chain below ``node`` is not exhausted,
-        the child is the next chain discriminator; at the chain's bottom the
-        word has a genuinely new output signature and becomes a state.
-        """
-        if node.chain:
-            child: _Node = _Inner(node.chain[0], node, key, node.chain[1:])
-            node.children[key] = child
-            return child
-        return self._create_leaf(word, node, key, origin="sift")
-
-    # ------------------------------------------------------------------- sift
-
-    def sift(self, word: Word) -> _Leaf:
-        """Classify ``word`` down the tree, one serial query per level.
-
-        Used by tests and single-word callers; :meth:`hypothesis` uses the
-        batched level-synchronous variant instead.  Creates a leaf (state)
-        when the word's output tail reaches a child slot that is empty.
-        """
-        word = tuple(word)
-        node = self.root
-        while isinstance(node, _Inner):
-            answer = tuple(self.oracle.output_query(word + node.suffix))
-            key = answer[len(word):]
-            child = node.children.get(key)
-            if child is None:
-                child = self._create_child(word, node, key)
-            node = child
-        return node
-
-    # ------------------------------------------------------------- hypothesis
-
-    def hypothesis(self) -> MealyMachine:
-        """Build the hypothesis by sifting every one-symbol extension.
-
-        The sifts run level-synchronously: each iteration gathers the
-        ``word + suffix`` probes of *all* transitions still descending and
-        answers them in one deduped / prefix-subsumed batch (fanned out
-        across the worker pool when one is attached).  New states discovered
-        mid-sift enqueue their own outgoing transitions, so the loop runs
-        until the transition table closes over the discovered state set.
-        Most probes repeat earlier sift levels and are served from the trie
-        without re-execution, which is what keeps KV's executed-query count
-        below L*'s table refills.
-        """
-        transitions: Dict[Tuple[int, Input], int] = {}
-        # Entries are [state, symbol, word, node] and advance one tree level
-        # per batch; an entry is resolved once ``node`` is a leaf.  The first
-        # build bootstraps ε's sift (state is None: creates the initial
-        # state's leaf, records no transition) alongside state 0's
-        # speculative transition sifts, so ε's bare chain probes are
-        # prefix-subsumed by the length-2 transition probes in the same batch
-        # and never execute on their own.
-        active: List[List] = []
-        scheduled_states = 0
-        if not self._access:
-            active.append([None, None, (), self.root])
-            for symbol in self.alphabet:
-                active.append([0, symbol, (symbol,), self.root])
-            scheduled_states = 1
-
-        while True:
-            while scheduled_states < len(self._access):
-                source = scheduled_states
-                base = self._access[source]
-                for symbol in self.alphabet:
-                    active.append([source, symbol, base + (symbol,), self.root])
-                scheduled_states += 1
-
-            still_sifting: List[List] = []
-            for entry in active:
-                node = entry[3]
-                if isinstance(node, _Leaf):
-                    if entry[0] is not None:  # ε's bootstrap entry: no edge
-                        transitions[(entry[0], entry[1])] = node.state
-                else:
-                    still_sifting.append(entry)
-            active = still_sifting
-            if not active:
-                if scheduled_states == len(self._access):
-                    break
-                continue
-
-            probes = [entry[2] + entry[3].suffix for entry in active]
-            answers = self._answer_batch(probes)
-            for entry, answer in zip(active, answers):
-                word, node = entry[2], entry[3]
-                key = tuple(answer)[len(word):]
-                child = node.children.get(key)
-                if child is None:
-                    child = self._create_child(word, node, key)
-                entry[3] = child
-
-        output_words = [
-            self._access[state] + (symbol,)
-            for state in range(len(self._access))
-            for symbol in self.alphabet
-        ]
-        answers = self._answer_batch(output_words)
-        outputs: Dict[Tuple[int, Input], Hashable] = {}
-        index = 0
-        for state in range(len(self._access)):
-            for symbol in self.alphabet:
-                outputs[(state, symbol)] = answers[index][-1]
-                index += 1
-
-        return MealyMachine(
-            states=list(range(len(self._access))),
-            initial_state=0,
-            inputs=list(self.alphabet),
-            transitions=transitions,
-            outputs=outputs,
-        )
-
-    # ------------------------------------------------------------- refinement
-
-    def refine(self, hypothesis: MealyMachine, counterexample: Word) -> None:
-        """Rivest–Schapire decomposition of a counterexample into one split.
-
-        Binary search over the patched words ``access(state(w[:i])) + w[i:]``
-        for the index where agreement with the target flips (the same
-        search as :func:`~repro.learning.counterexample
-        .process_counterexample_rivest_schapire`, against the tree's access
-        map instead of the table's row map).  The flip yields a
-        distinguishing suffix and the pair of access words it separates;
-        :meth:`split` then turns the confused leaf into an inner node.
-        """
-        word = tuple(counterexample)
-        if not word:
-            raise LearningError("counterexample must be a non-empty word")
-        access = self._access
-        oracle = self.oracle
-
-        def disagrees(split: int) -> bool:
-            prefix = word[:split]
-            suffix = word[split:]
-            patched = access[hypothesis.state_after(prefix)] + suffix
-            if not patched:
-                return False
-            return tuple(oracle.output_query(patched)) != hypothesis.run(patched)
-
-        if not disagrees(0):
-            raise LearningError(
-                f"spurious counterexample {list(word)}: hypothesis already "
-                "agrees with the target"
-            )
-        low, high = 0, len(word)
-        if disagrees(high):
-            # Impossible while access words are prefix-closed: the hypothesis
-            # agrees with the target on every access word by construction.
-            raise LearningError(
-                "classification tree is inconsistent: hypothesis disagrees "
-                "with the target on an access word"
-            )
-        while high - low > 1:
-            middle = (low + high) // 2
-            if disagrees(middle):
-                low = middle
-            else:
-                high = middle
-
-        suffix = word[high:]
-        source = hypothesis.state_after(word[:low])
-        symbol = word[low]
-        new_access = access[source] + (symbol,)
-        confused_state = hypothesis.transitions[(source, symbol)]
-        self.split(self._leaves[access[confused_state]], new_access, suffix)
-
-    def split(self, leaf: _Leaf, new_access: Word, suffix: Word) -> _Leaf:
-        """Replace ``leaf`` by an inner node distinguishing it from a new state.
-
-        ``suffix`` must produce different output tails after ``leaf.access``
-        and ``new_access``; the old leaf and a fresh leaf for ``new_access``
-        become the inner node's two children, keyed by those tails.
-        """
-        suffix = tuple(suffix)
-        new_access = tuple(new_access)
-        if not suffix:
-            raise LearningError("a Mealy split needs a non-empty distinguishing suffix")
-        answers = self._answer_batch([leaf.access + suffix, new_access + suffix])
-        old_tail = tuple(answers[0])[len(leaf.access):]
-        new_tail = tuple(answers[1])[len(new_access):]
-        if old_tail == new_tail:
-            raise LearningError(
-                f"suffix {list(suffix)} does not distinguish access words "
-                f"{list(leaf.access)} and {list(new_access)}"
-            )
-        inner = _Inner(suffix, leaf.parent, leaf.key)
-        if leaf.parent is None:
-            self.root = inner
-        else:
-            leaf.parent.children[leaf.key] = inner
-        leaf.parent = inner
-        leaf.key = old_tail
-        inner.children[old_tail] = leaf
-        new_leaf = self._create_leaf(new_access, inner, new_tail, origin="split")
-        self._on_split(inner, leaf, new_leaf)
-        return new_leaf
-
-    def _on_split(self, inner: _Inner, old_leaf: _Leaf, new_leaf: _Leaf) -> None:
-        """Hook invoked after :meth:`split` wires a new inner node in.
-
-        Plain KV does nothing; the TTT tree marks ``inner`` temporary,
-        finalizes it to a shorter discriminator when it can, and re-enqueues
-        only the transition words resident in the split subtree.
-        """
-
-    def lca_suffix(self, state_a: int, state_b: int) -> Word:
-        """Distinguishing suffix at the lowest common ancestor of two leaves.
-
-        By tree construction the target produces different output tails on
-        ``access(a) + suffix`` and ``access(b) + suffix`` — that is why the
-        two leaves sit in different subtrees of the LCA.
-        """
-        if state_a == state_b:
-            raise LearningError("states are identical; no suffix separates them")
-        path: set = set()
-        node: Optional[_Node] = self._leaves[self._access[state_a]]
-        while node is not None:
-            path.add(node)
-            node = node.parent
-        node = self._leaves[self._access[state_b]].parent
-        while node is not None:
-            if node in path:
-                return node.suffix
-            node = node.parent
-        raise LearningError("classification-tree leaves share no ancestor")
-
-
-def equivalent_state_pair(machine: MealyMachine) -> Optional[Tuple[int, int]]:
-    """First pair of behaviourally equivalent states, or None if minimal.
-
-    Standard partition refinement (the same computation as
-    :meth:`~repro.core.mealy.MealyMachine.minimize`, reachable or not),
-    returning the two smallest state ids of the first non-singleton block
-    for deterministic repair order.
-    """
-    states = list(machine.states)
-    inputs = list(machine.inputs)
-    # Block ids are assigned by first occurrence in state order, so a stable
-    # partition keeps stable labels and the fixpoint test below terminates.
-    index_of: Dict[tuple, int] = {}
-    block_of = {}
-    for state in states:
-        signature = tuple(machine.outputs[(state, symbol)] for symbol in inputs)
-        block_of[state] = index_of.setdefault(signature, len(index_of))
-
-    while True:
-        index_of = {}
-        updated = {}
-        for state in states:
-            signature = (
-                block_of[state],
-                tuple(block_of[machine.transitions[(state, symbol)]] for symbol in inputs),
-            )
-            updated[state] = index_of.setdefault(signature, len(index_of))
-        if updated == block_of:
-            break
-        block_of = updated
-
-    blocks: Dict[int, List[int]] = {}
-    for state in sorted(states):
-        blocks.setdefault(block_of[state], []).append(state)
-    for block in sorted(blocks.values()):
-        if len(block) > 1:
-            return block[0], block[1]
-    return None
-
-
-class KVLearner(ActiveLearner):
-    """Classification-tree (Kearns–Vazirani) learner behind the
-    :class:`~repro.learning.learner.ActiveLearner` interface.
-
-    Constructor, engine wrapping, pool semantics and result shape match
-    :class:`~repro.learning.learner.MealyLearner`; only the hypothesis
-    data structure differs.  Rivest–Schapire is the only supported
-    counterexample strategy — the global prefix strategy is meaningless
-    for a tree that refines via single splits, so requesting
-    ``counterexample_strategy="prefixes"`` raises
-    :class:`~repro.errors.LearningError` at construction time.
-    """
-
-    name = "kv"
-    counterexample_strategies = ("rivest-schapire",)
-
-    #: Tree implementation the learner builds; the TTT learner swaps in its
-    #: finalizing/incrementally-sifting subclass without re-stating the loop.
-    tree_class = ClassificationTree
-
-    #: The classification tree of the current/most recent run (None before
-    #: :meth:`learn`); exposed so budget-interrupted runs stay inspectable.
-    tree: Optional[ClassificationTree] = None
-
-    @property
-    def states_discovered(self) -> int:
-        """Leaves created so far — exact state count, readable mid-run."""
-        return self.tree.num_states if self.tree is not None else 0
-
-    def _stable_hypothesis(self, tree: ClassificationTree) -> MealyMachine:
-        """Build a hypothesis and repair it to minimality without
-        spending equivalence queries.
-
-        An intermediate KV hypothesis can merge two discovered states
-        behaviourally even though the tree distinguishes their access words.
-        For any equivalent pair, the LCA discriminator yields an internal
-        counterexample (the target disagrees with the hypothesis on at least
-        one of ``access(q) + suffix``), which :meth:`ClassificationTree.refine`
-        turns into a split.  Each repair adds a state, so the loop is bounded
-        by the target's state count.
-        """
-        hypothesis = tree.hypothesis()
-        while True:
-            pair = equivalent_state_pair(hypothesis)
-            if pair is None:
-                return hypothesis
-            suffix = tree.lca_suffix(*pair)
-            for state in pair:
-                probe = tree.access_word(state) + suffix
-                if tuple(self.membership_oracle.output_query(probe)) != hypothesis.run(probe):
-                    tree.internal_refinements += 1
-                    tree.refine(hypothesis, probe)
-                    break
-            else:
-                # Unreachable: equivalent hypothesis states answer the suffix
-                # identically, but the target separates the two access words.
-                raise LearningError(
-                    "classification tree separates states "
-                    f"{pair[0]} and {pair[1]} but no internal counterexample "
-                    "distinguishes them"
-                )
-            hypothesis = tree.hypothesis()
-
-    def _learn(self) -> LearningResult:
-        start = time.perf_counter()
-        self._suite_queries = 0
-        self._suite_symbols = 0
-        origin = self._executed_queries()
-        symbol_origin = self._executed_symbols()
-        round_mark = origin
-        per_round_queries: List[int] = []
-        tree = self.tree_class(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
-        self.tree = tree
-        counterexamples: List[Word] = []
-
-        hypothesis = self._stable_hypothesis(tree)
-
-        for round_number in range(1, self.max_rounds + 1):
-            counterexample = self._find_counterexample(hypothesis)
-            if counterexample is None:
-                per_round_queries.append(self._executed_queries() - round_mark)
-                elapsed = time.perf_counter() - start
-                return LearningResult(
-                    machine=hypothesis.relabel(),
-                    rounds=round_number,
-                    learning_seconds=elapsed,
-                    statistics=self._collect_statistics(),
-                    counterexamples=counterexamples,
-                    per_round_queries=per_round_queries,
-                    learner=self.name,
-                    learner_queries=self._executed_queries()
-                    - origin
-                    - self._suite_queries,
-                    learner_symbols=self._executed_symbols()
-                    - symbol_origin
-                    - self._suite_symbols,
-                )
-            word = tuple(counterexample)
-            counterexamples.append(word)
-            # Exhaust the counterexample: a single split often leaves the word
-            # disagreeing with the refined hypothesis, and re-checking it is a
-            # trie cache hit — so KV keeps splitting on the same evidence
-            # instead of spending a fresh equivalence round (and its newly
-            # executed suite words) per discovered state.
-            while hypothesis.run(word) != tuple(self.membership_oracle.output_query(word)):
-                previous_size = hypothesis.size
-                tree.refine(hypothesis, word)
-                hypothesis = self._stable_hypothesis(tree)
-                if hypothesis.size <= previous_size:
-                    # Every split adds a leaf and hypothesis states are
-                    # leaves, so a non-growing hypothesis means the tree is
-                    # corrupted.
-                    raise LearningError(
-                        "classification-tree refinement failed to add a state "
-                        f"for counterexample {list(word)}"
-                    )
-            per_round_queries.append(self._executed_queries() - round_mark)
-            round_mark = self._executed_queries()
-
-        raise BudgetExceeded(
-            f"learning did not converge within {self.max_rounds} rounds",
-            spent=self.max_rounds,
-            budget=self.max_rounds,
-        )
+__all__ = ["ClassificationTree"]

@@ -1,22 +1,19 @@
 """The main learning loop (the student of Section 3.1).
 
-Three learners implement the student side behind one interface:
+Two learners implement the student side behind one interface:
 
 * :class:`MealyLearner` — Angluin's L* with an observation table
   (:mod:`repro.learning.observation_table`), the paper's configuration;
-* :class:`~repro.learning.kv.KVLearner` — the Kearns–Vazirani
-  classification-tree learner (:mod:`repro.learning.kv`), which refines a
-  discrimination tree per counterexample instead of refilling an
-  O(|S×Σ|·|E|) table every round;
-* :class:`~repro.learning.ttt.TTTLearner` — the same tree with TTT
-  discriminator finalization and incremental sifting
-  (:mod:`repro.learning.ttt`).
+* :class:`~repro.learning.ttt.TTTLearner` — a Kearns–Vazirani
+  classification tree with TTT discriminator finalization and incremental
+  sifting (:mod:`repro.learning.ttt`), which refines the tree per
+  counterexample instead of refilling an O(|S×Σ|·|E|) table every round.
 
-All share :class:`ActiveLearner`: the query-engine wrapping, worker-pool
-ownership, per-round executed-query accounting and statistics collection
-live here once, so the learners differ only in *how* they turn answers
-into hypotheses.  :func:`make_learner` builds any of them by name (the
-``--learner {lstar,kv,ttt}`` knob of the pipeline and CLI).
+Both share :class:`ActiveLearner`: the query-engine wrapping, the
+equivalence loop, per-round executed-query accounting and statistics
+collection live here once, so the learners differ only in *how* they turn
+answers into hypotheses.  :func:`make_learner` builds either by name (the
+``--learner`` knob of the pipeline and CLI, :data:`LEARNER_NAMES`).
 
 The loop mirrors Section 3.4 of the paper: the membership oracle is Polca
 (or any other output-query oracle), the equivalence oracle is the k-deep
@@ -41,20 +38,16 @@ from repro.learning.equivalence import EquivalenceOracle
 from repro.learning.observation_table import ObservationTable
 from repro.learning.oracles import (
     CachedMembershipOracle,
-    DictCachedMembershipOracle,
     MembershipOracle,
     QueryStatistics,
 )
-from repro.learning.parallel import OracleFactory, WorkerPool
+from repro.learning.parallel import WorkerPool
 
 Input = Hashable
 Word = Tuple[Input, ...]
 
-#: Cache backends selectable via ``ActiveLearner(cache_backend=...)``.
-CACHE_BACKENDS = ("trie", "dict")
-
 #: Learner names accepted by :func:`make_learner` (and the ``--learner`` knob).
-LEARNER_NAMES = ("lstar", "kv", "ttt")
+LEARNER_NAMES = ("lstar", "ttt")
 
 
 @dataclass
@@ -70,22 +63,21 @@ class LearningResult:
     #: (the refinement that produced a round's hypothesis counts toward that
     #: round).  Sums to ``statistics.membership_queries`` for cached engines.
     per_round_queries: List[int] = field(default_factory=list)
-    #: Name of the learner that produced this result (``"lstar"`` / ``"kv"``
-    #: / ``"ttt"``).
+    #: Name of the learner that produced this result (``"lstar"`` /
+    #: ``"ttt"``).
     learner: str = "lstar"
     #: Executed membership queries attributed to the learner's own probes —
     #: the engine total minus what the equivalence oracle executed through
     #: the shared engine.  This is the apples-to-apples cost of the learning
     #: algorithm itself: the conformance suite's vocabulary overlaps more
-    #: with L*'s table words than with KV's sift probes, so engine totals
-    #: mix the two cost centres.
+    #: with L*'s table words than with the tree's sift probes, so engine
+    #: totals mix the two cost centres.
     learner_queries: int = 0
     #: Executed membership *symbols* attributed to the learner's own probes
     #: (engine symbol total minus suite executions) — the companion of
     #: :attr:`learner_queries` that shows discriminator-length wins: two
     #: learners can execute the same number of probe words while one pays
-    #: far fewer symbols per word (TTT's finalized discriminators vs KV's
-    #: verbatim Rivest–Schapire suffixes).
+    #: far fewer symbols per word.
     learner_symbols: int = 0
 
     @property
@@ -107,24 +99,22 @@ class LearningResult:
 class ActiveLearner:
     """Shared scaffolding of the active-learning loop.
 
-    Membership queries flow through the batched query engine: unless
-    ``cache_queries`` is off, the oracle is wrapped in a
-    :class:`~repro.learning.oracles.CachedMembershipOracle` (trie backend)
-    or, for baseline measurements, the legacy
-    :class:`~repro.learning.oracles.DictCachedMembershipOracle`
-    (``cache_backend="dict"``).  An oracle that is already one of the two
-    cache types is used as-is, which lets callers share one engine between
+    Membership queries flow through the batched query engine: the oracle
+    is wrapped in a :class:`~repro.learning.oracles.CachedMembershipOracle`
+    unless it already is one, which lets callers share one engine between
     the learner and the equivalence oracle.
 
-    With ``workers=N`` (N > 1) and a picklable ``oracle_factory`` — or an
-    existing :class:`~repro.learning.parallel.WorkerPool` via ``pool=`` —
-    the learner's per-round query batches (table fill for L*, sift rounds
-    for KV) fan out across worker processes; answers merge back through the
-    shared query engine in chunk-index order, so parallel runs learn
-    machines bit-identical to serial ones.  An owned pool (built from
-    ``workers=``) is shut down when :meth:`learn` returns; a shared pool
-    stays up for its owner (typically the pipeline, which hands the same
+    With a parallel :class:`~repro.learning.parallel.WorkerPool` passed as
+    ``pool=``, the learner's per-round query batches (table fill for L*,
+    sift rounds for the tree) fan out across worker processes; answers
+    merge back through the shared query engine in chunk-index order, so
+    parallel runs learn machines bit-identical to serial ones.  The pool
+    belongs to the caller (typically the pipeline, which hands the same
     pool to the conformance tester so one flag parallelizes the whole run).
+
+    Subclasses build the first hypothesis in :meth:`_initial_hypothesis`
+    and turn a counterexample into the next one in :meth:`_refine`;
+    :meth:`learn` runs the equivalence loop around them.
     """
 
     #: Registry name of the learner; subclasses override.
@@ -140,10 +130,6 @@ class ActiveLearner:
         *,
         counterexample_strategy: str = "rivest-schapire",
         max_rounds: int = 10_000,
-        cache_queries: bool = True,
-        cache_backend: str = "trie",
-        workers: Optional[int] = None,
-        oracle_factory: Optional[OracleFactory] = None,
         pool: Optional[WorkerPool] = None,
         fill_chunk_size: int = 64,
     ) -> None:
@@ -153,47 +139,68 @@ class ActiveLearner:
                 f"{counterexample_strategy!r}; expected one of "
                 f"{self.counterexample_strategies}"
             )
-        if cache_backend not in CACHE_BACKENDS:
-            raise LearningError(
-                f"unknown cache backend {cache_backend!r}; expected one of {CACHE_BACKENDS}"
-            )
-        if pool is not None and (workers is not None or oracle_factory is not None):
-            raise LearningError(
-                "pass either a shared pool or workers/oracle_factory, not both"
-            )
         self.alphabet = tuple(alphabet)
-        if not cache_queries or isinstance(
-            membership_oracle, (CachedMembershipOracle, DictCachedMembershipOracle)
-        ):
+        if isinstance(membership_oracle, CachedMembershipOracle):
             self.membership_oracle: MembershipOracle = membership_oracle
-        elif cache_backend == "dict":
-            self.membership_oracle = DictCachedMembershipOracle(membership_oracle)
         else:
             self.membership_oracle = CachedMembershipOracle(membership_oracle)
         self.equivalence_oracle = equivalence_oracle
         self.counterexample_strategy = counterexample_strategy
         self.max_rounds = max_rounds
         self.fill_chunk_size = fill_chunk_size
-        self._owns_pool = False
         self.pool = pool
-        if pool is None and workers is not None and workers > 1:
-            # WorkerPool validates workers >= 1 and the factory requirement.
-            self.pool = WorkerPool(oracle_factory, workers)
-            self._owns_pool = True
-        elif workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self._suite_queries = 0
         self._suite_symbols = 0
 
     def learn(self) -> LearningResult:
         """Run the learning loop until the equivalence oracle is satisfied."""
-        try:
-            return self._learn()
-        finally:
-            if self._owns_pool and self.pool is not None:
-                self.pool.close()
+        start = time.perf_counter()
+        self._suite_queries = 0
+        self._suite_symbols = 0
+        origin = self._executed_queries()
+        symbol_origin = self._executed_symbols()
+        round_mark = origin
+        per_round_queries: List[int] = []
+        counterexamples: List[Word] = []
 
-    def _learn(self) -> LearningResult:
+        hypothesis = self._initial_hypothesis()
+
+        for round_number in range(1, self.max_rounds + 1):
+            counterexample = self._find_counterexample(hypothesis)
+            if counterexample is None:
+                per_round_queries.append(self._executed_queries() - round_mark)
+                elapsed = time.perf_counter() - start
+                return LearningResult(
+                    machine=hypothesis.relabel(),
+                    rounds=round_number,
+                    learning_seconds=elapsed,
+                    statistics=self._collect_statistics(),
+                    counterexamples=counterexamples,
+                    per_round_queries=per_round_queries,
+                    learner=self.name,
+                    learner_queries=self._executed_queries()
+                    - origin
+                    - self._suite_queries,
+                    learner_symbols=self._executed_symbols()
+                    - symbol_origin
+                    - self._suite_symbols,
+                )
+            counterexample = tuple(counterexample)
+            counterexamples.append(counterexample)
+            hypothesis = self._refine(hypothesis, counterexample)
+            per_round_queries.append(self._executed_queries() - round_mark)
+            round_mark = self._executed_queries()
+
+        raise BudgetExceeded(
+            f"learning did not converge within {self.max_rounds} rounds",
+            spent=self.max_rounds,
+            budget=self.max_rounds,
+        )
+
+    def _initial_hypothesis(self) -> MealyMachine:
+        raise NotImplementedError  # pragma: no cover - subclasses implement
+
+    def _refine(self, hypothesis: MealyMachine, counterexample: Word) -> MealyMachine:
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
     # ------------------------------------------------------------- accounting
@@ -205,18 +212,12 @@ class ActiveLearner:
         return 0  # pragma: no cover - subclasses override
 
     def _executed_queries(self) -> int:
-        """Executed membership queries of the engine so far (0 if untracked)."""
-        statistics = getattr(self.membership_oracle, "statistics", None)
-        if isinstance(statistics, QueryStatistics):
-            return statistics.membership_queries
-        return 0
+        """Executed membership queries of the engine so far."""
+        return self.membership_oracle.statistics.membership_queries
 
     def _executed_symbols(self) -> int:
-        """Executed membership symbols of the engine so far (0 if untracked)."""
-        statistics = getattr(self.membership_oracle, "statistics", None)
-        if isinstance(statistics, QueryStatistics):
-            return statistics.membership_symbols
-        return 0
+        """Executed membership symbols of the engine so far."""
+        return self.membership_oracle.statistics.membership_symbols
 
     def _find_counterexample(self, hypothesis: MealyMachine):
         """One equivalence query, attributing its executions to the suite.
@@ -264,7 +265,18 @@ class MealyLearner(ActiveLearner):
         """Access words added as short rows so far (distinct rows ≈ states)."""
         return len(self.table.short_prefixes) if self.table is not None else 0
 
-    def _refine(self, table: ObservationTable, hypothesis: MealyMachine, counterexample: Word) -> None:
+    def _initial_hypothesis(self) -> MealyMachine:
+        self.table = ObservationTable(
+            self.alphabet,
+            self.membership_oracle,
+            pool=self.pool,
+            chunk_size=self.fill_chunk_size,
+        )
+        self.table.make_closed_and_consistent()
+        return self.table.hypothesis()
+
+    def _process_counterexample(self, hypothesis: MealyMachine, counterexample: Word) -> None:
+        table = self.table
         if self.counterexample_strategy == "prefixes":
             process_counterexample_prefixes(table, counterexample)
             return
@@ -277,67 +289,21 @@ class MealyLearner(ActiveLearner):
             # spurious counterexample caused by an already-known suffix).
             process_counterexample_prefixes(table, counterexample)
 
-    def _learn(self) -> LearningResult:
-        start = time.perf_counter()
-        self._suite_queries = 0
-        self._suite_symbols = 0
-        origin = self._executed_queries()
-        symbol_origin = self._executed_symbols()
-        round_mark = origin
-        per_round_queries: List[int] = []
-        table = ObservationTable(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
-        self.table = table
-        counterexamples: List[Word] = []
-
+    def _refine(self, hypothesis: MealyMachine, counterexample: Word) -> MealyMachine:
+        table = self.table
+        previous_size = hypothesis.size
+        self._process_counterexample(hypothesis, counterexample)
         table.make_closed_and_consistent()
         hypothesis = table.hypothesis()
-
-        for round_number in range(1, self.max_rounds + 1):
-            counterexample = self._find_counterexample(hypothesis)
-            if counterexample is None:
-                per_round_queries.append(self._executed_queries() - round_mark)
-                elapsed = time.perf_counter() - start
-                return LearningResult(
-                    machine=hypothesis.relabel(),
-                    rounds=round_number,
-                    learning_seconds=elapsed,
-                    statistics=self._collect_statistics(),
-                    counterexamples=counterexamples,
-                    per_round_queries=per_round_queries,
-                    learner=self.name,
-                    learner_queries=self._executed_queries()
-                    - origin
-                    - self._suite_queries,
-                    learner_symbols=self._executed_symbols()
-                    - symbol_origin
-                    - self._suite_symbols,
-                )
-            counterexamples.append(tuple(counterexample))
-            previous_size = hypothesis.size
-            self._refine(table, hypothesis, tuple(counterexample))
+        if hypothesis.size == previous_size and hypothesis.run(counterexample) != tuple(
+            self.membership_oracle.output_query(counterexample)
+        ):
+            # The refinement did not resolve the counterexample; escalate
+            # to the prefix strategy to guarantee progress.
+            process_counterexample_prefixes(table, counterexample)
             table.make_closed_and_consistent()
             hypothesis = table.hypothesis()
-            if hypothesis.size == previous_size and hypothesis.run(counterexample) != tuple(
-                self.membership_oracle.output_query(counterexample)
-            ):
-                # The refinement did not resolve the counterexample; escalate
-                # to the prefix strategy to guarantee progress.
-                process_counterexample_prefixes(table, tuple(counterexample))
-                table.make_closed_and_consistent()
-                hypothesis = table.hypothesis()
-            per_round_queries.append(self._executed_queries() - round_mark)
-            round_mark = self._executed_queries()
-
-        raise BudgetExceeded(
-            f"learning did not converge within {self.max_rounds} rounds",
-            spent=self.max_rounds,
-            budget=self.max_rounds,
-        )
+        return hypothesis
 
 
 def make_learner(
@@ -347,7 +313,7 @@ def make_learner(
     equivalence_oracle: EquivalenceOracle,
     **kwargs,
 ) -> ActiveLearner:
-    """Build a learner by registry name (``"lstar"``, ``"kv"`` or ``"ttt"``).
+    """Build a learner by registry name (``"lstar"`` or ``"ttt"``).
 
     This is the single construction point behind the ``--learner`` knob of
     the pipeline, the experiment tables and the CLI; unknown names raise
@@ -366,17 +332,13 @@ def make_learner(
 def _learner_class(name: str):
     """Resolve a registry name to its learner class (None when unknown).
 
-    The tree learners import lazily so ``repro.learning.learner`` stays
-    import-cycle-free (:mod:`repro.learning.kv` imports this module for the
+    The tree learner imports lazily so ``repro.learning.learner`` stays
+    import-cycle-free (:mod:`repro.learning.ttt` imports this module for the
     :class:`ActiveLearner` base).
     """
     normalized = name.lower()
     if normalized == "lstar":
         return MealyLearner
-    if normalized == "kv":
-        from repro.learning.kv import KVLearner
-
-        return KVLearner
     if normalized == "ttt":
         from repro.learning.ttt import TTTLearner
 

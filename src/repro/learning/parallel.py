@@ -38,7 +38,6 @@ check across the policy registry and generated instances.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -320,13 +319,7 @@ class WorkerPool:
     to shut the executor down.
     """
 
-    def __init__(
-        self,
-        oracle_factory: Optional[OracleFactory],
-        workers: int,
-        *,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, oracle_factory: Optional[OracleFactory], workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers > 1 and oracle_factory is None:
@@ -336,7 +329,6 @@ class WorkerPool:
             )
         self.oracle_factory = oracle_factory
         self.workers = workers
-        self.start_method = start_method
         #: Executed queries per pool worker, keyed by worker PID.
         self.worker_query_counts: Dict[int, int] = {}
         #: Executed symbols per pool worker, keyed by worker PID.
@@ -361,14 +353,8 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method is not None
-                else None
-            )
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=context,
                 initializer=initialize_worker,
                 initargs=(self.oracle_factory,),
             )

@@ -47,7 +47,7 @@ from repro.simkernel.batch import BatchSimulator
 Block = Hashable
 
 #: Kernel names accepted by the ``kernel=`` knob (``None`` ≡ ``"scalar"``).
-POLCA_KERNELS = ("auto", "python", "numpy", "scalar")
+POLCA_KERNELS = ("auto", "python", "scalar")
 
 
 def scalar_probe_cost(
@@ -137,10 +137,10 @@ class PolcaMembershipOracle:
     probing symbol by symbol.  Answers are bit-identical to the scalar path
     and the probe/access counters are kept identical too, via
     :func:`scalar_probe_cost` accounting.  ``"auto"`` degrades silently
-    (no ``kernel_policy``, non-tabulatable policy, ``resume=True``, numpy
-    missing → scalar/python as appropriate); forcing ``"python"`` or
-    ``"numpy"`` raises :class:`~repro.errors.PolicyError` instead.
-    :attr:`kernel_in_use` reports what actually runs.
+    to the scalar path (no ``kernel_policy``, non-tabulatable policy,
+    ``resume=True``); forcing ``"python"`` raises
+    :class:`~repro.errors.PolicyError` instead.  :attr:`kernel_in_use`
+    reports what actually runs.
     """
 
     def __init__(
@@ -170,8 +170,8 @@ class PolcaMembershipOracle:
         self._simulator: Optional[BatchSimulator] = None
         if kernel is not None and kernel != "scalar":
             self._simulator = self._build_simulator(kernel)
-        #: Execution strategy actually answering queries:
-        #: ``"scalar"``, ``"python"`` or ``"numpy"``.
+        #: Execution strategy actually answering queries: ``"scalar"`` or
+        #: ``"python"`` (the tabulated kernel).
         self.kernel_in_use = (
             "scalar" if self._simulator is None else self._simulator.kernel
         )
@@ -204,7 +204,7 @@ class PolcaMembershipOracle:
                 )
             return None
         try:
-            return BatchSimulator(kernel_policy(), kernel=kernel)
+            return BatchSimulator(kernel_policy())
         except PolicyError:
             if forced:
                 raise

@@ -158,17 +158,16 @@ class PolicyLearningPipeline:
         self.oracle_factory = oracle_factory
         self.resume = resume
         #: Which student runs the loop: ``"lstar"`` (observation table, the
-        #: paper's configuration), ``"kv"`` (classification tree — far
-        #: fewer membership queries per discovered state on large policies)
-        #: or ``"ttt"`` (the tree with discriminator finalization and
-        #: incremental sifting).  All three learn the same minimal machine
-        #: bit-identically.
+        #: paper's configuration) or ``"ttt"`` (classification tree with
+        #: discriminator finalization and incremental sifting — fewer
+        #: executed symbols per discovered state on large policies).  Both
+        #: learn the same minimal machine bit-identically.
         self.learner = learner.lower()
         #: Execution strategy for Polca's probes over simulated targets:
-        #: ``"auto"`` (tabulated kernel when the policy tabulates, numpy
-        #: when importable), ``"python"``, ``"numpy"``, or ``"scalar"`` /
-        #: ``None`` for the legacy per-symbol stepper.  Answers and
-        #: statistics are identical across all settings.
+        #: ``"auto"`` (the tabulated kernel when the policy tabulates, else
+        #: scalar), ``"python"`` (the tabulated kernel, forced), or
+        #: ``"scalar"`` / ``None`` for the legacy per-symbol stepper.
+        #: Answers and statistics are identical across all settings.
         self.kernel = kernel
         #: Optional shared :class:`~repro.store.PrefixStore` the query
         #: engine's trie lives in — pass the same instance backing the
@@ -230,7 +229,6 @@ class PolicyLearningPipeline:
         try:
             result = learner.learn()
         finally:
-            equivalence.close()
             if pool is not None:
                 pool.close()
         machine = result.machine.minimize()
@@ -254,13 +252,12 @@ class PolicyLearningPipeline:
         }
         tree = getattr(learner, "tree", None)
         if tree is not None:
+            # Classification-tree counters (see repro.learning.ttt).
             extra["kv_leaves_from_sifting"] = tree.leaves_from_sifting
             extra["kv_leaves_from_splits"] = tree.leaves_from_splits
             extra["kv_internal_refinements"] = tree.internal_refinements
             extra["discriminator_lengths"] = tree.discriminator_lengths()
             extra["max_discriminator_length"] = tree.max_discriminator_length
-        if getattr(tree, "finalization_shrinkage", None) is not None:
-            # TTT-specific refinement counters (see repro.learning.ttt).
             extra["ttt_finalized_discriminators"] = tree.discriminators_finalized
             extra["ttt_temporary_discriminators"] = tree.temporary_discriminators
             extra["ttt_words_resifted_per_split"] = list(tree.words_resifted_per_split)

@@ -1,4 +1,4 @@
-"""Tabulated simulator kernels: flat-array policy execution for the hot loop.
+"""The tabulated simulator kernel: flat-array policy execution for the hot loop.
 
 The simulated oracle used to answer every policy symbol by stepping a
 pure-Python :class:`~repro.cache.cacheset.CacheSet` one block at a time —
@@ -8,29 +8,24 @@ replaces that loop for bounded policies:
 * :mod:`~repro.simkernel.tables` compiles any registered policy into dense
   ``next_state`` / ``output`` transition arrays via the existing
   ``to_mealy`` enumeration;
-* :mod:`~repro.simkernel.steppers` provides two interchangeable chunk
-  steppers over those arrays — a vectorized numpy kernel (lockstep gathers
-  over a states vector) and a dependency-free pure-Python fallback;
+* :mod:`~repro.simkernel.steppers` provides the chunk stepper over those
+  arrays, a tight pure-Python loop over flat tuples;
 * :mod:`~repro.simkernel.batch` wraps table + stepper into the
   :class:`BatchSimulator` facade, which speaks the learning stack's
   batched/resumable oracle protocol.
 
-Consumers pick a kernel with the ``kernel=`` knob threaded through
+Consumers choose between this tabulated path and the legacy scalar
+stepper with the ``kernel=`` knob threaded through
 :class:`~repro.polca.algorithm.PolcaMembershipOracle`,
 :class:`~repro.polca.pipeline.PolicyLearningPipeline`, the worker factories
-and the experiment CLI (``--kernel {auto,python,numpy,scalar}``); answers
-and statistics are bit-identical across kernels and the legacy scalar path
-by construction, a property ``tests/test_property_fuzz.py`` enforces.
+and the experiment CLI (``--kernel``, choices
+:data:`~repro.polca.algorithm.POLCA_KERNELS`); answers and statistics are
+bit-identical across both by construction, a property
+``tests/test_property_fuzz.py`` enforces.
 """
 
 from repro.simkernel.batch import BatchSimulator
-from repro.simkernel.steppers import (
-    KERNEL_NAMES,
-    NumpyKernel,
-    PythonKernel,
-    numpy_available,
-    resolve_kernel,
-)
+from repro.simkernel.steppers import PythonKernel
 from repro.simkernel.tables import (
     DEFAULT_STATE_BOUND,
     TabulatedPolicy,
@@ -40,11 +35,7 @@ from repro.simkernel.tables import (
 __all__ = [
     "BatchSimulator",
     "DEFAULT_STATE_BOUND",
-    "KERNEL_NAMES",
-    "NumpyKernel",
     "PythonKernel",
     "TabulatedPolicy",
-    "numpy_available",
-    "resolve_kernel",
     "tabulate_policy",
 ]

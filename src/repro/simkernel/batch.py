@@ -1,9 +1,9 @@
 """The :class:`BatchSimulator` facade: a policy-word oracle over a kernel.
 
 This is the execution core the rest of the stack plugs into: it owns one
-compiled :class:`~repro.simkernel.tables.TabulatedPolicy` and one stepper
-(numpy or pure Python, see :mod:`repro.simkernel.steppers`) and answers
-whole chunks of policy words at once.  On top of the chunk primitive it
+compiled :class:`~repro.simkernel.tables.TabulatedPolicy` and the
+tabulated stepper (:class:`~repro.simkernel.steppers.PythonKernel`) and
+answers whole chunks of policy words at once.  On top of the chunk primitive it
 implements the learning stack's full batched-oracle protocol
 (:mod:`repro.learning.query_engine`):
 
@@ -21,10 +21,9 @@ system under learning, or inside
 replaces per-symbol cache probing for simulated targets (where the
 interface guarantees policy-exact semantics).
 
-Outputs are always plain Python values (``"-"`` or ``int``), never numpy
-scalars: answers must be bit-identical to the scalar path — including
-through pickling, the prefix store codec and machine equality — no matter
-which kernel produced them.
+Outputs are always plain Python values (``"-"`` or ``int``): answers must
+be bit-identical to the scalar path — including through pickling, the
+prefix store codec and machine equality.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import PolicyInput, PolicyOutput
 from repro.learning.oracles import QueryStatistics
-from repro.simkernel.steppers import resolve_kernel
+from repro.simkernel.steppers import PythonKernel
 from repro.simkernel.tables import TabulatedPolicy, tabulate_policy
 
 Word = Sequence[PolicyInput]
@@ -45,27 +44,19 @@ class BatchSimulator:
 
     supports_resume = True
 
-    def __init__(
-        self,
-        policy,
-        *,
-        kernel: str = "auto",
-        max_states: Optional[int] = None,
-    ) -> None:
-        """Compile ``policy`` (or adopt a ready :class:`TabulatedPolicy`)
-        and bind the requested kernel.
+    def __init__(self, policy, *, max_states: Optional[int] = None) -> None:
+        """Compile ``policy`` (or adopt a ready :class:`TabulatedPolicy`).
 
         Raises :class:`~repro.errors.PolicyError` when the policy does not
-        tabulate within its state bound or the forced kernel is
-        unavailable — ``kernel="auto"`` consumers catch it and fall back to
-        scalar stepping.
+        tabulate within its state bound — ``kernel="auto"`` consumers catch
+        it and fall back to scalar stepping.
         """
         if isinstance(policy, TabulatedPolicy):
             self.table = policy
         else:
             self.table = tabulate_policy(policy, max_states=max_states)
-        self._stepper = resolve_kernel(self.table, kernel)
-        #: The kernel actually bound ("numpy" or "python").
+        self._stepper = PythonKernel(self.table)
+        #: The kernel bound (always "python").
         self.kernel = self._stepper.name
         self.associativity = self.table.associativity
         self.statistics = QueryStatistics()

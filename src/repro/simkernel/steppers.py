@@ -1,55 +1,25 @@
-"""Interchangeable execution kernels over a :class:`TabulatedPolicy`.
+"""The tabulated execution kernel over a :class:`TabulatedPolicy`.
 
 A kernel answers *chunks* of policy words: given a list of encoded words
 (and optionally one start state per word), it returns every word's encoded
-output word plus the control state each word ends in.  Two implementations
-share that contract:
+output word plus the control state each word ends in.
+:class:`PythonKernel` does that with a tight per-word loop over the flat
+tuples — several times faster than the scalar policy objects (no
+isinstance dispatch, no per-step object churn).
 
-* :class:`NumpyKernel` — the throughput kernel: a chunk is padded into a
-  dense ``(words, max_length)`` ``int32`` matrix and stepped column by
-  column, so one gather (``outputs[states, column]`` /
-  ``next_state[states, column]``) advances *every word in the chunk in
-  lockstep*.  Finished words are masked out of the state update, which
-  keeps their end states exact; their padded output cells are garbage by
-  construction and sliced away on decode.
-
-* :class:`PythonKernel` — the dependency-free fallback: a tight per-word
-  loop over the same flat tuples.  Still several times faster than the
-  scalar policy objects (no isinstance dispatch, no per-step object
-  churn), and bit-identical to the numpy kernel by construction.
-
-Both kernels are pure functions of the table: interleaving chunk calls,
-splitting a chunk in two, or moving words between kernels can never change
-an answer — the property the differential tests
-(``tests/test_simkernel.py``, ``tests/test_property_fuzz.py``) pin down.
-
-:func:`resolve_kernel` implements the selection policy shared by every
-consumer: ``"numpy"`` and ``"python"`` force a kernel (raising
-:class:`~repro.errors.PolicyError` when numpy is unavailable), ``"auto"``
-picks numpy when importable and the pure-Python kernel otherwise.
+The kernel is a pure function of the table: interleaving chunk calls or
+splitting a chunk in two can never change an answer — the property the
+differential tests (``tests/test_simkernel.py``,
+``tests/test_property_fuzz.py``) pin down.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import PolicyError
 from repro.simkernel.tables import TabulatedPolicy
 
-#: Kernel names accepted by :func:`resolve_kernel` (and, with ``"scalar"``,
-#: by every ``kernel=`` knob up the stack).
-KERNEL_NAMES = ("auto", "numpy", "python")
-
 CodeWord = Tuple[int, ...]
-
-
-def numpy_available() -> bool:
-    """True when numpy can be imported in this interpreter."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 class PythonKernel:
@@ -85,95 +55,3 @@ class PythonKernel:
             answered.append(tuple(word_out))
             end_states.append(state)
         return answered, end_states
-
-
-class NumpyKernel:
-    """The vectorized stepper: one gather advances a whole chunk in lockstep."""
-
-    name = "numpy"
-
-    def __init__(self, table: TabulatedPolicy) -> None:
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - exercised via resolve_kernel
-            raise PolicyError(
-                "the numpy kernel was requested but numpy is not importable; "
-                "install the [fast] extra or use kernel='python'"
-            ) from exc
-        self._np = numpy
-        self.table = table
-        self._width = numpy.int32(table.num_symbols)
-        # Kept flat: the stepping loop gathers through one fused index
-        # (state * width + symbol), so row-major 1-D take() is all we need.
-        self._next = numpy.asarray(table.next_state, dtype=numpy.int32)
-        self._outputs = numpy.asarray(table.outputs, dtype=numpy.int32)
-
-    def run_chunk(
-        self,
-        code_words: Sequence[CodeWord],
-        start_states: Optional[Sequence[int]] = None,
-    ) -> Tuple[List[CodeWord], List[int]]:
-        """Step every word of a chunk; return (output code words, end states).
-
-        Words are padded to the chunk's maximum length and masked: a word
-        that has already finished keeps its state frozen through the
-        remaining columns, so end states are exact for every word no matter
-        how ragged the chunk is.
-        """
-        np = self._np
-        count = len(code_words)
-        if count == 0:
-            return [], []
-        word_lengths = [len(word) for word in code_words]
-        max_length = max(word_lengths)
-        if start_states is None:
-            states = np.zeros(count, dtype=np.int32)
-        else:
-            states = np.asarray(start_states, dtype=np.int32).copy()
-        if max_length == 0:
-            return [() for _ in code_words], [int(state) for state in states]
-        lengths = np.asarray(word_lengths, dtype=np.int32)
-        # One dense (count, max_length) matrix: scatter every word's codes
-        # into its row prefix in one masked assignment (mask rows are
-        # prefix-true, so C-order fill matches concatenation order).
-        mask = lengths[:, None] > np.arange(max_length, dtype=np.int32)
-        codes = np.zeros((count, max_length), dtype=np.int32)
-        codes[mask] = np.fromiter(
-            (code for word in code_words for code in word),
-            dtype=np.int32,
-            count=int(lengths.sum()),
-        )
-        produced = np.empty((count, max_length), dtype=np.int32)
-        next_state = self._next
-        outputs = self._outputs
-        width = self._width
-        for column in range(max_length):
-            base = states * width + codes[:, column]
-            produced[:, column] = outputs.take(base)
-            states = np.where(mask[:, column], next_state.take(base), states)
-        rows = produced.tolist()  # plain Python ints, one C pass
-        answered = [
-            tuple(row[:length]) for row, length in zip(rows, word_lengths)
-        ]
-        return answered, [int(state) for state in states]
-
-
-def resolve_kernel(table: TabulatedPolicy, kernel: str = "auto"):
-    """Build the stepper named by ``kernel`` over ``table``.
-
-    ``"auto"`` prefers numpy and silently falls back to the pure-Python
-    kernel; the explicit names are strict (a missing numpy raises
-    :class:`~repro.errors.PolicyError` instead of degrading quietly).
-    """
-    if kernel not in KERNEL_NAMES:
-        raise PolicyError(
-            f"unknown simulator kernel {kernel!r}; choose one of {KERNEL_NAMES}"
-        )
-    if kernel == "numpy" or (kernel == "auto" and numpy_available()):
-        if not numpy_available():
-            raise PolicyError(
-                "the numpy kernel was requested but numpy is not importable; "
-                "install the [fast] extra or use kernel='python'"
-            )
-        return NumpyKernel(table)
-    return PythonKernel(table)

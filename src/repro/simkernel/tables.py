@@ -19,10 +19,8 @@ with states numbered ``0 .. num_states - 1`` in BFS discovery order (the
 initial state is always ``0``), input symbols numbered ``Ln(i) -> i`` and
 ``Evct -> associativity``, and outputs encoded as ``-1`` for the paper's
 ``⊥`` (:data:`~repro.core.alphabet.MISS_OUTPUT`) or the victim line index.
-The encoding is shared by both execution kernels
-(:mod:`repro.simkernel.steppers`): the pure-Python stepper indexes the flat
-tuples directly and the numpy stepper reshapes them into ``int32``
-``(num_states, num_symbols)`` gather tables.
+The stepper (:mod:`repro.simkernel.steppers`) indexes the flat tuples
+directly.
 
 Tables are immutable, hashable-free plain data and therefore picklable —
 though the worker pools deliberately *rebuild* them from the policy name at
@@ -61,7 +59,7 @@ class TabulatedPolicy:
     and output encodings.  Instances are produced by
     :func:`tabulate_policy` (or the
     :meth:`~repro.policies.base.ReplacementPolicy.tabulate` hook) and
-    consumed by the kernels in :mod:`repro.simkernel.steppers`.
+    consumed by the stepper in :mod:`repro.simkernel.steppers`.
     """
 
     name: str

@@ -12,7 +12,11 @@ policy by policy:
   trace-equivalent);
 * the learned machine is then cross-checked against a fresh Polca-driven
   simulator on seeded random words, so a bug that affected *both* runs
-  identically would still be caught.
+  identically would still be caught;
+* each learner (L* and TTT) is checked against ground truth — the
+  policy's own minimized machine ``to_mealy().minimize()`` — across
+  workers 0/2 × kernels scalar/auto, not merely against the other
+  learner's output.
 
 The simulator cross-check is only sound when the machine was learned
 *exactly* (Corollary 3.4: a depth-``k`` suite guarantees equivalence only
@@ -29,6 +33,7 @@ larger configurations live in ``benchmarks/bench_parallel_equivalence.py``.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +64,13 @@ def _learn(policy_name: str, depth: int, workers=None):
     return learn_simulated_policy(policy, depth=depth, identify=False, workers=workers)
 
 
+def _ground_truth(policy_name: str):
+    """The policy's minimized machine, unnamed like a learned one so ``==``
+    compares states, transitions and outputs."""
+    machine = make_policy(policy_name, ASSOCIATIVITY).to_mealy().minimize()
+    return replace(machine, name="")
+
+
 def _replay_words(policy_name: str, alphabet):
     """Seeded random test words over the policy alphabet (stable across runs)."""
     rng = random.Random(f"differential-{policy_name}-{ASSOCIATIVITY}")
@@ -82,6 +94,7 @@ def _assert_differential(policy_name: str, depth: int, *, replay: bool) -> None:
 
     if not replay:
         return
+    assert parallel.machine == _ground_truth(policy_name)
     # Cross-check the learned machine against a fresh simulator: replay
     # seeded random words through Polca and compare output words.  This
     # catches a bug that corrupted the serial and the parallel run alike.
@@ -110,75 +123,71 @@ def test_bimodal_policies_exact_differential(policy_name):
     _assert_differential(policy_name, EXACT_DEPTH[policy_name], replay=True)
 
 
-@pytest.mark.parametrize("policy_name", available_policies())
-def test_kv_and_lstar_learn_bit_identical_machines(policy_name):
-    """The L*-vs-KV differential axis: both learners, one machine.
+def _assert_ground_truth(policy_name: str, learner: str):
+    """One learner across workers 0/2 × kernels scalar/auto.
 
-    Every registry policy is learned by the observation-table learner and
-    the classification-tree learner; the minimized machines must be
-    bit-identical (the pipeline relabels canonically, so ``==`` is exact).
-    KV is additionally exercised across the execution strategies that must
-    never change what is learned: a 2-worker pool and the forced scalar
-    kernel.
+    Where the depth makes learning exact, every run must equal the
+    policy's minimized machine; the bimodal policies learned at depth 1
+    (Corollary 3.4: exact only up to ``|H| + k`` states) must at least be
+    bit-identical across the execution strategies, which never change what
+    is learned.  Returns the serial auto-kernel report.
     """
     exact = policy_name not in SLOW_EXACT
     depth = EXACT_DEPTH.get(policy_name, 1) if exact else 1
-    policy = make_policy(policy_name, ASSOCIATIVITY)
+    truth = _ground_truth(policy_name)
+    reports = {}
+    for workers in (None, 2):
+        for kernel in ("auto", "scalar"):
+            report = learn_simulated_policy(
+                make_policy(policy_name, ASSOCIATIVITY),
+                depth=depth,
+                identify=False,
+                learner=learner,
+                workers=workers,
+                kernel=kernel,
+            )
+            assert report.extra["learner"] == learner
+            assert report.extra["kernel"] == ("scalar" if kernel == "scalar" else "python")
+            assert report.extra.get("workers") == workers
+            reports[(workers, kernel)] = report
+    serial = reports[(None, "auto")]
+    for (workers, kernel), report in reports.items():
+        label = f"{policy_name}/{learner}/workers={workers}/kernel={kernel}"
+        if exact:
+            assert report.machine == truth, f"{label}: differs from ground truth"
+        else:
+            assert report.machine == serial.machine, f"{label}: diverged"
+    return serial
 
-    lstar = learn_simulated_policy(policy, depth=depth, identify=False, learner="lstar")
-    kv = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY), depth=depth, identify=False, learner="kv"
-    )
-    assert kv.machine == lstar.machine
-    assert lstar.extra["learner"] == "lstar"
-    assert kv.extra["learner"] == "kv"
-    # KV's growth accounting is reported and consistent with the state count.
-    assert (
-        kv.extra["kv_leaves_from_sifting"] + kv.extra["kv_leaves_from_splits"]
-        == kv.num_states
-    )
 
-    kv_parallel = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY),
-        depth=depth,
-        identify=False,
-        learner="kv",
-        workers=2,
-    )
-    assert kv_parallel.machine == kv.machine
-    assert kv_parallel.extra["workers"] == 2
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_kv_and_lstar_learn_bit_identical_machines(policy_name):
+    """The L* axis, plus the cross-learner pin.
 
-    kv_scalar = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY),
-        depth=depth,
-        identify=False,
-        learner="kv",
-        kernel="scalar",
+    L* — the paper's learner — is checked against the policy's own machine
+    across the execution strategies.  The classification-tree learner
+    (Kearns–Vazirani's tree with the TTT refinements, ``learner="ttt"``)
+    must then learn the bit-identical machine; this holds even where depth
+    1 is not exact, so the two learners agree on every policy.
+    """
+    exact = policy_name not in SLOW_EXACT
+    depth = EXACT_DEPTH.get(policy_name, 1) if exact else 1
+    lstar = _assert_ground_truth(policy_name, "lstar")
+    tree = learn_simulated_policy(
+        make_policy(policy_name, ASSOCIATIVITY), depth=depth, identify=False, learner="ttt"
     )
-    assert kv_scalar.machine == kv.machine
-    assert kv_scalar.extra["kernel"] == "scalar"
+    assert tree.machine == lstar.machine
 
 
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_ttt_learns_bit_identical_machines(policy_name):
-    """The TTT differential axis: the refined tree learns the same machine.
+    """The TTT axis: the tree learner against the policy's own machine.
 
     Discriminator finalization and incremental sifting change *how* the
-    classification tree refines, never *what* is learned: every registry
-    policy learned by TTT must be bit-identical to the L* machine, at
-    workers 0 and 2 and under the forced scalar kernel, and the TTT
-    refinement counters must be reported and internally consistent.
+    classification tree refines, never *what* is learned; the TTT
+    refinement counters must also be reported and internally consistent.
     """
-    exact = policy_name not in SLOW_EXACT
-    depth = EXACT_DEPTH.get(policy_name, 1) if exact else 1
-    policy = make_policy(policy_name, ASSOCIATIVITY)
-
-    lstar = learn_simulated_policy(policy, depth=depth, identify=False, learner="lstar")
-    ttt = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY), depth=depth, identify=False, learner="ttt"
-    )
-    assert ttt.machine == lstar.machine
-    assert ttt.extra["learner"] == "ttt"
+    ttt = _assert_ground_truth(policy_name, "ttt")
     assert (
         ttt.extra["kv_leaves_from_sifting"] + ttt.extra["kv_leaves_from_splits"]
         == ttt.num_states
@@ -192,26 +201,6 @@ def test_ttt_learns_bit_identical_machines(policy_name):
     assert len(ttt.extra["ttt_words_resifted_per_split"]) == ttt.extra[
         "kv_leaves_from_splits"
     ]
-
-    ttt_parallel = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY),
-        depth=depth,
-        identify=False,
-        learner="ttt",
-        workers=2,
-    )
-    assert ttt_parallel.machine == ttt.machine
-    assert ttt_parallel.extra["workers"] == 2
-
-    ttt_scalar = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY),
-        depth=depth,
-        identify=False,
-        learner="ttt",
-        kernel="scalar",
-    )
-    assert ttt_scalar.machine == ttt.machine
-    assert ttt_scalar.extra["kernel"] == "scalar"
 
 
 def test_parallel_run_reports_worker_accounting():

@@ -187,6 +187,23 @@ class TestCLIFlags:
             main(["table2", "--workers", "-1"])
         assert "0 means serial" in capsys.readouterr().err
 
+    def test_learner_and_kernel_choices_come_from_the_registries(self, capsys):
+        """Deleted names cannot survive in the CLI: ``--learner`` and
+        ``--kernel`` accept exactly the library's names."""
+        from repro.experiments.cli import main
+        from repro.learning.learner import LEARNER_NAMES
+        from repro.polca.algorithm import POLCA_KERNELS
+
+        for flag, name in (("--learner", "kv"), ("--kernel", "numpy")):
+            with pytest.raises(SystemExit):
+                main(["table2", flag, name])
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        assert f"--learner {{{','.join(LEARNER_NAMES)}}}" in usage
+        assert f"--kernel {{{','.join(POLCA_KERNELS)}}}" in usage
+
     def test_store_server_with_cache_path_rejected(self, capsys):
         from repro.experiments.cli import main
 

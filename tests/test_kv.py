@@ -1,11 +1,18 @@
-"""Unit tests for the Kearns–Vazirani classification-tree learner.
+"""Unit tests for the Kearns–Vazirani classification tree.
 
-Covers the tree's own semantics (sifting, splitting, the seeded
-single-symbol discriminator chain), counterexample-driven refinement,
-the query-count comparison against L* across the policy registry, the
-interaction with persistent stores and resume sessions, and the loud
-failures for unsupported learner/strategy combinations.  The
-registry-wide bit-identity matrix lives in
+KV's tree and TTT's are one class: :class:`repro.learning.ttt.TTTTree`,
+still importable as ``repro.learning.kv.ClassificationTree``, which these
+tests use so the historical name stays a working tree.  The learner on
+top of it is the ``"ttt"`` learner; there is no separate ``"kv"`` learner
+any more, and ``make_learner("kv")`` fails like any unknown name.
+
+Covers the tree's own semantics (sift-based state discovery, splitting),
+counterexample-driven refinement, the minimality-repair pair search, the
+query- and symbol-count comparison against L* across the policy registry,
+the interaction with persistent stores and resume sessions, and the loud
+failures for unknown learners and unsupported strategies.  The TTT
+mechanisms (finalization, incremental sifting) are pinned in
+``tests/test_ttt.py``; the registry-wide ground-truth matrix lives in
 ``tests/test_differential_learning.py``; random-machine fuzzing in
 ``tests/test_property_fuzz.py``.
 """
@@ -17,20 +24,17 @@ import pytest
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.experiments.table2 import run_table2
-from repro.learning.equivalence import (
-    ConformanceEquivalenceOracle,
-    PerfectEquivalenceOracle,
-)
-from repro.learning.kv import ClassificationTree, KVLearner, equivalent_state_pair
+from repro.learning.equivalence import PerfectEquivalenceOracle
+from repro.learning.kv import ClassificationTree
 from repro.learning.learner import LEARNER_NAMES, MealyLearner, make_learner
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.polca.pipeline import PolicyLearningPipeline, learn_simulated_policy
+from repro.learning.ttt import TTTLearner, TTTTree, equivalent_state_pair
 from repro.polca.interfaces import SimulatedCacheInterface
+from repro.polca.pipeline import PolicyLearningPipeline, learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
 
 #: A 3-state minimal reference machine: ``b`` walks 0 -> 1 -> 2 -> 0 and
-#: every state has a distinct output signature, so the seeded single-symbol
-#: discriminator chain alone separates all three.
+#: every state has a distinct output signature.
 REFERENCE = MealyMachine(
     states=[0, 1, 2],
     initial_state=0,
@@ -60,11 +64,9 @@ def _tree(machine: MealyMachine = REFERENCE) -> ClassificationTree:
     )
 
 
-def _learn_kv(machine: MealyMachine, **kwargs) -> KVLearner:
+def _learn_tree(machine: MealyMachine = REFERENCE) -> TTTLearner:
     engine = CachedMembershipOracle(MealyMachineOracle(machine))
-    learner = KVLearner(
-        machine.inputs, engine, PerfectEquivalenceOracle(machine), **kwargs
-    )
+    learner = TTTLearner(machine.inputs, engine, PerfectEquivalenceOracle(machine))
     learner.learn()
     return learner
 
@@ -75,50 +77,50 @@ def _learn_kv(machine: MealyMachine, **kwargs) -> KVLearner:
 class TestSift:
     def test_sifting_the_empty_word_creates_the_initial_state(self):
         tree = _tree()
-        leaf = tree.sift(())
+        assert ClassificationTree is TTTTree
+        assert tree.num_states == 0  # leaves appear only by sifting
+        tree.hypothesis()
+        leaf = tree._leaves[()]
         assert leaf.state == 0
         assert leaf.access == ()
-        assert tree.num_states == 1
-        assert tree.leaves_from_sifting == 1
+        assert tree.access_word(0) == ()
 
     def test_sifting_an_access_word_returns_its_own_leaf(self):
         tree = _tree()
-        tree.hypothesis()
+        hypothesis = tree.hypothesis()
+        # Every access word but ε is some transition word access(p) + (a,):
+        # its sift discovered the state, so the transition lands on it.
         for state, access in enumerate(tree.access_words()):
-            assert tree.sift(access).state == state
+            assert hypothesis.state_after(access) == state
 
     def test_sifting_an_equivalent_word_reuses_the_leaf(self):
         tree = _tree()
-        tree.hypothesis()
+        hypothesis = tree.hypothesis()
         # ("a",) stays in state 0, so it must classify to state 0's leaf
         # without growing the tree.
+        assert ("a",) not in tree.access_words()
+        assert hypothesis.transitions[(0, "a")] == 0
         before = tree.num_states
-        assert tree.sift(("a",)).state == 0
+        tree.hypothesis()
         assert tree.num_states == before
 
     def test_first_hypothesis_discovers_output_distinct_states_by_sifting(self):
         tree = _tree()
         hypothesis = tree.hypothesis()
-        # REFERENCE's three states all have distinct output signatures, so
-        # the seeded single-symbol chain alone separates them: no
-        # counterexample (and no split) was ever needed.
-        assert hypothesis.size == 3
-        assert tree.leaves_from_sifting == 3
+        # The root discriminator ("a",) separates output tails x and z, so
+        # sifting alone discovers those two states; state 2 answers x like
+        # ε and needs a counterexample (a split) to surface.
+        assert hypothesis.size == 2
+        assert tree.access_words() == ((), ("b",))
+        assert tree.leaves_from_sifting == 2
         assert tree.leaves_from_splits == 0
-        assert hypothesis.minimize().size == 3
+        assert hypothesis.minimize().size == 2
 
     def test_access_words_are_prefix_closed(self):
-        tree = _tree()
-        tree.hypothesis()
-        access = set(tree.access_words())
+        learner = _learn_tree()
+        access = set(learner.tree.access_words())
         for word in access:
             assert not word or word[:-1] in access
-
-    def test_seeded_chain_discriminators_are_single_symbols(self):
-        tree = _tree()
-        tree.hypothesis()
-        single_symbol = [s for s in tree.discriminators() if len(s) == 1]
-        assert (("a",) in single_symbol) or (("b",) in single_symbol)
 
     def test_empty_alphabet_is_rejected(self):
         with pytest.raises(LearningError):
@@ -130,30 +132,39 @@ class TestSift:
 
 class TestRefinement:
     def test_split_adds_exactly_one_state_and_one_discriminator(self):
-        # Start from a single-leaf tree so ("b",) is not yet a state:
-        # suffix ("b","b") answers (y, y) after ε but (y, z) after ("b",).
+        # After the first hypothesis ("b", "b") still sits on ε's leaf: both
+        # answer x to the root suffix ("a",).  Suffix ("b", "b") answers
+        # (y, y) after ε but (z, y) after ("b", "b").
         tree = _tree()
-        leaf = tree.sift(())
+        tree.hypothesis()
         suffixes_before = len(tree.discriminators())
-        tree.split(leaf, ("b",), ("b", "b"))
-        assert tree.num_states == 2
+        tree.split(tree._leaves[()], ("b", "b"), ("b", "b"))
+        assert tree.num_states == 3
         assert len(tree.discriminators()) == suffixes_before + 1
         assert tree.leaves_from_splits == 1
-        assert tree.access_words() == ((), ("b",))
+        assert tree.access_words() == ((), ("b",), ("b", "b"))
+        # The verbatim suffix was finalized down to the single symbol that
+        # separates the two leaves.
+        assert tree.finalization_shrinkage == [(2, 1)]
+        assert ("b",) in tree.discriminators()
+        assert tree.temporary_discriminators == 0
+        assert tree.hypothesis().minimize() == REFERENCE
 
     def test_split_rejects_empty_suffix(self):
         tree = _tree()
+        tree.hypothesis()
         with pytest.raises(LearningError):
-            tree.split(tree.sift(()), ("b",), ())
+            tree.split(tree._leaves[()], ("b", "b"), ())
 
     def test_split_rejects_non_distinguishing_suffix(self):
         tree = _tree()
-        # ("a",) after ε and after ("a",) both answer "x": no split.
+        tree.hypothesis()
+        # ("a",) after ε and after ("b", "b") both answer "x": no split.
         with pytest.raises(LearningError):
-            tree.split(tree.sift(()), ("a",), ("a",))
+            tree.split(tree._leaves[()], ("b", "b"), ("a",))
 
     def test_refine_rejects_a_spurious_counterexample(self):
-        learner = _learn_kv(REFERENCE)
+        learner = _learn_tree()
         tree = learner.tree
         hypothesis = tree.hypothesis()
         # Learning is exact, so every word agrees — any "counterexample"
@@ -162,18 +173,18 @@ class TestRefinement:
             tree.refine(hypothesis, ("b", "b", "a"))
 
     def test_refinement_accounting_sums_to_the_state_count(self):
-        learner = _learn_kv(REFERENCE)
+        learner = _learn_tree()
         tree = learner.tree
         assert tree.leaves_from_sifting + tree.leaves_from_splits == tree.num_states
         assert tree.num_states == REFERENCE.size
 
     def test_lca_suffix_requires_distinct_states(self):
-        learner = _learn_kv(REFERENCE)
+        learner = _learn_tree()
         with pytest.raises(LearningError):
             learner.tree.lca_suffix(0, 0)
 
     def test_lca_suffix_separates_the_pair(self):
-        learner = _learn_kv(REFERENCE)
+        learner = _learn_tree()
         tree = learner.tree
         suffix = tree.lca_suffix(0, 2)
         assert tuple(REFERENCE.run(tree.access_word(0) + suffix)) != tuple(
@@ -199,38 +210,27 @@ class TestEquivalentStatePair:
 # ------------------------------------------------------- query-count compare
 
 
-#: Policies where KV's executed learner-side queries exceed L*'s by a small
-#: constant: after a split, every transition into the split leaf re-sifts
-#: against the new discriminator, and when the new inner node has leaf
-#: children there is no longer probe for the trie to subsume them under —
-#: whereas L*'s longer suffix columns batch-subsume the same cells for free.
-#: The overhead is bounded by the fan-in of the split leaf (≤ |A| per split
-#: here); on everything larger KV's path-local probing wins outright.  The
-#: TTT refinement (``repro.learning.ttt``) removes this overhead at the
-#: source: its per-leaf residency map re-sifts only the words parked in the
-#: split subtree, so ``tests/test_ttt.py`` pins NRU with no allowance.
-KNOWN_SIFT_OVERHEAD = ("NRU",)
-
-
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_kv_issues_at_most_lstar_learner_queries(policy_name):
-    """KV ≤ L* on executed learner-attributed queries across the registry.
+    """The tree learner ≤ L* on executed learner-attributed queries *and*
+    symbols across the registry, with no per-policy allowance.
 
-    ``learner_queries`` excludes conformance-suite executions, which depend
-    on how much of the suite's vocabulary each learner happened to
-    pre-cache — the suite asks the same *questions* either way.
+    KV's from-scratch re-sift once cost NRU a few queries more than L*;
+    the residency map removed that overhead, so the bound is now exact.
+    ``learner_queries``/``learner_symbols`` exclude conformance-suite
+    executions, which depend on how much of the suite's vocabulary each
+    learner happened to pre-cache — the suite asks the same *questions*
+    either way.
     """
     lstar = learn_simulated_policy(
         make_policy(policy_name, 2), depth=1, identify=False, learner="lstar"
     )
-    kv = learn_simulated_policy(
-        make_policy(policy_name, 2), depth=1, identify=False, learner="kv"
+    tree = learn_simulated_policy(
+        make_policy(policy_name, 2), depth=1, identify=False, learner="ttt"
     )
-    assert kv.machine == lstar.machine
-    budget = lstar.extra["learner_queries"]
-    if policy_name in KNOWN_SIFT_OVERHEAD:
-        budget += len(lstar.machine.inputs)
-    assert kv.extra["learner_queries"] <= budget
+    assert tree.machine == lstar.machine
+    assert tree.extra["learner_queries"] <= lstar.extra["learner_queries"]
+    assert tree.extra["learner_symbols"] <= lstar.extra["learner_symbols"]
 
 
 def test_per_round_queries_sum_to_engine_total():
@@ -250,45 +250,46 @@ def test_per_round_queries_sum_to_engine_total():
 
 class TestStoreAndResume:
     def test_warm_store_answers_a_repeat_kv_run_without_executing(self, tmp_path):
-        path = str(tmp_path / "kv-store.json")
-        configurations = [("SRRIP-HP", 2)]
+        path = str(tmp_path / "tree-store.json")
+        configurations = [("NRU", 2)]
         cold = run_table2(
-            configurations=configurations, cache_path=path, learner="kv"
+            configurations=configurations, cache_path=path, learner="ttt"
         )
         assert cold[0].membership_queries > 0
         warm = run_table2(
-            configurations=configurations, cache_path=path, learner="kv"
+            configurations=configurations, cache_path=path, learner="ttt"
         )
         assert warm[0].membership_queries == 0
         assert warm[0].learner_queries == 0
         assert warm[0].learned_states == cold[0].learned_states
-        assert warm[0].learner == "kv"
+        assert warm[0].learner == "ttt"
 
     def test_kv_reads_a_store_warmed_by_lstar(self, tmp_path):
         """Cross-learner warm start: the store keys on measurements, not on
-        who asked, so KV reuses L*'s observations (and vice versa)."""
+        who asked, so the tree learner reuses L*'s observations."""
         path = str(tmp_path / "cross-store.json")
         configurations = [("SRRIP-HP", 2)]
         cold = run_table2(
             configurations=configurations, cache_path=path, learner="lstar"
         )
         warm = run_table2(
-            configurations=configurations, cache_path=path, learner="kv"
+            configurations=configurations, cache_path=path, learner="ttt"
         )
         assert warm[0].learned_states == cold[0].learned_states
-        # KV's sift vocabulary is a subset of what the L* run measured
+        assert warm[0].learner == "ttt"
+        # The tree's sift vocabulary is a subset of what the L* run measured
         # (table rows + suite), so the warm run executes nothing new.
         assert warm[0].membership_queries == 0
 
     def test_kv_resume_sessions_learn_the_identical_machine(self):
         serial = learn_simulated_policy(
-            make_policy("SRRIP-HP", 2), depth=1, identify=False, learner="kv"
+            make_policy("CLOCK", 2), depth=1, identify=False, learner="ttt"
         )
         resumed = learn_simulated_policy(
-            make_policy("SRRIP-HP", 2),
+            make_policy("CLOCK", 2),
             depth=1,
             identify=False,
-            learner="kv",
+            learner="ttt",
             resume=True,
         )
         assert resumed.machine == serial.machine
@@ -301,15 +302,16 @@ class TestStoreAndResume:
 class TestForcedLearnerErrors:
     def test_make_learner_rejects_unknown_names(self):
         engine = CachedMembershipOracle(MealyMachineOracle(REFERENCE))
-        with pytest.raises(LearningError, match="unknown learner"):
-            make_learner(
-                "nope", REFERENCE.inputs, engine, PerfectEquivalenceOracle(REFERENCE)
-            )
+        for name in ("nope", "kv"):
+            with pytest.raises(LearningError, match="unknown learner"):
+                make_learner(
+                    name, REFERENCE.inputs, engine, PerfectEquivalenceOracle(REFERENCE)
+                )
 
     def test_kv_rejects_the_prefix_counterexample_strategy(self):
         engine = CachedMembershipOracle(MealyMachineOracle(REFERENCE))
         with pytest.raises(LearningError, match="does not support"):
-            KVLearner(
+            TTTLearner(
                 REFERENCE.inputs,
                 engine,
                 PerfectEquivalenceOracle(REFERENCE),
@@ -327,24 +329,25 @@ class TestForcedLearnerErrors:
             )
 
     def test_pipeline_rejects_unknown_learner_names(self):
-        with pytest.raises(LearningError, match="unknown learner"):
-            PolicyLearningPipeline(
-                SimulatedCacheInterface(make_policy("LRU", 2)), learner="nope"
-            )
+        for name in ("nope", "kv"):
+            with pytest.raises(LearningError, match="unknown learner"):
+                PolicyLearningPipeline(
+                    SimulatedCacheInterface(make_policy("LRU", 2)), learner=name
+                )
 
     def test_pipeline_rejects_unknown_learner_via_convenience_wrapper(self):
         with pytest.raises(LearningError, match="unknown learner"):
-            learn_simulated_policy(make_policy("LRU", 2), learner="nope")
+            learn_simulated_policy(make_policy("LRU", 2), learner="kv")
 
 
 # ------------------------------------------------------------ learner facade
 
 
 def test_kv_learner_reports_states_discovered_mid_structure():
-    learner = _learn_kv(REFERENCE)
+    learner = _learn_tree()
     assert learner.states_discovered == REFERENCE.size
     assert learner.tree is not None
-    fresh = KVLearner(
+    fresh = TTTLearner(
         REFERENCE.inputs,
         CachedMembershipOracle(MealyMachineOracle(REFERENCE)),
         PerfectEquivalenceOracle(REFERENCE),
@@ -357,9 +360,9 @@ def test_make_learner_builds_the_requested_learner():
     lstar = make_learner(
         "lstar", REFERENCE.inputs, engine, PerfectEquivalenceOracle(REFERENCE)
     )
-    kv = make_learner(
-        "KV", REFERENCE.inputs, engine, PerfectEquivalenceOracle(REFERENCE)
+    tree = make_learner(
+        "TTT", REFERENCE.inputs, engine, PerfectEquivalenceOracle(REFERENCE)
     )
     assert isinstance(lstar, MealyLearner)
-    assert isinstance(kv, KVLearner)
-    assert (lstar.name, kv.name) == ("lstar", "kv")
+    assert isinstance(tree, TTTLearner)
+    assert (lstar.name, tree.name) == ("lstar", "ttt")

@@ -1,11 +1,12 @@
 """Unit tests for the process-parallel conformance-testing machinery.
 
 Covers the picklable oracle factories of :mod:`repro.learning.parallel`,
-the ``workers=N`` path of
+the ``pool=`` path of
 :class:`~repro.learning.equivalence.ConformanceEquivalenceOracle` (chunk
 shipping, trie merge-back, cached-word skipping, deterministic
-counterexamples, pool lifecycle) and the external-observation entry points
-of :class:`~repro.learning.oracles.CachedMembershipOracle`.
+counterexamples, the shared-engine requirement) and the
+external-observation entry points of
+:class:`~repro.learning.oracles.CachedMembershipOracle`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.learning.parallel import (
     FunctionOracleFactory,
     MealyMachineOracleFactory,
     SimulatedPolicyOracleFactory,
+    WorkerPool,
     oracle_factory_for_cache,
 )
 from repro.learning.wpmethod import wp_method_suite
@@ -156,55 +158,61 @@ class TestExternalObservations:
 # ------------------------------------------------------- the parallel oracle
 
 
-def _parallel_oracle(reference, engine=None, **kwargs):
+def _pool_for(reference, workers: int = 2) -> WorkerPool:
+    return WorkerPool(MealyMachineOracleFactory(reference), workers)
+
+
+def _parallel_oracle(pool, reference, engine=None, **kwargs):
     engine = engine or CachedMembershipOracle(MealyMachineOracle(reference))
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("oracle_factory", MealyMachineOracleFactory(reference))
-    return ConformanceEquivalenceOracle(engine, **kwargs)
+    return ConformanceEquivalenceOracle(engine, pool=pool, **kwargs)
 
 
 class TestParallelConformance:
     def test_workers_require_a_factory(self):
+        """Parallel conformance needs worker oracles: the pool a suite would
+        stream through refuses to exist without a factory."""
         engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU", 2)))
         with pytest.raises(LearningError, match="oracle_factory"):
-            ConformanceEquivalenceOracle(engine, workers=2)
-
-    def test_workers_and_executor_are_mutually_exclusive(self):
-        reference = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
-        with pytest.raises(LearningError, match="not both"):
-            ConformanceEquivalenceOracle(
-                engine,
-                workers=2,
-                oracle_factory=MealyMachineOracleFactory(reference),
-                executor=object(),
-            )
+            ConformanceEquivalenceOracle(engine, pool=WorkerPool(None, 2))
 
     def test_invalid_worker_count_rejected(self):
-        engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU", 2)))
+        reference = _machine("LRU", 2)
+        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         with pytest.raises(ValueError):
-            ConformanceEquivalenceOracle(engine, workers=0)
+            ConformanceEquivalenceOracle(engine, pool=_pool_for(reference, workers=0))
+
+    def test_parallel_pool_requires_a_shared_engine(self):
+        """Worker answers merge into the shared trie; a plain oracle has
+        none, so a parallel pool over it is refused up front."""
+        reference = _machine("LRU", 2)
+        with _pool_for(reference) as pool:
+            with pytest.raises(LearningError, match="CachedMembershipOracle"):
+                ConformanceEquivalenceOracle(MealyMachineOracle(reference), pool=pool)
+        # A serial pool never ships a word, so any oracle will do.
+        ConformanceEquivalenceOracle(MealyMachineOracle(reference), pool=WorkerPool(None, 1))
 
     def test_single_worker_stays_serial(self):
         reference = _machine("LRU", 2)
-        equivalence = _parallel_oracle(reference, workers=1, oracle_factory=None)
+        pool = WorkerPool(None, 1)
+        equivalence = _parallel_oracle(pool, reference)
         assert equivalence.find_counterexample(reference) is None
-        assert equivalence._pool is None
+        assert pool._executor is None
         assert equivalence.statistics.parallel_chunks == 0
 
     def test_parallel_pass_on_correct_hypothesis(self):
         reference = _machine("PLRU", 4)
         engine = CachedMembershipOracle(MealyMachineOracle(reference))
-        with _parallel_oracle(reference, engine=engine, batch_size=16) as equivalence:
+        with _pool_for(reference) as pool:
+            equivalence = _parallel_oracle(pool, reference, engine=engine, batch_size=16)
             assert equivalence.find_counterexample(reference) is None
             assert equivalence.statistics.parallel_chunks >= 2
             assert equivalence.statistics.parallel_words >= 1
-            assert sum(equivalence.worker_query_counts.values()) >= 1
-            assert sum(equivalence.worker_symbol_counts.values()) >= 1
-        # The context manager shut the pool's executor down, but kept the
-        # pool object so the per-worker accounting above stays readable.
-        assert equivalence._pool._executor is None
-        assert sum(equivalence.worker_query_counts.values()) >= 1
+            assert sum(pool.worker_query_counts.values()) >= 1
+            assert sum(pool.worker_symbol_counts.values()) >= 1
+        # Closing the pool shut its executor down, but kept the per-worker
+        # accounting readable.
+        assert pool._executor is None
+        assert sum(pool.worker_query_counts.values()) >= 1
 
     def test_parallel_counterexample_matches_serial(self):
         reference = _machine("LRU", 4)
@@ -214,15 +222,18 @@ class TestParallelConformance:
         )
         expected = serial.find_counterexample(wrong)
         assert expected is not None
-        with _parallel_oracle(reference, batch_size=16) as equivalence:
-            found = equivalence.find_counterexample(wrong)
+        with _pool_for(reference) as pool:
+            found = _parallel_oracle(pool, reference, batch_size=16).find_counterexample(
+                wrong
+            )
         assert found == expected
         assert reference.run(found) != wrong.run(found)
 
     def test_parallel_answers_merge_into_shared_trie(self):
         reference = _machine("MRU", 4)
         engine = CachedMembershipOracle(MealyMachineOracle(reference))
-        with _parallel_oracle(reference, engine=engine) as equivalence:
+        with _pool_for(reference) as pool:
+            equivalence = _parallel_oracle(pool, reference, engine=engine)
             assert equivalence.find_counterexample(reference) is None
         suite = wp_method_suite(reference, 1)
         assert all(engine.cached_answer(word) is not None for word in suite)
@@ -231,7 +242,7 @@ class TestParallelConformance:
         # the shared engine, keeping reports comparable to a serial run.
         assert engine._delegate.statistics.membership_queries == 0
         assert engine.statistics.membership_queries == sum(
-            equivalence.worker_query_counts.values()
+            pool.worker_query_counts.values()
         )
         assert equivalence.statistics.parallel_words >= 1
 
@@ -240,10 +251,11 @@ class TestParallelConformance:
         engine = CachedMembershipOracle(MealyMachineOracle(reference))
         suite = wp_method_suite(reference, 1)
         engine.output_query_batch(suite)  # pre-answer everything serially
-        with _parallel_oracle(reference, engine=engine) as equivalence:
+        with _pool_for(reference) as pool:
+            equivalence = _parallel_oracle(pool, reference, engine=engine)
             assert equivalence.find_counterexample(reference) is None
         assert equivalence.statistics.parallel_words == 0
-        assert equivalence.worker_query_counts == {}
+        assert pool.worker_query_counts == {}
 
     def test_parallel_path_detects_non_determinism(self):
         reference = _machine("LRU", 2)
@@ -255,7 +267,8 @@ class TestParallelConformance:
         prefix = target[:1]
         true_first = reference.run(prefix)[0]
         engine.record_external(prefix, ("poisoned" if true_first != "poisoned" else "other",))
-        with _parallel_oracle(reference, engine=engine) as equivalence:
+        with _pool_for(reference) as pool:
+            equivalence = _parallel_oracle(pool, reference, engine=engine)
             with pytest.raises(NonDeterminismError):
                 equivalence.find_counterexample(reference)
 
@@ -264,7 +277,8 @@ class TestParallelConformance:
         suite_size = len(wp_method_suite(reference, 1))
         cap = 5
         assert suite_size > cap
-        with _parallel_oracle(reference, max_tests=cap) as equivalence:
+        with _pool_for(reference) as pool:
+            equivalence = _parallel_oracle(pool, reference, max_tests=cap)
             assert equivalence.find_counterexample(reference) is None
         assert equivalence.statistics.tests_skipped == suite_size - cap
         assert equivalence.statistics.test_words == cap

@@ -4,7 +4,7 @@ Covers :class:`repro.learning.parallel.WorkerPool` (the pool shared by the
 membership and equivalence oracle sides), the ``pool=`` path of
 :class:`~repro.learning.observation_table.ObservationTable.fill`
 (chunk-index-order merge into the shared trie, bit-identical cells) and the
-``workers=`` wiring of :class:`~repro.learning.learner.MealyLearner`.
+``pool=`` wiring of :class:`~repro.learning.learner.MealyLearner`.
 """
 
 from __future__ import annotations
@@ -194,46 +194,32 @@ class TestLearnerWorkers:
         return learner.learn()
 
     def test_workers_require_a_factory(self):
+        """A learner runs on as many workers as its pool has: parallel
+        learning needs an oracle factory, while a one-worker pool needs
+        none and learns serially, bit-identically."""
         machine = _machine("LRU", 2)
         with pytest.raises(LearningError, match="oracle_factory"):
-            self._learn(machine, workers=2)
+            self._learn(machine, pool=WorkerPool(None, 2))
+        serial = self._learn(machine)
+        single = self._learn(machine, pool=WorkerPool(None, 1))
+        assert single.machine == serial.machine
+        assert single.statistics.parallel_words == 0
 
     def test_workers_must_be_positive(self):
         machine = _machine("LRU", 2)
-        with pytest.raises(ValueError):
-            self._learn(machine, workers=0)
-
-    def test_pool_and_workers_are_mutually_exclusive(self):
-        machine = _machine("LRU", 2)
-        pool = WorkerPool(MealyMachineOracleFactory(machine), 2)
-        with pytest.raises(LearningError, match="not both"):
-            self._learn(machine, pool=pool, workers=2)
-        pool.close()
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                self._learn(machine, pool=_pool_for(machine, workers))
 
     def test_parallel_fill_learns_bit_identical_machine(self):
         machine = _machine("PLRU", 4)
         serial = self._learn(machine)
-        parallel = self._learn(
-            machine, workers=2, oracle_factory=MealyMachineOracleFactory(machine)
-        )
+        with _pool_for(machine) as pool:
+            parallel = self._learn(machine, pool=pool)
         assert parallel.machine == serial.machine
         assert parallel.rounds == serial.rounds
         assert parallel.counterexamples == serial.counterexamples
-
-    def test_owned_pool_is_closed_after_learning(self):
-        machine = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
-        equivalence = ConformanceEquivalenceOracle(engine, depth=1)
-        learner = MealyLearner(
-            machine.inputs,
-            engine,
-            equivalence,
-            workers=2,
-            oracle_factory=MealyMachineOracleFactory(machine),
-        )
-        learner.learn()
-        assert learner._owns_pool
-        assert learner.pool._executor is None  # shut down by learn()
+        assert parallel.statistics.parallel_words >= 1
 
     def test_shared_pool_is_left_running(self):
         machine = _machine("LRU", 2)
@@ -266,24 +252,19 @@ class TestSharedPoolBothSides:
             )
             assert result.statistics.parallel_words >= 1
             assert sum(pool.worker_query_counts.values()) >= 1
-            # The equivalence oracle reports the shared pool's accounting.
-            assert equivalence.worker_query_counts is pool.worker_query_counts
+            assert equivalence.pool is pool
         serial = TestLearnerWorkers()._learn(machine)
         assert result.machine == serial.machine
 
-    def test_equivalence_pool_and_workers_are_mutually_exclusive(self):
-        machine = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
-        with _pool_for(machine) as pool:
-            with pytest.raises(LearningError, match="not both"):
-                ConformanceEquivalenceOracle(engine, pool=pool, workers=2)
-
     def test_equivalence_close_leaves_shared_pool_up(self):
+        """Only the pool's owner closes it: the conformance oracle has no
+        ``close()`` of its own, and a finished search leaves the shared
+        pool running for the next round."""
         machine = _machine("LRU", 2)
         engine = CachedMembershipOracle(MealyMachineOracle(machine))
         with _pool_for(machine) as pool:
             equivalence = ConformanceEquivalenceOracle(engine, depth=1, pool=pool)
             assert equivalence.find_counterexample(machine) is None
-            assert pool._executor is not None
-            equivalence.close()
+            assert not hasattr(equivalence, "close")
             assert pool._executor is not None  # owned by the caller, not us
+        assert pool._executor is None

@@ -7,9 +7,12 @@ conformance testing on one shared :class:`~repro.learning.parallel.\
 WorkerPool` — against the serial reference:
 
 * seeded random Mealy machines (random size, alphabet, outputs) learned
-  serially and with ``workers=2`` must produce **field-by-field identical**
-  results: the machine (states, transitions, outputs — ``==``, not mere
-  equivalence), the round count and the counterexample sequence;
+  serially and with a 2-worker pool must produce **field-by-field
+  identical** results: the machine (states, transitions, outputs — ``==``,
+  not mere equivalence), the round count and the counterexample sequence;
+* the tree learner (TTT) must learn each seeded machine *itself* — ``==``
+  the reference, serially and in parallel — and so must L*, so the two
+  learners agree;
 * seeded random policy configurations from the registry, learned through
   the full Polca pipeline both ways, must agree the same way; and
 * replaying seeded random words against a fresh reference (the machine
@@ -31,7 +34,6 @@ import pytest
 
 from repro.core.mealy import MealyMachine
 from repro.learning.equivalence import ConformanceEquivalenceOracle
-from repro.learning.kv import KVLearner
 from repro.learning.learner import LearningResult, MealyLearner
 from repro.learning.ttt import TTTLearner
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
@@ -40,7 +42,6 @@ from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
-from repro.simkernel import numpy_available
 
 #: Seeds for the default (fast) machine budget; every seed learns exactly at
 #: conformance depth 2 (verified — see the replay assertion below).
@@ -158,14 +159,13 @@ def _assert_policy_differential(policy_name: str) -> None:
 def _assert_kernel_differential(policy_name: str) -> None:
     """Every execution kernel learns field-for-field identical results.
 
-    The legacy scalar stepper is the reference; the tabulated pure-Python
-    and (when importable) numpy kernels must reproduce the machine, the
-    learning trajectory (rounds, counterexamples), the engine statistics
-    *and* Polca's probe accounting exactly — the kernel is an execution
-    strategy, never an observable.
+    The legacy scalar stepper is the reference; the tabulated kernel must
+    reproduce the machine, the learning trajectory (rounds,
+    counterexamples), the engine statistics *and* Polca's probe accounting
+    exactly — the kernel is an execution strategy, never an observable.
     """
     depth = EXACT_DEPTH.get(policy_name, 1)
-    kernels = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
+    kernels = ["scalar", "python"]
     reports = {
         kernel: learn_simulated_policy(
             make_policy(policy_name, ASSOCIATIVITY),
@@ -194,40 +194,6 @@ def _assert_kernel_differential(policy_name: str) -> None:
         ), f"{policy_name}/{kernel}: Polca probe accounting diverged"
 
 
-def _learn_machine_kv(machine: MealyMachine, workers: int = 1) -> LearningResult:
-    """Learn ``machine`` white-box with the classification-tree learner."""
-    engine = CachedMembershipOracle(MealyMachineOracle(machine))
-    if workers > 1:
-        with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=2, pool=pool)
-            learner = KVLearner(machine.inputs, engine, equivalence, pool=pool)
-            return learner.learn()
-    equivalence = ConformanceEquivalenceOracle(engine, depth=2)
-    return KVLearner(machine.inputs, engine, equivalence).learn()
-
-
-def _assert_kv_machine_differential(seed: int) -> None:
-    """KV with Rivest–Schapire on a seeded random machine: the learned
-    machine must be bit-identical to L*'s and replay field-for-field
-    against the reference; a 2-worker pool must not change it either."""
-    reference = _random_mealy(seed)
-    lstar = _learn_machine(reference)
-    kv = _learn_machine_kv(reference)
-
-    assert kv.machine == lstar.machine, f"seed {seed}: KV and L* machines diverged"
-    assert kv.learner == "kv" and lstar.learner == "lstar"
-    assert kv.machine.size == reference.size
-    for word in _replay_words(f"machine-{seed}", tuple(reference.inputs)):
-        assert kv.machine.run(word) == reference.run(word), (
-            f"seed {seed}: KV-learned machine disagrees with the reference on {word!r}"
-        )
-
-    parallel = _learn_machine_kv(reference, workers=2)
-    assert parallel.machine == kv.machine, f"seed {seed}: parallel KV diverged"
-    assert parallel.rounds == kv.rounds
-    assert parallel.counterexamples == kv.counterexamples
-
-
 def _learn_machine_ttt(machine: MealyMachine, workers: int = 1) -> LearningResult:
     """Learn ``machine`` white-box with the TTT-refined tree learner."""
     engine = CachedMembershipOracle(MealyMachineOracle(machine))
@@ -241,25 +207,34 @@ def _learn_machine_ttt(machine: MealyMachine, workers: int = 1) -> LearningResul
 
 
 def _assert_ttt_machine_differential(seed: int) -> None:
-    """TTT on a seeded random machine: bit-identical to L*, replay-exact,
-    and invariant under a 2-worker pool — the finalization and incremental
+    """TTT on a seeded random machine learns the reference itself, and a
+    2-worker pool changes nothing — the finalization and incremental
     sifting layers are refinement strategies, never observables."""
     reference = _random_mealy(seed)
-    lstar = _learn_machine(reference)
     ttt = _learn_machine_ttt(reference)
 
-    assert ttt.machine == lstar.machine, f"seed {seed}: TTT and L* machines diverged"
+    # The reference is minimal and canonically numbered, and so is every
+    # learned machine: learning is exact iff the two are equal.
+    assert ttt.machine == reference, f"seed {seed}: TTT missed the reference"
     assert ttt.learner == "ttt"
-    assert ttt.machine.size == reference.size
-    for word in _replay_words(f"machine-{seed}", tuple(reference.inputs)):
-        assert ttt.machine.run(word) == reference.run(word), (
-            f"seed {seed}: TTT-learned machine disagrees with the reference on {word!r}"
-        )
 
     parallel = _learn_machine_ttt(reference, workers=2)
-    assert parallel.machine == ttt.machine, f"seed {seed}: parallel TTT diverged"
+    assert parallel.machine == reference, f"seed {seed}: parallel TTT missed the reference"
     assert parallel.rounds == ttt.rounds
     assert parallel.counterexamples == ttt.counterexamples
+
+
+def _assert_tree_lstar_differential(seed: int) -> None:
+    """The L*-vs-tree axis on a seeded random machine: the observation
+    table and the classification tree (Kearns–Vazirani's, with the TTT
+    refinements) must learn one machine — the reference itself."""
+    reference = _random_mealy(seed)
+    lstar = _learn_machine(reference)
+    tree = _learn_machine_ttt(reference)
+
+    assert lstar.machine == reference, f"seed {seed}: L* missed the reference"
+    assert tree.machine == lstar.machine, f"seed {seed}: tree and L* machines diverged"
+    assert (tree.learner, lstar.learner) == ("ttt", "lstar")
 
 
 def _regression_machine(num_states: int, seed: int) -> MealyMachine:
@@ -293,7 +268,7 @@ def test_random_machine_parallel_learning_is_identical(seed):
 
 @pytest.mark.parametrize("seed", FAST_MACHINE_SEEDS)
 def test_random_machine_kv_learning_is_identical(seed):
-    _assert_kv_machine_differential(seed)
+    _assert_tree_lstar_differential(seed)
 
 
 @pytest.mark.parametrize("seed", FAST_MACHINE_SEEDS)
@@ -302,9 +277,9 @@ def test_random_machine_ttt_learning_is_identical(seed):
 
 
 def test_regression_seed_116_ttt_hypotheses_are_minimal():
-    """TTT inherits ``_stable_hypothesis``'s minimality repair from KV, and
-    the seed-116 machine must exercise it the same way: no hypothesis the
-    conformance tester sees triggers its minimize-and-warn fallback."""
+    """End to end on the seed-116 machine: no hypothesis the conformance
+    tester sees triggers its minimize-and-warn fallback, and the learned
+    machine is the 8-state reference."""
     reference = _regression_machine(8, seed=116).minimize()
     assert reference.size == 8
     engine = CachedMembershipOracle(MealyMachineOracle(reference))
@@ -320,28 +295,28 @@ def test_regression_seed_116_kv_hypotheses_are_minimal(monkeypatch):
     """Port of PR 4's suffix-closure regression to the classification tree.
 
     The seed-116 machine made L* hand non-minimal hypotheses to the Wp
-    suite before ``add_suffix`` learned to close the column set.  KV's
-    analogue is ``_stable_hypothesis``'s internal minimality repair: every
-    hypothesis that reaches the conformance tester must already be minimal,
-    so the suite's minimize-and-warn fallback (a RuntimeWarning) never
-    fires.
+    suite before ``add_suffix`` learned to close the column set.  The
+    tree's analogue is ``_stable_hypothesis``'s internal minimality repair:
+    every hypothesis that reaches the conformance tester must already be
+    minimal, so the suite's minimize-and-warn fallback (a RuntimeWarning)
+    never fires.
     """
     reference = _regression_machine(8, seed=116).minimize()
     assert reference.size == 8
     sizes = []
-    original = KVLearner._stable_hypothesis
+    original = TTTLearner._stable_hypothesis
 
     def recording(self, tree):
         hypothesis = original(self, tree)
         sizes.append((hypothesis.size, hypothesis.minimize().size))
         return hypothesis
 
-    monkeypatch.setattr(KVLearner, "_stable_hypothesis", recording)
+    monkeypatch.setattr(TTTLearner, "_stable_hypothesis", recording)
     engine = CachedMembershipOracle(MealyMachineOracle(reference))
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = KVLearner(reference.inputs, engine, equivalence).learn()
+        result = TTTLearner(reference.inputs, engine, equivalence).learn()
     assert sizes, "instrumentation never saw a hypothesis"
     assert all(size == minimal for size, minimal in sizes), sizes
     assert result.machine.size == reference.size
@@ -370,7 +345,7 @@ def test_random_machine_parallel_learning_is_identical_wide(seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SLOW_MACHINE_SEEDS)
 def test_random_machine_kv_learning_is_identical_wide(seed):
-    _assert_kv_machine_differential(seed)
+    _assert_tree_lstar_differential(seed)
 
 
 @pytest.mark.slow

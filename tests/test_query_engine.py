@@ -10,7 +10,6 @@ from repro.hardware.timing import NoiseModel
 from repro.learning import (
     CachedMembershipOracle,
     ConformanceEquivalenceOracle,
-    DictCachedMembershipOracle,
     FunctionOracle,
     MealyLearner,
     MealyMachineOracle,
@@ -190,11 +189,6 @@ class TestCachedMembershipOracle:
         assert "2-symbol" in str(info.value)
         assert str(["a", "b"]) not in str(info.value).split(":")[-1]
 
-    def test_dict_cache_also_raises_dedicated_error(self):
-        cached = DictCachedMembershipOracle(FunctionOracle(lambda word: ("x",)))
-        with pytest.raises(OutputLengthMismatchError):
-            cached.output_query(("a", "b"))
-
 
 class TestObservationTableBatching:
     def test_fill_issues_one_batch_per_round(self):
@@ -286,14 +280,26 @@ class TestConformanceBatchingAndTruncation:
             assert counterexample is not None
             assert reference.run(counterexample) != wrong.run(counterexample)
 
-    def test_executor_path_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
+    def test_pool_path_matches_serial(self):
+        from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
 
-        reference = make_policy("PLRU", 4).to_mealy().minimize()
-        oracle = MealyMachineOracle(reference)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            equivalence = ConformanceEquivalenceOracle(oracle, depth=1, executor=executor)
-            assert equivalence.find_counterexample(reference) is None
+        reference = make_policy("LRU", 4).to_mealy().minimize()
+        wrong = make_policy("FIFO", 4).to_mealy().minimize()
+        with WorkerPool(MealyMachineOracleFactory(reference), 2) as pool:
+            for batch_size in (1, 7, 512):
+                serial = ConformanceEquivalenceOracle(
+                    CachedMembershipOracle(MealyMachineOracle(reference)),
+                    depth=1,
+                    batch_size=batch_size,
+                )
+                pooled = ConformanceEquivalenceOracle(
+                    CachedMembershipOracle(MealyMachineOracle(reference)),
+                    depth=1,
+                    batch_size=batch_size,
+                    pool=pool,
+                )
+                assert pooled.find_counterexample(wrong) == serial.find_counterexample(wrong)
+                assert pooled.find_counterexample(reference) is None
 
     def test_invalid_batch_size_rejected(self):
         oracle = FunctionOracle(_echo)
@@ -321,50 +327,14 @@ class TestPolcaBatch:
 
 
 class TestLearnerEngineEquivalence:
-    @pytest.mark.parametrize("policy_name,associativity", [("PLRU", 4), ("MRU", 4)])
-    def test_trie_and_dict_backends_learn_identical_machines(
-        self, policy_name, associativity
-    ):
-        reference = make_policy(policy_name, associativity).to_mealy().minimize()
-        machines = {}
-        for backend in ("trie", "dict"):
-            oracle = MealyMachineOracle(reference)
-            learner = MealyLearner(
-                reference.inputs,
-                oracle,
-                PerfectEquivalenceOracle(reference),
-                cache_backend=backend,
-            )
-            machines[backend] = learner.learn().machine
-        assert machines["trie"].equivalent(machines["dict"])
-        assert machines["trie"].size == machines["dict"].size == reference.size
-
-    def test_trie_engine_executes_fewer_symbols(self):
-        reference = make_policy("PLRU", 4).to_mealy().minimize()
-        executed = {}
-        for backend in ("trie", "dict"):
-            oracle = MealyMachineOracle(reference)
-            cache_cls = (
-                CachedMembershipOracle if backend == "trie" else DictCachedMembershipOracle
-            )
-            engine = cache_cls(oracle)
-            equivalence = ConformanceEquivalenceOracle(engine, depth=1)
-            result = learn_mealy_machine(reference.inputs, engine, equivalence)
-            assert reference.equivalent(result.machine)
-            executed[backend] = oracle.statistics.membership_symbols
-        assert executed["trie"] < executed["dict"]
-
-    def test_unknown_cache_backend_rejected(self):
+    def test_plain_oracle_is_wrapped_in_the_trie_engine(self):
         reference = make_policy("FIFO", 2).to_mealy()
-        from repro.errors import LearningError
-
-        with pytest.raises(LearningError):
-            MealyLearner(
-                reference.inputs,
-                MealyMachineOracle(reference),
-                PerfectEquivalenceOracle(reference),
-                cache_backend="lru",
-            )
+        oracle = MealyMachineOracle(reference)
+        learner = MealyLearner(
+            reference.inputs, oracle, PerfectEquivalenceOracle(reference)
+        )
+        assert isinstance(learner.membership_oracle, CachedMembershipOracle)
+        assert learner.membership_oracle._delegate is oracle
 
     def test_already_wrapped_oracle_is_not_double_wrapped(self):
         reference = make_policy("FIFO", 2).to_mealy()
@@ -429,20 +399,16 @@ class TestCacheQueryBatchFrontend:
 @pytest.mark.slow
 class TestFullRegistryEquivalenceSlow:
     def test_engine_learns_every_registered_policy_unchanged(self):
-        """The trie engine learns the same machine as the dict baseline for
-        the whole policy registry (associativity 2 keeps this tractable)."""
+        """The trie engine learns every registered policy's own machine
+        (associativity 2 keeps this tractable)."""
         for name in available_policies():
             try:
                 reference = make_policy(name, 2).to_mealy().minimize()
             except Exception:
                 continue
-            for backend in ("trie", "dict"):
-                oracle = MealyMachineOracle(reference)
-                result = learn_mealy_machine(
-                    reference.inputs,
-                    oracle,
-                    PerfectEquivalenceOracle(reference),
-                    cache_backend=backend,
-                )
-                assert reference.equivalent(result.machine), name
-                assert result.machine.size == reference.size, name
+            oracle = MealyMachineOracle(reference)
+            result = learn_mealy_machine(
+                reference.inputs, oracle, PerfectEquivalenceOracle(reference)
+            )
+            assert reference.equivalent(result.machine), name
+            assert result.machine.size == reference.size, name

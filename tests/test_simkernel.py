@@ -1,9 +1,9 @@
 """Unit tests for the tabulated simulator kernels (:mod:`repro.simkernel`).
 
-Covers the three layers of the subsystem — table compilation, the two
-interchangeable steppers, and the :class:`BatchSimulator` facade — plus the
-Polca integration: kernel selection/fallback semantics and the analytic
-probe accounting that keeps statistics execution-strategy-independent.
+Covers the three layers of the subsystem — table compilation, the
+stepper, and the :class:`BatchSimulator` facade — plus the Polca
+integration: kernel selection/fallback semantics and the analytic probe
+accounting that keeps statistics execution-strategy-independent.
 """
 
 from __future__ import annotations
@@ -18,20 +18,15 @@ from repro.errors import CacheError, PolicyError
 from repro.learning.query_engine import dedupe_and_subsume
 from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import make_policy
-from repro.polca.algorithm import PolcaMembershipOracle, scalar_probe_cost
+from repro.polca.algorithm import POLCA_KERNELS, PolcaMembershipOracle, scalar_probe_cost
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
 from repro.simkernel import (
     BatchSimulator,
-    NumpyKernel,
     PythonKernel,
     TabulatedPolicy,
-    numpy_available,
-    resolve_kernel,
     tabulate_policy,
 )
-
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
 
 
 def _random_words(associativity, *, count=60, max_length=14, seed="simkernel"):
@@ -134,58 +129,19 @@ def test_python_kernel_matches_scalar_table_walk():
         assert end == state
 
 
-@requires_numpy
-def test_numpy_kernel_is_bit_identical_to_python_kernel():
-    table = make_policy("SRRIP-HP", 2).tabulate()
-    words = [table.encode_word(word) for word in _random_words(2, count=80, seed="np")]
-    py_out, py_states = PythonKernel(table).run_chunk(words)
-    np_out, np_states = NumpyKernel(table).run_chunk(words)
-    assert np_out == py_out
-    assert np_states == py_states
-    # Decoded outputs must be plain Python values, never numpy scalars.
-    for outputs in np_out:
-        for code in outputs:
-            assert type(code) is int
-
-
-@requires_numpy
-def test_numpy_kernel_resumes_from_states():
-    table = make_policy("PLRU", 4).tabulate()
-    words = [table.encode_word(word) for word in _random_words(4, seed="resume")]
-    starts = [index % table.num_states for index in range(len(words))]
-    py_out, py_states = PythonKernel(table).run_chunk(words, starts)
-    np_out, np_states = NumpyKernel(table).run_chunk(words, starts)
-    assert np_out == py_out
-    assert np_states == py_states
-
-
 def test_kernels_handle_empty_and_ragged_chunks():
     table = make_policy("FIFO", 2).tabulate()
-    kernels = [PythonKernel(table)]
-    if numpy_available():
-        kernels.append(NumpyKernel(table))
+    kernel = PythonKernel(table)
     ragged = [(), (2,), (0, 1, 2, 2, 0), (2, 2)]
     coded = [tuple(word) for word in ragged]
-    reference = None
-    for kernel in kernels:
-        assert kernel.run_chunk([]) == ([], [])
-        result = kernel.run_chunk(coded)
-        assert result[0][0] == ()  # empty word answers empty
-        if reference is None:
-            reference = result
-        assert result == reference
-
-
-def test_resolve_kernel_selection_semantics():
-    table = make_policy("LRU", 2).tabulate()
-    assert resolve_kernel(table, "python").name == "python"
-    auto = resolve_kernel(table, "auto")
-    assert auto.name == ("numpy" if numpy_available() else "python")
-    with pytest.raises(PolicyError, match="unknown simulator kernel"):
-        resolve_kernel(table, "fortran")
-    if not numpy_available():
-        with pytest.raises(PolicyError, match="numpy is not importable"):
-            resolve_kernel(table, "numpy")
+    assert kernel.run_chunk([]) == ([], [])
+    answered, end_states = kernel.run_chunk(coded)
+    assert answered[0] == ()  # empty word answers empty
+    assert end_states[0] == 0
+    # Splitting a chunk never changes an answer.
+    halves = [kernel.run_chunk(coded[:2]), kernel.run_chunk(coded[2:])]
+    assert answered == halves[0][0] + halves[1][0]
+    assert end_states == halves[0][1] + halves[1][1]
 
 
 # -------------------------------------------------------- BatchSimulator
@@ -193,7 +149,7 @@ def test_resolve_kernel_selection_semantics():
 
 def test_batch_simulator_answers_match_policy_oracle():
     policy = make_policy("LIP", 3)
-    simulator = BatchSimulator(policy, kernel="python")
+    simulator = BatchSimulator(policy)
     words = _random_words(3, seed="batch")
     answers = simulator.answer_words(words)
     for word, outputs in zip(words, answers):
@@ -206,7 +162,7 @@ def test_batch_simulator_answers_match_policy_oracle():
 
 def test_batch_simulator_resume_protocol():
     policy = make_policy("PLRU", 4)
-    simulator = BatchSimulator(policy, kernel="python")
+    simulator = BatchSimulator(policy)
     assert simulator.supports_resume
     word = (Line(0), EVICT, Line(2), EVICT, EVICT, Line(1))
     full = simulator.output_query(word)
@@ -217,7 +173,7 @@ def test_batch_simulator_resume_protocol():
 
 def test_batch_simulator_adopts_ready_table():
     table = make_policy("LRU", 2).tabulate()
-    simulator = BatchSimulator(table, kernel="python")
+    simulator = BatchSimulator(table)
     assert simulator.table is table
     assert simulator.kernel == "python"
 
@@ -237,14 +193,13 @@ def test_scalar_probe_cost_matches_executed_scalar_path():
 
 def test_kernel_oracle_matches_scalar_oracle_and_counters():
     words = _random_words(4, count=50, seed="polca")
-    kernels = ["python"] + (["numpy"] if numpy_available() else [])
     scalar_interface = SimulatedCacheInterface(make_policy("PLRU", 4))
     scalar = PolcaMembershipOracle(scalar_interface)
     expected = scalar.output_query_batch(words)
-    for kernel in kernels:
+    for kernel in ("python", "auto"):
         interface = SimulatedCacheInterface(make_policy("PLRU", 4))
         oracle = PolcaMembershipOracle(interface, kernel=kernel)
-        assert oracle.kernel_in_use == kernel
+        assert oracle.kernel_in_use == "python"
         assert oracle.output_query_batch(words) == expected
         assert asdict(oracle.statistics) == asdict(scalar.statistics)
         assert interface.probe_count == scalar_interface.probe_count
@@ -292,10 +247,22 @@ def test_kernel_and_resume_interaction():
         PolcaMembershipOracle(interface, kernel="python", resume=True)
 
 
+def test_resolve_kernel_selection_semantics():
+    """Every accepted kernel name resolves to one of two execution paths
+    for a tabulatable policy: the tabulated Python kernel or the scalar
+    stepper (``None`` is the scalar default)."""
+    expected = {None: "scalar", "scalar": "scalar", "python": "python", "auto": "python"}
+    assert set(expected) - {None} == set(POLCA_KERNELS)
+    for name, in_use in expected.items():
+        interface = SimulatedCacheInterface(make_policy("LRU", 2))
+        assert PolcaMembershipOracle(interface, kernel=name).kernel_in_use == in_use
+
+
 def test_unknown_kernel_name_is_rejected():
     interface = SimulatedCacheInterface(make_policy("LRU", 2))
-    with pytest.raises(PolicyError, match="unknown simulator kernel"):
-        PolcaMembershipOracle(interface, kernel="fortran")
+    for name in ("fortran", "numpy"):
+        with pytest.raises(PolicyError, match="unknown simulator kernel"):
+            PolcaMembershipOracle(interface, kernel=name)
 
 
 def test_count_kernel_probes_validates_and_counts():
@@ -315,7 +282,7 @@ def test_pipeline_reports_kernel_and_learns_identically():
     assert python.machine == scalar.machine
     assert asdict(python.polca_statistics) == asdict(scalar.polca_statistics)
     auto = learn_simulated_policy(make_policy("MRU", 3), kernel="auto")
-    assert auto.extra["kernel"] == ("numpy" if numpy_available() else "python")
+    assert auto.extra["kernel"] == "python"
     assert auto.machine == scalar.machine
 
 

@@ -20,7 +20,7 @@ from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.learning.parallel import MealyMachineOracleFactory
+from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
 from repro.learning.wpmethod import (
     characterization_set,
     identification_sets,
@@ -188,14 +188,14 @@ class TestInflightWindow:
         suite_size = len(wp_method_suite(reference, 2))
         batch_size, window = 16, 2
         engine = CachedMembershipOracle(MealyMachineOracle(reference))
-        with _TrackingOracle(
-            engine,
-            depth=2,
-            batch_size=batch_size,
-            max_inflight=window,
-            workers=2,
-            oracle_factory=MealyMachineOracleFactory(reference),
-        ) as oracle:
+        with WorkerPool(MealyMachineOracleFactory(reference), 2) as pool:
+            oracle = _TrackingOracle(
+                engine,
+                depth=2,
+                batch_size=batch_size,
+                max_inflight=window,
+                pool=pool,
+            )
             assert oracle.find_counterexample(reference) is None
         bound = window * batch_size
         # The whole suite ran ...
