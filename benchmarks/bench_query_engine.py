@@ -68,7 +68,7 @@ def kernel_throughput(policy_name, associativity, *, batch_size=1024, **workload
 
     Throughput is policy symbols per second as counted by Polca itself
     (``statistics.policy_symbols``), so every kernel is measured over the
-    exact same executed work — dedupe and prefix subsumption included.
+    exact same executed work: Polca executes every word it is handed.
     """
     workload = kernel_workload(associativity, **workload_kwargs)
     results = {}

@@ -160,51 +160,49 @@ class MealyMachine:
         }
         return MealyMachine(order, self.initial_state, list(self.inputs), transitions, outputs, self.name)
 
+    def equivalence_blocks(self) -> Dict[State, int]:
+        """Block index of every state in the coarsest partition of
+        :attr:`states` into behaviourally equivalent states.
+
+        Moore-style partition refinement: states start partitioned by their
+        output row (the outputs they produce for every input) and the
+        partition is refined by successor blocks until the block count
+        stops growing.  The coarsest stable partition is unique, so which
+        states share a block does not depend on the labels.
+        """
+        inputs = self.inputs
+        index: Dict[Tuple, int] = {}
+        block_of: Dict[State, int] = {}
+        for state in self.states:
+            signature = tuple(self.outputs[(state, symbol)] for symbol in inputs)
+            block_of[state] = index.setdefault(signature, len(index))
+        while True:
+            count = len(index)
+            index = {}
+            refined: Dict[State, int] = {}
+            for state in self.states:
+                key = (
+                    block_of[state],
+                    tuple(block_of[self.transitions[(state, symbol)]] for symbol in inputs),
+                )
+                refined[state] = index.setdefault(key, len(index))
+            block_of = refined
+            if len(index) == count:
+                return block_of
+
     def minimize(self) -> "MealyMachine":
         """Return the minimal machine equivalent to this one.
 
-        Uses Moore-style partition refinement: states start partitioned by
-        their output row (the outputs they produce for every input) and the
-        partition is refined until successor blocks stabilise.  The result is
-        relabelled with consecutive integers, the initial state becoming the
-        block containing the original initial state.
+        Partitions the reachable states (:meth:`equivalence_blocks`) and
+        builds the quotient, relabelled with consecutive integers in BFS
+        order, the initial state becoming the block containing the original
+        initial state.
         """
         machine = self.reachable()
-        # Initial partition by output signature.
-        signature: Dict[State, Tuple[Output, ...]] = {
-            state: tuple(machine.outputs[(state, symbol)] for symbol in machine.inputs)
-            for state in machine.states
-        }
-        blocks: Dict[Tuple, List[State]] = {}
-        for state in machine.states:
-            blocks.setdefault(signature[state], []).append(state)
-        partition = list(blocks.values())
-        block_of: Dict[State, int] = {}
-        for index, block in enumerate(partition):
-            for state in block:
-                block_of[state] = index
-
-        while True:
-            new_blocks: Dict[Tuple, List[State]] = {}
-            for state in machine.states:
-                key = (
-                    block_of[state],
-                    tuple(
-                        block_of[machine.transitions[(state, symbol)]]
-                        for symbol in machine.inputs
-                    ),
-                )
-                new_blocks.setdefault(key, []).append(state)
-            if len(new_blocks) == len(partition):
-                break
-            partition = list(new_blocks.values())
-            block_of = {}
-            for index, block in enumerate(partition):
-                for state in block:
-                    block_of[state] = index
+        block_of = machine.equivalence_blocks()
 
         # Build the quotient machine with stable (BFS from initial) numbering.
-        representative = {block_of[state]: state for block in partition for state in block}
+        representative = {block: state for state, block in block_of.items()}
         initial_block = block_of[machine.initial_state]
         numbering: Dict[int, int] = {}
         order: List[int] = []

@@ -6,12 +6,13 @@ Niese's Mealy formulation), Rivest–Schapire counterexample processing, and
 W-/Wp-method conformance testing used to approximate equivalence queries
 with the ``(|H| + k)``-completeness guarantee of Theorem 3.3.
 
-All membership queries flow through the batched, trie-backed query engine
-(:mod:`repro.learning.query_engine`): the observation table and the
-conformance tester stage whole rounds of words, and the
-:class:`~repro.learning.oracles.CachedMembershipOracle` dedupes,
-prefix-subsumes and caches them in a response trie before anything reaches
-the system under learning.
+All membership queries flow through one query engine,
+:class:`~repro.learning.oracles.CachedMembershipOracle`
+(:mod:`repro.learning.query_engine`): the observation table, the tree
+learner and the conformance tester stage whole rounds of words, and the
+engine alone partitions them against its response trie, dedupes and
+prefix-subsumes the misses, and decides where they execute.  The system
+under learning executes exactly the words it is handed.
 
 Two learners sit on that engine: L* (:class:`MealyLearner`, the paper's
 configuration) and the TTT classification-tree learner
@@ -19,9 +20,10 @@ configuration) and the TTT classification-tree learner
 either by name.
 
 Both query sides additionally scale across processes
-(:mod:`repro.learning.parallel`): one shared
-:class:`~repro.learning.parallel.WorkerPool`, passed as ``pool=``, answers
-the learner's round batches *and* the
+(:mod:`repro.learning.parallel`): a
+:class:`~repro.learning.parallel.WorkerPool` handed to the engine
+(``CachedMembershipOracle(..., pool=)``) answers the learner's round
+batches *and* the
 :class:`~repro.learning.equivalence.ConformanceEquivalenceOracle`'s
 lazily streamed Wp-suite chunks (bounded in-flight window); workers
 rebuild the system under test from a picklable oracle factory and answers

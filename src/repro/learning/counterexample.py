@@ -14,11 +14,14 @@ strategies are provided:
   hypothesis "loses track" of the system and add a single distinguishing
   suffix instead.  This keeps the table small and is the default used by the
   learner (LearnLib's ``RivestSchapire`` handler plays the same role).
+
+The binary search itself, :func:`rivest_schapire_split`, is shared with the
+TTT tree (:meth:`~repro.learning.ttt.TTTTree.refine`).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
@@ -42,19 +45,49 @@ def process_counterexample_prefixes(
     table.make_closed_and_consistent()
 
 
-def _access_word(hypothesis: MealyMachine, table: ObservationTable, word: Word) -> Word:
-    """Return the table access word of the hypothesis state reached by ``word``."""
-    state = hypothesis.state_after(word)
-    # The hypothesis states are numbered in the order the table's short rows
-    # were turned into states, and the table keeps the access word of each.
-    for prefix in table.short_prefixes:
-        if hypothesis.state_after(prefix) == state and _row_state(hypothesis, table, prefix) == state:
-            return prefix
-    raise LearningError("hypothesis state has no access word in the table")  # pragma: no cover
+def rivest_schapire_split(
+    word: Word,
+    hypothesis: MealyMachine,
+    access_words: Sequence[Word],
+    oracle: MembershipOracle,
+) -> Optional[int]:
+    """Binary-search a counterexample for the index where agreement flips.
 
+    For every split position ``i`` define ``alpha_i = access(state(w[:i])) +
+    w[i:]`` — the counterexample with its prefix replaced by the access word
+    (``access_words[state]``) of the hypothesis state that prefix reaches.
+    ``alpha_0`` *is* the counterexample, so it disagrees with the
+    hypothesis; when ``alpha_|w|`` agrees, there is an index ``i`` with
+    ``alpha_i`` disagreeing and ``alpha_{i+1}`` agreeing, and the suffix
+    ``w[i+1:]`` distinguishes two states the hypothesis merges.  Returns
+    that ``i``, or ``None`` when ``alpha_|w|`` still disagrees (the access
+    map is broken: each caller handles that its own way).  Raises
+    :class:`~repro.errors.LearningError` when ``alpha_0`` agrees — a
+    spurious counterexample.
+    """
 
-def _row_state(hypothesis: MealyMachine, table: ObservationTable, prefix: Word) -> int:
-    return hypothesis.state_after(prefix)
+    def disagrees(split: int) -> bool:
+        patched = access_words[hypothesis.state_after(word[:split])] + word[split:]
+        if not patched:
+            return False
+        return tuple(oracle.output_query(patched)) != hypothesis.run(patched)
+
+    if not disagrees(0):
+        raise LearningError(
+            f"spurious counterexample {list(word)}: hypothesis already agrees "
+            "with the target"
+        )
+    low, high = 0, len(word)
+    # Invariant: disagrees(low) is True, disagrees(high) is False.
+    if disagrees(high):
+        return None
+    while high - low > 1:
+        middle = (low + high) // 2
+        if disagrees(middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 def process_counterexample_rivest_schapire(
@@ -65,50 +98,33 @@ def process_counterexample_rivest_schapire(
 ) -> None:
     """Extract one distinguishing suffix from ``counterexample`` (Rivest–Schapire).
 
-    For a counterexample ``w`` define, for every split position ``i``, the
-    word ``alpha_i = access(state(w[:i])) + w[i:]`` — the counterexample with
-    its prefix replaced by the hypothesis' access word for the state that
-    prefix reaches.  ``alpha_0`` behaves like the real system (it *is* the
-    counterexample) and ``alpha_|w|`` behaves like the hypothesis, so there
-    is an index where the behaviour flips; the suffix ``w[i:]`` at that index
-    distinguishes two states the hypothesis currently merges and is added as
-    a new column.
+    ``hypothesis`` must be the table's last :meth:`~repro.learning.\
+observation_table.ObservationTable.hypothesis`, whose access words the
+    search (:func:`rivest_schapire_split`) patches in; any other hypothesis
+    raises :class:`~repro.errors.LearningError` (the learner then falls
+    back to the prefix strategy).  The suffix after the flip distinguishes
+    two states the hypothesis currently merges and is added as a new column.
     """
     word = tuple(counterexample)
     if not word:
         raise LearningError("a counterexample must contain at least one input symbol")
-
-    def disagrees(split: int) -> bool:
-        """Return True when the 'patched' word still exposes the bug."""
-        prefix, suffix = word[:split], word[split:]
-        access = _access_word(hypothesis, table, prefix)
-        patched = access + suffix
-        if not patched:
-            return False
-        system_outputs = oracle.output_query(patched)
-        hypothesis_outputs = hypothesis.run(patched)
-        return system_outputs != hypothesis_outputs
-
-    if not disagrees(0):
-        # The "counterexample" does not actually distinguish the machines
-        # (can happen when the equivalence oracle raced a cached answer).
-        raise LearningError(f"spurious counterexample {list(word)}")
-
-    low, high = 0, len(word)
-    # Invariant: disagrees(low) is True, disagrees(high) is False.
-    if disagrees(high):
+    access_words = table.access_words
+    if len(access_words) != hypothesis.size or any(
+        hypothesis.state_after(access) != state
+        for state, access in enumerate(access_words)
+    ):
+        raise LearningError(
+            "the table's access words do not match this hypothesis: pass the "
+            "table's last hypothesis()"
+        )
+    split = rivest_schapire_split(word, hypothesis, access_words, oracle)
+    if split is None:
         # The hypothesis disagrees with itself only if the access-word map is
         # broken; fall back to the prefix strategy which is always sound.
         process_counterexample_prefixes(table, word)
         return
-    while high - low > 1:
-        middle = (low + high) // 2
-        if disagrees(middle):
-            low = middle
-        else:
-            high = middle
 
-    suffix = word[high:]
+    suffix = word[split + 1 :]
     if suffix:
         added = table.add_suffix(suffix)
     else:

@@ -6,7 +6,8 @@ Three implementations are provided:
   generate a Wp-/W-method test suite of configurable depth ``k`` for the
   hypothesis and compare the system's answers against the hypothesis' own
   predictions.  Yields the ``(|H| + k)``-completeness guarantee of
-  Theorem 3.3 / Corollary 3.4.
+  Theorem 3.3 / Corollary 3.4.  Its suite words are answered by the query
+  engine, and stream through the engine's worker pool when it has one.
 * :class:`RandomWalkEquivalenceOracle` — random word testing, mentioned in
   Section 6 as an alternative heuristic for deeper counterexample search.
 * :class:`PerfectEquivalenceOracle` — compares against a known reference
@@ -19,7 +20,6 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from concurrent.futures import Future
 from itertools import islice
 from typing import (
     Deque,
@@ -35,9 +35,8 @@ from typing import (
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
-from repro.learning.oracles import MembershipOracle, QueryStatistics
-from repro.learning.parallel import WorkerPool
-from repro.learning.query_engine import dedupe_and_subsume, output_query_batch
+from repro.learning.oracles import MembershipOracle, PendingBatch, QueryStatistics
+from repro.learning.query_engine import output_query_batch
 from repro.learning.wpmethod import iter_w_method_suite, iter_wp_method_suite
 
 Input = Hashable
@@ -81,24 +80,21 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     Process-parallel execution
     --------------------------
 
-    With a parallel :class:`~repro.learning.parallel.WorkerPool` passed as
-    ``pool=``, suite chunks are shipped to worker processes that each
-    rebuild a fresh system under test from the pool's oracle factory.  At
-    most ``max_inflight`` chunks are in flight at once (a bounded window
-    over the lazy suite: the parent holds no more than ``max_inflight ×
+    When the oracle is a
+    :class:`~repro.learning.oracles.CachedMembershipOracle` built with a
+    parallel :class:`~repro.learning.parallel.WorkerPool` (its ``pool``),
+    suite chunks are shipped to worker processes that each rebuild a fresh
+    system under test from the pool's oracle factory.  At most
+    ``max_inflight`` chunks are in flight at once (a bounded window over
+    the lazy suite: the parent holds no more than ``max_inflight ×
     batch_size`` queued words, tracked in :attr:`peak_inflight_words`), and
     chunks are consumed *in suite order*, so the returned counterexample is
     always the first mismatching word — identical to a serial run, which
     keeps learned machines bit-identical across worker counts.  Worker
-    answers are merged back into the shared
-    :class:`~repro.learning.oracles.CachedMembershipOracle` trie, so they
-    feed the learner's cache and still trip non-determinism detection;
-    words the shared trie already knows are never shipped.  The oracle must
-    therefore be such an engine (``cached_answer`` / ``record_external``);
-    a parallel pool over any other oracle raises
-    :class:`~repro.errors.LearningError`.  The pool belongs to the caller,
-    and its ``worker_query_counts`` / ``worker_symbol_counts`` hold the
-    per-worker accounting.
+    answers merge back through the engine (:meth:`~repro.learning.oracles.\
+CachedMembershipOracle.collect`), so they feed the learner's cache and
+    still trip non-determinism detection; words the shared trie already
+    knows are never shipped.
     """
 
     def __init__(
@@ -109,7 +105,6 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         method: str = "wp",
         max_tests: Optional[int] = None,
         batch_size: int = 64,
-        pool: Optional[WorkerPool] = None,
         max_inflight: int = 4,
     ) -> None:
         if method not in ("w", "wp"):
@@ -118,22 +113,11 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if (
-            pool is not None
-            and pool.parallel
-            and not (hasattr(oracle, "cached_answer") and hasattr(oracle, "record_external"))
-        ):
-            raise LearningError(
-                "parallel conformance testing merges worker answers into a "
-                "shared query engine; wrap the oracle in a "
-                "CachedMembershipOracle before passing a worker pool"
-            )
         self.oracle = oracle
         self.depth = depth
         self.method = method
         self.max_tests = max_tests
         self.batch_size = batch_size
-        self.pool = pool
         self.max_inflight = max_inflight
         self.statistics = QueryStatistics()
         #: Peak number of suite words queued in the parent at once (parallel
@@ -188,7 +172,8 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         suite: Iterator[Word] = iter(self._suite(hypothesis))
         if self.max_tests is not None:
             suite = self._truncated(suite)
-        if self.pool is not None and self.pool.parallel:
+        pool = getattr(self.oracle, "pool", None)
+        if pool is not None and pool.parallel:
             return self._find_counterexample_parallel(hypothesis, suite)
         for chunk in _chunks(suite, self.batch_size):
             self.statistics.test_words += len(chunk)
@@ -206,34 +191,27 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     ) -> Optional[Word]:
         """The engine-backed parallel path, accounting-identical to serial.
 
-        Each chunk is partitioned exactly like the serial engine partitions
-        its batches — duplicates, already-cached words and intra-chunk
-        prefix subsumption recorded through the same
-        ``QueryStatistics.record_batch`` — so the cache-hit and
-        subsumed-word columns cannot drift between ``--workers 0`` and
-        ``--workers N``.  Words covered by a chunk still *in flight*
-        (equal to, or a proper prefix of, a shipped word) are not shipped
-        again: chunks are consumed in suite order, so by the time their
-        own chunk is compared the covering answers have merged into the
-        shared trie — exactly the words a serial run would have found
-        cached.
+        Each chunk is one engine batch: :meth:`~repro.learning.oracles.\
+CachedMembershipOracle.submit` partitions and ships it, and
+        :meth:`~repro.learning.oracles.CachedMembershipOracle.collect`
+        records and merges it, so the cache-hit and subsumed-word columns
+        cannot drift between ``--workers 0`` and ``--workers N``.  Words
+        covered by a chunk still *in flight* (equal to, or a proper prefix
+        of, a shipped word) count as known and are not shipped again:
+        chunks are consumed in suite order, so by the time their own chunk
+        is compared the covering answers have merged into the shared trie —
+        exactly the words a serial run would have found cached.
         """
-        pool = self.pool
-        cached_answer = self.oracle.cached_answer
-        record_external = self.oracle.record_external
-        # Worker executions are real queries against the system under
-        # learning: fold them into the membership oracle's statistics so
-        # query counts stay comparable across worker counts (a serial run
-        # executes the same missing words through the same oracle).
-        oracle_statistics = getattr(self.oracle, "statistics", None)
+        engine = self.oracle
+        cached_answer = engine.cached_answer
         # A bounded window of in-flight chunks over the lazy suite: chunks
         # are submitted as the generator produces them and consumed in
         # suite order, so the first mismatching word wins deterministically
         # while the parent queues at most max_inflight * batch_size words.
-        pending: Deque[Tuple[List[Word], List[Word], Optional[Future], int]] = deque()
+        pending: Deque[PendingBatch] = deque()
         # Reference-counted cover of every in-flight shipped word and its
         # proper prefixes — bounded by the in-flight window, released as
-        # chunks merge into the trie.
+        # chunks merge into the trie.  With the trie it stays prefix-closed.
         inflight_cover: Dict[Word, int] = {}
         inflight_words = 0
         exhausted = False
@@ -244,20 +222,16 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         def submit_next() -> bool:
             """Pull one more chunk from the suite and ship its missing words."""
             nonlocal inflight_words
-            chunk = [tuple(word) for word in islice(suite, self.batch_size)]
+            chunk = list(islice(suite, self.batch_size))
             if not chunk:
                 return False
-            already_covered = sum(1 for word in chunk if covered(word))
-            missing = [
-                word for word in dedupe_and_subsume(chunk) if not covered(word)
-            ]
-            future = pool.submit(missing) if missing else None
-            for word in missing:
+            batch = engine.submit(chunk, covered)
+            for word in batch.missing:
                 for length in range(1, len(word) + 1):
                     prefix = word[:length]
                     inflight_cover[prefix] = inflight_cover.get(prefix, 0) + 1
-            pending.append((chunk, missing, future, already_covered))
-            inflight_words += len(chunk)
+            pending.append(batch)
+            inflight_words += len(batch.words)
             self.peak_inflight_words = max(self.peak_inflight_words, inflight_words)
             return True
 
@@ -267,25 +241,17 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
                     exhausted = True
             if not pending:
                 return None
-            chunk, missing, future, already_covered = pending.popleft()
-            inflight_words -= len(chunk)
-            self.statistics.test_words += len(chunk)
-            if oracle_statistics is not None:
-                # The same accounting a serial engine batch records — done at
-                # *consume* time, so chunks cancelled by a counterexample
-                # (which a serial run never reaches) are never counted.
-                oracle_statistics.record_batch(len(chunk), already_covered, len(missing))
-            if future is not None:
-                worker_answers = pool.collect(
-                    future, missing, statistics=oracle_statistics
-                )
-                self.statistics.parallel_chunks += 1
-                self.statistics.parallel_words += len(missing)
-                for word, outputs in zip(missing, worker_answers):
-                    # Feed the shared trie; raises NonDeterminismError when
-                    # a worker disagrees with a cached prefix.
-                    record_external(word, outputs)
-            for word in missing:
+            batch = pending.popleft()
+            inflight_words -= len(batch.words)
+            self.statistics.test_words += len(batch.words)
+            # Recorded and merged at *consume* time, so chunks cancelled by
+            # a counterexample (which a serial run never reaches) are never
+            # counted.  Feeds the shared trie; raises NonDeterminismError
+            # when a worker disagrees with a cached prefix.
+            engine.collect(batch)
+            self.statistics.parallel_chunks += len(batch.chunks)
+            self.statistics.parallel_words += len(batch.missing)
+            for word in batch.missing:
                 for length in range(1, len(word) + 1):
                     prefix = word[:length]
                     remaining = inflight_cover[prefix] - 1
@@ -293,7 +259,7 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
                         inflight_cover[prefix] = remaining
                     else:
                         del inflight_cover[prefix]
-            for word in chunk:
+            for word in batch.words:
                 actual = cached_answer(word)
                 if actual is None:  # pragma: no cover - every word is covered
                     raise LearningError(
@@ -301,9 +267,8 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
                         "by its chunk"
                     )
                 if actual != hypothesis.run(word):
-                    for _, _, queued, _ in pending:
-                        if queued is not None:
-                            queued.cancel()
+                    for queued in pending:
+                        queued.cancel()
                     self._finish_truncation(suite)
                     return word
 

@@ -41,7 +41,6 @@ from repro.learning.oracles import (
     MembershipOracle,
     QueryStatistics,
 )
-from repro.learning.parallel import WorkerPool
 
 Input = Hashable
 Word = Tuple[Input, ...]
@@ -102,15 +101,11 @@ class ActiveLearner:
     Membership queries flow through the batched query engine: the oracle
     is wrapped in a :class:`~repro.learning.oracles.CachedMembershipOracle`
     unless it already is one, which lets callers share one engine between
-    the learner and the equivalence oracle.
-
-    With a parallel :class:`~repro.learning.parallel.WorkerPool` passed as
-    ``pool=``, the learner's per-round query batches (table fill for L*,
-    sift rounds for the tree) fan out across worker processes; answers
-    merge back through the shared query engine in chunk-index order, so
-    parallel runs learn machines bit-identical to serial ones.  The pool
-    belongs to the caller (typically the pipeline, which hands the same
-    pool to the conformance tester so one flag parallelizes the whole run).
+    the learner and the equivalence oracle.  An engine built with a
+    parallel :class:`~repro.learning.parallel.WorkerPool` fans the
+    learner's per-round batches (table fill for L*, sift rounds for the
+    tree) out across worker processes and merges them back in chunk order,
+    so parallel runs learn machines bit-identical to serial ones.
 
     Subclasses build the first hypothesis in :meth:`_initial_hypothesis`
     and turn a counterexample into the next one in :meth:`_refine`;
@@ -130,8 +125,6 @@ class ActiveLearner:
         *,
         counterexample_strategy: str = "rivest-schapire",
         max_rounds: int = 10_000,
-        pool: Optional[WorkerPool] = None,
-        fill_chunk_size: int = 64,
     ) -> None:
         if counterexample_strategy not in self.counterexample_strategies:
             raise LearningError(
@@ -147,8 +140,6 @@ class ActiveLearner:
         self.equivalence_oracle = equivalence_oracle
         self.counterexample_strategy = counterexample_strategy
         self.max_rounds = max_rounds
-        self.fill_chunk_size = fill_chunk_size
-        self.pool = pool
         self._suite_queries = 0
         self._suite_symbols = 0
 
@@ -248,9 +239,7 @@ class ActiveLearner:
 class MealyLearner(ActiveLearner):
     """Observation-table L* learner for Mealy machines.
 
-    See :class:`ActiveLearner` for the engine/pool behaviour.  With a
-    parallel pool the observation-table fill answers each stabilisation
-    round's batch across worker processes.
+    See :class:`ActiveLearner` for the engine behaviour.
     """
 
     name = "lstar"
@@ -266,12 +255,7 @@ class MealyLearner(ActiveLearner):
         return len(self.table.short_prefixes) if self.table is not None else 0
 
     def _initial_hypothesis(self) -> MealyMachine:
-        self.table = ObservationTable(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
+        self.table = ObservationTable(self.alphabet, self.membership_oracle)
         self.table.make_closed_and_consistent()
         return self.table.hypothesis()
 

@@ -35,15 +35,12 @@ assertion.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle
 from repro.learning.query_engine import output_query_batch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from repro.learning.parallel import WorkerPool
 
 Input = Hashable
 Output = Hashable
@@ -58,33 +55,16 @@ class ObservationTable:
     Cell queries go through the batched query engine: :meth:`fill` collects
     every missing ``(prefix, suffix)`` cell and issues **one** batch per
     stabilisation round, letting the oracle dedupe and prefix-subsume before
-    a single word reaches the system under learning.  Row contents are
-    memoised per prefix and invalidated when the suffix set changes.
-
-    With a parallel :class:`~repro.learning.parallel.WorkerPool` (``pool=``,
-    more than one worker), each round's deduped batch is split into
-    ``chunk_size`` chunks answered by worker processes and merged back in
-    chunk-index order — the membership side of learning runs on the same
-    pool as conformance testing, and the filled cells are bit-identical to
-    a serial fill.
+    a single word reaches the system under learning (and, when the engine
+    has a parallel worker pool, before its misses fan out).  Row contents
+    are memoised per prefix and invalidated when the suffix set changes.
     """
 
-    def __init__(
-        self,
-        alphabet: Sequence[Input],
-        oracle: MembershipOracle,
-        *,
-        pool: Optional["WorkerPool"] = None,
-        chunk_size: int = 64,
-    ) -> None:
+    def __init__(self, alphabet: Sequence[Input], oracle: MembershipOracle) -> None:
         if not alphabet:
             raise LearningError("the input alphabet must not be empty")
-        if chunk_size < 1:
-            raise LearningError(f"chunk_size must be >= 1, got {chunk_size}")
         self.alphabet: Tuple[Input, ...] = tuple(alphabet)
         self.oracle = oracle
-        self.pool = pool
-        self.chunk_size = chunk_size
         # Short prefixes (access words); prefix-closed, starts with epsilon.
         self.short_prefixes: List[Word] = [EMPTY]
         # Distinguishing suffixes; starts with every single input symbol so
@@ -95,6 +75,9 @@ class ObservationTable:
         # Memoised row contents, keyed by prefix; valid for the current
         # suffix list only (add_suffix invalidates).
         self._row_cache: Dict[Word, Tuple[Tuple[Output, ...], ...]] = {}
+        #: Access word of each state of the last :meth:`hypothesis`, in state
+        #: order: the first short prefix with that state's row.
+        self.access_words: List[Word] = []
         self.fill()
 
     # ------------------------------------------------------------------ cells
@@ -128,20 +111,13 @@ class ObservationTable:
 
         All missing cells are collected and answered by a single batched
         query, so the oracle sees the whole round at once and can dedupe,
-        prefix-subsume and (for caches) reuse earlier answers.  With a
-        parallel pool the batch fans out over worker processes instead
-        (deterministic chunk-index-order merge keeps the cells identical).
+        prefix-subsume and (for caches) reuse earlier answers.
         """
         missing = self.missing_cells()
         if not missing:
             return
         words = [prefix + suffix for prefix, suffix in missing]
-        if self.pool is not None and self.pool.parallel:
-            answers = self.pool.answer_batch(
-                self.oracle, words, chunk_size=self.chunk_size
-            )
-        else:
-            answers = output_query_batch(self.oracle, words)
+        answers = output_query_batch(self.oracle, words)
         for (prefix, suffix), outputs in zip(missing, answers):
             self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
 
@@ -265,7 +241,10 @@ class ObservationTable:
         With a suffix-closed column set (maintained by :meth:`add_suffix`)
         the hypothesis is minimal: distinct rows differ on some column
         ``e``, and the machine's behaviour from the corresponding states on
-        ``e`` reproduces the differing cells.
+        ``e`` reproduces the differing cells.  State ``i``'s access word is
+        recorded in :attr:`access_words`; on a closed, consistent,
+        prefix-closed table every short prefix ``u`` reaches the state of
+        ``row(u)``, so it is also the first short prefix reaching state ``i``.
         """
         if __debug__:
             self._assert_suffix_closed()
@@ -296,6 +275,7 @@ class ObservationTable:
                 # suffix set is initialised with the full alphabet.
                 assert (symbol,) in suffix_index
         initial_state = row_to_state[self.row(EMPTY)]
+        self.access_words = state_access
         return MealyMachine(states, initial_state, list(self.alphabet), transitions, outputs)
 
     # ------------------------------------------------------------- inspection

@@ -10,34 +10,38 @@ The module provides:
 * :class:`MembershipOracle` — the protocol every oracle implements; the
   optional batched/resumable extensions are documented in
   :mod:`repro.learning.query_engine`;
-* :class:`FunctionOracle` / :class:`MealyMachineOracle` — adapters for plain
-  callables and for known machines (used in tests and for conformance
-  checks against reference policies); both implement ``output_query_batch``
-  and the machine adapter additionally supports resume-from-state;
-* :class:`CachedMembershipOracle` — the trie-backed response cache of the
-  query engine, mirroring the LevelDB response cache of CacheQuery's
-  frontend; it shares prefix storage structurally, reuses the longest
-  cached prefix (executing only the un-cached suffix when the delegate
-  supports resume), and detects non-determinism (two executions of the same
-  prefix giving different outputs), which the paper uses to reject bad
-  reset sequences;
+* :class:`FunctionOracle` / :class:`MealyMachineOracle` — single-query
+  adapters for plain callables and for known machines (used in tests and
+  for conformance checks against reference policies); the machine adapter
+  additionally supports resume-from-state;
+* :class:`CachedMembershipOracle` — the query engine: the trie-backed
+  response cache mirroring the LevelDB response cache of CacheQuery's
+  frontend, and the only layer that partitions a batch and decides where
+  its misses execute (in process, or on the
+  :class:`~repro.learning.parallel.WorkerPool` it is given).  It shares
+  prefix storage structurally, reuses the longest cached prefix (executing
+  only the un-cached suffix when the delegate supports resume), and
+  detects non-determinism (two executions of the same prefix giving
+  different outputs), which the paper uses to reject bad reset sequences;
 * :class:`QueryStatistics` — counters reported by the experiment harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from concurrent.futures import Future
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
-from repro.errors import OutputLengthMismatchError
+from repro.errors import LearningError, OutputLengthMismatchError
 from repro.learning.query_engine import (
+    DEFAULT_LEARNING_NAMESPACE,
     ResponseTrie,
-    batch_via_single_queries,
+    execute_words,
     partition_batch,
-    supports_batching,
     supports_resume,
 )
+from repro.learning.parallel import WorkerPool
 
 Input = Hashable
 Output = Hashable
@@ -66,9 +70,10 @@ class QueryStatistics:
     #: Conformance-suite words dropped by a ``max_tests`` truncation — when
     #: non-zero the (|H| + k)-completeness guarantee of Corollary 3.4 is void.
     tests_skipped: int = 0
-    #: Suite chunks shipped to pool workers by the parallel conformance path.
+    #: Word chunks shipped to pool workers (by the engine's batches or the
+    #: parallel conformance window).
     parallel_chunks: int = 0
-    #: Suite words answered by pool workers (and merged back into the trie).
+    #: Words answered by pool workers (and merged back into the trie).
     parallel_words: int = 0
 
     def record_query(self, length: int) -> None:
@@ -115,10 +120,10 @@ class MembershipOracle(Protocol):
 class FunctionOracle:
     """Wrap a plain callable ``word -> outputs`` as a membership oracle.
 
-    The batched form assumes the callable is deterministic and prefix-closed
-    (the answer to a prefix is the prefix of the answer), which is exactly
-    the Mealy output-query semantics every consumer in this library relies
-    on.
+    Batching consumers assume the callable is deterministic and
+    prefix-closed (the answer to a prefix is the prefix of the answer),
+    which is exactly the Mealy output-query semantics every consumer in
+    this library relies on.
     """
 
     def __init__(self, function: Callable[[Word], OutputWord]) -> None:
@@ -129,11 +134,6 @@ class FunctionOracle:
         word = tuple(word)
         self.statistics.record_query(len(word))
         return tuple(self._function(word))
-
-    def output_query_batch(self, words: Sequence[Sequence[Input]]) -> List[OutputWord]:
-        """Answer a batch of words, executing only its maximal members."""
-        self.statistics.batches += 1
-        return batch_via_single_queries(self, words)
 
 
 class MealyMachineOracle:
@@ -177,14 +177,34 @@ class MealyMachineOracle:
         state = self.machine.state_after(tuple(prefix))
         return self.machine.run(suffix, state)
 
-    def output_query_batch(self, words: Sequence[Sequence[Input]]) -> List[OutputWord]:
-        """Answer a batch of words, executing only its maximal members."""
-        self.statistics.batches += 1
-        return batch_via_single_queries(self, words)
+
+#: Misses per chunk the engine ships to a parallel pool.
+POOL_CHUNK_WORDS = 64
+
+
+@dataclass
+class PendingBatch:
+    """A batch between :meth:`CachedMembershipOracle.submit` and
+    :meth:`~CachedMembershipOracle.collect`."""
+
+    #: The requested words, in order (duplicates and prefixes included).
+    words: List[Word]
+    #: How many of them the partition's predicate already knew.
+    already_cached: int
+    #: The deduped, prefix-free misses left to execute.
+    missing: List[Word]
+    #: ``(chunk, future)`` per chunk of ``missing`` shipped to the pool, in
+    #: order; empty when the misses execute in process at collect time.
+    chunks: List[Tuple[List[Word], Future]]
+
+    def cancel(self) -> None:
+        """Cancel the shipped chunks that have not started yet."""
+        for _, future in self.chunks:
+            future.cancel()
 
 
 class CachedMembershipOracle:
-    """The trie-backed response cache of the batched query engine.
+    """The query engine: a trie-backed response cache in front of the SUL.
 
     Every answered query also answers all of its prefixes; the
     :class:`~repro.learning.query_engine.ResponseTrie` stores them
@@ -195,6 +215,16 @@ class CachedMembershipOracle:
     Conflicting observations for the same prefix raise a
     :class:`~repro.errors.NonDeterminismError`, mirroring how the paper
     detects incorrect reset sequences (Section 7.1).
+
+    The engine is the only layer that partitions a batch and decides where
+    its misses execute.  With a parallel
+    :class:`~repro.learning.parallel.WorkerPool` (``pool=``), a batch's
+    misses are shipped in :data:`POOL_CHUNK_WORDS`-word chunks and merged
+    back in chunk order, so answers and learned machines are identical to
+    a serial run.  Worker executions count as this engine's
+    membership queries, and each worker's statistics delta folds into the
+    delegate's ``statistics`` (field by field), so probe columns stay
+    worker-count-invariant.  The pool belongs to the caller.
     """
 
     def __init__(
@@ -203,6 +233,7 @@ class CachedMembershipOracle:
         *,
         store=None,
         namespace: Sequence[Hashable] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
         """Wrap ``delegate`` with the trie-backed cache.
 
@@ -210,16 +241,16 @@ class CachedMembershipOracle:
         the trie in a shared — possibly path-backed — store, e.g. the same
         store instance the CacheQuery frontend's ``QueryCache`` uses;
         ``namespace`` picks the trie's namespace key inside it (defaults to
-        the learning namespace).
+        the learning namespace).  ``pool`` is the worker pool batches fan
+        out to when it has more than one worker.
         """
-        from repro.learning.query_engine import DEFAULT_LEARNING_NAMESPACE
-
         self._delegate = delegate
         self._trie = ResponseTrie(
             store=store,
             namespace=namespace if namespace is not None else DEFAULT_LEARNING_NAMESPACE,
         )
         self._resume = supports_resume(delegate)
+        self.pool = pool
         self.statistics = QueryStatistics()
 
     # ----------------------------------------------------------- single query
@@ -258,44 +289,92 @@ class CachedMembershipOracle:
     # ----------------------------------------------------------- batch query
 
     def output_query_batch(self, words: Sequence[Sequence[Input]]) -> List[OutputWord]:
-        """Answer a batch: dedupe, prefix-subsume, then execute only misses.
+        """Answer a batch: partition it once, execute only its misses.
 
         Cached words are served from the trie; the remaining maximal words
-        are executed (through the delegate's own batch entry point when it
-        has one) and inserted, after which every requested word — duplicate,
-        prefix or miss — is answered from the trie.
+        run as described in :meth:`collect`.  Every requested word —
+        duplicate, prefix or miss — is then answered from the trie.
+        """
+        batch = self.submit(words)
+        self.collect(batch)
+        if batch.chunks:
+            self.statistics.parallel_chunks += len(batch.chunks)
+            self.statistics.parallel_words += len(batch.missing)
+        lookup = self._trie.lookup
+        return [lookup(word) for word in batch.words]
+
+    def submit(
+        self,
+        words: Sequence[Sequence[Input]],
+        known: Optional[Callable[[Word], bool]] = None,
+    ) -> PendingBatch:
+        """Partition a batch and, with a parallel pool, ship its misses.
+
+        ``known`` replaces the trie as the partition's predicate; it must
+        stay prefix-closed (conformance's in-flight window passes the trie
+        plus the words its earlier, still in-flight batches shipped).  The
+        misses are shipped in :data:`POOL_CHUNK_WORDS`-word chunks without
+        waiting; without a parallel pool they execute at :meth:`collect`.
         """
         words = [tuple(word) for word in words]
-        already_cached, _, missing = partition_batch(words, self._trie.lookup)
-        self.statistics.record_batch(len(words), already_cached, len(missing))
-        if missing and supports_batching(self._delegate) and not self._resume:
-            answered = self._delegate.output_query_batch(missing)
-            for word, outputs in zip(missing, answered):
-                outputs = tuple(outputs)
-                if len(outputs) != len(word):
-                    raise OutputLengthMismatchError(word, outputs)
-                self.statistics.record_query(len(word))
-                self._trie.insert(word, outputs)
-        else:
-            # Execute one by one so every answered word's prefixes are cached
-            # before the next miss — later words in the batch then resume
-            # from (or are fully served by) earlier answers.
-            for word in missing:
+        already_cached, missing = partition_batch(
+            words, known if known is not None else self._trie.covers
+        )
+        chunks: List[Tuple[List[Word], Future]] = []
+        if missing and self.pool is not None and self.pool.parallel:
+            for start in range(0, len(missing), POOL_CHUNK_WORDS):
+                chunk = missing[start : start + POOL_CHUNK_WORDS]
+                chunks.append((chunk, self.pool.submit(chunk)))
+        return PendingBatch(words, already_cached, missing, chunks)
+
+    def collect(self, batch: PendingBatch) -> None:
+        """Record a submitted batch and merge its answers into the trie.
+
+        Shipped chunks merge in chunk order, so results stay deterministic
+        whichever worker finished first; each worker's statistics delta
+        folds into the delegate's statistics.  Otherwise the misses execute
+        here: one by one through :meth:`_execute` for a resumable delegate
+        (later misses resume from earlier answers), else as one call into
+        the delegate.  Either way every answer passes the same length and
+        non-determinism checks.
+        """
+        self.statistics.record_batch(
+            len(batch.words), batch.already_cached, len(batch.missing)
+        )
+        if batch.chunks:
+            statistics = getattr(self._delegate, "statistics", None)
+            names = (
+                {f.name for f in fields(statistics)} if is_dataclass(statistics) else ()
+            )
+            for chunk, future in batch.chunks:
+                answers, delta = self.pool.collect(future, chunk)
+                for name in delta.keys() & names:
+                    setattr(statistics, name, getattr(statistics, name) + delta[name])
+                self._merge(chunk, answers)
+        elif self._resume:
+            for word in batch.missing:
                 self._execute(word)
-        results: List[OutputWord] = []
-        for word in words:
-            outputs = self._trie.lookup(word)
-            if outputs is None:  # pragma: no cover - every word was inserted
-                raise OutputLengthMismatchError(word, ())
-            results.append(outputs)
-        return results
+        elif batch.missing:
+            self._merge(batch.missing, execute_words(self._delegate, batch.missing))
+
+    def _merge(self, words: Sequence[Word], answers: Sequence[OutputWord]) -> None:
+        """Insert executed answers, one executed membership query per word."""
+        answers = list(answers)
+        if len(answers) != len(words):
+            # One answer per handed word is the SUL batch contract.
+            raise LearningError(
+                f"oracle returned {len(answers)} answers for a batch of "
+                f"{len(words)} words"
+            )
+        for word, outputs in zip(words, answers):
+            self.record_external(word, outputs)
+            self.statistics.record_query(len(word))
 
     # --------------------------------------------------- external observations
 
     def cached_answer(self, word: Sequence[Input]) -> "OutputWord | None":
-        """Peek at the cache: the stored output word, or ``None`` — no statistics,
-        no delegate.  Used by the parallel conformance path to decide which
-        suite words must be shipped to pool workers."""
+        """Peek at the cache: the stored output word, or ``None`` — no
+        statistics, no delegate."""
         return self._trie.lookup(tuple(word))
 
     def record_external(self, word: Sequence[Input], outputs: Sequence[Output]) -> None:

@@ -14,19 +14,20 @@ mutable state and (for the hardware path) a whole simulated CPU.
 This module closes that gap with *oracle factories*: small picklable
 descriptions of how to rebuild a fresh membership oracle inside a worker
 process.  The pool is created with the factory as its initializer argument,
-so every worker builds its system under test exactly once and then answers
-word chunks against it; answers travel back to the parent where they merge
-into the shared :class:`~repro.learning.query_engine.ResponseTrie` —
-parallel answers still feed the shared cache and still trip the
-non-determinism detection of Section 7.1.
+so every worker builds its system under test exactly once and then executes
+the word chunks it is shipped — exactly those words, nothing deduped.
 
 :class:`WorkerPool` bundles the executor, the factory and the per-worker
-accounting so **one** pool serves both oracle sides of a learning run: the
-observation table ships its round batches through
-:meth:`WorkerPool.answer_batch`, and
-:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle` streams
-suite chunks through :meth:`WorkerPool.submit` / :meth:`WorkerPool.collect`
-with a bounded in-flight window.
+accounting.  It is handed to the query engine
+(:class:`~repro.learning.oracles.CachedMembershipOracle`, ``pool=``), which
+decides what to ship: its batches (the L* table fill, the TTT sift rounds)
+and the chunks of the in-flight window of
+:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle` all pass
+through the engine's ``submit``/``collect`` halves, which ship via
+:meth:`WorkerPool.submit` and merge back, in submission order, into the
+shared :class:`~repro.learning.query_engine.ResponseTrie` —
+parallel answers still feed the shared cache and still trip the
+non-determinism detection of Section 7.1.
 
 Because every factory rebuilds a *deterministic* system from the same
 description, a parallel run answers every word identically to a serial
@@ -45,12 +46,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
-from repro.errors import LearningError, OutputLengthMismatchError
-from repro.learning.query_engine import (
-    ResponseTrie,
-    partition_batch,
-    serve_from_trie,
-)
+from repro.errors import LearningError
+from repro.learning.query_engine import execute_words
 
 Input = Hashable
 Output = Hashable
@@ -198,7 +195,7 @@ def oracle_factory_for_cache(cache, *, kernel: Optional[str] = "auto") -> Oracle
     except Exception as exc:
         raise LearningError(
             f"cache interface {cache!r} cannot be shipped to worker processes; "
-            "pass an explicit oracle_factory"
+            "build the WorkerPool with an explicit oracle_factory"
         ) from exc
     return CacheInterfaceOracleFactory(cache, kernel)
 
@@ -265,35 +262,21 @@ def statistics_delta(
     }
 
 
-def _delta_queries_symbols(delta: Dict[str, float]) -> Tuple[int, int]:
-    """Executed (queries, symbols) of a chunk delta, whatever the oracle type."""
-    if "membership_queries" in delta or "membership_symbols" in delta:
-        return (
-            int(delta.get("membership_queries", 0)),
-            int(delta.get("membership_symbols", 0)),
-        )
-    # Polca counts policy-level queries instead.
-    return int(delta.get("policy_queries", 0)), int(delta.get("policy_symbols", 0))
-
-
 def answer_words_in_worker(
     words: Sequence[Word],
 ) -> Tuple[int, List[OutputWord], Dict[str, float]]:
-    """Answer a suite chunk against this worker's oracle.
+    """Execute a shipped chunk against this worker's oracle.
 
     Returns ``(worker_id, answers, statistics_delta)`` where the delta
     covers only this chunk (per-worker totals are kept by the parent).  The
-    chunk goes through
-    :func:`~repro.learning.query_engine.output_query_batch`, so worker-side
-    deduplication and prefix subsumption apply exactly as in a serial run.
+    chunk holds distinct, prefix-free misses the engine already
+    partitioned, so every word executes as shipped.
     """
-    from repro.learning.query_engine import output_query_batch
-
     oracle = _WORKER_ORACLE
     if oracle is None:  # pragma: no cover - initializer always runs first
         raise LearningError("pool worker was not initialized with an oracle factory")
     before = statistics_snapshot(oracle)
-    answers = output_query_batch(oracle, words)
+    answers = execute_words(oracle, words)
     delta = statistics_delta(before, statistics_snapshot(oracle))
     return (os.getpid(), [tuple(outputs) for outputs in answers], delta)
 
@@ -307,16 +290,17 @@ class WorkerPool:
     The pool owns the :class:`~concurrent.futures.ProcessPoolExecutor`
     (created lazily on first submit, with :func:`initialize_worker` building
     each worker's oracle from ``oracle_factory``) and the per-worker
-    executed-query accounting, so one ``--workers N`` flag parallelizes a
-    whole learning run: the observation table answers its round batches via
-    :meth:`answer_batch`, the conformance tester streams suite chunks via
-    :meth:`submit`/:meth:`collect`, and both sides' counts land in the same
-    ``worker_query_counts`` / ``worker_symbol_counts`` dictionaries.
+    accounting.  It is handed to the query engine
+    (:class:`~repro.learning.oracles.CachedMembershipOracle`, ``pool=``),
+    which ships the misses of its batches — conformance's suite chunks
+    included — via :meth:`submit` and merges them via :meth:`collect`, so
+    both sides' counts land in the same ``worker_query_counts`` /
+    ``worker_symbol_counts`` dictionaries.
 
     ``workers=1`` is a valid serial configuration: :attr:`parallel` is
-    False, no executor is ever created, and callers fall back to in-process
-    execution.  Call :meth:`close` (or use the pool as a context manager)
-    to shut the executor down.
+    False, no executor is ever created, and the engine executes in
+    process.  Call :meth:`close` (or use the pool as a context manager) to
+    shut the executor down.
     """
 
     def __init__(self, oracle_factory: Optional[OracleFactory], workers: int) -> None:
@@ -337,11 +321,6 @@ class WorkerPool:
         #: every counter of :func:`statistics_snapshot` (Polca probes/block
         #: accesses, frontend cache hits, backend loads, ...).
         self.worker_statistics: Dict[int, Dict[str, float]] = {}
-        #: Dataclass statistics objects worker deltas merge into on collect
-        #: (matched by field name).  The pipeline registers the parent's
-        #: ``PolcaStatistics`` here so Table 2/4 probe columns stay
-        #: worker-count-invariant instead of reading 0 under ``--workers``.
-        self.merge_targets: List[object] = []
         self._executor: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------- lifecycle
@@ -381,101 +360,22 @@ class WorkerPool:
         )
 
     def collect(
-        self, future: Future, words: Sequence[Word], *, statistics=None
-    ) -> List[OutputWord]:
-        """Wait for a submitted chunk, record accounting, return its answers.
+        self, future: Future, words: Sequence[Word]
+    ) -> Tuple[List[OutputWord], Dict[str, float]]:
+        """Wait for a submitted chunk and record its per-worker accounting.
 
-        Callers collect futures **in submission order** so merges into the
-        shared trie stay deterministic regardless of which worker finished
-        first.  When ``statistics`` (a
-        :class:`~repro.learning.oracles.QueryStatistics`) is given, the
-        chunk's worker-side executed queries and symbols are folded into its
-        ``membership_queries`` / ``membership_symbols``, and the chunk's
-        *full* statistics delta is folded field-by-field into every
-        registered :attr:`merge_targets` dataclass (the pipeline registers
-        the parent's ``PolcaStatistics``) — worker executions are real
-        measurements against the system under learning, so reports (Table
-        2/4 query *and probe* columns) stay comparable across worker
-        counts.
+        Returns the worker's answers and the chunk's statistics delta.  The
+        worker executed exactly ``words``, so they are its executed queries
+        and symbols.
         """
-        worker_id, worker_answers, delta = future.result()
-        queries, symbols = _delta_queries_symbols(delta)
+        worker_id, answers, delta = future.result()
         self.worker_query_counts[worker_id] = (
-            self.worker_query_counts.get(worker_id, 0) + queries
+            self.worker_query_counts.get(worker_id, 0) + len(words)
         )
-        self.worker_symbol_counts[worker_id] = (
-            self.worker_symbol_counts.get(worker_id, 0) + symbols
-        )
+        self.worker_symbol_counts[worker_id] = self.worker_symbol_counts.get(
+            worker_id, 0
+        ) + sum(len(word) for word in words)
         accumulated = self.worker_statistics.setdefault(worker_id, {})
         for name, value in delta.items():
             accumulated[name] = accumulated.get(name, 0) + value
-        if statistics is not None:
-            statistics.membership_queries += queries
-            statistics.membership_symbols += symbols
-        for target in self.merge_targets:
-            if not is_dataclass(target):  # pragma: no cover - defensive
-                continue
-            for field in fields(target):
-                if field.name in delta:
-                    setattr(
-                        target, field.name, getattr(target, field.name) + delta[field.name]
-                    )
-        answers: List[OutputWord] = []
-        for word, outputs in zip(words, worker_answers):
-            outputs = tuple(outputs)
-            if len(outputs) != len(word):
-                raise OutputLengthMismatchError(word, outputs)
-            answers.append(outputs)
-        return answers
-
-    # ----------------------------------------------------------- batch API
-
-    def answer_batch(
-        self,
-        oracle,
-        words: Sequence[Word],
-        *,
-        chunk_size: int = 64,
-    ) -> List[OutputWord]:
-        """Answer one whole batch across the pool (the table-fill hot path).
-
-        The batch is deduplicated and prefix-subsumed exactly like the
-        serial engine, words the shared cache already knows are never
-        shipped, and the remaining maximal words are split into
-        ``chunk_size`` chunks answered by the workers.  Results are merged
-        **in chunk-index order** — through ``oracle.record_external`` when
-        the oracle is a shared :class:`~repro.learning.oracles.\
-CachedMembershipOracle`, so worker answers feed the learner's cache and
-        still trip non-determinism detection — and every requested word
-        (duplicate, prefix or miss) is served back in input order, making a
-        parallel fill bit-identical to a serial one.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        words = [tuple(word) for word in words]
-        cached_answer = getattr(oracle, "cached_answer", None)
-        record_external = getattr(oracle, "record_external", None)
-        statistics = getattr(oracle, "statistics", None)
-        lookup = cached_answer if cached_answer is not None else lambda word: None
-        already_cached, cached, missing = partition_batch(words, lookup)
-        local = ResponseTrie()
-        for word, outputs in cached:
-            local.insert(word, outputs)
-        if statistics is not None:
-            # The same accounting a serial batch records, through the same
-            # partition — reports stay comparable across worker counts.
-            statistics.record_batch(len(words), already_cached, len(missing))
-        pending: List[Tuple[List[Word], Future]] = []
-        for start in range(0, len(missing), chunk_size):
-            chunk = missing[start : start + chunk_size]
-            pending.append((chunk, self.submit(chunk)))
-        for chunk, future in pending:  # chunk-index order: deterministic merges
-            chunk_answers = self.collect(future, chunk, statistics=statistics)
-            for word, outputs in zip(chunk, chunk_answers):
-                if record_external is not None:
-                    record_external(word, outputs)
-                local.insert(word, outputs)
-            if statistics is not None:
-                statistics.parallel_chunks += 1
-                statistics.parallel_words += len(chunk)
-        return serve_from_trie(words, local)
+        return answers, delta

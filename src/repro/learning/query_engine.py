@@ -1,8 +1,8 @@
 """The batched, trie-backed query engine of the learning hot path.
 
 Membership queries dominate the cost of every experiment the paper reports
-(Tables 2 and 4 count them precisely), so this module centralises the three
-optimisations every consumer of the oracle protocol shares:
+(Tables 2 and 4 count them precisely), so this module centralises the
+pieces every consumer of the oracle protocol shares:
 
 * :class:`ResponseTrie` — a prefix tree over input words storing one output
   symbol per node.  Lookup and insertion are O(|w|); storing an answer
@@ -16,21 +16,32 @@ optimisations every consumer of the oracle protocol shares:
   are *subsumed* (answered by slicing the longer word's answer), so a batch
   executes only its maximal words.
 
+* :func:`partition_batch` — the one place a batch is split into what a
+  cache already knows and the maximal words left to execute.
+
 * :func:`output_query_batch` — the dispatch helper: oracles that implement
   the batched protocol (``output_query_batch``) receive the whole batch at
-  once; plain single-query oracles are driven word by word.  This is what
-  lets the observation table, the conformance tester and the Polca pipeline
-  talk to any oracle without caring whether it batches natively.
+  once; plain single-query oracles are driven word by word, executing only
+  the batch's maximal words.
 
 The batched-oracle protocol
 ---------------------------
+
+:class:`~repro.learning.oracles.CachedMembershipOracle` is the only layer
+that partitions a batch, dedupes it and decides where its misses execute
+(in process, or on a :class:`~repro.learning.parallel.WorkerPool`).
+Everything above it (the L* table, the TTT tree, conformance testing) asks
+it for answers; everything below it executes exactly the words it is
+handed.  A system under learning (SUL) therefore only ever receives
+distinct, non-empty, prefix-free words that are not cached yet, and never
+dedupes them again.
 
 An oracle *may* implement any of the following extensions on top of the
 mandatory ``output_query(word)``:
 
 ``output_query_batch(words)``
-    Answer many words in one call.  Implementations are expected to dedupe
-    and prefix-subsume before touching the system under learning.
+    Answer many words in one call, one output word per input word, in
+    order.  Implementations execute every word they are handed.
 
 ``output_query_resume(prefix, suffix, prefix_outputs=None)``
     Answer ``prefix + suffix`` while only *executing* ``suffix``, resuming
@@ -45,7 +56,7 @@ mandatory ``output_query(word)``:
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import EVICT, Evict, Line
 from repro.store import PrefixStore, register_symbol_codec
@@ -99,6 +110,10 @@ class ResponseTrie:
         if not word:
             return ()
         return self._namespace.lookup(word)
+
+    def covers(self, word: Sequence[Input]) -> bool:
+        """True when ``word`` is cached (``lookup`` would not return ``None``)."""
+        return self._namespace.covers(word)
 
     def longest_cached_prefix(self, word: Sequence[Input]) -> Tuple[int, OutputWord]:
         """Return ``(k, outputs)`` for the longest cached prefix ``word[:k]``."""
@@ -169,30 +184,28 @@ def dedupe_and_subsume(words: Sequence[Sequence[Input]]) -> List[Word]:
     return [word for index, word in enumerate(unique) if index not in dropped]
 
 
-def partition_batch(words: Sequence[Word], lookup):
+def partition_batch(
+    words: Sequence[Word], known: Callable[[Word], bool]
+) -> Tuple[int, List[Word]]:
     """Partition a batch by what a cache can already answer.
 
-    ``lookup`` is a pure peek (``word -> outputs or None``).  Returns
-    ``(already_cached, cached, missing)``: ``already_cached`` counts the
-    batch's words (duplicates included) fully answered by the cache as it
-    stands *before* anything executes — the cache-hit count; ``cached`` is
-    the ``(word, outputs)`` pairs among the deduped, prefix-subsumed maximal
-    words the cache serves; ``missing`` the maximal words it cannot.  The
-    serial engine (:class:`~repro.learning.oracles.CachedMembershipOracle`)
-    and the parallel fill (:meth:`~repro.learning.parallel.WorkerPool.\
-answer_batch`) both partition through here, so their hit/subsumption
-    accounting can never drift apart.
+    ``known`` is a pure predicate over a prefix-closed set of words (the
+    response trie, plus conformance's in-flight cover).  Returns
+    ``(already_cached, missing)``: ``already_cached`` counts the batch's
+    words (duplicates included) that ``known`` accepts — the cache-hit
+    count — and ``missing`` holds the deduped, prefix-subsumed maximal
+    words among the rest, in first-seen order.  Because the known set is
+    prefix-closed, a miss is never a proper prefix of a known word, so
+    subsuming the misses alone loses nothing.
     """
-    already_cached = sum(1 for word in words if lookup(word) is not None)
-    cached: List[Tuple[Word, OutputWord]] = []
-    missing: List[Word] = []
-    for word in dedupe_and_subsume(words):
-        outputs = lookup(word)
-        if outputs is not None:
-            cached.append((word, outputs))
+    already_cached = 0
+    misses: List[Word] = []
+    for word in words:
+        if known(word):
+            already_cached += 1
         else:
-            missing.append(word)
-    return already_cached, cached, missing
+            misses.append(word)
+    return already_cached, dedupe_and_subsume(misses)
 
 
 def supports_batching(oracle) -> bool:
@@ -223,23 +236,24 @@ def batch_via_single_queries(oracle, words: Sequence[Word]) -> List[OutputWord]:
     """Answer a batch through ``oracle.output_query``, executing only its
     maximal words and serving duplicates/prefixes by slicing.
 
-    This is both the fallback for oracles without a native batch entry
-    point and the shared implementation behind the simple batching oracles
-    (:class:`~repro.learning.oracles.FunctionOracle`,
-    :class:`~repro.learning.oracles.MealyMachineOracle`, Polca).
+    The fallback of :func:`output_query_batch` for oracles without a native
+    batch entry point — and, outside the query engine, the only place a
+    batch is deduped.
     """
     answers = ResponseTrie()
     for word in dedupe_and_subsume(words):
         answers.insert(word, oracle.output_query(word))
-    return serve_from_trie(words, answers)
+    return [answers.lookup(word) for word in words]
 
 
-def serve_from_trie(words: Sequence[Word], answers: ResponseTrie) -> List[OutputWord]:
-    """Answer every word of a batch from a trie holding its maximal answers."""
-    results: List[OutputWord] = []
-    for word in words:
-        outputs = answers.lookup(word)
-        if outputs is None:  # pragma: no cover - guarded by dedupe_and_subsume
-            raise KeyError(f"word {word!r} was not answered by the batch")
-        results.append(outputs)
-    return results
+def execute_words(oracle, words: Sequence[Word]) -> List[OutputWord]:
+    """Execute exactly ``words`` on ``oracle``: one batch call when it has a
+    batch entry point, else one ``output_query`` per word.
+
+    This is how the engine and pool workers drive a system under learning;
+    ``words`` are the distinct, prefix-free misses of a partitioned batch,
+    so nothing is deduped here.
+    """
+    if supports_batching(oracle):
+        return oracle.output_query_batch(words)
+    return [oracle.output_query(word) for word in words]

@@ -39,10 +39,10 @@ suffix, and every other inner node was created by a split.
 
 The learner plugs in behind the :class:`~repro.learning.learner.ActiveLearner`
 interface, so it transparently reuses the batched query engine (every sift
-level is one deduped / prefix-subsumed batch), the shared
-:class:`~repro.learning.parallel.WorkerPool`, the simkernel ``--kernel``
-path and ``--resume`` stores, which live below the membership oracle and
-never see which learner is asking.
+level is one deduped / prefix-subsumed batch, fanned out over the engine's
+worker pool when it has one), the simkernel ``--kernel`` path and
+``--resume`` stores, which live below the membership oracle and never see
+which learner is asking.
 
 Mealy-specific subtlety: intermediate tree hypotheses need not be minimal
 (two leaves can be merged behaviourally until a discriminator separates
@@ -63,9 +63,9 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
+from repro.learning.counterexample import rivest_schapire_split
 from repro.learning.learner import ActiveLearner
 from repro.learning.oracles import MembershipOracle
-from repro.learning.parallel import WorkerPool
 from repro.learning.query_engine import output_query_batch
 
 Input = Hashable
@@ -142,20 +142,11 @@ class TTTTree:
     :meth:`refine`.
     """
 
-    def __init__(
-        self,
-        alphabet: Sequence[Input],
-        oracle: MembershipOracle,
-        *,
-        pool: Optional[WorkerPool] = None,
-        chunk_size: int = 64,
-    ) -> None:
+    def __init__(self, alphabet: Sequence[Input], oracle: MembershipOracle) -> None:
         if not alphabet:
             raise LearningError("cannot learn over an empty input alphabet")
         self.alphabet = tuple(alphabet)
         self.oracle = oracle
-        self.pool = pool
-        self.chunk_size = chunk_size
         self._access: List[Word] = []
         self._leaves: Dict[Word, _Leaf] = {}
         #: Growth accounting, reported by the pipeline: how many states each
@@ -250,11 +241,6 @@ class TTTTree:
 
     # -------------------------------------------------------------- internals
 
-    def _answer_batch(self, words: Sequence[Word]) -> List[OutputWord]:
-        if self.pool is not None and self.pool.parallel:
-            return self.pool.answer_batch(self.oracle, words, chunk_size=self.chunk_size)
-        return output_query_batch(self.oracle, words)
-
     def _create_leaf(
         self,
         access: Word,
@@ -280,8 +266,7 @@ class TTTTree:
 
         The sifts run level-synchronously: each iteration gathers the
         ``word + suffix`` probes of *all* entries still descending and
-        answers them in one deduped / prefix-subsumed batch (fanned out
-        across the worker pool when one is attached).  New states
+        answers them in one deduped / prefix-subsumed engine batch.  New states
         discovered mid-sift enqueue their own outgoing transitions, so the
         loop runs until the transition table closes over the discovered
         state set.  The entry list persists across calls: a call after a
@@ -326,7 +311,7 @@ class TTTTree:
                 continue
 
             probes = [entry[2] + entry[3].suffix for entry in self._pending]
-            answers = self._answer_batch(probes)
+            answers = output_query_batch(self.oracle, probes)
             for entry, answer in zip(self._pending, answers):
                 word, node = entry[2], entry[3]
                 key = tuple(answer)[len(word):]
@@ -347,7 +332,7 @@ class TTTTree:
         ]
         if missing:
             words = [self._access[state] + (symbol,) for state, symbol in missing]
-            answers = self._answer_batch(words)
+            answers = output_query_batch(self.oracle, words)
             for (state, symbol), answer in zip(missing, answers):
                 self._outputs[(state, symbol)] = answer[-1]
 
@@ -364,49 +349,26 @@ class TTTTree:
     def refine(self, hypothesis: MealyMachine, counterexample: Word) -> None:
         """Rivest–Schapire decomposition of a counterexample into one split.
 
-        Binary search over the patched words ``access(state(w[:i])) + w[i:]``
-        for the index where agreement with the target flips (the same
-        search as :func:`~repro.learning.counterexample
-        .process_counterexample_rivest_schapire`, against the tree's access
-        map instead of the table's row map).  The flip yields a
-        distinguishing suffix and the pair of access words it separates;
-        :meth:`split` then turns the confused leaf into an inner node.
+        The binary search over patched words
+        (:func:`~repro.learning.counterexample.rivest_schapire_split`, run
+        against the tree's access words) yields a distinguishing suffix and
+        the pair of access words it separates; :meth:`split` then turns the
+        confused leaf into an inner node.
         """
         word = tuple(counterexample)
         if not word:
             raise LearningError("counterexample must be a non-empty word")
         access = self._access
-        oracle = self.oracle
-
-        def disagrees(split: int) -> bool:
-            prefix = word[:split]
-            suffix = word[split:]
-            patched = access[hypothesis.state_after(prefix)] + suffix
-            if not patched:
-                return False
-            return tuple(oracle.output_query(patched)) != hypothesis.run(patched)
-
-        if not disagrees(0):
-            raise LearningError(
-                f"spurious counterexample {list(word)}: hypothesis already "
-                "agrees with the target"
-            )
-        low, high = 0, len(word)
-        if disagrees(high):
+        low = rivest_schapire_split(word, hypothesis, access, self.oracle)
+        if low is None:
             # Impossible while access words are prefix-closed: the hypothesis
             # agrees with the target on every access word by construction.
             raise LearningError(
                 "classification tree is inconsistent: hypothesis disagrees "
                 "with the target on an access word"
             )
-        while high - low > 1:
-            middle = (low + high) // 2
-            if disagrees(middle):
-                low = middle
-            else:
-                high = middle
 
-        suffix = word[high:]
+        suffix = word[low + 1 :]
         source = hypothesis.state_after(word[:low])
         symbol = word[low]
         new_access = access[source] + (symbol,)
@@ -426,7 +388,7 @@ class TTTTree:
         new_access = tuple(new_access)
         if not suffix:
             raise LearningError("a Mealy split needs a non-empty distinguishing suffix")
-        answers = self._answer_batch([leaf.access + suffix, new_access + suffix])
+        answers = output_query_batch(self.oracle, [leaf.access + suffix, new_access + suffix])
         old_tail = tuple(answers[0])[len(leaf.access):]
         new_tail = tuple(answers[1])[len(new_access):]
         if old_tail == new_tail:
@@ -552,7 +514,7 @@ class TTTTree:
         # costs (almost) nothing beyond moving those executions earlier.
         probes = [word + candidate for candidate in singles for word in words]
         self.finalization_probe_words += len(probes)
-        answers = dict(zip(probes, self._answer_batch(probes)))
+        answers = dict(zip(probes, output_query_batch(self.oracle, probes)))
         found = separating(singles, answers.get)
         cached_answer = getattr(self.oracle, "cached_answer", None)
         if found is None and cached_answer is not None:
@@ -578,36 +540,14 @@ class TTTTree:
 def equivalent_state_pair(machine: MealyMachine) -> Optional[Tuple[int, int]]:
     """First pair of behaviourally equivalent states, or None if minimal.
 
-    Standard partition refinement (the same computation as
-    :meth:`~repro.core.mealy.MealyMachine.minimize`, reachable or not),
-    returning the two smallest state ids of the first non-singleton block
-    for deterministic repair order.
+    Partitions every state, reachable or not
+    (:meth:`~repro.core.mealy.MealyMachine.equivalence_blocks`), and returns
+    the two smallest state ids of the non-singleton block with the smallest
+    state, for deterministic repair order.
     """
-    states = list(machine.states)
-    inputs = list(machine.inputs)
-    # Block ids are assigned by first occurrence in state order, so a stable
-    # partition keeps stable labels and the fixpoint test below terminates.
-    index_of: Dict[tuple, int] = {}
-    block_of = {}
-    for state in states:
-        signature = tuple(machine.outputs[(state, symbol)] for symbol in inputs)
-        block_of[state] = index_of.setdefault(signature, len(index_of))
-
-    while True:
-        index_of = {}
-        updated = {}
-        for state in states:
-            signature = (
-                block_of[state],
-                tuple(block_of[machine.transitions[(state, symbol)]] for symbol in inputs),
-            )
-            updated[state] = index_of.setdefault(signature, len(index_of))
-        if updated == block_of:
-            break
-        block_of = updated
-
+    block_of = machine.equivalence_blocks()
     blocks: Dict[int, List[int]] = {}
-    for state in sorted(states):
+    for state in sorted(machine.states):
         blocks.setdefault(block_of[state], []).append(state)
     for block in sorted(blocks.values()):
         if len(block) > 1:
@@ -619,7 +559,7 @@ class TTTLearner(ActiveLearner):
     """The classification-tree learner behind the
     :class:`~repro.learning.learner.ActiveLearner` interface.
 
-    Constructor, engine wrapping, pool semantics and result shape match
+    Constructor, engine wrapping and result shape match
     :class:`~repro.learning.learner.MealyLearner`; only the hypothesis
     data structure differs.  Rivest–Schapire is the only supported
     counterexample strategy — the global prefix strategy is meaningless
@@ -675,12 +615,7 @@ class TTTLearner(ActiveLearner):
             hypothesis = tree.hypothesis()
 
     def _initial_hypothesis(self) -> MealyMachine:
-        self.tree = TTTTree(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
+        self.tree = TTTTree(self.alphabet, self.membership_oracle)
         return self._stable_hypothesis(self.tree)
 
     def _refine(self, hypothesis: MealyMachine, counterexample: Word) -> MealyMachine:

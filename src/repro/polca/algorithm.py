@@ -35,12 +35,6 @@ from repro.core.alphabet import (
 )
 from repro.core.trace import Trace
 from repro.errors import LearningError, NonDeterminismError, PolicyError
-from repro.learning.query_engine import (
-    ResponseTrie,
-    batch_via_single_queries,
-    dedupe_and_subsume,
-    serve_from_trie,
-)
 from repro.polca.interfaces import CacheProbeInterface
 from repro.simkernel.batch import BatchSimulator
 
@@ -404,26 +398,17 @@ class PolcaMembershipOracle:
     def output_query_batch(
         self, words: Sequence[Sequence[PolicyInput]]
     ) -> List[Tuple[PolicyOutput, ...]]:
-        """Answer a batch of policy words, executing only its maximal members.
+        """Answer a batch of policy words, executing every one of them.
 
-        Polca's outputs are prefix-closed (each symbol's output depends only
-        on the preceding symbols), so duplicate words and words that are
-        proper prefixes of other batch members are served by slicing the
-        longer word's answer — none of their probes reach the cache.
-
-        With a kernel bound, the deduped maximal words go through the
-        tabulated simulator as one lockstep chunk; the dedupe/serve shape
-        is the same, so executed-word accounting matches the scalar path
-        word for word.
+        The query engine hands Polca only distinct, prefix-free misses (see
+        :mod:`repro.learning.query_engine`), so nothing is deduped here.
+        With a kernel bound the words go through the tabulated simulator as
+        one lockstep chunk; otherwise each runs through :meth:`output_query`.
         """
-        if self._simulator is None:
-            return batch_via_single_queries(self, words)
         words = [tuple(word) for word in words]
-        maximal = dedupe_and_subsume(words)
-        answers = ResponseTrie()
-        for word, outputs in zip(maximal, self._answer_kernel_words(maximal)):
-            answers.insert(word, outputs)
-        return serve_from_trie(words, answers)
+        if self._simulator is None:
+            return [self.output_query(word) for word in words]
+        return self._answer_kernel_words(words)
 
     def check_trace(self, trace: Trace) -> bool:
         """Decide whether ``trace`` belongs to the policy semantics ``[[P]]``.

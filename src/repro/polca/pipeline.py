@@ -21,7 +21,7 @@ from repro.errors import LearningError, PolicyError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LEARNER_NAMES, LearningResult, make_learner
 from repro.learning.oracles import CachedMembershipOracle
-from repro.learning.parallel import OracleFactory, WorkerPool, oracle_factory_for_cache
+from repro.learning.parallel import WorkerPool, oracle_factory_for_cache
 from repro.polca.algorithm import PolcaMembershipOracle, PolcaStatistics
 from repro.polca.interfaces import CacheProbeInterface, SimulatedCacheInterface
 from repro.policies.base import ReplacementPolicy
@@ -105,16 +105,15 @@ def identify_policy(
 class PolicyLearningPipeline:
     """Configurable Polca + learner pipeline.
 
-    ``workers=N`` (N > 1) runs **both** query sides of learning on one
-    shared process pool: the observation-table fill answers each
-    stabilisation round's batch across the workers, and the conformance
-    tester streams lazily generated Wp-suite chunks into the same pool with
-    a bounded in-flight window.  Each worker rebuilds the system under test
-    from a picklable ``oracle_factory`` (derived automatically for
-    simulated caches and any picklable cache interface — see
-    :func:`repro.learning.parallel.oracle_factory_for_cache`); all answers
-    merge back into the shared query engine in deterministic order, so the
-    learned machine is bit-identical to a serial run.
+    ``workers=N`` (N > 1) hands one process pool to the query engine, so
+    **both** query sides of learning run on it: the learner's round batches
+    fan out across the workers, and the conformance tester streams lazily
+    generated Wp-suite chunks into the same pool with a bounded in-flight
+    window.  Each worker rebuilds the system under test from a picklable
+    oracle factory, derived for simulated caches and any picklable cache
+    interface (:func:`repro.learning.parallel.oracle_factory_for_cache`);
+    all answers merge back into the shared query engine in deterministic
+    order, so the learned machine is bit-identical to a serial run.
     """
 
     def __init__(
@@ -127,9 +126,7 @@ class PolicyLearningPipeline:
         identify: bool = True,
         identification_candidates: Optional[Sequence[str]] = None,
         max_tests: Optional[int] = None,
-        batch_size: int = 64,
         workers: Optional[int] = None,
-        oracle_factory: Optional[OracleFactory] = None,
         resume: bool = False,
         store=None,
         kernel: Optional[str] = "auto",
@@ -153,9 +150,7 @@ class PolicyLearningPipeline:
         self.identify = identify
         self.identification_candidates = identification_candidates
         self.max_tests = max_tests
-        self.batch_size = batch_size
         self.workers = workers
-        self.oracle_factory = oracle_factory
         self.resume = resume
         #: Which student runs the loop: ``"lstar"`` (observation table, the
         #: paper's configuration) or ``"ttt"`` (classification tree with
@@ -193,29 +188,21 @@ class PolicyLearningPipeline:
         polca = PolcaMembershipOracle(
             self.cache, resume=self.resume, kernel=self.kernel
         )
-        engine = CachedMembershipOracle(
-            polca, store=self.store, namespace=self._engine_namespace()
-        )
         parallel = self.workers is not None and self.workers > 1
         pool = None
         if parallel:
-            factory = self.oracle_factory
-            if factory is None:
-                factory = oracle_factory_for_cache(self.cache, kernel=self.kernel)
-            # One pool serves both the observation-table fill and the
-            # conformance tester; its per-worker accounting covers the run.
-            pool = WorkerPool(factory, self.workers)
-            # Worker-side Polca probe/hit deltas fold into the parent's
-            # statistics on collect, so Table 2/4 probe columns are
-            # worker-count-invariant instead of reading 0 under --workers.
-            pool.merge_targets.append(polca.statistics)
+            # One pool serves the learner's batches and the conformance
+            # tester; its per-worker accounting covers the run, and worker
+            # Polca deltas fold into polca.statistics, so Table 2/4 probe
+            # columns are worker-count-invariant.
+            pool = WorkerPool(
+                oracle_factory_for_cache(self.cache, kernel=self.kernel), self.workers
+            )
+        engine = CachedMembershipOracle(
+            polca, store=self.store, namespace=self._engine_namespace(), pool=pool
+        )
         equivalence = ConformanceEquivalenceOracle(
-            engine,
-            depth=self.depth,
-            method=self.method,
-            max_tests=self.max_tests,
-            batch_size=self.batch_size,
-            pool=pool,
+            engine, depth=self.depth, method=self.method, max_tests=self.max_tests
         )
         learner = make_learner(
             self.learner,
@@ -223,8 +210,6 @@ class PolicyLearningPipeline:
             engine,
             equivalence,
             counterexample_strategy=self.counterexample_strategy,
-            pool=pool,
-            fill_chunk_size=self.batch_size,
         )
         try:
             result = learner.learn()

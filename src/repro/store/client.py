@@ -207,7 +207,10 @@ class RemoteNamespace:
         #: Set when :meth:`clear` ran since the last save: the server must
         #: drop the namespace before replaying pending records.
         self._cleared = False
-        self._mirror = PrefixNamespace(key, owner=_MirrorJournal(self))
+        # The mirror holds its owner weakly, so this namespace keeps the shim
+        # alive.
+        self._journal = _MirrorJournal(self)
+        self._mirror = PrefixNamespace(key, owner=self._journal)
         self._pull()
 
     def _pull(self) -> None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import warnings
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -125,9 +126,31 @@ class PrefixNamespace:
         self._root = _StoreNode()
         self._nodes = 0
         self._entries = 0
-        #: The store this namespace journals its mutations to (None for
-        #: standalone namespaces, e.g. scratch staging).
-        self._owner = owner
+        #: Weak reference to the store this namespace journals its mutations
+        #: to (None for standalone namespaces, e.g. scratch staging).  Weak,
+        #: so a dropped store and its tries are freed by reference counting
+        #: instead of waiting for the cyclic collector; a namespace that
+        #: outlives its store stops journaling, which is safe because a dead
+        #: store can never save.
+        self._owner = weakref.ref(owner) if owner is not None else None
+
+    def _live_owner(self) -> Optional["PrefixStore"]:
+        """The store to journal to, or None (standalone, or the store is gone)."""
+        return self._owner() if self._owner is not None else None
+
+    # Weak references cannot be pickled: ship the owner itself (pickle's memo
+    # keeps the store <-> namespace cycle intact) and re-wrap it on load, so
+    # a store can travel to pool workers inside a pickled cache interface.
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_owner"] = self._live_owner()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        owner = state.pop("_owner")
+        self.__dict__.update(state)
+        self._owner = weakref.ref(owner) if owner is not None else None
 
     # ------------------------------------------------------------------ sizes
 
@@ -245,8 +268,9 @@ class PrefixNamespace:
             node.terminal = True
             self._entries += 1
             changed = True
-        if changed and self._owner is not None:
-            self._owner._journal_record(self.key, word, payloads, terminal)
+        owner = self._live_owner() if changed else None
+        if owner is not None:
+            owner._journal_record(self.key, word, payloads, terminal)
         return new_entry
 
     # --------------------------------------------------------------- merging
@@ -284,12 +308,13 @@ class PrefixNamespace:
                             word, (my_child.payload,), (their_child.payload,)
                         )
                 stack.append((my_child, their_child, word))
-        if self._owner is not None:
+        owner = self._live_owner()
+        if owner is not None:
             # Journal the graft as replayable records.  Re-journaling paths
             # this trie already held is harmless (replay is idempotent) and
             # the next compaction folds the log back into the snapshot.
             for word, payloads, terminal in other.iter_paths():
-                self._owner._journal_record(self.key, word, payloads, terminal)
+                owner._journal_record(self.key, word, payloads, terminal)
 
     # -------------------------------------------------------------- iteration
 
@@ -330,8 +355,9 @@ class PrefixNamespace:
         self._root = _StoreNode()
         self._nodes = 0
         self._entries = 0
-        if self._owner is not None:
-            self._owner._note_structural_change()
+        owner = self._live_owner()
+        if owner is not None:
+            owner._note_structural_change()
 
 
 class PrefixStore:

@@ -94,6 +94,17 @@ class TestTransformations:
         machine = MealyMachine(states, 0, inputs, transitions, outputs)
         assert machine.minimize().size == 1
 
+    def test_equivalence_blocks_cover_unreachable_states(self):
+        # 1 and 2 are equivalent; 3 is unreachable but equivalent to 0.
+        states = [0, 1, 2, 3]
+        inputs = ["a"]
+        transitions = {(0, "a"): 1, (1, "a"): 2, (2, "a"): 1, (3, "a"): 1}
+        outputs = {(0, "a"): "y", (1, "a"): "x", (2, "a"): "x", (3, "a"): "y"}
+        machine = MealyMachine(states, 0, inputs, transitions, outputs)
+        blocks = machine.equivalence_blocks()
+        assert blocks[1] == blocks[2] != blocks[0] == blocks[3]
+        assert machine.minimize().size == 2
+
     def test_minimize_preserves_semantics(self):
         machine = _toggle_machine()
         minimal = machine.minimize()

@@ -113,6 +113,34 @@ class TestObservationTable:
         with pytest.raises(LearningError):
             ObservationTable([], FunctionOracle(lambda w: tuple(w)))
 
+    def test_rivest_schapire_rejects_a_hypothesis_the_table_did_not_build(self):
+        from repro.learning.counterexample import process_counterexample_rivest_schapire
+
+        target = make_policy("LRU", 2).to_mealy().minimize()
+        oracle = MealyMachineOracle(target)
+        table = ObservationTable(target.inputs, oracle)
+        table.make_closed_and_consistent()
+        counterexample = tuple(target.inputs) * 2
+        # A table that never built a hypothesis has no access words.
+        with pytest.raises(LearningError, match="access words"):
+            process_counterexample_rivest_schapire(table, target, oracle, counterexample)
+        # The same machine under other state ids: the recorded access words
+        # reach other states in it.
+        own = table.hypothesis()
+        assert own.size >= 2
+        shift = {state: (state + 1) % own.size for state in own.states}
+        relabelled = MealyMachine(
+            [shift[state] for state in own.states],
+            shift[own.initial_state],
+            own.inputs,
+            {(shift[q], a): shift[t] for (q, a), t in own.transitions.items()},
+            {(shift[q], a): o for (q, a), o in own.outputs.items()},
+        )
+        with pytest.raises(LearningError, match="access words"):
+            process_counterexample_rivest_schapire(
+                table, relabelled, oracle, counterexample
+            )
+
 
 class TestWpMethod:
     def test_state_and_transition_cover(self):

@@ -1,10 +1,10 @@
 """Unit tests for the process-parallel conformance-testing machinery.
 
 Covers the picklable oracle factories of :mod:`repro.learning.parallel`,
-the ``pool=`` path of
-:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle` (chunk
-shipping, trie merge-back, cached-word skipping, deterministic
-counterexamples, the shared-engine requirement) and the
+the parallel path of
+:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle` over an
+engine built with a worker pool (chunk shipping, trie merge-back,
+cached-word skipping, deterministic counterexamples) and the
 external-observation entry points of
 :class:`~repro.learning.oracles.CachedMembershipOracle`.
 """
@@ -109,6 +109,41 @@ class TestOracleFactories:
         word = tuple(reference.alphabet()) * 2
         assert factory().output_query(word) == reference.output_query(word)
 
+    def test_cachequery_interface_over_a_populated_store_ships(self, tmp_path):
+        # One store backs the frontend and the learning trie across a sweep,
+        # so by the second target it already holds namespaces when the
+        # interface is pickled for the pool.
+        from repro.cachequery.frontend import (
+            CacheQuery,
+            CacheQueryConfig,
+            CacheQuerySetInterface,
+        )
+        from repro.hardware.cpu import SimulatedCPU
+        from repro.hardware.profiles import cpu_profile
+        from repro.hardware.timing import NoiseModel
+        from repro.store import PrefixStore
+
+        store = PrefixStore(str(tmp_path / "corpus.store"))
+        profile = cpu_profile("i5-6500").with_level("L2", associativity=2)
+        frontend = CacheQuery(
+            SimulatedCPU(profile, noise=NoiseModel(std=0.0)),
+            CacheQueryConfig(level="L2", set_index=3),
+            store=store,
+        )
+        interface = CacheQuerySetInterface(frontend)
+        engine = CachedMembershipOracle(PolcaMembershipOracle(interface), store=store)
+        word = tuple(engine._delegate.alphabet())
+        expected = engine.output_query(word)
+        assert len(store.namespaces()) == 2 and store.pending_records > 0
+
+        factory = pickle.loads(pickle.dumps(oracle_factory_for_cache(interface)))
+        assert isinstance(factory, CacheInterfaceOracleFactory)
+        shipped = factory.cache.frontend.cache.store
+        pending = shipped.pending_records
+        shipped.namespace(("fresh",)).record(("a",), ("x",))
+        assert shipped.pending_records == pending + 1  # still journals
+        assert factory().output_query(word) == expected
+
     def test_unpicklable_cache_is_rejected_with_learning_error(self):
         class LocalCache:  # local classes cannot be pickled
             associativity = 2
@@ -162,34 +197,25 @@ def _pool_for(reference, workers: int = 2) -> WorkerPool:
     return WorkerPool(MealyMachineOracleFactory(reference), workers)
 
 
+def _engine(reference, pool=None) -> CachedMembershipOracle:
+    return CachedMembershipOracle(MealyMachineOracle(reference), pool=pool)
+
+
 def _parallel_oracle(pool, reference, engine=None, **kwargs):
-    engine = engine or CachedMembershipOracle(MealyMachineOracle(reference))
-    return ConformanceEquivalenceOracle(engine, pool=pool, **kwargs)
+    return ConformanceEquivalenceOracle(engine or _engine(reference, pool), **kwargs)
 
 
 class TestParallelConformance:
     def test_workers_require_a_factory(self):
         """Parallel conformance needs worker oracles: the pool a suite would
         stream through refuses to exist without a factory."""
-        engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU", 2)))
         with pytest.raises(LearningError, match="oracle_factory"):
-            ConformanceEquivalenceOracle(engine, pool=WorkerPool(None, 2))
+            _engine(_machine("LRU", 2), WorkerPool(None, 2))
 
     def test_invalid_worker_count_rejected(self):
         reference = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         with pytest.raises(ValueError):
-            ConformanceEquivalenceOracle(engine, pool=_pool_for(reference, workers=0))
-
-    def test_parallel_pool_requires_a_shared_engine(self):
-        """Worker answers merge into the shared trie; a plain oracle has
-        none, so a parallel pool over it is refused up front."""
-        reference = _machine("LRU", 2)
-        with _pool_for(reference) as pool:
-            with pytest.raises(LearningError, match="CachedMembershipOracle"):
-                ConformanceEquivalenceOracle(MealyMachineOracle(reference), pool=pool)
-        # A serial pool never ships a word, so any oracle will do.
-        ConformanceEquivalenceOracle(MealyMachineOracle(reference), pool=WorkerPool(None, 1))
+            _engine(reference, _pool_for(reference, workers=0))
 
     def test_single_worker_stays_serial(self):
         reference = _machine("LRU", 2)
@@ -201,9 +227,8 @@ class TestParallelConformance:
 
     def test_parallel_pass_on_correct_hypothesis(self):
         reference = _machine("PLRU", 4)
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         with _pool_for(reference) as pool:
-            equivalence = _parallel_oracle(pool, reference, engine=engine, batch_size=16)
+            equivalence = _parallel_oracle(pool, reference, batch_size=16)
             assert equivalence.find_counterexample(reference) is None
             assert equivalence.statistics.parallel_chunks >= 2
             assert equivalence.statistics.parallel_words >= 1
@@ -231,27 +256,27 @@ class TestParallelConformance:
 
     def test_parallel_answers_merge_into_shared_trie(self):
         reference = _machine("MRU", 4)
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         with _pool_for(reference) as pool:
+            engine = _engine(reference, pool)
             equivalence = _parallel_oracle(pool, reference, engine=engine)
             assert equivalence.find_counterexample(reference) is None
         suite = wp_method_suite(reference, 1)
         assert all(engine.cached_answer(word) is not None for word in suite)
-        # The suite was answered by workers, not by the parent's delegate —
-        # but the workers' executions still count as membership queries on
-        # the shared engine, keeping reports comparable to a serial run.
-        assert engine._delegate.statistics.membership_queries == 0
-        assert engine.statistics.membership_queries == sum(
-            pool.worker_query_counts.values()
-        )
-        assert equivalence.statistics.parallel_words >= 1
+        # The suite was answered by workers, and their executions count as
+        # membership queries on the shared engine (and fold into its
+        # delegate's statistics), keeping reports comparable to a serial run.
+        executed = sum(pool.worker_query_counts.values())
+        assert equivalence.statistics.parallel_words == executed >= 1
+        assert engine.statistics.membership_queries == executed
+        assert engine._delegate.statistics.membership_queries == executed
 
     def test_cached_words_are_not_shipped(self):
         reference = _machine("LRU", 4)
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         suite = wp_method_suite(reference, 1)
-        engine.output_query_batch(suite)  # pre-answer everything serially
         with _pool_for(reference) as pool:
+            engine = _engine(reference, pool)
+            for word in suite:  # pre-answer everything
+                engine.record_external(word, reference.run(word))
             equivalence = _parallel_oracle(pool, reference, engine=engine)
             assert equivalence.find_counterexample(reference) is None
         assert equivalence.statistics.parallel_words == 0
@@ -259,15 +284,17 @@ class TestParallelConformance:
 
     def test_parallel_path_detects_non_determinism(self):
         reference = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         suite = wp_method_suite(reference, 1)
         # Poison the shared cache with a wrong answer for a proper prefix of
         # some suite word: the worker's (correct) answer must conflict.
         target = next(word for word in suite if len(word) >= 2)
         prefix = target[:1]
         true_first = reference.run(prefix)[0]
-        engine.record_external(prefix, ("poisoned" if true_first != "poisoned" else "other",))
         with _pool_for(reference) as pool:
+            engine = _engine(reference, pool)
+            engine.record_external(
+                prefix, ("poisoned" if true_first != "poisoned" else "other",)
+            )
             equivalence = _parallel_oracle(pool, reference, engine=engine)
             with pytest.raises(NonDeterminismError):
                 equivalence.find_counterexample(reference)

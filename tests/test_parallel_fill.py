@@ -1,10 +1,10 @@
 """Unit tests for the process-parallel observation-table fill.
 
 Covers :class:`repro.learning.parallel.WorkerPool` (the pool shared by the
-membership and equivalence oracle sides), the ``pool=`` path of
-:class:`~repro.learning.observation_table.ObservationTable.fill`
-(chunk-index-order merge into the shared trie, bit-identical cells) and the
-``pool=`` wiring of :class:`~repro.learning.learner.MealyLearner`.
+membership and equivalence oracle sides), the engine's batches over a pool
+(``CachedMembershipOracle(..., pool=)``: chunk-index-order merge into the
+shared trie, bit-identical table cells) and learners running on such an
+engine.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ def _pool_for(machine, workers: int = 2) -> WorkerPool:
     return WorkerPool(MealyMachineOracleFactory(machine), workers)
 
 
+def _engine(machine, pool=None) -> CachedMembershipOracle:
+    return CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+
+
 # ------------------------------------------------------------------ WorkerPool
 
 
@@ -53,26 +57,28 @@ class TestWorkerPool:
         # Include duplicates and proper prefixes: the batch contract returns
         # one answer per input word, in input order.
         words = suite[:40] + suite[:5] + [suite[0][:1]]
-        serial_engine = CachedMembershipOracle(MealyMachineOracle(machine))
+        serial_engine = _engine(machine)
         expected = output_query_batch(serial_engine, words)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
         with _pool_for(machine) as pool:
-            assert pool.answer_batch(engine, words, chunk_size=8) == expected
+            engine = _engine(machine, pool)
+            assert engine.output_query_batch(words) == expected
+        assert engine.statistics.parallel_words >= 1
 
     def test_answer_batch_merges_into_shared_trie(self):
         machine = _machine("LRU", 4)
-        words = wp_method_suite(machine, 1)[:30]
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
+        words = wp_method_suite(machine, 1)[:100]
         with _pool_for(machine) as pool:
-            pool.answer_batch(engine, words, chunk_size=8)
+            engine = _engine(machine, pool)
+            engine.output_query_batch(words)
             assert all(engine.cached_answer(word) is not None for word in words)
-            # Workers executed everything; the parent's delegate stayed idle,
-            # and the worker executions count as the engine's membership
-            # queries so reports stay comparable across worker counts.
-            assert engine._delegate.statistics.membership_queries == 0
-            assert engine.statistics.parallel_words >= 1
+            # Workers executed everything, in 64-word chunks, and their
+            # executions count as the engine's membership queries so reports
+            # stay comparable across worker counts.
+            assert engine.statistics.parallel_words >= 65
             assert engine.statistics.parallel_chunks >= 2
-            assert sum(pool.worker_query_counts.values()) >= 1
+            assert sum(pool.worker_query_counts.values()) == (
+                engine.statistics.parallel_words
+            )
             assert sum(pool.worker_symbol_counts.values()) >= 1
             assert engine.statistics.membership_queries == sum(
                 pool.worker_query_counts.values()
@@ -80,15 +86,20 @@ class TestWorkerPool:
             assert engine.statistics.membership_symbols == sum(
                 pool.worker_symbol_counts.values()
             )
+            # The worker deltas fold into the delegate's statistics.
+            assert engine._delegate.statistics.membership_queries == sum(
+                pool.worker_query_counts.values()
+            )
 
     def test_answer_batch_skips_cached_words(self):
         machine = _machine("LRU", 4)
         words = wp_method_suite(machine, 1)[:20]
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
-        engine.output_query_batch(words)  # pre-answer serially
-        hits_before = engine.statistics.cache_hits
         with _pool_for(machine) as pool:
-            answers = pool.answer_batch(engine, words)
+            engine = _engine(machine, pool)
+            for word in words:  # pre-answer everything
+                engine.record_external(word, machine.run(word))
+            hits_before = engine.statistics.cache_hits
+            answers = engine.output_query_batch(words)
             assert answers == [machine.run(word) for word in words]
             assert engine.statistics.parallel_words == 0
             assert pool.worker_query_counts == {}
@@ -97,33 +108,20 @@ class TestWorkerPool:
     def test_answer_batch_detects_non_determinism(self):
         machine = _machine("LRU", 2)
         words = [word for word in wp_method_suite(machine, 1) if len(word) >= 2][:10]
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
-        prefix = words[0][:1]
-        true_first = machine.run(prefix)[0]
-        engine.record_external(prefix, ("poisoned" if true_first != "poisoned" else "other",))
         with _pool_for(machine) as pool:
+            engine = _engine(machine, pool)
+            prefix = words[0][:1]
+            true_first = machine.run(prefix)[0]
+            engine.record_external(
+                prefix, ("poisoned" if true_first != "poisoned" else "other",)
+            )
             with pytest.raises(NonDeterminismError):
-                pool.answer_batch(engine, words)
-
-    def test_answer_batch_works_without_a_cache(self):
-        machine = _machine("FIFO", 2)
-        words = wp_method_suite(machine, 1)[:12]
-        oracle = MealyMachineOracle(machine)  # no cached_answer/record_external
-        with _pool_for(machine) as pool:
-            assert pool.answer_batch(oracle, words, chunk_size=4) == [
-                machine.run(word) for word in words
-            ]
-
-    def test_answer_batch_rejects_bad_chunk_size(self):
-        machine = _machine("LRU", 2)
-        with _pool_for(machine) as pool:
-            with pytest.raises(ValueError):
-                pool.answer_batch(MealyMachineOracle(machine), [], chunk_size=0)
+                engine.output_query_batch(words)
 
     def test_close_is_idempotent(self):
         machine = _machine("LRU", 2)
         pool = _pool_for(machine)
-        pool.answer_batch(MealyMachineOracle(machine), [tuple(machine.inputs)])
+        _engine(machine, pool).output_query_batch([tuple(machine.inputs)])
         pool.close()
         pool.close()
 
@@ -134,33 +132,34 @@ class TestWorkerPool:
 class TestParallelObservationTable:
     def test_parallel_fill_is_bit_identical_to_serial(self):
         machine = _machine("PLRU", 4)
-        serial = ObservationTable(
-            machine.inputs, CachedMembershipOracle(MealyMachineOracle(machine))
-        )
+        serial_engine = _engine(machine)
+        serial = ObservationTable(machine.inputs, serial_engine)
         serial.make_closed_and_consistent()
         with _pool_for(machine) as pool:
-            parallel = ObservationTable(
-                machine.inputs,
-                CachedMembershipOracle(MealyMachineOracle(machine)),
-                pool=pool,
-                chunk_size=8,
-            )
+            parallel_engine = _engine(machine, pool)
+            parallel = ObservationTable(machine.inputs, parallel_engine)
             parallel.make_closed_and_consistent()
         assert parallel.short_prefixes == serial.short_prefixes
         assert parallel.suffixes == serial.suffixes
         assert parallel._cells == serial._cells
         assert parallel.hypothesis() == serial.hypothesis()
+        assert parallel_engine.statistics.parallel_words >= 1
+        assert parallel_engine.statistics.membership_queries == (
+            serial_engine.statistics.membership_queries
+        )
 
     def test_parallel_fill_feeds_the_shared_engine(self):
         machine = _machine("MRU", 4)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
         with _pool_for(machine) as pool:
-            table = ObservationTable(machine.inputs, engine, pool=pool, chunk_size=4)
+            engine = _engine(machine, pool)
+            table = ObservationTable(machine.inputs, engine)
             table.make_closed_and_consistent()
-        # Every fill round went through the pool: the parent's delegate never
-        # executed, and the engine's query counts reflect the workers' work.
-        assert engine._delegate.statistics.membership_queries == 0
+        # Every fill round went through the pool: the workers did the work,
+        # and the engine's query counts reflect it.
         assert engine.statistics.membership_queries == sum(
+            pool.worker_query_counts.values()
+        )
+        assert engine.statistics.parallel_words == sum(
             pool.worker_query_counts.values()
         )
         assert engine.statistics.parallel_words >= 1
@@ -168,35 +167,30 @@ class TestParallelObservationTable:
 
     def test_serial_pool_falls_back_to_the_batched_engine(self):
         machine = _machine("LRU", 2)
-        oracle = MealyMachineOracle(machine)
         pool = WorkerPool(None, 1)
-        table = ObservationTable(machine.inputs, oracle, pool=pool)
+        engine = _engine(machine, pool)
+        table = ObservationTable(machine.inputs, engine)
         assert table.missing_cells() == []
-        # The serial pool never spun up workers; the oracle answered locally.
-        assert oracle.statistics.batches == 1
-
-    def test_bad_chunk_size_rejected(self):
-        machine = _machine("LRU", 2)
-        with pytest.raises(LearningError):
-            ObservationTable(
-                machine.inputs, MealyMachineOracle(machine), chunk_size=0
-            )
+        # The serial pool never spun up workers; the engine answered locally.
+        assert engine.statistics.batches == 1
+        assert engine.statistics.parallel_words == 0
+        assert pool._executor is None
 
 
 # ------------------------------------------------------------ learner wiring
 
 
 class TestLearnerWorkers:
-    def _learn(self, machine, **kwargs):
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
+    def _learn(self, machine, pool=None):
+        engine = _engine(machine, pool)
         equivalence = ConformanceEquivalenceOracle(engine, depth=1)
-        learner = MealyLearner(machine.inputs, engine, equivalence, **kwargs)
+        learner = MealyLearner(machine.inputs, engine, equivalence)
         return learner.learn()
 
     def test_workers_require_a_factory(self):
-        """A learner runs on as many workers as its pool has: parallel
-        learning needs an oracle factory, while a one-worker pool needs
-        none and learns serially, bit-identically."""
+        """A learner runs on as many workers as its engine's pool has:
+        parallel learning needs an oracle factory, while a one-worker pool
+        needs none and learns serially, bit-identically."""
         machine = _machine("LRU", 2)
         with pytest.raises(LearningError, match="oracle_factory"):
             self._learn(machine, pool=WorkerPool(None, 2))
@@ -223,10 +217,10 @@ class TestLearnerWorkers:
 
     def test_shared_pool_is_left_running(self):
         machine = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
-        equivalence = ConformanceEquivalenceOracle(engine, depth=1)
         with _pool_for(machine) as pool:
-            learner = MealyLearner(machine.inputs, engine, equivalence, pool=pool)
+            engine = _engine(machine, pool)
+            equivalence = ConformanceEquivalenceOracle(engine, depth=1)
+            learner = MealyLearner(machine.inputs, engine, equivalence)
             learner.learn()
             assert pool._executor is not None  # still usable by its owner
             assert sum(pool.worker_query_counts.values()) >= 1
@@ -238,21 +232,23 @@ class TestLearnerWorkers:
 class TestSharedPoolBothSides:
     def test_fill_and_equivalence_share_one_pool(self):
         machine = _machine("PLRU", 4)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
         with _pool_for(machine) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=1, pool=pool)
-            learner = MealyLearner(machine.inputs, engine, equivalence, pool=pool)
+            engine = _engine(machine, pool)
+            equivalence = ConformanceEquivalenceOracle(engine, depth=1)
+            learner = MealyLearner(machine.inputs, engine, equivalence)
             result = learner.learn()
             # Membership and conformance words both flowed through the pool:
-            # the parent process never executed a single query itself, but
-            # the worker executions still count as membership queries.
-            assert engine._delegate.statistics.membership_queries == 0
+            # every executed query ran on a worker, and the worker
+            # executions still count as membership queries.
             assert engine.statistics.membership_queries == sum(
                 pool.worker_query_counts.values()
             )
-            assert result.statistics.parallel_words >= 1
-            assert sum(pool.worker_query_counts.values()) >= 1
-            assert equivalence.pool is pool
+            assert result.statistics.parallel_words == sum(
+                pool.worker_query_counts.values()
+            )
+            assert equivalence.statistics.parallel_words >= 1
+            assert engine.statistics.parallel_words >= 1
+            assert engine.pool is pool
         serial = TestLearnerWorkers()._learn(machine)
         assert result.machine == serial.machine
 
@@ -261,9 +257,8 @@ class TestSharedPoolBothSides:
         ``close()`` of its own, and a finished search leaves the shared
         pool running for the next round."""
         machine = _machine("LRU", 2)
-        engine = CachedMembershipOracle(MealyMachineOracle(machine))
         with _pool_for(machine) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=1, pool=pool)
+            equivalence = ConformanceEquivalenceOracle(_engine(machine, pool), depth=1)
             assert equivalence.find_counterexample(machine) is None
             assert not hasattr(equivalence, "close")
             assert pool._executor is not None  # owned by the caller, not us

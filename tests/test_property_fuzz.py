@@ -90,17 +90,18 @@ def _replay_words(tag: str, alphabet) -> List[Tuple]:
 def _learn_machine(machine: MealyMachine, workers: int = 1) -> LearningResult:
     """Learn ``machine`` white-box; with workers > 1 both oracle sides run
     on one shared pool (parallel table fill + parallel streamed suite)."""
-    engine = CachedMembershipOracle(MealyMachineOracle(machine))
     if workers > 1:
         with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=2, pool=pool)
-            learner = MealyLearner(machine.inputs, engine, equivalence, pool=pool)
+            engine = CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+            equivalence = ConformanceEquivalenceOracle(engine, depth=2)
+            learner = MealyLearner(machine.inputs, engine, equivalence)
             result = learner.learn()
         # Table fill and suite execution ran on the pool; the only parent
         # executions allowed are Rivest–Schapire's binary-search probes,
         # which are inherently sequential and usually cache hits.
         assert result.statistics.parallel_words >= 1
         return result
+    engine = CachedMembershipOracle(MealyMachineOracle(machine))
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
     return MealyLearner(machine.inputs, engine, equivalence).learn()
 
@@ -196,12 +197,13 @@ def _assert_kernel_differential(policy_name: str) -> None:
 
 def _learn_machine_ttt(machine: MealyMachine, workers: int = 1) -> LearningResult:
     """Learn ``machine`` white-box with the TTT-refined tree learner."""
-    engine = CachedMembershipOracle(MealyMachineOracle(machine))
     if workers > 1:
         with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=2, pool=pool)
-            learner = TTTLearner(machine.inputs, engine, equivalence, pool=pool)
+            engine = CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+            equivalence = ConformanceEquivalenceOracle(engine, depth=2)
+            learner = TTTLearner(machine.inputs, engine, equivalence)
             return learner.learn()
+    engine = CachedMembershipOracle(MealyMachineOracle(machine))
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
     return TTTLearner(machine.inputs, engine, equivalence).learn()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cachequery.backend import CacheQueryBackend
-from repro.errors import NonDeterminismError, OutputLengthMismatchError
+from repro.errors import LearningError, NonDeterminismError, OutputLengthMismatchError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
@@ -18,11 +18,12 @@ from repro.learning import (
     ResponseTrie,
     dedupe_and_subsume,
     output_query_batch,
+    partition_batch,
     supports_batching,
     supports_resume,
     wp_method_suite,
 )
-from repro.learning.learner import learn_mealy_machine
+from repro.learning.learner import learn_mealy_machine, make_learner
 from repro.mbl.expansion import expand
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
@@ -98,16 +99,25 @@ class TestDedupeAndSubsume:
         assert dedupe_and_subsume(words) == [("b", "b"), ("a", "c")]
 
 
+class TestPartitionBatch:
+    def test_counts_known_words_and_subsumes_only_the_misses(self):
+        known = {(), ("a",), ("a", "b")}
+        words = [("a",), ("c",), ("a", "b"), ("c", "d"), ("a",), (), ("c", "d")]
+        already_cached, missing = partition_batch(words, known.__contains__)
+        assert already_cached == 4  # duplicates and the empty word count
+        assert missing == [("c", "d")]
+
+
 class TestBatchedOracles:
     def test_function_oracle_batch_executes_only_maximal_words(self):
         oracle = FunctionOracle(_echo)
+        assert not supports_batching(oracle)
         words = [("a",), ("a", "b"), ("a", "b"), ("a", "b", "c")]
-        answers = oracle.output_query_batch(words)
+        answers = output_query_batch(oracle, words)
         assert answers == [(1,), (1, 2), (1, 2), (1, 2, 3)]
         # Only the maximal word was executed.
         assert oracle.statistics.membership_queries == 1
         assert oracle.statistics.membership_symbols == 3
-        assert oracle.statistics.batches == 1
 
     def test_batch_helper_falls_back_to_serial_queries(self):
         class Plain:
@@ -177,6 +187,32 @@ class TestCachedMembershipOracle:
         with pytest.raises(NonDeterminismError):
             cached.output_query(("a", "b"))
 
+    def test_submit_partitions_against_the_callers_predicate(self):
+        # Conformance's window passes the trie plus its in-flight cover.
+        delegate = FunctionOracle(_echo)
+        cached = CachedMembershipOracle(delegate)
+        inflight = {("a",), ("a", "b")}
+        batch = cached.submit(
+            [("a",), ("a", "b", "c"), ("a", "b"), ("d",)], inflight.__contains__
+        )
+        assert batch.already_cached == 2
+        assert batch.missing == [("a", "b", "c"), ("d",)]
+        assert batch.chunks == []  # no pool: the misses run at collect
+        assert delegate.statistics.membership_queries == 0
+        cached.collect(batch)
+        assert delegate.statistics.membership_queries == 2
+        assert (cached.statistics.batches, cached.statistics.cache_hits) == (1, 2)
+        assert cached.cached_answer(("a", "b")) == (1, 2)
+
+    def test_batch_with_a_missing_answer_is_rejected(self):
+        class DropsLastAnswer(FunctionOracle):
+            def output_query_batch(self, words):
+                return [self.output_query(word) for word in words][:-1]
+
+        cached = CachedMembershipOracle(DropsLastAnswer(_echo))
+        with pytest.raises(LearningError, match="1 answers for a batch of 2"):
+            cached.output_query_batch([("a",), ("b", "c")])
+
     def test_truncated_answer_raises_dedicated_error(self):
         cached = CachedMembershipOracle(FunctionOracle(lambda word: ("x",)))
         with pytest.raises(OutputLengthMismatchError) as info:
@@ -193,10 +229,10 @@ class TestCachedMembershipOracle:
 class TestObservationTableBatching:
     def test_fill_issues_one_batch_per_round(self):
         machine = make_policy("LRU", 2).to_mealy().minimize()
-        oracle = MealyMachineOracle(machine)
-        ObservationTable(machine.inputs, oracle)
+        engine = CachedMembershipOracle(MealyMachineOracle(machine))
+        ObservationTable(machine.inputs, engine)
         # The constructor's fill is a single batch.
-        assert oracle.statistics.batches == 1
+        assert engine.statistics.batches == 1
 
     def test_row_memoisation_and_invalidation_on_add_suffix(self):
         machine = make_policy("LRU", 2).to_mealy().minimize()
@@ -293,10 +329,9 @@ class TestConformanceBatchingAndTruncation:
                     batch_size=batch_size,
                 )
                 pooled = ConformanceEquivalenceOracle(
-                    CachedMembershipOracle(MealyMachineOracle(reference)),
+                    CachedMembershipOracle(MealyMachineOracle(reference), pool=pool),
                     depth=1,
                     batch_size=batch_size,
-                    pool=pool,
                 )
                 assert pooled.find_counterexample(wrong) == serial.find_counterexample(wrong)
                 assert pooled.find_counterexample(reference) is None
@@ -309,9 +344,9 @@ class TestConformanceBatchingAndTruncation:
 
 class TestPolcaBatch:
     def test_batch_matches_serial_answers_and_saves_probes(self):
-        interface = SimulatedCacheInterface(make_policy("PLRU", 4))
         serial = PolcaMembershipOracle(SimulatedCacheInterface(make_policy("PLRU", 4)))
-        batched = PolcaMembershipOracle(interface)
+        batched = PolcaMembershipOracle(SimulatedCacheInterface(make_policy("PLRU", 4)))
+        engine = CachedMembershipOracle(batched)
         alphabet = batched.alphabet()
         words = [
             (alphabet[0],),
@@ -319,11 +354,14 @@ class TestPolcaBatch:
             (alphabet[0], alphabet[-1], alphabet[1]),
             (alphabet[0], alphabet[-1]),
         ]
-        answers = batched.output_query_batch(words)
+        answers = engine.output_query_batch(words)
         assert answers == [serial.output_query(word) for word in words]
-        # Only the maximal word was executed by the batched oracle.
+        # The engine handed Polca only the maximal word; Polca executes
+        # exactly what it is handed.
         assert batched.statistics.policy_queries == 1
         assert serial.statistics.policy_queries == 4
+        assert batched.output_query_batch(words[:2]) == answers[:2]
+        assert batched.statistics.policy_queries == 3
 
 
 class TestLearnerEngineEquivalence:
@@ -343,6 +381,43 @@ class TestLearnerEngineEquivalence:
             reference.inputs, engine, PerfectEquivalenceOracle(reference)
         )
         assert learner.membership_oracle is engine
+
+
+class _RecordingOracle:
+    """A batching, non-resumable SUL that records every batch it executes
+    and checks, at call time, that the engine has not cached its words."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.engine = None
+        self.batches = []
+
+    def output_query(self, word):
+        assert self.engine.cached_answer(word) is None
+        return self.machine.run(tuple(word))
+
+    def output_query_batch(self, words):
+        words = [tuple(word) for word in words]
+        assert all(self.engine.cached_answer(word) is None for word in words)
+        self.batches.append(words)
+        return [self.machine.run(word) for word in words]
+
+
+class TestSULBatchContract:
+    @pytest.mark.parametrize("learner", ["lstar", "ttt"])
+    def test_sul_batches_are_distinct_prefix_free_uncached_words(self, learner):
+        reference = make_policy("PLRU", 4).to_mealy().minimize()
+        sul = _RecordingOracle(reference)
+        engine = CachedMembershipOracle(sul)
+        sul.engine = engine
+        equivalence = ConformanceEquivalenceOracle(engine, depth=1)
+        result = make_learner(learner, reference.inputs, engine, equivalence).learn()
+        assert reference.find_counterexample(result.machine) is None
+        assert len(sul.batches) >= 2
+        for batch in sul.batches:
+            assert batch and all(batch)
+            assert len(set(batch)) == len(batch)
+            assert dedupe_and_subsume(batch) == batch  # no word prefixes another
 
 
 class TestBackendCodegenRegression:

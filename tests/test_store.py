@@ -9,14 +9,18 @@ corruption diagnostics, version gating) and the store views — the learning
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import pickle
+import weakref
 
 import pytest
 
 from repro.cachequery.querycache import QueryCache
 from repro.core.alphabet import EVICT, Line
 from repro.errors import NonDeterminismError, StoreCorruptionError, StoreError
+from repro.learning.oracles import CachedMembershipOracle, FunctionOracle
 from repro.learning.query_engine import ResponseTrie
 from repro.store import (
     STORE_FORMAT,
@@ -141,6 +145,44 @@ class TestPrefixStore:
         store.drop_namespace(("n",))
         store.drop_namespace(("missing",))  # no-op
         assert store.namespaces() == ()
+
+
+class TestReferenceCounting:
+    """A namespace holds its store weakly, so tries are freed by reference
+    counting rather than waiting for a gen-2 collection."""
+
+    def test_dropping_an_engine_frees_its_store(self):
+        gc.disable()
+        try:
+            engine = CachedMembershipOracle(FunctionOracle(lambda word: tuple(word)))
+            engine.output_query_batch([("a", "b"), ("c",)])
+            store = weakref.ref(engine._trie.store)
+            del engine
+            assert store() is None
+        finally:
+            gc.enable()
+
+    def test_namespace_outliving_its_store_stops_journaling(self, tmp_path):
+        store = PrefixStore(str(tmp_path / "corpus.store"))
+        namespace = store.namespace(("n",))
+        namespace.record(("a",), ("x",))
+        assert store.pending_records == 1
+        del store
+        namespace.record(("b",), ("y",))  # no store left to journal to
+        namespace.clear()
+        assert namespace.lookup(("b",)) is None
+
+    def test_store_with_namespaces_survives_pickling(self, tmp_path):
+        # Pool workers receive stores inside pickled cache interfaces.
+        store = PrefixStore(str(tmp_path / "corpus.store"))
+        store.namespace(("n",)).record(("a", "b"), ("x", "y"))
+        clone = pickle.loads(pickle.dumps(store))
+        namespace = clone.namespace(("n",))
+        assert namespace.lookup(("a", "b")) == ("x", "y")
+        assert clone.pending_records == 1
+        namespace.record(("c",), ("z",))
+        assert clone.pending_records == 2  # journals to the unpickled store
+        assert store.pending_records == 1
 
 
 class TestCodecRoundTrip:

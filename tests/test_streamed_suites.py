@@ -187,14 +187,12 @@ class TestInflightWindow:
         reference = _machine("SRRIP-HP")
         suite_size = len(wp_method_suite(reference, 2))
         batch_size, window = 16, 2
-        engine = CachedMembershipOracle(MealyMachineOracle(reference))
         with WorkerPool(MealyMachineOracleFactory(reference), 2) as pool:
             oracle = _TrackingOracle(
-                engine,
+                CachedMembershipOracle(MealyMachineOracle(reference), pool=pool),
                 depth=2,
                 batch_size=batch_size,
                 max_inflight=window,
-                pool=pool,
             )
             assert oracle.find_counterexample(reference) is None
         bound = window * batch_size
