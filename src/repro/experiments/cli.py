@@ -31,16 +31,15 @@ from repro.learning.learner import LEARNER_NAMES
 from repro.polca.algorithm import POLCA_KERNELS
 
 
-def _make_store(cache_path: Optional[str], store_server: Optional[str] = None):
-    if cache_path is None and store_server is None:
+def _make_store(cache_path: Optional[str]):
+    if cache_path is None:
         return None
     from repro.store import open_store
 
-    # A unix://*/tcp://* address connects to a running store server; a
-    # directory (or trailing-separator / .shards path) opens a sharded
+    # A directory (or trailing-separator / .shards path) opens a sharded
     # corpus — one append-log file per namespace — a plain file the classic
     # single-file store.
-    return open_store(store_server if store_server is not None else cache_path)
+    return open_store(cache_path)
 
 
 def _print_store(store, rows) -> None:
@@ -141,21 +140,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--cache-path",
         default=None,
-        metavar="FILE",
-        help="persistent prefix-store file shared by the run's response caches "
-        "and learning tries (table2/table4); saved after every row, so an "
-        "interrupted sweep resumes from what it already measured",
-    )
-    parser.add_argument(
-        "--store-server",
-        default=None,
-        metavar="ADDR",
-        help="share one measurement corpus through a running store server "
-        "(see python -m repro.store.server): unix:///path/to.sock or "
-        "tcp://host:port; lookups are mirrored locally, saves ship deltas "
-        "to the server, which owns the corpus files and their locks — N "
-        "workers or remote sweeps stop serialising on per-save fcntl "
-        "round-trips (incompatible with --cache-path and --store-compact)",
+        metavar="PATH",
+        help="persistent prefix store shared by the run's response caches "
+        "and learning tries (table2/table4): a file, or a directory (or "
+        ".shards path) for a sharded corpus; saved after every row, so an "
+        "interrupted sweep resumes from what it already measured, and "
+        "processes sharing it serialise their saves on fcntl file locks",
     )
     parser.add_argument(
         "--store-compact",
@@ -203,19 +193,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--workers must be >= 0 (0 means serial)")
     if arguments.resume and arguments.workers is not None and arguments.workers > 1:
         parser.error("--resume is serial-only; drop it or use --workers 0")
-    if arguments.store_server is not None and arguments.cache_path is not None:
-        parser.error(
-            "--store-server and --cache-path are mutually exclusive: with a "
-            "server the corpus lives behind the socket"
-        )
-    if arguments.store_compact and arguments.store_server is not None:
-        parser.error(
-            "--store-compact works on a local --cache-path corpus; "
-            "compaction is the server's job when a corpus is served"
-        )
     if arguments.store_compact and arguments.cache_path is None:
         parser.error("--store-compact needs --cache-path")
-    store = _make_store(arguments.cache_path, arguments.store_server)
+    store = _make_store(arguments.cache_path)
     learning_kwargs = {
         "store": store,
         "resume": arguments.resume,

@@ -3,7 +3,7 @@
 This package is the library's substitute for LearnLib (Section 3.4): an
 observation-table L* learner for Mealy machines (Angluin's algorithm in
 Niese's Mealy formulation), Rivest–Schapire counterexample processing, and
-W-/Wp-method conformance testing used to approximate equivalence queries
+Wp-method conformance testing used to approximate equivalence queries
 with the ``(|H| + k)``-completeness guarantee of Theorem 3.3.
 
 All membership queries flow through one query engine,

@@ -3,7 +3,7 @@
 Three implementations are provided:
 
 * :class:`ConformanceEquivalenceOracle` — the paper's approach (Section 3.3):
-  generate a Wp-/W-method test suite of configurable depth ``k`` for the
+  generate a Wp-method test suite of configurable depth ``k`` for the
   hypothesis and compare the system's answers against the hypothesis' own
   predictions.  Yields the ``(|H| + k)``-completeness guarantee of
   Theorem 3.3 / Corollary 3.4.  Its suite words are answered by the query
@@ -37,7 +37,7 @@ from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle, PendingBatch, QueryStatistics
 from repro.learning.query_engine import output_query_batch
-from repro.learning.wpmethod import iter_w_method_suite, iter_wp_method_suite
+from repro.learning.wpmethod import iter_wp_method_suite
 
 Input = Hashable
 Word = Tuple[Input, ...]
@@ -61,7 +61,7 @@ class EquivalenceOracle(Protocol):
 
 
 class ConformanceEquivalenceOracle:
-    """Wp-/W-method conformance testing against a membership oracle.
+    """Wp-method conformance testing against a membership oracle.
 
     The suite is **streamed**: :func:`~repro.learning.wpmethod.\
 iter_wp_method_suite` generates test words lazily and the oracle consumes
@@ -102,20 +102,16 @@ CachedMembershipOracle.collect`), so they feed the learner's cache and
         oracle: MembershipOracle,
         *,
         depth: int = 1,
-        method: str = "wp",
         max_tests: Optional[int] = None,
         batch_size: int = 64,
         max_inflight: int = 4,
     ) -> None:
-        if method not in ("w", "wp"):
-            raise ValueError(f"method must be 'w' or 'wp', got {method!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.oracle = oracle
         self.depth = depth
-        self.method = method
         self.max_tests = max_tests
         self.batch_size = batch_size
         self.max_inflight = max_inflight
@@ -127,9 +123,8 @@ CachedMembershipOracle.collect`), so they feed the learner's cache and
     # -------------------------------------------------------------- the suite
 
     def _suite(self, hypothesis: MealyMachine) -> Iterator[Word]:
-        generate = iter_w_method_suite if self.method == "w" else iter_wp_method_suite
         try:
-            return generate(hypothesis, self.depth)
+            return iter_wp_method_suite(hypothesis, self.depth)
         except LearningError:
             # The W-set construction requires a minimal machine.  Both
             # learners hand over minimal hypotheses by construction, so this
@@ -142,7 +137,7 @@ CachedMembershipOracle.collect`), so they feed the learner's cache and
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return generate(hypothesis.minimize(), self.depth)
+            return iter_wp_method_suite(hypothesis.minimize(), self.depth)
 
     def _truncated(self, suite: Iterator[Word]) -> Iterator[Word]:
         """Yield the first ``max_tests`` words; count the rest as skipped.

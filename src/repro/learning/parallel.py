@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
@@ -366,9 +367,20 @@ class WorkerPool:
 
         Returns the worker's answers and the chunk's statistics delta.  The
         worker executed exactly ``words``, so they are its executed queries
-        and symbols.
+        and symbols.  A worker that died (killed, crashed, exited) breaks
+        the whole executor: the pool shuts it down and raises
+        :class:`~repro.errors.LearningError` naming the chunk.
         """
-        worker_id, answers, delta = future.result()
+        try:
+            worker_id, answers, delta = future.result()
+        except BrokenProcessPool as exc:
+            self.close()
+            raise LearningError(
+                f"a pool worker died while executing a chunk of {len(words)} "
+                f"words (first word {tuple(words[0])!r}); its answers are lost "
+                "and the pool is shut down — rerun with --workers 0 to learn "
+                "serially"
+            ) from exc
         self.worker_query_counts[worker_id] = (
             self.worker_query_counts.get(worker_id, 0) + len(words)
         )

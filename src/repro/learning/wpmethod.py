@@ -13,8 +13,8 @@ constructions are:
   same first phase with the state cover, and a cheaper second phase that
   uses per-state identification sets instead of the full ``W``.
 
-Both constructions are provided; the equivalence oracle defaults to the
-Wp-method with depth ``k = 1`` as in the paper's experiments.
+Both constructions are provided; the equivalence oracle always runs the
+Wp-method, at depth ``k = 1`` in the paper's experiments.
 
 Streaming
 ---------

@@ -121,7 +121,6 @@ class PolicyLearningPipeline:
         cache: CacheProbeInterface,
         *,
         depth: int = 1,
-        method: str = "wp",
         counterexample_strategy: str = "rivest-schapire",
         identify: bool = True,
         identification_candidates: Optional[Sequence[str]] = None,
@@ -145,7 +144,6 @@ class PolicyLearningPipeline:
             )
         self.cache = cache
         self.depth = depth
-        self.method = method
         self.counterexample_strategy = counterexample_strategy
         self.identify = identify
         self.identification_candidates = identification_candidates
@@ -202,7 +200,7 @@ class PolicyLearningPipeline:
             polca, store=self.store, namespace=self._engine_namespace(), pool=pool
         )
         equivalence = ConformanceEquivalenceOracle(
-            engine, depth=self.depth, method=self.method, max_tests=self.max_tests
+            engine, depth=self.depth, max_tests=self.max_tests
         )
         learner = make_learner(
             self.learner,

@@ -72,8 +72,8 @@ def _warn_fcntl_missing() -> None:
         "fcntl is unavailable on this platform: the measurement store cannot "
         "lock out concurrent writers; a second writer touching this file "
         "will be detected on catch-up and rejected with a StoreError instead "
-        "of risking corruption (use the store server, repro.store.server, to "
-        "share a corpus without fcntl)",
+        "of risking corruption (keep one writer per store file, or give "
+        "concurrent writers disjoint namespaces of a sharded corpus)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -88,6 +88,23 @@ NamespaceKey = Tuple[Hashable, ...]
 #: stores never churn and big stores compact once the replay cost of the
 #: tail rivals the snapshot itself).
 AUTO_COMPACT_MIN_BYTES = 64 * 1024
+
+
+def _store_file(value) -> Optional[Path]:
+    """``value`` as a store file path; its directory must already exist.
+
+    Checked when a store binds its path, so a typo'd ``--cache-path`` fails
+    before any learning instead of at the first save's lock file.
+    """
+    if value is None:
+        return None
+    path = Path(value)
+    if not path.parent.is_dir():
+        raise StoreError(
+            f"cannot use store file {path}: its directory {path.parent} does "
+            "not exist; create it first or pick an existing directory"
+        )
+    return path
 
 
 class _StoreNode:
@@ -382,7 +399,7 @@ class PrefixStore:
         *,
         header_extra: Optional[dict] = None,
     ) -> None:
-        self._path = Path(path) if path is not None else None
+        self._path = _store_file(path)
         self._namespaces: Dict[NamespaceKey, PrefixNamespace] = {}
         #: Replayable mutation records (key, word, payloads, terminal)
         #: accumulated since the last save; only kept for path-backed stores.
@@ -426,7 +443,7 @@ class PrefixStore:
 
     @path.setter
     def path(self, value) -> None:
-        self._path = Path(value) if value is not None else None
+        self._path = _store_file(value)
         self._generation = -1
         self._synced_offset = 0
         self._snapshot_end = 0
@@ -519,11 +536,6 @@ class PrefixStore:
             "pending_records": len(self._journal),
             "sharded": False,
         }
-
-    def clear(self) -> None:
-        """Drop every namespace."""
-        self._namespaces.clear()
-        self._note_structural_change()
 
     # ------------------------------------------------------------- persistence
 
@@ -620,8 +632,9 @@ class PrefixStore:
                     f"(generation {self._generation} -> {generation}, synced "
                     f"{self._synced_offset} of {size} bytes) but fcntl "
                     "locking is unavailable on this platform: concurrent "
-                    "writers cannot be serialised — route them through the "
-                    "store server (repro.store.server) instead"
+                    "writers cannot be serialised — keep one writer per "
+                    "store file, or give each writer disjoint namespaces of "
+                    "a sharded corpus (a directory --cache-path)"
                 )
         if version < STORE_VERSION or generation != self._generation:
             # The file was compacted (or rewritten) behind our back — or we

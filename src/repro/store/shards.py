@@ -153,17 +153,6 @@ class ShardedStore:
                 keys.append(key)
         return tuple(keys)
 
-    def drop_namespace(self, key: Sequence[Hashable]) -> None:
-        """Remove one namespace: forget the loaded shard and delete its file."""
-        key = tuple(key)
-        self._shards.pop(key, None)
-        path = self.shard_path(key)
-        for victim in (path, path.parent / f"{path.name}.lock"):
-            try:
-                victim.unlink()
-            except FileNotFoundError:
-                pass
-
     # ------------------------------------------------------------------ totals
 
     @property
@@ -196,12 +185,6 @@ class ShardedStore:
             "sharded": True,
         }
 
-    def clear(self) -> None:
-        """Drop every namespace, on disk included."""
-        for key in self.namespaces():
-            self.drop_namespace(key)
-        self._shards.clear()
-
     # ------------------------------------------------------------- persistence
 
     def save(self, path: Optional[str] = None, *, compact: bool = False) -> None:
@@ -232,18 +215,13 @@ class ShardedStore:
 def open_store(path, *, sharded: Optional[bool] = None):
     """Open ``path`` as the right kind of store (the ``--cache-path`` entry).
 
-    A ``unix://`` or ``tcp://`` address connects a
-    :class:`~repro.store.client.RemoteStore` to a running
-    :mod:`repro.store.server` instead of touching the filesystem.
-    Otherwise ``sharded=None`` auto-detects: an existing directory, a path
-    spelled with a trailing separator, or a ``.shards`` suffix opens a
+    ``sharded=None`` auto-detects: an existing directory, a path spelled
+    with a trailing separator, or a ``.shards`` suffix opens a
     :class:`ShardedStore`; everything else a single-file
-    :class:`PrefixStore`.
+    :class:`PrefixStore`, whose directory must already exist.  Processes
+    sharing either kind serialise their saves on each file's ``fcntl``
+    writer lock.
     """
-    from repro.store.client import RemoteStore, is_server_address
-
-    if is_server_address(path):
-        return RemoteStore(path)
     target = Path(path)
     if sharded is None:
         sharded = (

@@ -204,27 +204,20 @@ class TestCLIFlags:
         assert f"--learner {{{','.join(LEARNER_NAMES)}}}" in usage
         assert f"--kernel {{{','.join(POLCA_KERNELS)}}}" in usage
 
-    def test_store_server_with_cache_path_rejected(self, capsys):
+    def test_cache_path_in_missing_directory_fails_before_learning(self, tmp_path):
+        from repro.errors import StoreError
+        from repro.experiments import table2 as table2_module
         from repro.experiments.cli import main
 
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "table2",
-                    "--store-server",
-                    "unix:///tmp/x.sock",
-                    "--cache-path",
-                    "corpus.json",
-                ]
-            )
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_store_server_with_store_compact_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["table2", "--store-server", "unix:///tmp/x.sock", "--store-compact"])
-        assert "server's job" in capsys.readouterr().err
+        missing = tmp_path / "nonexistent" / "dir"
+        original = table2_module.table2_configurations
+        table2_module.table2_configurations = lambda mode: [("LRU", 2)]
+        try:
+            with pytest.raises(StoreError, match="does not exist"):
+                main(["table2", "--cache-path", str(missing / "c.store")])
+        finally:
+            table2_module.table2_configurations = original
+        assert not (tmp_path / "nonexistent").exists()
 
     def test_store_compact_without_cache_path_rejected(self, capsys):
         from repro.experiments.cli import main
@@ -232,25 +225,6 @@ class TestCLIFlags:
         with pytest.raises(SystemExit):
             main(["table2", "--store-compact"])
         assert "--cache-path" in capsys.readouterr().err
-
-    def test_store_server_flag_runs_against_live_server(self, tmp_path, capsys):
-        from repro.experiments import table2 as table2_module
-        from repro.experiments.cli import main
-        from repro.store import ShardedStore
-        from repro.store.server import serve_in_thread
-
-        handle = serve_in_thread(
-            ShardedStore(tmp_path / "corpus.shards"), f"unix://{tmp_path}/cli.sock"
-        )
-        original = table2_module.table2_configurations
-        table2_module.table2_configurations = lambda mode: [("LRU", 2)]
-        try:
-            assert main(["table2", "--store-server", handle.address]) == 0
-        finally:
-            table2_module.table2_configurations = original
-            handle.stop()
-        out = capsys.readouterr().out
-        assert "prefix store" in out
 
     def test_format_store_statistics_line(self):
         from repro.experiments.reporting import format_store_statistics

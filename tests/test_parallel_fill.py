@@ -9,14 +9,24 @@ engine.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import LearningError, NonDeterminismError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import MealyLearner
 from repro.learning.observation_table import ObservationTable
-from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
+from repro.learning.oracles import (
+    CachedMembershipOracle,
+    FunctionOracle,
+    MealyMachineOracle,
+)
+from repro.learning.parallel import (
+    FunctionOracleFactory,
+    MealyMachineOracleFactory,
+    WorkerPool,
+)
 from repro.learning.query_engine import output_query_batch
 from repro.learning.wpmethod import wp_method_suite
 from repro.policies.registry import make_policy
@@ -32,6 +42,17 @@ def _pool_for(machine, workers: int = 2) -> WorkerPool:
 
 def _engine(machine, pool=None) -> CachedMembershipOracle:
     return CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+
+
+def _all_hits(word):
+    return tuple("Hit" for _ in word)
+
+
+def _exit_on_marker(word):
+    """A SUL whose process dies on the ``"die"`` symbol (run in workers only)."""
+    if "die" in word:
+        os._exit(1)
+    return _all_hits(word)
 
 
 # ------------------------------------------------------------------ WorkerPool
@@ -117,6 +138,15 @@ class TestWorkerPool:
             )
             with pytest.raises(NonDeterminismError):
                 engine.output_query_batch(words)
+
+    def test_dead_worker_raises_learning_error(self):
+        """A worker that exits mid-chunk surfaces as a typed error naming the
+        chunk and the serial remedy, not as a raw ``BrokenProcessPool``."""
+        with WorkerPool(FunctionOracleFactory(_exit_on_marker), 2) as pool:
+            engine = CachedMembershipOracle(FunctionOracle(_all_hits), pool=pool)
+            with pytest.raises(LearningError, match=r"chunk of 2 words.*--workers 0"):
+                engine.output_query_batch([("a",), ("b", "die")])
+            assert pool._executor is None  # the broken executor was shut down
 
     def test_close_is_idempotent(self):
         machine = _machine("LRU", 2)

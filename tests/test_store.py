@@ -212,6 +212,16 @@ class TestCodecRoundTrip:
         store.save(str(target))
         assert PrefixStore(str(target)).namespace(("n",)).lookup(("a",)) == (1,)
 
+    def test_store_file_in_missing_directory_is_store_error(self, tmp_path):
+        # Checked where a single-file store binds its path — the constructor
+        # and the setter QueryCache uses — not at the first save's lock file.
+        missing = tmp_path / "missing" / "store.json"
+        with pytest.raises(StoreError) as error:
+            PrefixStore(str(missing))
+        assert str(missing.parent) in str(error.value)
+        with pytest.raises(StoreError, match="does not exist"):
+            QueryCache(str(missing))
+
     def test_save_without_path_is_noop(self):
         PrefixStore().save()
 
