@@ -18,8 +18,8 @@ bits, and two addresses with the same set index can land in different slices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from repro.errors import AddressingError
 
@@ -74,22 +74,29 @@ class AddressMapper:
     sets_per_slice:
         Number of sets in each slice (power of two).
     slices:
-        Number of slices (1 for L1/L2 on the CPUs of Table 3).
+        Number of slices (power of two; 1 for L1/L2 on the CPUs of Table 3).
     line_offset_bits:
         log2 of the line size; 6 for all modern Intel CPUs.
+
+    :meth:`locate` memoizes its answer per address: a simulated hierarchy
+    touches the same few pool and eviction-set addresses over and over.
+    The memo takes no part in equality, hashing or ``repr``.
     """
 
     sets_per_slice: int
     slices: int = 1
     line_offset_bits: int = LINE_OFFSET_BITS
+    _locations: Dict[int, Tuple[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.sets_per_slice < 1 or self.sets_per_slice & (self.sets_per_slice - 1) != 0:
             raise AddressingError(
                 f"sets_per_slice must be a power of two, got {self.sets_per_slice}"
             )
-        if self.slices < 1:
-            raise AddressingError(f"slices must be >= 1, got {self.slices}")
+        if self.slices < 1 or self.slices & (self.slices - 1) != 0:
+            raise AddressingError(f"slices must be a power of two, got {self.slices}")
 
     @property
     def set_index_bits(self) -> int:
@@ -116,7 +123,13 @@ class AddressMapper:
 
     def locate(self, physical_address: int) -> Tuple[int, int]:
         """Return ``(slice, set_index)`` for ``physical_address``."""
-        return self.slice_index(physical_address), self.set_index(physical_address)
+        location = self._locations.get(physical_address)
+        if location is None:
+            location = self._locations[physical_address] = (
+                self.slice_index(physical_address),
+                self.set_index(physical_address),
+            )
+        return location
 
     def block_id(self, physical_address: int) -> int:
         """Return the memory-block id (the address with the line offset stripped)."""

@@ -202,7 +202,7 @@ class CacheQueryBackend:
         lines = ["; CacheQuery generated code", "xor r10, r10  ; hit/miss bitmask"]
         bit = 0
         for operation in query:
-            address = context.pool.get(operation.block, 0)
+            address = self.block_address(operation.block)
             if operation.flush:
                 lines.append(f"clflush [{address:#x}]  ; {operation.block}!")
                 continue

@@ -1,28 +1,33 @@
 """CacheQuery frontend: MBL expansion, response caching, and the Polca adapter.
 
-The frontend is what users (and Polca) talk to.  It expands MemBlockLang
-expressions into concrete queries, forwards them to the backend targeting
-the currently selected cache set, memoises responses (the LevelDB stand-in)
-and offers the two execution modes of the real tool: an interactive REPL and
-a batch mode that sweeps many sets with the same expressions (used for the
-leader-set detection of Appendix B).
+The frontend is what users (and Polca) talk to.  It takes either
+MemBlockLang text, which it expands into concrete queries, or a concrete
+query (a tuple of :class:`~repro.mbl.ast.Operation`) that it runs as it is.
+Queries go to the backend targeting the currently selected cache set, and
+responses are memoised (the LevelDB stand-in) under their canonical MBL
+text.  MBL is the public query language: the interactive REPL and the batch
+mode that sweeps many sets with the same expressions (used for the
+leader-set detection of Appendix B) speak it.
 
 :class:`CacheQuerySetInterface` adapts a configured frontend to the
 :class:`~repro.polca.interfaces.CacheProbeInterface` protocol so the whole
-learning pipeline can run against the simulated hardware unchanged.
+learning pipeline can run against the simulated hardware unchanged.  Every
+Polca probe is already one concrete query, so the interface hands the
+frontend concrete queries and expands only its reset sequence, once.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cachequery.backend import BackendConfig, CacheQueryBackend
 from repro.cachequery.querycache import QueryCache, operation_symbol
 from repro.errors import CacheQueryError, NonDeterminismError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
+from repro.mbl.ast import PROFILE_TAG, Operation, Query
 from repro.mbl.expansion import expand, query_to_text
 from repro.polca.reset import FlushRefillReset, ResetStrategy
 
@@ -128,14 +133,23 @@ class CacheQuery:
 
     # -------------------------------------------------------------- execution
 
-    def query(self, expression: str) -> List[Tuple[str, ...]]:
-        """Expand ``expression`` and execute every resulting query.
+    def query(self, expression: Union[str, Query]) -> List[Tuple[str, ...]]:
+        """Execute ``expression``: MBL text, expanded, or one concrete query.
 
         Returns one tuple of Hit/Miss verdicts (one per ``?``-tagged access)
-        per expanded query, in expansion order.
+        per expanded query, in expansion order; a concrete query yields
+        exactly one.
         """
-        queries = expand(expression, self.associativity, self.blocks)
-        return [self._execute_concrete(query_to_text(c), c) for c in queries]
+        return [
+            self._execute_concrete(query_to_text(c), c)
+            for c in self._concrete(expression)
+        ]
+
+    def _concrete(self, expression: Union[str, Query]) -> List[Query]:
+        """The concrete queries ``expression`` denotes on the current target."""
+        if isinstance(expression, str):
+            return expand(expression, self.associativity, self.blocks)
+        return [tuple(expression)]
 
     def _execute_concrete(self, text, concrete) -> Tuple[str, ...]:
         """Execute one concrete query through the response cache."""
@@ -159,8 +173,10 @@ class CacheQuery:
             )
         return outcome
 
-    def query_batch(self, expressions: Sequence[str]) -> List[List[Tuple[str, ...]]]:
-        """Expand and execute many MBL expressions, deduplicating concrete queries.
+    def query_batch(
+        self, expressions: Sequence[Union[str, Query]]
+    ) -> List[List[Tuple[str, ...]]]:
+        """Expand and execute many expressions, deduplicating concrete queries.
 
         The expansions of all expressions are collected first; each distinct
         concrete query (by its canonical text) is executed at most once for
@@ -175,10 +191,7 @@ class CacheQuery:
         every concrete query reaches the backend, exactly like repeated
         :meth:`query` calls.
         """
-        expanded = [
-            expand(expression, self.associativity, self.blocks)
-            for expression in expressions
-        ]
+        expanded = [self._concrete(expression) for expression in expressions]
         answered: Dict[str, Tuple[str, ...]] = {}
         results: List[List[Tuple[str, ...]]] = []
         for queries in expanded:
@@ -246,16 +259,16 @@ class CacheQuery:
             raise CacheQueryError("no measurement session open; call open_session() first")
         return self._session
 
-    def extend(self, expression: str) -> Tuple[str, ...]:
+    def extend(self, expression: Union[str, Query]) -> Tuple[str, ...]:
         """Append ``expression`` to the open session; return its profiled outcomes.
 
-        The expression must expand to exactly one concrete query fragment
-        for the current target.  Outcomes cover only the *new* operations'
-        profiled accesses; earlier outcomes were already returned by the
-        extends that appended them.
+        The expression is a concrete query fragment, or MBL text that must
+        expand to exactly one for the current target.  Outcomes cover only
+        the *new* operations' profiled accesses; earlier outcomes were
+        already returned by the extends that appended them.
         """
         session = self._require_session()
-        fragments = expand(expression, self.associativity, self.blocks)
+        fragments = self._concrete(expression)
         if len(fragments) != 1:
             raise CacheQueryError(
                 f"a session extension must expand to exactly one query, "
@@ -370,6 +383,15 @@ class CacheQuerySetInterface:
     incrementally, so a resuming consumer (Polca with ``resume=True``)
     executes only the un-cached suffix of a growing access chain instead of
     replaying the whole chain per step.
+
+    Probes and session extensions reach the frontend as concrete queries,
+    never as MBL text.  The reset sequence's MBL text is expanded once, on
+    first use, and must denote exactly one query; otherwise
+    :class:`~repro.errors.CacheQueryError` is raised before anything
+    executes.  Each probe appends one profiled
+    :class:`~repro.mbl.ast.Operation` per block to that query.  Responses
+    stay cached under the query's canonical MBL text, so a probe and its
+    text spelling share one cache entry.
     """
 
     supports_sessions = True
@@ -388,6 +410,7 @@ class CacheQuerySetInterface:
             raise CacheQueryError("the CacheQuery pool is too small for Polca")
         self._universe = universe
         self._initial = universe[: self.associativity]
+        self._prefix: Optional[Query] = None
         self.probe_count = 0
         self.access_count = 0
         self.sessions_opened = 0
@@ -412,12 +435,29 @@ class CacheQuerySetInterface:
             self.reset.describe(),
         )
 
+    def _reset_prefix(self) -> Query:
+        """The reset sequence as one concrete query, expanded on first use."""
+        if self._prefix is None:
+            text = self.reset.mbl_prefix(self.associativity, self._universe)
+            queries = expand(text, self.associativity, self._universe) if text else [()]
+            if len(queries) != 1:
+                raise CacheQueryError(
+                    f"the reset sequence {text!r} must expand to exactly one "
+                    f"query, got {len(queries)}"
+                )
+            self._prefix = queries[0]
+        return self._prefix
+
+    @staticmethod
+    def _profiled(blocks: Sequence[str]) -> Query:
+        return tuple(Operation(block, PROFILE_TAG) for block in blocks)
+
     # ----------------------------------------------------- measurement session
 
     def open_session(self) -> None:
         """Start a measurement session anchored at the reset state."""
+        prefix = self._reset_prefix()
         self.frontend.open_session()
-        prefix = self.reset.mbl_prefix(self.associativity, self._universe)
         if prefix:
             self.frontend.extend(prefix)
         self.sessions_opened += 1
@@ -426,7 +466,7 @@ class CacheQuerySetInterface:
         """Profile ``blocks`` as an extension of the session's access chain."""
         if not blocks:
             return ()
-        outcomes = self.frontend.extend(" ".join(f"{block}?" for block in blocks))
+        outcomes = self.frontend.extend(self._profiled(blocks))
         self.session_accesses += len(blocks)
         return outcomes
 
@@ -437,17 +477,10 @@ class CacheQuerySetInterface:
     def probe(self, blocks: Sequence[str]) -> Tuple[str, ...]:
         if not blocks:
             return ()
-        prefix = self.reset.mbl_prefix(self.associativity, self._universe)
-        profiled = " ".join(f"{block}?" for block in blocks)
-        expression = f"{prefix} {profiled}".strip()
-        results = self.frontend.query(expression)
-        if len(results) != 1:
-            raise CacheQueryError(
-                f"a Polca probe must expand to exactly one query, got {len(results)}"
-            )
+        (outcome,) = self.frontend.query(self._reset_prefix() + self._profiled(blocks))
         self.probe_count += 1
         self.access_count += len(blocks)
-        return results[0]
+        return outcome
 
     def probe_batch(
         self, block_sequences: Sequence[Sequence[str]]
@@ -458,30 +491,21 @@ class CacheQuerySetInterface:
         response cache handles cross-batch repeats.  Empty sequences yield
         empty outcome tuples, matching :meth:`probe`.
         """
-        prefix = self.reset.mbl_prefix(self.associativity, self._universe)
-        expressions: List[Optional[str]] = []
+        queries = [
+            self._reset_prefix() + self._profiled(blocks)
+            for blocks in block_sequences
+            if blocks
+        ]
+        answered = iter(self.frontend.query_batch(queries))
+        results: List[Tuple[str, ...]] = []
         for blocks in block_sequences:
             if not blocks:
-                expressions.append(None)
-                continue
-            profiled = " ".join(f"{block}?" for block in blocks)
-            expressions.append(f"{prefix} {profiled}".strip())
-        answered = self.frontend.query_batch([e for e in expressions if e is not None])
-        results: List[Tuple[str, ...]] = []
-        position = 0
-        for blocks, expression in zip(block_sequences, expressions):
-            if expression is None:
                 results.append(())
                 continue
-            outcome = answered[position]
-            position += 1
-            if len(outcome) != 1:
-                raise CacheQueryError(
-                    f"a Polca probe must expand to exactly one query, got {len(outcome)}"
-                )
+            (outcome,) = next(answered)
             self.probe_count += 1
             self.access_count += len(blocks)
-            results.append(outcome[0])
+            results.append(outcome)
         return results
 
 

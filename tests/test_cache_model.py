@@ -1,9 +1,12 @@
 """Tests for the cache substrates: sets, addressing, levels, hierarchy, CAT, adaptivity."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cache.addressing as addressing_module
 from repro.cache.adaptive import AdaptiveSetSelector, SetDuelingController
 from repro.cache.addressing import AddressMapper, slice_hash
 from repro.cache.cache import AdaptiveConfig, SetAssociativeCache
@@ -121,6 +124,31 @@ class TestAddressing:
             AddressMapper(sets_per_slice=48)
         with pytest.raises(AddressingError):
             slice_hash(0, 3)
+        with pytest.raises(AddressingError):
+            AddressMapper(sets_per_slice=64, slices=3)
+        with pytest.raises(AddressingError):
+            CacheHierarchy([CacheLevelConfig("L3", 4, 64, hit_latency=40, slices=3)])
+
+    def test_locate_is_memoized_outside_the_mapper_identity(self, monkeypatch):
+        mapper = AddressMapper(sets_per_slice=64, slices=8)
+        addresses = range(0, 1 << 20, 64 * 37)
+        expected = [(slice_hash(a, 8), mapper.set_index(a)) for a in addresses]
+        assert [mapper.locate(a) for a in addresses] == expected
+        rehashed = []
+
+        def counting_slice_hash(address, slices):
+            rehashed.append(address)
+            return slice_hash(address, slices)
+
+        monkeypatch.setattr(addressing_module, "slice_hash", counting_slice_hash)
+        assert [mapper.locate(a) for a in addresses] == expected
+        assert rehashed == []
+        twin = AddressMapper(sets_per_slice=64, slices=8)
+        assert twin == mapper and hash(twin) == hash(mapper)
+        assert repr(twin) == repr(mapper)
+        clone = pickle.loads(pickle.dumps(mapper))
+        assert clone == mapper
+        assert [clone.locate(a) for a in addresses] == expected
 
     def test_congruent_addresses_are_congruent_and_distinct(self):
         mapper = AddressMapper(sets_per_slice=1024, slices=8)

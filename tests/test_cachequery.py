@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cachequery.frontend as frontend_module
 from repro.cache.cacheset import HIT, MISS
 from repro.cachequery import (
     BackendConfig,
@@ -17,7 +18,9 @@ from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
+from repro.mbl.ast import Operation
 from repro.mbl.expansion import expand
+from repro.polca.reset import SequenceReset
 
 
 def _cpu(noise: float = 0.0) -> SimulatedCPU:
@@ -339,6 +342,8 @@ class TestBackend:
         backend.configure_target("L1", 0)
         with pytest.raises(CacheQueryError):
             backend.block_address("ZZ")
+        with pytest.raises(CacheQueryError):
+            backend.generate_code((Operation("ZZ", "?"),))
 
     def test_execute_profiles_against_ground_truth_counters(self):
         """Timing-based verdicts must agree with the architectural state."""
@@ -459,3 +464,65 @@ class TestFrontend:
     def test_set_interface_empty_probe(self):
         frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L1", set_index=0))
         assert CacheQuerySetInterface(frontend).probe([]) == ()
+
+
+class TestConcreteQueries:
+    """Polca's probes reach the frontend as concrete queries, not MBL text."""
+
+    def test_frontend_accepts_concrete_queries_and_fragments(self):
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L1", set_index=4))
+        text = "A B A! A? B?"
+        (concrete,) = expand(text, frontend.associativity, frontend.blocks)
+        assert frontend.query(concrete) == frontend.query(text) == [(MISS, HIT)]
+        assert frontend.query_batch([text, concrete]) == [[(MISS, HIT)]] * 2
+        assert frontend.backend.executed_queries == 1
+        frontend.open_session()
+        assert frontend.extend(concrete) == (MISS, HIT)
+
+    def test_set_interface_expands_its_reset_once(self, monkeypatch):
+        expansions = []
+
+        def counting_expand(*args, **kwargs):
+            expansions.append(args[0])
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(frontend_module, "expand", counting_expand)
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=17))
+        interface = CacheQuerySetInterface(frontend)
+        blocks = interface.block_universe()
+        words = [[blocks[n % 7], blocks[(3 * n) % 11]] for n in range(50)]
+        for word in words[:25]:
+            interface.probe(word)
+        interface.probe_batch(words[25:])
+        assert interface.probe_count == 50
+        assert len(expansions) == 1
+
+    @pytest.mark.parametrize("probe_first", [True, False])
+    def test_probe_shares_the_cache_entry_of_its_text_spelling(self, probe_first):
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=5))
+        interface = CacheQuerySetInterface(frontend)
+        prefix = interface.reset.mbl_prefix(
+            interface.associativity, interface.block_universe()
+        )
+        asks = [
+            lambda: interface.probe(["E", "A", "B"]),
+            lambda: frontend.query(f"{prefix} E? A? B?")[0],
+        ]
+        first, second = asks if probe_first else asks[::-1]
+        answer = first()
+        executed = frontend.backend.executed_queries
+        assert second() == answer
+        assert frontend.backend.executed_queries == executed
+        assert len(frontend.cache) == 1
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_multi_query_reset_rejected_before_anything_executes(self, batched):
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=6))
+        interface = CacheQuerySetInterface(frontend, reset=SequenceReset("_"))
+        with pytest.raises(CacheQueryError, match="exactly one query"):
+            if batched:
+                interface.probe_batch([["A"], ["B"]])
+            else:
+                interface.probe(["A"])
+        assert frontend.backend.executed_queries == 0
+        assert len(frontend.cache) == 0
