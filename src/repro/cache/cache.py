@@ -33,8 +33,7 @@ class _NamedPolicyFactory:
 
     A plain lambda would work just as well locally, but cache levels (and
     everything holding them, up to a whole simulated CPU) must survive
-    pickling so the parallel conformance tester can rebuild them inside
-    pool workers.
+    pickling so a Polca oracle over them can ship to pool workers.
     """
 
     policy_name: str

@@ -131,10 +131,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="run the whole learning loop (table fill + conformance testing) "
-        "on a pool of N worker processes "
-        "(table2/table4; learned machines are identical to serial runs); "
-        "0 or 1 mean explicitly serial — 0 is the convention the pipeline, "
+        help="execute the learning loop's queries (table fill + conformance "
+        "testing) on N worker processes, each holding a copy of the system "
+        "under learning (table2/table4; machines and counts are identical to "
+        "serial runs; pays off only on slow, deep targets such as table4 at "
+        "depth 3); 0 or 1 mean serial — 0 is the convention the pipeline, "
         "tests and benchmarks use",
     )
     parser.add_argument(

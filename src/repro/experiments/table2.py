@@ -150,10 +150,11 @@ def run_table2(
 ) -> List[Table2Row]:
     """Learn every configured policy from its software-simulated cache.
 
-    ``workers=N`` (N > 1) runs each configuration's whole learning run —
-    observation-table fill *and* conformance testing — on one shared
-    process pool; the learned machines are bit-identical to serial runs
-    (see :mod:`repro.learning.parallel`).  ``resume=True`` (serial only)
+    ``workers=N`` (N > 1) executes the queries of each configuration's
+    learning run — observation-table fill *and* conformance testing — on N
+    worker processes, each holding a copy of the run's Polca; the learned
+    machines and counts are identical to serial runs (see
+    :mod:`repro.learning.parallel`).  ``resume=True`` (serial only)
     answers each query by executing only its un-cached suffix through
     measurement sessions.  ``store``/``cache_path`` place every
     configuration's query engine in one shared

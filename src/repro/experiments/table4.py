@@ -95,7 +95,7 @@ class Table4Row:
     cache_hits: int = 0
     tests_skipped: int = 0
     #: Executed membership queries of the shared query engine (like Table 2's
-    #: column; worker-count-invariant since worker deltas merge on collect).
+    #: column; worker-count-invariant, as the engine counts worker answers).
     membership_queries: int = 0
     #: Which student produced the row (``"lstar"`` / ``"ttt"``).
     learner: str = "lstar"
@@ -278,9 +278,8 @@ def run_table4_configuration(
         ]
     start = time.perf_counter()
     # The CacheQuery interface wraps a whole (picklable) simulated CPU, so
-    # pool workers receive a snapshot and replay table-fill batches and
-    # suite chunks against their own copy — the hardware-path analogue of
-    # rebuilding a simulator.
+    # with workers each pool worker holds a copy of Polca, interface and CPU
+    # alike, and executes its share of every batch against it.
     # The CacheQuery interface has no policy-exact kernel hook, so
     # kernel="auto" degrades to the scalar path here; forcing a kernel is
     # rejected by Polca with a clean error.

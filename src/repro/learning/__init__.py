@@ -19,16 +19,14 @@ configuration) and the TTT classification-tree learner
 (:class:`~repro.learning.ttt.TTTLearner`); :func:`make_learner` builds
 either by name.
 
-Both query sides additionally scale across processes
+Process-parallel execution lives below the engine, not inside it
 (:mod:`repro.learning.parallel`): a
-:class:`~repro.learning.parallel.WorkerPool` handed to the engine
-(``CachedMembershipOracle(..., pool=)``) answers the learner's round
-batches *and* the
-:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle`'s
-lazily streamed Wp-suite chunks (bounded in-flight window); workers
-rebuild the system under test from a picklable oracle factory and answers
-merge back through the shared trie in deterministic order, keeping learned
-machines bit-identical to serial runs.
+:class:`~repro.learning.parallel.WorkerPool` wraps the system under
+learning as one more membership oracle, ``CachedMembershipOracle(
+WorkerPool(sul, n))``.  It runs the misses of each engine batch — the
+learner's rounds and the conformance suite's chunks alike — on worker
+processes holding copies of the SUL and returns the answers in batch
+order, so learned machines are bit-identical to serial runs.
 """
 
 from repro.learning.query_engine import (
@@ -60,15 +58,7 @@ from repro.learning.wpmethod import (
     w_method_suite,
     wp_method_suite,
 )
-from repro.learning.parallel import (
-    CacheInterfaceOracleFactory,
-    FunctionOracleFactory,
-    MealyMachineOracleFactory,
-    OracleFactory,
-    SimulatedPolicyOracleFactory,
-    WorkerPool,
-    oracle_factory_for_cache,
-)
+from repro.learning.parallel import WorkerPool
 from repro.learning.equivalence import (
     ConformanceEquivalenceOracle,
     EquivalenceOracle,
@@ -107,13 +97,7 @@ __all__ = [
     "transition_cover",
     "w_method_suite",
     "wp_method_suite",
-    "CacheInterfaceOracleFactory",
-    "FunctionOracleFactory",
-    "MealyMachineOracleFactory",
-    "OracleFactory",
-    "SimulatedPolicyOracleFactory",
     "WorkerPool",
-    "oracle_factory_for_cache",
     "ConformanceEquivalenceOracle",
     "EquivalenceOracle",
     "PerfectEquivalenceOracle",

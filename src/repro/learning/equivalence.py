@@ -7,7 +7,7 @@ Three implementations are provided:
   hypothesis and compare the system's answers against the hypothesis' own
   predictions.  Yields the ``(|H| + k)``-completeness guarantee of
   Theorem 3.3 / Corollary 3.4.  Its suite words are answered by the query
-  engine, and stream through the engine's worker pool when it has one.
+  engine, one streamed chunk at a time.
 * :class:`RandomWalkEquivalenceOracle` — random word testing, mentioned in
   Section 6 as an alternative heuristic for deeper counterexample search.
 * :class:`PerfectEquivalenceOracle` — compares against a known reference
@@ -19,23 +19,12 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import deque
 from itertools import islice
-from typing import (
-    Deque,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Hashable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
-from repro.learning.oracles import MembershipOracle, PendingBatch, QueryStatistics
+from repro.learning.oracles import MembershipOracle, QueryStatistics
 from repro.learning.query_engine import output_query_batch
 from repro.learning.wpmethod import iter_wp_method_suite
 
@@ -77,24 +66,11 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     surfaces the counter so reports can flag the caveat instead of silently
     claiming completeness.
 
-    Process-parallel execution
-    --------------------------
-
-    When the oracle is a
-    :class:`~repro.learning.oracles.CachedMembershipOracle` built with a
-    parallel :class:`~repro.learning.parallel.WorkerPool` (its ``pool``),
-    suite chunks are shipped to worker processes that each rebuild a fresh
-    system under test from the pool's oracle factory.  At most
-    ``max_inflight`` chunks are in flight at once (a bounded window over
-    the lazy suite: the parent holds no more than ``max_inflight ×
-    batch_size`` queued words, tracked in :attr:`peak_inflight_words`), and
-    chunks are consumed *in suite order*, so the returned counterexample is
-    always the first mismatching word — identical to a serial run, which
-    keeps learned machines bit-identical across worker counts.  Worker
-    answers merge back through the engine (:meth:`~repro.learning.oracles.\
-CachedMembershipOracle.collect`), so they feed the learner's cache and
-    still trip non-determinism detection; words the shared trie already
-    knows are never shipped.
+    There is one loop, whatever executes the words: chunks are answered in
+    suite order and the first mismatching word is returned.  When the
+    engine's delegate is a :class:`~repro.learning.parallel.WorkerPool`,
+    each chunk's misses run on its workers, and the counterexample, hence
+    the learned machine, is the one a serial run finds.
     """
 
     def __init__(
@@ -104,21 +80,14 @@ CachedMembershipOracle.collect`), so they feed the learner's cache and
         depth: int = 1,
         max_tests: Optional[int] = None,
         batch_size: int = 64,
-        max_inflight: int = 4,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.oracle = oracle
         self.depth = depth
         self.max_tests = max_tests
         self.batch_size = batch_size
-        self.max_inflight = max_inflight
         self.statistics = QueryStatistics()
-        #: Peak number of suite words queued in the parent at once (parallel
-        #: path): bounded by ``max_inflight * batch_size`` by construction.
-        self.peak_inflight_words = 0
 
     # -------------------------------------------------------------- the suite
 
@@ -167,9 +136,6 @@ CachedMembershipOracle.collect`), so they feed the learner's cache and
         suite: Iterator[Word] = iter(self._suite(hypothesis))
         if self.max_tests is not None:
             suite = self._truncated(suite)
-        pool = getattr(self.oracle, "pool", None)
-        if pool is not None and pool.parallel:
-            return self._find_counterexample_parallel(hypothesis, suite)
         for chunk in _chunks(suite, self.batch_size):
             self.statistics.test_words += len(chunk)
             actuals = output_query_batch(self.oracle, chunk)
@@ -178,94 +144,6 @@ CachedMembershipOracle.collect`), so they feed the learner's cache and
                     self._finish_truncation(suite)
                     return word
         return None
-
-    # --------------------------------------------------------- parallel path
-
-    def _find_counterexample_parallel(
-        self, hypothesis: MealyMachine, suite: Iterator[Word]
-    ) -> Optional[Word]:
-        """The engine-backed parallel path, accounting-identical to serial.
-
-        Each chunk is one engine batch: :meth:`~repro.learning.oracles.\
-CachedMembershipOracle.submit` partitions and ships it, and
-        :meth:`~repro.learning.oracles.CachedMembershipOracle.collect`
-        records and merges it, so the cache-hit and subsumed-word columns
-        cannot drift between ``--workers 0`` and ``--workers N``.  Words
-        covered by a chunk still *in flight* (equal to, or a proper prefix
-        of, a shipped word) count as known and are not shipped again:
-        chunks are consumed in suite order, so by the time their own chunk
-        is compared the covering answers have merged into the shared trie —
-        exactly the words a serial run would have found cached.
-        """
-        engine = self.oracle
-        cached_answer = engine.cached_answer
-        # A bounded window of in-flight chunks over the lazy suite: chunks
-        # are submitted as the generator produces them and consumed in
-        # suite order, so the first mismatching word wins deterministically
-        # while the parent queues at most max_inflight * batch_size words.
-        pending: Deque[PendingBatch] = deque()
-        # Reference-counted cover of every in-flight shipped word and its
-        # proper prefixes — bounded by the in-flight window, released as
-        # chunks merge into the trie.  With the trie it stays prefix-closed.
-        inflight_cover: Dict[Word, int] = {}
-        inflight_words = 0
-        exhausted = False
-
-        def covered(word: Word) -> bool:
-            return cached_answer(word) is not None or word in inflight_cover
-
-        def submit_next() -> bool:
-            """Pull one more chunk from the suite and ship its missing words."""
-            nonlocal inflight_words
-            chunk = list(islice(suite, self.batch_size))
-            if not chunk:
-                return False
-            batch = engine.submit(chunk, covered)
-            for word in batch.missing:
-                for length in range(1, len(word) + 1):
-                    prefix = word[:length]
-                    inflight_cover[prefix] = inflight_cover.get(prefix, 0) + 1
-            pending.append(batch)
-            inflight_words += len(batch.words)
-            self.peak_inflight_words = max(self.peak_inflight_words, inflight_words)
-            return True
-
-        while True:
-            while not exhausted and len(pending) < self.max_inflight:
-                if not submit_next():
-                    exhausted = True
-            if not pending:
-                return None
-            batch = pending.popleft()
-            inflight_words -= len(batch.words)
-            self.statistics.test_words += len(batch.words)
-            # Recorded and merged at *consume* time, so chunks cancelled by
-            # a counterexample (which a serial run never reaches) are never
-            # counted.  Feeds the shared trie; raises NonDeterminismError
-            # when a worker disagrees with a cached prefix.
-            engine.collect(batch)
-            self.statistics.parallel_chunks += len(batch.chunks)
-            self.statistics.parallel_words += len(batch.missing)
-            for word in batch.missing:
-                for length in range(1, len(word) + 1):
-                    prefix = word[:length]
-                    remaining = inflight_cover[prefix] - 1
-                    if remaining:
-                        inflight_cover[prefix] = remaining
-                    else:
-                        del inflight_cover[prefix]
-            for word in batch.words:
-                actual = cached_answer(word)
-                if actual is None:  # pragma: no cover - every word is covered
-                    raise LearningError(
-                        f"suite word {word!r} was neither cached nor answered "
-                        "by its chunk"
-                    )
-                if actual != hypothesis.run(word):
-                    for queued in pending:
-                        queued.cancel()
-                    self._finish_truncation(suite)
-                    return word
 
 
 class RandomWalkEquivalenceOracle:

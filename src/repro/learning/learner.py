@@ -101,11 +101,11 @@ class ActiveLearner:
     Membership queries flow through the batched query engine: the oracle
     is wrapped in a :class:`~repro.learning.oracles.CachedMembershipOracle`
     unless it already is one, which lets callers share one engine between
-    the learner and the equivalence oracle.  An engine built with a
-    parallel :class:`~repro.learning.parallel.WorkerPool` fans the
+    the learner and the equivalence oracle.  When the engine's delegate is
+    a :class:`~repro.learning.parallel.WorkerPool`, the misses of the
     learner's per-round batches (table fill for L*, sift rounds for the
-    tree) out across worker processes and merges them back in chunk order,
-    so parallel runs learn machines bit-identical to serial ones.
+    tree) run on worker processes and come back in batch order, so
+    parallel runs learn machines bit-identical to serial ones.
 
     Subclasses build the first hypothesis in :meth:`_initial_hypothesis`
     and turn a counterexample into the next one in :meth:`_refine`;

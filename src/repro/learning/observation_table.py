@@ -55,8 +55,8 @@ class ObservationTable:
     Cell queries go through the batched query engine: :meth:`fill` collects
     every missing ``(prefix, suffix)`` cell and issues **one** batch per
     stabilisation round, letting the oracle dedupe and prefix-subsume before
-    a single word reaches the system under learning (and, when the engine
-    has a parallel worker pool, before its misses fan out).  Row contents
+    a single word reaches the system under learning (or the worker pool
+    wrapping it, which splits the misses across processes).  Row contents
     are memoised per prefix and invalidated when the suffix set changes.
     """
 

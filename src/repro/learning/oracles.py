@@ -16,9 +16,9 @@ The module provides:
   additionally supports resume-from-state;
 * :class:`CachedMembershipOracle` — the query engine: the trie-backed
   response cache mirroring the LevelDB response cache of CacheQuery's
-  frontend, and the only layer that partitions a batch and decides where
-  its misses execute (in process, or on the
-  :class:`~repro.learning.parallel.WorkerPool` it is given).  It shares
+  frontend, and the only layer that partitions a batch; its misses go to
+  its delegate, the system under learning (or a
+  :class:`~repro.learning.parallel.WorkerPool` wrapping it).  It shares
   prefix storage structurally, reuses the longest cached prefix (executing
   only the un-cached suffix when the delegate supports resume), and
   detects non-determinism (two executions of the same prefix giving
@@ -28,8 +28,7 @@ The module provides:
 
 from __future__ import annotations
 
-from concurrent.futures import Future
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
@@ -41,7 +40,6 @@ from repro.learning.query_engine import (
     partition_batch,
     supports_resume,
 )
-from repro.learning.parallel import WorkerPool
 
 Input = Hashable
 Output = Hashable
@@ -70,11 +68,6 @@ class QueryStatistics:
     #: Conformance-suite words dropped by a ``max_tests`` truncation — when
     #: non-zero the (|H| + k)-completeness guarantee of Corollary 3.4 is void.
     tests_skipped: int = 0
-    #: Word chunks shipped to pool workers (by the engine's batches or the
-    #: parallel conformance window).
-    parallel_chunks: int = 0
-    #: Words answered by pool workers (and merged back into the trie).
-    parallel_words: int = 0
 
     def record_query(self, length: int) -> None:
         """Record one membership query of ``length`` symbols."""
@@ -178,31 +171,6 @@ class MealyMachineOracle:
         return self.machine.run(suffix, state)
 
 
-#: Misses per chunk the engine ships to a parallel pool.
-POOL_CHUNK_WORDS = 64
-
-
-@dataclass
-class PendingBatch:
-    """A batch between :meth:`CachedMembershipOracle.submit` and
-    :meth:`~CachedMembershipOracle.collect`."""
-
-    #: The requested words, in order (duplicates and prefixes included).
-    words: List[Word]
-    #: How many of them the partition's predicate already knew.
-    already_cached: int
-    #: The deduped, prefix-free misses left to execute.
-    missing: List[Word]
-    #: ``(chunk, future)`` per chunk of ``missing`` shipped to the pool, in
-    #: order; empty when the misses execute in process at collect time.
-    chunks: List[Tuple[List[Word], Future]]
-
-    def cancel(self) -> None:
-        """Cancel the shipped chunks that have not started yet."""
-        for _, future in self.chunks:
-            future.cancel()
-
-
 class CachedMembershipOracle:
     """The query engine: a trie-backed response cache in front of the SUL.
 
@@ -216,15 +184,12 @@ class CachedMembershipOracle:
     :class:`~repro.errors.NonDeterminismError`, mirroring how the paper
     detects incorrect reset sequences (Section 7.1).
 
-    The engine is the only layer that partitions a batch and decides where
-    its misses execute.  With a parallel
-    :class:`~repro.learning.parallel.WorkerPool` (``pool=``), a batch's
-    misses are shipped in :data:`POOL_CHUNK_WORDS`-word chunks and merged
-    back in chunk order, so answers and learned machines are identical to
-    a serial run.  Worker executions count as this engine's
-    membership queries, and each worker's statistics delta folds into the
-    delegate's ``statistics`` (field by field), so probe columns stay
-    worker-count-invariant.  The pool belongs to the caller.
+    The engine is the only layer that partitions a batch; its misses
+    execute through the delegate on one path, whatever the delegate is.
+    Process-parallel execution is a delegate too: a
+    :class:`~repro.learning.parallel.WorkerPool` wrapping the system under
+    learning answers the misses on worker processes, and the engine cannot
+    tell the difference.
     """
 
     def __init__(
@@ -233,7 +198,6 @@ class CachedMembershipOracle:
         *,
         store=None,
         namespace: Sequence[Hashable] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
         """Wrap ``delegate`` with the trie-backed cache.
 
@@ -241,8 +205,7 @@ class CachedMembershipOracle:
         the trie in a shared — possibly path-backed — store, e.g. the same
         store instance the CacheQuery frontend's ``QueryCache`` uses;
         ``namespace`` picks the trie's namespace key inside it (defaults to
-        the learning namespace).  ``pool`` is the worker pool batches fan
-        out to when it has more than one worker.
+        the learning namespace).
         """
         self._delegate = delegate
         self._trie = ResponseTrie(
@@ -250,7 +213,6 @@ class CachedMembershipOracle:
             namespace=namespace if namespace is not None else DEFAULT_LEARNING_NAMESPACE,
         )
         self._resume = supports_resume(delegate)
-        self.pool = pool
         self.statistics = QueryStatistics()
 
     # ----------------------------------------------------------- single query
@@ -291,71 +253,23 @@ class CachedMembershipOracle:
     def output_query_batch(self, words: Sequence[Sequence[Input]]) -> List[OutputWord]:
         """Answer a batch: partition it once, execute only its misses.
 
-        Cached words are served from the trie; the remaining maximal words
-        run as described in :meth:`collect`.  Every requested word —
+        Cached words are served from the trie.  The remaining maximal words
+        execute one by one through :meth:`_execute` for a resumable
+        delegate (later misses resume from earlier answers), else as one
+        call into the delegate; either way every answer passes the same
+        length and non-determinism checks.  Every requested word —
         duplicate, prefix or miss — is then answered from the trie.
         """
-        batch = self.submit(words)
-        self.collect(batch)
-        if batch.chunks:
-            self.statistics.parallel_chunks += len(batch.chunks)
-            self.statistics.parallel_words += len(batch.missing)
-        lookup = self._trie.lookup
-        return [lookup(word) for word in batch.words]
-
-    def submit(
-        self,
-        words: Sequence[Sequence[Input]],
-        known: Optional[Callable[[Word], bool]] = None,
-    ) -> PendingBatch:
-        """Partition a batch and, with a parallel pool, ship its misses.
-
-        ``known`` replaces the trie as the partition's predicate; it must
-        stay prefix-closed (conformance's in-flight window passes the trie
-        plus the words its earlier, still in-flight batches shipped).  The
-        misses are shipped in :data:`POOL_CHUNK_WORDS`-word chunks without
-        waiting; without a parallel pool they execute at :meth:`collect`.
-        """
         words = [tuple(word) for word in words]
-        already_cached, missing = partition_batch(
-            words, known if known is not None else self._trie.covers
-        )
-        chunks: List[Tuple[List[Word], Future]] = []
-        if missing and self.pool is not None and self.pool.parallel:
-            for start in range(0, len(missing), POOL_CHUNK_WORDS):
-                chunk = missing[start : start + POOL_CHUNK_WORDS]
-                chunks.append((chunk, self.pool.submit(chunk)))
-        return PendingBatch(words, already_cached, missing, chunks)
-
-    def collect(self, batch: PendingBatch) -> None:
-        """Record a submitted batch and merge its answers into the trie.
-
-        Shipped chunks merge in chunk order, so results stay deterministic
-        whichever worker finished first; each worker's statistics delta
-        folds into the delegate's statistics.  Otherwise the misses execute
-        here: one by one through :meth:`_execute` for a resumable delegate
-        (later misses resume from earlier answers), else as one call into
-        the delegate.  Either way every answer passes the same length and
-        non-determinism checks.
-        """
-        self.statistics.record_batch(
-            len(batch.words), batch.already_cached, len(batch.missing)
-        )
-        if batch.chunks:
-            statistics = getattr(self._delegate, "statistics", None)
-            names = (
-                {f.name for f in fields(statistics)} if is_dataclass(statistics) else ()
-            )
-            for chunk, future in batch.chunks:
-                answers, delta = self.pool.collect(future, chunk)
-                for name in delta.keys() & names:
-                    setattr(statistics, name, getattr(statistics, name) + delta[name])
-                self._merge(chunk, answers)
-        elif self._resume:
-            for word in batch.missing:
+        already_cached, missing = partition_batch(words, self._trie.covers)
+        self.statistics.record_batch(len(words), already_cached, len(missing))
+        if self._resume:
+            for word in missing:
                 self._execute(word)
-        elif batch.missing:
-            self._merge(batch.missing, execute_words(self._delegate, batch.missing))
+        elif missing:
+            self._merge(missing, execute_words(self._delegate, missing))
+        lookup = self._trie.lookup
+        return [lookup(word) for word in words]
 
     def _merge(self, words: Sequence[Word], answers: Sequence[OutputWord]) -> None:
         """Insert executed answers, one executed membership query per word."""
@@ -378,12 +292,12 @@ class CachedMembershipOracle:
         return self._trie.lookup(tuple(word))
 
     def record_external(self, word: Sequence[Input], outputs: Sequence[Output]) -> None:
-        """Merge an answer obtained elsewhere (e.g. by a pool worker) into the trie.
+        """Merge an answer obtained elsewhere into the trie.
 
         The insert performs the same consistency check as a locally executed
         query: an answer disagreeing with any cached prefix raises
-        :class:`~repro.errors.NonDeterminismError`, so parallel execution
-        keeps the broken-reset detection of Section 7.1 intact.
+        :class:`~repro.errors.NonDeterminismError`, the broken-reset
+        detection of Section 7.1.
         """
         word = tuple(word)
         outputs = tuple(outputs)

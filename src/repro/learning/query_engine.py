@@ -28,11 +28,12 @@ The batched-oracle protocol
 ---------------------------
 
 :class:`~repro.learning.oracles.CachedMembershipOracle` is the only layer
-that partitions a batch, dedupes it and decides where its misses execute
-(in process, or on a :class:`~repro.learning.parallel.WorkerPool`).
-Everything above it (the L* table, the TTT tree, conformance testing) asks
-it for answers; everything below it executes exactly the words it is
-handed.  A system under learning (SUL) therefore only ever receives
+that partitions a batch and dedupes it; its misses execute through its
+delegate on one path.  Everything above it (the L* table, the TTT tree,
+conformance testing) asks it for answers; everything below it executes
+exactly the words it is handed — the system under learning (SUL), or a
+:class:`~repro.learning.parallel.WorkerPool` that wraps the SUL and runs
+the words on worker processes.  A SUL therefore only ever receives
 distinct, non-empty, prefix-free words that are not cached yet, and never
 dedupes them again.
 
@@ -190,7 +191,7 @@ def partition_batch(
     """Partition a batch by what a cache can already answer.
 
     ``known`` is a pure predicate over a prefix-closed set of words (the
-    response trie, plus conformance's in-flight cover).  Returns
+    engine passes its response trie's ``covers``).  Returns
     ``(already_cached, missing)``: ``already_cached`` counts the batch's
     words (duplicates included) that ``known`` accepts — the cache-hit
     count — and ``missing`` holds the deduped, prefix-subsumed maximal
@@ -250,9 +251,9 @@ def execute_words(oracle, words: Sequence[Word]) -> List[OutputWord]:
     """Execute exactly ``words`` on ``oracle``: one batch call when it has a
     batch entry point, else one ``output_query`` per word.
 
-    This is how the engine and pool workers drive a system under learning;
-    ``words`` are the distinct, prefix-free misses of a partitioned batch,
-    so nothing is deduped here.
+    This is how the engine drives its delegate, and pool workers their copy
+    of the system under learning; ``words`` are the distinct, prefix-free
+    misses of a partitioned batch, so nothing is deduped here.
     """
     if supports_batching(oracle):
         return oracle.output_query_batch(words)

@@ -39,10 +39,10 @@ suffix, and every other inner node was created by a split.
 
 The learner plugs in behind the :class:`~repro.learning.learner.ActiveLearner`
 interface, so it transparently reuses the batched query engine (every sift
-level is one deduped / prefix-subsumed batch, fanned out over the engine's
-worker pool when it has one), the simkernel ``--kernel`` path and
-``--resume`` stores, which live below the membership oracle and never see
-which learner is asking.
+level is one deduped / prefix-subsumed batch, whose misses run on worker
+processes when the engine's delegate is a worker pool), the simkernel
+``--kernel`` path and ``--resume`` stores, which live below the membership
+oracle and never see which learner is asking.
 
 Mealy-specific subtlety: intermediate tree hypotheses need not be minimal
 (two leaves can be merged behaviourally until a discriminator separates

@@ -21,9 +21,9 @@ Streaming
 
 At depth ≥ 2 the suites grow into the hundreds of thousands of words
 (PLRU-8: ~350k), and materialising them in the parent process used to take
-noticeable time before the first test word could be executed or shipped to
-a pool worker.  :func:`iter_w_method_suite` / :func:`iter_wp_method_suite`
-generate the **same words in the same order** lazily: the covers and
+noticeable time before the first test word could be executed.
+:func:`iter_w_method_suite` / :func:`iter_wp_method_suite` generate the
+**same words in the same order** lazily: the covers and
 characterization machinery are built eagerly (so a non-minimal machine
 still fails fast with :class:`~repro.errors.LearningError`), but the
 cross-product enumeration is a generator the conformance tester can drain
@@ -35,7 +35,7 @@ The only per-word state the generators keep is the deduplication set —
 O(distinct words) keys, unavoidable for exact parity with the materialised
 suites — but words are *yielded* one at a time, so execution overlaps
 generation and the parent's queued-word footprint is bounded by the
-consumer's in-flight window instead of the full suite.
+consumer's chunk size instead of the full suite.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.errors import LearningError, PolicyError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LEARNER_NAMES, LearningResult, make_learner
 from repro.learning.oracles import CachedMembershipOracle
-from repro.learning.parallel import WorkerPool, oracle_factory_for_cache
+from repro.learning.parallel import WorkerPool
 from repro.polca.algorithm import PolcaMembershipOracle, PolcaStatistics
 from repro.polca.interfaces import CacheProbeInterface, SimulatedCacheInterface
 from repro.policies.base import ReplacementPolicy
@@ -105,15 +105,13 @@ def identify_policy(
 class PolicyLearningPipeline:
     """Configurable Polca + learner pipeline.
 
-    ``workers=N`` (N > 1) hands one process pool to the query engine, so
-    **both** query sides of learning run on it: the learner's round batches
-    fan out across the workers, and the conformance tester streams lazily
-    generated Wp-suite chunks into the same pool with a bounded in-flight
-    window.  Each worker rebuilds the system under test from a picklable
-    oracle factory, derived for simulated caches and any picklable cache
-    interface (:func:`repro.learning.parallel.oracle_factory_for_cache`);
-    all answers merge back into the shared query engine in deterministic
-    order, so the learned machine is bit-identical to a serial run.
+    ``workers=N`` (N > 1) hands the query engine
+    ``WorkerPool(polca, N)`` (:mod:`repro.learning.parallel`) instead of
+    Polca itself, so the misses of every engine batch — the learner's
+    rounds and the conformance suite's chunks alike — execute on N worker
+    processes, each holding a copy of this run's Polca.  Answers and Polca's
+    counters come back in batch order, so the learned machine and every
+    statistics column are identical to a serial run.
     """
 
     def __init__(
@@ -186,18 +184,11 @@ class PolicyLearningPipeline:
         polca = PolcaMembershipOracle(
             self.cache, resume=self.resume, kernel=self.kernel
         )
-        parallel = self.workers is not None and self.workers > 1
         pool = None
-        if parallel:
-            # One pool serves the learner's batches and the conformance
-            # tester; its per-worker accounting covers the run, and worker
-            # Polca deltas fold into polca.statistics, so Table 2/4 probe
-            # columns are worker-count-invariant.
-            pool = WorkerPool(
-                oracle_factory_for_cache(self.cache, kernel=self.kernel), self.workers
-            )
+        if self.workers is not None and self.workers > 1:
+            pool = WorkerPool(polca, self.workers)
         engine = CachedMembershipOracle(
-            polca, store=self.store, namespace=self._engine_namespace(), pool=pool
+            pool or polca, store=self.store, namespace=self._engine_namespace()
         )
         equivalence = ConformanceEquivalenceOracle(
             engine, depth=self.depth, max_tests=self.max_tests
@@ -254,11 +245,10 @@ class PolicyLearningPipeline:
             extra["session_extends"] = polca.statistics.session_extends
         if self.store is not None:
             extra["store"] = self.store.statistics()
-        if parallel:
+        if pool is not None:
             extra["workers"] = self.workers
-            extra["parallel_chunks"] = result.statistics.parallel_chunks
-            extra["parallel_words"] = result.statistics.parallel_words
-            extra["peak_inflight_words"] = equivalence.peak_inflight_words
+            extra["parallel_chunks"] = pool.shipped_chunks
+            extra["parallel_words"] = pool.shipped_words
             extra["worker_query_counts"] = dict(pool.worker_query_counts)
             extra["worker_symbol_counts"] = dict(pool.worker_symbol_counts)
             extra["worker_statistics"] = {

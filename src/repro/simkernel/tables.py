@@ -22,10 +22,10 @@ initial state is always ``0``), input symbols numbered ``Ln(i) -> i`` and
 The stepper (:mod:`repro.simkernel.steppers`) indexes the flat tuples
 directly.
 
-Tables are immutable, hashable-free plain data and therefore picklable —
-though the worker pools deliberately *rebuild* them from the policy name at
-pool init instead of shipping them (see
-:class:`~repro.learning.parallel.SimulatedPolicyOracleFactory`).
+Tables are immutable, hashable-free plain data and therefore picklable: a
+:class:`~repro.learning.parallel.WorkerPool` ships them to its workers
+inside the Polca oracle they are bound to, so no worker tabulates a policy
+again.
 """
 
 from __future__ import annotations

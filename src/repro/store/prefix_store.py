@@ -157,7 +157,7 @@ class PrefixNamespace:
 
     # Weak references cannot be pickled: ship the owner itself (pickle's memo
     # keeps the store <-> namespace cycle intact) and re-wrap it on load, so
-    # a store can travel to pool workers inside a pickled cache interface.
+    # a store can travel to pool workers inside a pickled Polca oracle.
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

@@ -9,7 +9,7 @@ policy by policy:
 * every policy in the registry is learned twice — serially and with a
   2-worker process pool — and the two runs must produce **bit-identical**
   machines (same states, same transition/output maps, not merely
-  trace-equivalent);
+  trace-equivalent) and identical engine and Polca statistics;
 * the learned machine is then cross-checked against a fresh Polca-driven
   simulator on seeded random words, so a bug that affected *both* runs
   identically would still be caught;
@@ -27,13 +27,15 @@ learns exactly and defers the two seconds-per-run BRRIP configurations to
 ``slow``-marked tests.
 
 Every policy is exercised at associativity 2 to keep the suite fast; the
-larger configurations live in ``benchmarks/bench_parallel_equivalence.py``.
+larger configurations live in ``benchmarks/bench_parallel.py``.  One
+CacheQuery-backed Table 4 target checks the same identity on the path where
+workers actually pay off.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -91,6 +93,11 @@ def _assert_differential(policy_name: str, depth: int, *, replay: bool) -> None:
     assert parallel.machine.size == serial.machine.size
     assert parallel.machine.equivalent(serial.machine)
     assert parallel.extra["workers"] == 2
+    # ... nor any count: the engine's and Polca's statistics, field by field.
+    assert asdict(parallel.learning_result.statistics) == asdict(
+        serial.learning_result.statistics
+    )
+    assert asdict(parallel.polca_statistics) == asdict(serial.polca_statistics)
 
     if not replay:
         return
@@ -223,23 +230,16 @@ def test_parallel_run_reports_worker_accounting():
     assert merged.get("block_accesses", 0) >= 1
 
 
-#: Statistics fields that legitimately differ between serial and parallel
-#: runs (they count pool mechanics, not measurements).
-PARALLEL_ONLY_FIELDS = ("parallel_chunks", "parallel_words")
-
-
 @pytest.mark.parametrize("policy_name", ("LRU", "PLRU", "MRU", "SRRIP-HP"))
 def test_probe_and_hit_columns_are_worker_count_invariant(policy_name):
     """Every reported column — engine hits/batches/subsumption AND the
     Polca probe/access counters — must be identical at --workers 0/2.
 
     Before PR 5 the probes column read 0 under ``--workers`` (worker-side
-    Polca counters never left the worker processes) and cache_hits/batches
-    drifted with the in-flight window; the widened worker return protocol
-    plus consume-time chunk accounting closed both.
+    Polca counters never left the worker processes); the pool now folds
+    every chunk's statistics delta into the parent's Polca.  The engine
+    counts no pool mechanics, so the whole dataclasses compare equal.
     """
-    from dataclasses import asdict
-
     associativity = 4 if policy_name != "SRRIP-HP" else 2
     policy = make_policy(policy_name, associativity)
     serial = learn_simulated_policy(policy, depth=1, identify=False)
@@ -248,11 +248,64 @@ def test_probe_and_hit_columns_are_worker_count_invariant(policy_name):
     )
     assert parallel.machine == serial.machine
 
-    serial_engine = asdict(serial.learning_result.statistics)
-    parallel_engine = asdict(parallel.learning_result.statistics)
-    for field in PARALLEL_ONLY_FIELDS:
-        serial_engine.pop(field), parallel_engine.pop(field)
-    assert parallel_engine == serial_engine
+    assert asdict(parallel.learning_result.statistics) == asdict(
+        serial.learning_result.statistics
+    )
 
     assert asdict(parallel.polca_statistics) == asdict(serial.polca_statistics)
     assert parallel.polca_statistics.cache_probes > 0
+
+
+def _learn_i5_6500_l3(workers=None):
+    """Learn the Table 4 fast i5-6500 L3 target (CAT at 2 ways) through a
+    CacheQuery frontend over a fresh simulated CPU and store."""
+    from repro.cachequery.backend import BackendConfig
+    from repro.cachequery.frontend import (
+        CacheQuery,
+        CacheQueryConfig,
+        CacheQuerySetInterface,
+    )
+    from repro.hardware.cpu import SimulatedCPU
+    from repro.hardware.profiles import cpu_profile
+    from repro.hardware.timing import NoiseModel
+    from repro.polca.pipeline import learn_policy_from_cache
+    from repro.polca.reset import FlushRefillReset
+    from repro.store import PrefixStore
+
+    cpu = SimulatedCPU(cpu_profile("i5-6500"), noise=NoiseModel(std=0.0))
+    cpu.configure_cat("L3", 2)
+    store = PrefixStore()
+    frontend = CacheQuery(
+        cpu,
+        CacheQueryConfig(level="L3", backend=BackendConfig(repetitions=1)),
+        store=store,
+    )
+    interface = CacheQuerySetInterface(frontend, reset=FlushRefillReset())
+    return learn_policy_from_cache(
+        interface,
+        identification_candidates=["NEW2"] + available_policies(),
+        workers=workers,
+        store=store,
+    )
+
+
+def test_cachequery_target_learns_identically_on_two_workers():
+    """The one path where the pool wins is a CacheQuery-backed target: Polca
+    and its CacheQuery interface ship to the workers, and the run learns the
+    serial machine with every engine and Polca count unchanged."""
+    serial = _learn_i5_6500_l3()
+    parallel = _learn_i5_6500_l3(workers=2)
+    assert (serial.num_states, serial.identified_policy) == (7, "NEW2")
+    assert parallel.machine == serial.machine
+    assert parallel.identified_policy == serial.identified_policy
+    assert asdict(parallel.learning_result.statistics) == asdict(
+        serial.learning_result.statistics
+    )
+    assert asdict(parallel.polca_statistics) == asdict(serial.polca_statistics)
+    # The probes really ran on both workers, through their own frontends.
+    assert parallel.extra["parallel_words"] >= 1
+    assert len(parallel.extra["worker_query_counts"]) == 2
+    assert all(
+        counters.get("backend_executed_queries", 0) >= 1
+        for counters in parallel.extra["worker_statistics"].values()
+    )

@@ -1,9 +1,10 @@
 """Unit tests for the process-parallel conformance-testing machinery.
 
-Covers the picklable oracle factories of :mod:`repro.learning.parallel`,
-the parallel path of
-:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle` over an
-engine built with a worker pool (chunk shipping, trie merge-back,
+Covers shipping systems under learning to the workers of a
+:class:`~repro.learning.parallel.WorkerPool` (simulated Polca with its
+kernel bound, machines, functions, CacheQuery interfaces over a populated
+store), :class:`~repro.learning.equivalence.ConformanceEquivalenceOracle`
+over an engine whose delegate is a pool (chunk shipping, trie merge-back,
 cached-word skipping, deterministic counterexamples) and the
 external-observation entry points of
 :class:`~repro.learning.oracles.CachedMembershipOracle`.
@@ -20,15 +21,12 @@ from repro.learning.equivalence import (
     ConformanceEquivalenceOracle,
     RandomWalkEquivalenceOracle,
 )
-from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.learning.parallel import (
-    CacheInterfaceOracleFactory,
-    FunctionOracleFactory,
-    MealyMachineOracleFactory,
-    SimulatedPolicyOracleFactory,
-    WorkerPool,
-    oracle_factory_for_cache,
+from repro.learning.oracles import (
+    CachedMembershipOracle,
+    FunctionOracle,
+    MealyMachineOracle,
 )
+from repro.learning.parallel import WorkerPool
 from repro.learning.wpmethod import wp_method_suite
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
@@ -46,68 +44,82 @@ def _constant_outputs(word):
 
 
 class _UnregisteredLRU(LRUPolicy):
-    """A policy whose name is not in the registry (forces the pickle fallback)."""
+    """A policy whose name is not in the registry."""
 
     name = "LRU-UNREGISTERED"
 
 
-# ----------------------------------------------------------------- factories
+def _answers_through_a_pool(sul, words, workers: int = 2):
+    """Answer ``words`` through ``CachedMembershipOracle(WorkerPool(sul, n))``,
+    checking that the workers, not the parent, executed them."""
+    with WorkerPool(sul, workers) as pool:
+        answers = CachedMembershipOracle(pool).output_query_batch(words)
+    assert pool.shipped_words >= 1
+    return answers
+
+
+# ------------------------------------------------- shipping SULs to workers
 
 
 class TestOracleFactories:
+    """Every kind of system under learning ships to pool workers as itself."""
+
     def test_simulated_policy_factory_round_trips_and_answers(self):
-        factory = SimulatedPolicyOracleFactory("PLRU", 4)
-        clone = pickle.loads(pickle.dumps(factory))
-        oracle = clone()
+        sul = PolcaMembershipOracle(
+            SimulatedCacheInterface(make_policy("PLRU", 4)), kernel="auto"
+        )
         reference = PolcaMembershipOracle(SimulatedCacheInterface(make_policy("PLRU", 4)))
-        word = tuple(reference.alphabet())  # one of each input symbol
-        assert oracle.output_query(word) == reference.output_query(word)
+        alphabet = reference.alphabet()
+        words = [alphabet * 2, alphabet[::-1]]  # each input symbol, no prefixes
+        expected = [reference.output_query(word) for word in words]
+        assert _answers_through_a_pool(sul, words) == expected
+        # The workers' probe counters come back into the parent's Polca.
+        assert sul.statistics == reference.statistics
 
     def test_mealy_machine_factory(self):
         machine = _machine("LRU", 2)
-        factory = pickle.loads(pickle.dumps(MealyMachineOracleFactory(machine)))
-        oracle = factory()
         word = tuple(machine.inputs)
-        assert oracle.output_query(word) == machine.run(word)
+        assert _answers_through_a_pool(MealyMachineOracle(machine), [word]) == [
+            machine.run(word)
+        ]
 
     def test_function_factory(self):
-        factory = pickle.loads(pickle.dumps(FunctionOracleFactory(_constant_outputs)))
-        assert factory().output_query(("a", "b")) == ("x", "x")
+        sul = FunctionOracle(_constant_outputs)
+        assert _answers_through_a_pool(sul, [("a", "b")]) == [("x", "x")]
 
     def test_factory_for_registered_simulated_cache(self):
+        # A registry policy ships with its tabulated kernel already bound:
+        # workers step the parent's table instead of tabulating it again.
         cache = SimulatedCacheInterface(make_policy("SRRIP-HP", 4))
-        factory = oracle_factory_for_cache(cache)
-        assert isinstance(factory, SimulatedPolicyOracleFactory)
-        assert factory.policy_name == "SRRIP-HP"
-        assert factory.associativity == 4
-        rebuilt = factory()
-        reference = PolcaMembershipOracle(cache)
+        sul = PolcaMembershipOracle(cache, kernel="auto")
+        assert sul.kernel_in_use == "python"
+        assert pickle.loads(pickle.dumps(sul)).kernel_in_use == "python"
+        reference = PolcaMembershipOracle(
+            SimulatedCacheInterface(make_policy("SRRIP-HP", 4))
+        )
         word = tuple(reference.alphabet())[:3]
-        assert rebuilt.output_query(word) == reference.output_query(word)
+        assert _answers_through_a_pool(sul, [word]) == [reference.output_query(word)]
 
     def test_factory_for_unregistered_cache_pickles_the_interface(self):
-        cache = SimulatedCacheInterface(_UnregisteredLRU(2))
-        factory = oracle_factory_for_cache(cache)
-        assert isinstance(factory, CacheInterfaceOracleFactory)
-        clone = pickle.loads(pickle.dumps(factory))
+        sul = PolcaMembershipOracle(SimulatedCacheInterface(_UnregisteredLRU(2)))
         reference = PolcaMembershipOracle(SimulatedCacheInterface(make_policy("LRU", 2)))
         word = tuple(reference.alphabet())
-        assert clone().output_query(word) == reference.output_query(word)
+        assert _answers_through_a_pool(sul, [word]) == [reference.output_query(word)]
 
     def test_non_default_registry_policy_uses_the_pickle_fallback(self):
         # SRRIPPolicy(2, bits=3) carries the registry name "SRRIP-HP" but a
-        # non-default parameter; rebuilding it from the name would hand the
-        # workers a different policy (and a spurious NonDeterminismError).
+        # non-default parameter; workers must simulate this very policy,
+        # not the registry's default for its name.
         from repro.policies.srrip import SRRIPPolicy
 
-        cache = SimulatedCacheInterface(SRRIPPolicy(2, variant="HP", bits=3))
-        factory = oracle_factory_for_cache(cache)
-        assert isinstance(factory, CacheInterfaceOracleFactory)
+        sul = PolcaMembershipOracle(
+            SimulatedCacheInterface(SRRIPPolicy(2, variant="HP", bits=3)), kernel="auto"
+        )
         reference = PolcaMembershipOracle(
             SimulatedCacheInterface(SRRIPPolicy(2, variant="HP", bits=3))
         )
         word = tuple(reference.alphabet()) * 2
-        assert factory().output_query(word) == reference.output_query(word)
+        assert _answers_through_a_pool(sul, [word]) == [reference.output_query(word)]
 
     def test_cachequery_interface_over_a_populated_store_ships(self, tmp_path):
         # One store backs the frontend and the learning trie across a sweep,
@@ -131,25 +143,28 @@ class TestOracleFactories:
             store=store,
         )
         interface = CacheQuerySetInterface(frontend)
-        engine = CachedMembershipOracle(PolcaMembershipOracle(interface), store=store)
-        word = tuple(engine._delegate.alphabet())
+        polca = PolcaMembershipOracle(interface)
+        engine = CachedMembershipOracle(polca, store=store)
+        word = tuple(polca.alphabet())
         expected = engine.output_query(word)
         assert len(store.namespaces()) == 2 and store.pending_records > 0
 
-        factory = pickle.loads(pickle.dumps(oracle_factory_for_cache(interface)))
-        assert isinstance(factory, CacheInterfaceOracleFactory)
-        shipped = factory.cache.frontend.cache.store
+        shipped = pickle.loads(pickle.dumps(polca)).cache.frontend.cache.store
         pending = shipped.pending_records
         shipped.namespace(("fresh",)).record(("a",), ("x",))
         assert shipped.pending_records == pending + 1  # still journals
-        assert factory().output_query(word) == expected
+        longer = word + word[:1]
+        assert _answers_through_a_pool(polca, [word, longer]) == [
+            expected,
+            PolcaMembershipOracle(interface).output_query(longer),
+        ]
 
     def test_unpicklable_cache_is_rejected_with_learning_error(self):
         class LocalCache:  # local classes cannot be pickled
             associativity = 2
 
-        with pytest.raises(LearningError, match="oracle_factory"):
-            oracle_factory_for_cache(LocalCache())
+        with pytest.raises(LearningError, match="cannot be shipped to worker processes"):
+            WorkerPool(LocalCache(), 2)
 
 
 # ------------------------------------------------- external observations API
@@ -194,11 +209,11 @@ class TestExternalObservations:
 
 
 def _pool_for(reference, workers: int = 2) -> WorkerPool:
-    return WorkerPool(MealyMachineOracleFactory(reference), workers)
+    return WorkerPool(MealyMachineOracle(reference), workers)
 
 
 def _engine(reference, pool=None) -> CachedMembershipOracle:
-    return CachedMembershipOracle(MealyMachineOracle(reference), pool=pool)
+    return CachedMembershipOracle(pool or MealyMachineOracle(reference))
 
 
 def _parallel_oracle(pool, reference, engine=None, **kwargs):
@@ -206,32 +221,18 @@ def _parallel_oracle(pool, reference, engine=None, **kwargs):
 
 
 class TestParallelConformance:
-    def test_workers_require_a_factory(self):
-        """Parallel conformance needs worker oracles: the pool a suite would
-        stream through refuses to exist without a factory."""
-        with pytest.raises(LearningError, match="oracle_factory"):
-            _engine(_machine("LRU", 2), WorkerPool(None, 2))
-
     def test_invalid_worker_count_rejected(self):
         reference = _machine("LRU", 2)
         with pytest.raises(ValueError):
             _engine(reference, _pool_for(reference, workers=0))
-
-    def test_single_worker_stays_serial(self):
-        reference = _machine("LRU", 2)
-        pool = WorkerPool(None, 1)
-        equivalence = _parallel_oracle(pool, reference)
-        assert equivalence.find_counterexample(reference) is None
-        assert pool._executor is None
-        assert equivalence.statistics.parallel_chunks == 0
 
     def test_parallel_pass_on_correct_hypothesis(self):
         reference = _machine("PLRU", 4)
         with _pool_for(reference) as pool:
             equivalence = _parallel_oracle(pool, reference, batch_size=16)
             assert equivalence.find_counterexample(reference) is None
-            assert equivalence.statistics.parallel_chunks >= 2
-            assert equivalence.statistics.parallel_words >= 1
+            assert pool.shipped_chunks >= 2
+            assert pool.shipped_words >= 1
             assert sum(pool.worker_query_counts.values()) >= 1
             assert sum(pool.worker_symbol_counts.values()) >= 1
         # Closing the pool shut its executor down, but kept the per-worker
@@ -263,12 +264,12 @@ class TestParallelConformance:
         suite = wp_method_suite(reference, 1)
         assert all(engine.cached_answer(word) is not None for word in suite)
         # The suite was answered by workers, and their executions count as
-        # membership queries on the shared engine (and fold into its
-        # delegate's statistics), keeping reports comparable to a serial run.
+        # membership queries on the shared engine (and fold into the wrapped
+        # SUL's statistics), keeping reports comparable to a serial run.
         executed = sum(pool.worker_query_counts.values())
-        assert equivalence.statistics.parallel_words == executed >= 1
+        assert pool.shipped_words == executed >= 1
         assert engine.statistics.membership_queries == executed
-        assert engine._delegate.statistics.membership_queries == executed
+        assert pool.sul.statistics.membership_queries == executed
 
     def test_cached_words_are_not_shipped(self):
         reference = _machine("LRU", 4)
@@ -279,7 +280,7 @@ class TestParallelConformance:
                 engine.record_external(word, reference.run(word))
             equivalence = _parallel_oracle(pool, reference, engine=engine)
             assert equivalence.find_counterexample(reference) is None
-        assert equivalence.statistics.parallel_words == 0
+        assert pool.shipped_words == 0
         assert pool.worker_query_counts == {}
 
     def test_parallel_path_detects_non_determinism(self):

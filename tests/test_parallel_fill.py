@@ -1,14 +1,16 @@
 """Unit tests for the process-parallel observation-table fill.
 
-Covers :class:`repro.learning.parallel.WorkerPool` (the pool shared by the
-membership and equivalence oracle sides), the engine's batches over a pool
-(``CachedMembershipOracle(..., pool=)``: chunk-index-order merge into the
-shared trie, bit-identical table cells) and learners running on such an
-engine.
+Covers :class:`repro.learning.parallel.WorkerPool` (a membership oracle
+wrapping the system under learning, shared by the membership and
+equivalence oracle sides), the engine's batches over a pool
+(``CachedMembershipOracle(WorkerPool(sul, n))``: answers in batch order,
+merged into the shared trie, bit-identical table cells), its dead-worker
+recovery, and learners running on such an engine.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -22,11 +24,7 @@ from repro.learning.oracles import (
     FunctionOracle,
     MealyMachineOracle,
 )
-from repro.learning.parallel import (
-    FunctionOracleFactory,
-    MealyMachineOracleFactory,
-    WorkerPool,
-)
+from repro.learning.parallel import WorkerPool
 from repro.learning.query_engine import output_query_batch
 from repro.learning.wpmethod import wp_method_suite
 from repro.policies.registry import make_policy
@@ -37,11 +35,11 @@ def _machine(name: str, associativity: int = 4):
 
 
 def _pool_for(machine, workers: int = 2) -> WorkerPool:
-    return WorkerPool(MealyMachineOracleFactory(machine), workers)
+    return WorkerPool(MealyMachineOracle(machine), workers)
 
 
 def _engine(machine, pool=None) -> CachedMembershipOracle:
-    return CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+    return CachedMembershipOracle(pool or MealyMachineOracle(machine))
 
 
 def _all_hits(word):
@@ -55,6 +53,15 @@ def _exit_on_marker(word):
     return _all_hits(word)
 
 
+def _exit_once_on_marker(flag_path, word):
+    """Like :func:`_exit_on_marker`, but only the first process to see the
+    marker dies: it leaves ``flag_path`` behind for every later one."""
+    if "die" in word and not os.path.exists(flag_path):
+        open(flag_path, "w").close()
+        os._exit(1)
+    return _all_hits(word)
+
+
 # ------------------------------------------------------------------ WorkerPool
 
 
@@ -62,15 +69,6 @@ class TestWorkerPool:
     def test_rejects_invalid_worker_count(self):
         with pytest.raises(ValueError):
             WorkerPool(None, 0)
-
-    def test_parallel_requires_a_factory(self):
-        with pytest.raises(LearningError, match="oracle_factory"):
-            WorkerPool(None, 2)
-
-    def test_single_worker_pool_is_serial_and_needs_no_factory(self):
-        pool = WorkerPool(None, 1)
-        assert not pool.parallel
-        pool.close()  # idempotent no-op: no executor was ever created
 
     def test_answer_batch_matches_serial_engine(self):
         machine = _machine("MRU", 4)
@@ -83,7 +81,7 @@ class TestWorkerPool:
         with _pool_for(machine) as pool:
             engine = _engine(machine, pool)
             assert engine.output_query_batch(words) == expected
-        assert engine.statistics.parallel_words >= 1
+        assert pool.shipped_words >= 1
 
     def test_answer_batch_merges_into_shared_trie(self):
         machine = _machine("LRU", 4)
@@ -92,14 +90,12 @@ class TestWorkerPool:
             engine = _engine(machine, pool)
             engine.output_query_batch(words)
             assert all(engine.cached_answer(word) is not None for word in words)
-            # Workers executed everything, in 64-word chunks, and their
-            # executions count as the engine's membership queries so reports
-            # stay comparable across worker counts.
-            assert engine.statistics.parallel_words >= 65
-            assert engine.statistics.parallel_chunks >= 2
-            assert sum(pool.worker_query_counts.values()) == (
-                engine.statistics.parallel_words
-            )
+            # Workers executed everything, one contiguous chunk each, and
+            # their executions count as the engine's membership queries so
+            # reports stay comparable across worker counts.
+            assert pool.shipped_words >= 65
+            assert pool.shipped_chunks == 2
+            assert sum(pool.worker_query_counts.values()) == pool.shipped_words
             assert sum(pool.worker_symbol_counts.values()) >= 1
             assert engine.statistics.membership_queries == sum(
                 pool.worker_query_counts.values()
@@ -107,8 +103,8 @@ class TestWorkerPool:
             assert engine.statistics.membership_symbols == sum(
                 pool.worker_symbol_counts.values()
             )
-            # The worker deltas fold into the delegate's statistics.
-            assert engine._delegate.statistics.membership_queries == sum(
+            # The worker deltas fold into the wrapped SUL's statistics.
+            assert pool.sul.statistics.membership_queries == sum(
                 pool.worker_query_counts.values()
             )
 
@@ -122,7 +118,7 @@ class TestWorkerPool:
             hits_before = engine.statistics.cache_hits
             answers = engine.output_query_batch(words)
             assert answers == [machine.run(word) for word in words]
-            assert engine.statistics.parallel_words == 0
+            assert pool.shipped_words == 0
             assert pool.worker_query_counts == {}
         assert engine.statistics.cache_hits == hits_before + len(words)
 
@@ -140,13 +136,33 @@ class TestWorkerPool:
                 engine.output_query_batch(words)
 
     def test_dead_worker_raises_learning_error(self):
-        """A worker that exits mid-chunk surfaces as a typed error naming the
-        chunk and the serial remedy, not as a raw ``BrokenProcessPool``."""
-        with WorkerPool(FunctionOracleFactory(_exit_on_marker), 2) as pool:
-            engine = CachedMembershipOracle(FunctionOracle(_all_hits), pool=pool)
+        """A worker that exits mid-chunk, and again after the pool restarts,
+        surfaces as a typed error naming the chunk and the serial remedy,
+        not as a raw ``BrokenProcessPool``."""
+        with WorkerPool(FunctionOracle(_exit_on_marker), 2) as pool:
+            engine = CachedMembershipOracle(pool)
             with pytest.raises(LearningError, match=r"chunk of 2 words.*--workers 0"):
-                engine.output_query_batch([("a",), ("b", "die")])
+                engine.output_query_batch([("a",), ("b",), ("c", "die"), ("d",)])
             assert pool._executor is None  # the broken executor was shut down
+
+    def test_worker_that_dies_once_is_replaced_and_its_chunk_reshipped(self, tmp_path):
+        """One death costs a restart, not the run: the pool re-ships the
+        unanswered chunk to a fresh executor, and answers and counts equal a
+        serial run's because only answered chunks are accounted."""
+        words = [("a",), ("b",), ("c", "die"), ("d",), ("e", "f")]
+        serial_sul = FunctionOracle(_all_hits)
+        serial = CachedMembershipOracle(serial_sul)
+        expected = serial.output_query_batch(words)
+        function = functools.partial(_exit_once_on_marker, str(tmp_path / "died"))
+        with WorkerPool(FunctionOracle(function), 2) as pool:
+            engine = CachedMembershipOracle(pool)
+            assert engine.output_query_batch(words) == expected
+            assert (tmp_path / "died").exists()  # a worker really died
+            assert pool._executor is not None  # its replacement stays up
+        assert engine.statistics == serial.statistics
+        assert pool.sul.statistics == serial_sul.statistics
+        assert pool.shipped_words == len(words)
+        assert sum(pool.worker_query_counts.values()) == len(words)
 
     def test_close_is_idempotent(self):
         machine = _machine("LRU", 2)
@@ -173,7 +189,7 @@ class TestParallelObservationTable:
         assert parallel.suffixes == serial.suffixes
         assert parallel._cells == serial._cells
         assert parallel.hypothesis() == serial.hypothesis()
-        assert parallel_engine.statistics.parallel_words >= 1
+        assert pool.shipped_words >= 1
         assert parallel_engine.statistics.membership_queries == (
             serial_engine.statistics.membership_queries
         )
@@ -189,22 +205,9 @@ class TestParallelObservationTable:
         assert engine.statistics.membership_queries == sum(
             pool.worker_query_counts.values()
         )
-        assert engine.statistics.parallel_words == sum(
-            pool.worker_query_counts.values()
-        )
-        assert engine.statistics.parallel_words >= 1
+        assert pool.shipped_words == sum(pool.worker_query_counts.values())
+        assert pool.shipped_words >= 1
         assert engine.size >= 1
-
-    def test_serial_pool_falls_back_to_the_batched_engine(self):
-        machine = _machine("LRU", 2)
-        pool = WorkerPool(None, 1)
-        engine = _engine(machine, pool)
-        table = ObservationTable(machine.inputs, engine)
-        assert table.missing_cells() == []
-        # The serial pool never spun up workers; the engine answered locally.
-        assert engine.statistics.batches == 1
-        assert engine.statistics.parallel_words == 0
-        assert pool._executor is None
 
 
 # ------------------------------------------------------------ learner wiring
@@ -216,18 +219,6 @@ class TestLearnerWorkers:
         equivalence = ConformanceEquivalenceOracle(engine, depth=1)
         learner = MealyLearner(machine.inputs, engine, equivalence)
         return learner.learn()
-
-    def test_workers_require_a_factory(self):
-        """A learner runs on as many workers as its engine's pool has:
-        parallel learning needs an oracle factory, while a one-worker pool
-        needs none and learns serially, bit-identically."""
-        machine = _machine("LRU", 2)
-        with pytest.raises(LearningError, match="oracle_factory"):
-            self._learn(machine, pool=WorkerPool(None, 2))
-        serial = self._learn(machine)
-        single = self._learn(machine, pool=WorkerPool(None, 1))
-        assert single.machine == serial.machine
-        assert single.statistics.parallel_words == 0
 
     def test_workers_must_be_positive(self):
         machine = _machine("LRU", 2)
@@ -243,7 +234,7 @@ class TestLearnerWorkers:
         assert parallel.machine == serial.machine
         assert parallel.rounds == serial.rounds
         assert parallel.counterexamples == serial.counterexamples
-        assert parallel.statistics.parallel_words >= 1
+        assert pool.shipped_words >= 1
 
     def test_shared_pool_is_left_running(self):
         machine = _machine("LRU", 2)
@@ -273,12 +264,12 @@ class TestSharedPoolBothSides:
             assert engine.statistics.membership_queries == sum(
                 pool.worker_query_counts.values()
             )
-            assert result.statistics.parallel_words == sum(
-                pool.worker_query_counts.values()
-            )
-            assert equivalence.statistics.parallel_words >= 1
-            assert engine.statistics.parallel_words >= 1
-            assert engine.pool is pool
+            assert pool.shipped_words == sum(pool.worker_query_counts.values())
+            # A deeper suite over the same engine ships its new words too.
+            shipped = pool.shipped_words
+            deeper = ConformanceEquivalenceOracle(engine, depth=2)
+            assert deeper.find_counterexample(result.machine) is None
+            assert pool.shipped_words > shipped
         serial = TestLearnerWorkers()._learn(machine)
         assert result.machine == serial.machine
 

@@ -2,9 +2,9 @@
 
 The PR 2 differential harness checks the fixed policy registry; this layer
 generalises it to *generated* instances, fuzzing the whole parallel stack —
-process-parallel observation-table fill **and** streamed parallel
-conformance testing on one shared :class:`~repro.learning.parallel.\
-WorkerPool` — against the serial reference:
+observation-table fill **and** streamed conformance testing on one engine
+whose delegate is a :class:`~repro.learning.parallel.WorkerPool` — against
+the serial reference:
 
 * seeded random Mealy machines (random size, alphabet, outputs) learned
   serially and with a 2-worker pool must produce **field-by-field
@@ -14,7 +14,8 @@ WorkerPool` — against the serial reference:
   the reference, serially and in parallel — and so must L*, so the two
   learners agree;
 * seeded random policy configurations from the registry, learned through
-  the full Polca pipeline both ways, must agree the same way; and
+  the full Polca pipeline both ways, must agree the same way, down to every
+  engine and Polca statistics field; and
 * replaying seeded random words against a fresh reference (the machine
   itself, or a fresh Polca-driven simulator) must match the learned
   machine, catching a bug that corrupted both runs identically.
@@ -37,7 +38,7 @@ from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LearningResult, MealyLearner
 from repro.learning.ttt import TTTLearner
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
+from repro.learning.parallel import WorkerPool
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
@@ -91,15 +92,15 @@ def _learn_machine(machine: MealyMachine, workers: int = 1) -> LearningResult:
     """Learn ``machine`` white-box; with workers > 1 both oracle sides run
     on one shared pool (parallel table fill + parallel streamed suite)."""
     if workers > 1:
-        with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            engine = CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+        with WorkerPool(MealyMachineOracle(machine), workers) as pool:
+            engine = CachedMembershipOracle(pool)
             equivalence = ConformanceEquivalenceOracle(engine, depth=2)
             learner = MealyLearner(machine.inputs, engine, equivalence)
             result = learner.learn()
         # Table fill and suite execution ran on the pool; the only parent
         # executions allowed are Rivest–Schapire's binary-search probes,
         # which are inherently sequential and usually cache hits.
-        assert result.statistics.parallel_words >= 1
+        assert pool.shipped_words >= 1
         return result
     engine = CachedMembershipOracle(MealyMachineOracle(machine))
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
@@ -145,6 +146,12 @@ def _assert_policy_differential(policy_name: str) -> None:
         == serial.learning_result.counterexamples
     ), f"{policy_name}: counterexample sequences diverged"
     assert parallel.extra["workers"] == 2
+    assert asdict(parallel.learning_result.statistics) == asdict(
+        serial.learning_result.statistics
+    ), f"{policy_name}: engine statistics diverged"
+    assert asdict(parallel.polca_statistics) == asdict(
+        serial.polca_statistics
+    ), f"{policy_name}: Polca probe accounting diverged"
 
     # Replay seeded random words through a fresh Polca-driven simulator.
     oracle = PolcaMembershipOracle(
@@ -198,8 +205,8 @@ def _assert_kernel_differential(policy_name: str) -> None:
 def _learn_machine_ttt(machine: MealyMachine, workers: int = 1) -> LearningResult:
     """Learn ``machine`` white-box with the TTT-refined tree learner."""
     if workers > 1:
-        with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            engine = CachedMembershipOracle(MealyMachineOracle(machine), pool=pool)
+        with WorkerPool(MealyMachineOracle(machine), workers) as pool:
+            engine = CachedMembershipOracle(pool)
             equivalence = ConformanceEquivalenceOracle(engine, depth=2)
             learner = TTTLearner(machine.inputs, engine, equivalence)
             return learner.learn()

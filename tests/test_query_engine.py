@@ -187,23 +187,6 @@ class TestCachedMembershipOracle:
         with pytest.raises(NonDeterminismError):
             cached.output_query(("a", "b"))
 
-    def test_submit_partitions_against_the_callers_predicate(self):
-        # Conformance's window passes the trie plus its in-flight cover.
-        delegate = FunctionOracle(_echo)
-        cached = CachedMembershipOracle(delegate)
-        inflight = {("a",), ("a", "b")}
-        batch = cached.submit(
-            [("a",), ("a", "b", "c"), ("a", "b"), ("d",)], inflight.__contains__
-        )
-        assert batch.already_cached == 2
-        assert batch.missing == [("a", "b", "c"), ("d",)]
-        assert batch.chunks == []  # no pool: the misses run at collect
-        assert delegate.statistics.membership_queries == 0
-        cached.collect(batch)
-        assert delegate.statistics.membership_queries == 2
-        assert (cached.statistics.batches, cached.statistics.cache_hits) == (1, 2)
-        assert cached.cached_answer(("a", "b")) == (1, 2)
-
     def test_batch_with_a_missing_answer_is_rejected(self):
         class DropsLastAnswer(FunctionOracle):
             def output_query_batch(self, words):
@@ -317,11 +300,11 @@ class TestConformanceBatchingAndTruncation:
             assert reference.run(counterexample) != wrong.run(counterexample)
 
     def test_pool_path_matches_serial(self):
-        from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
+        from repro.learning.parallel import WorkerPool
 
         reference = make_policy("LRU", 4).to_mealy().minimize()
         wrong = make_policy("FIFO", 4).to_mealy().minimize()
-        with WorkerPool(MealyMachineOracleFactory(reference), 2) as pool:
+        with WorkerPool(MealyMachineOracle(reference), 2) as pool:
             for batch_size in (1, 7, 512):
                 serial = ConformanceEquivalenceOracle(
                     CachedMembershipOracle(MealyMachineOracle(reference)),
@@ -329,7 +312,7 @@ class TestConformanceBatchingAndTruncation:
                     batch_size=batch_size,
                 )
                 pooled = ConformanceEquivalenceOracle(
-                    CachedMembershipOracle(MealyMachineOracle(reference), pool=pool),
+                    CachedMembershipOracle(pool),
                     depth=1,
                     batch_size=batch_size,
                 )

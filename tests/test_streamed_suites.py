@@ -3,9 +3,9 @@
 The generators must yield **exactly** the suite the PR 1 materialised
 implementation produced — same words, same order, for every registry
 machine at depths 1 and 2 — and the conformance oracle consuming them must
-never queue more than ``max_inflight × batch_size`` words in the parent
-process (the bounded in-flight window that replaces materialising ~350k
-words before the first chunk ships).
+never pull more than ``batch_size`` words ahead of the ones it has checked,
+serially or on a worker pool (instead of materialising ~350k words before
+the first chunk executes).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
+from repro.learning.parallel import WorkerPool
 from repro.learning.wpmethod import (
     characterization_set,
     identification_sets,
@@ -186,25 +186,21 @@ class TestInflightWindow:
     def test_parallel_parent_queues_at_most_window_times_chunk_size(self):
         reference = _machine("SRRIP-HP")
         suite_size = len(wp_method_suite(reference, 2))
-        batch_size, window = 16, 2
-        with WorkerPool(MealyMachineOracleFactory(reference), 2) as pool:
+        batch_size = 16
+        with WorkerPool(MealyMachineOracle(reference), 2) as pool:
             oracle = _TrackingOracle(
-                CachedMembershipOracle(MealyMachineOracle(reference), pool=pool),
-                depth=2,
-                batch_size=batch_size,
-                max_inflight=window,
+                CachedMembershipOracle(pool), depth=2, batch_size=batch_size
             )
             assert oracle.find_counterexample(reference) is None
-        bound = window * batch_size
-        # The whole suite ran ...
+        # The whole suite ran, on the workers ...
         assert oracle.statistics.test_words == suite_size
         assert oracle.words_generated == suite_size
-        # ... but the parent never pulled more than the window ahead of
-        # consumption, and never queued more than the window's words —
-        # nothing resembling the full suite was ever materialised.
-        assert suite_size > 4 * bound
-        assert oracle.max_outstanding <= bound
-        assert 0 < oracle.peak_inflight_words <= bound
+        assert pool.shipped_words > 0
+        # ... but the parent never pulled more than one chunk ahead of
+        # consumption — nothing resembling the full suite was ever
+        # materialised.
+        assert suite_size > 4 * batch_size
+        assert oracle.max_outstanding <= batch_size
 
     def test_serial_streaming_holds_one_batch_at_a_time(self):
         reference = _machine("SRRIP-HP")
@@ -215,11 +211,6 @@ class TestInflightWindow:
         assert oracle.find_counterexample(reference) is None
         assert oracle.statistics.test_words == suite_size
         assert oracle.max_outstanding <= batch_size
-
-    def test_max_inflight_validation(self):
-        engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU")))
-        with pytest.raises(ValueError):
-            ConformanceEquivalenceOracle(engine, max_inflight=0)
 
     def test_streamed_truncation_accounting_stays_exact(self):
         reference = _machine("SRRIP-HP")
