@@ -78,9 +78,11 @@ class AddressMapper:
     line_offset_bits:
         log2 of the line size; 6 for all modern Intel CPUs.
 
-    :meth:`locate` memoizes its answer per address: a simulated hierarchy
-    touches the same few pool and eviction-set addresses over and over.
-    The memo takes no part in equality, hashing or ``repr``.
+    :meth:`locate` memoizes its answer per address.  Cache levels keep their
+    own per-address route (see :class:`~repro.cache.cache.SetAssociativeCache`),
+    so loads no longer reach this memo; it serves each route's first lookup
+    and the CacheQuery backend's eviction-set search.  The memo takes no part
+    in equality, hashing or ``repr``.
     """
 
     sets_per_slice: int

@@ -83,15 +83,10 @@ class _DuelingCacheSet:
         self._controller = controller
         self.content: list = [None] * self.associativity
 
-    def line_of(self, block) -> Optional[int]:
-        for index, stored in enumerate(self.content):
-            if stored == block:
-                return index
-        return None
-
     def access(self, block) -> str:
-        line = self.line_of(block)
-        if line is not None:
+        content = self.content
+        if block in content:
+            line = content.index(block)
             self._state_a = self._policy_a.on_hit(self._state_a, line)
             self._state_b = self._policy_b.on_hit(self._state_b, line)
             return HIT
@@ -99,15 +94,15 @@ class _DuelingCacheSet:
         self._state_b, victim_b = self._policy_b.on_miss(self._state_b)
         winner = self._controller.follower_choice()
         victim = victim_a if winner == "leader_a" else victim_b
-        self.content[victim] = block
+        content[victim] = block
         return MISS
 
     def flush(self, block) -> bool:
-        line = self.line_of(block)
-        if line is None:
+        content = self.content
+        if block not in content:
             return False
-        self.content[line] = None
-        if all(stored is None for stored in self.content):
+        content[content.index(block)] = None
+        if content.count(None) == len(content):
             self._state_a = self._policy_a.initial_state()
             self._state_b = self._policy_b.initial_state()
         return True
@@ -119,7 +114,15 @@ class _DuelingCacheSet:
 
 
 class SetAssociativeCache:
-    """One cache level: lazily materialised sets behind an address mapper."""
+    """One cache level: lazily materialised sets behind an address mapper.
+
+    Each physical address the level sees is routed once, on first touch, to
+    ``(cache set, block id, leader role or None)``; :meth:`access`,
+    :meth:`contains` and :meth:`flush` then cost one dict lookup before the
+    set's own line scan.  The routes hold the set objects themselves, so
+    :meth:`configure_cat`, the only place that drops sets, clears them too.
+    Like the mapper's memo, the routes grow with the distinct addresses seen.
+    """
 
     def __init__(
         self,
@@ -140,6 +143,7 @@ class SetAssociativeCache:
         self.adaptive = adaptive
         self.cat = cat or CATConfig(supported=True, way_mask=0)
         self._sets: Dict[Tuple[int, int], object] = {}
+        self._routes: Dict[int, Tuple[object, int, Optional[str]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -155,6 +159,7 @@ class SetAssociativeCache:
         cat.effective_associativity(self.nominal_associativity)  # validate
         self.cat = cat
         self._sets.clear()
+        self._routes.clear()
 
     def set_role(self, set_index: int, slice_index: int = 0) -> str:
         """Return ``leader_a`` / ``leader_b`` / ``follower`` / ``fixed`` for a set."""
@@ -184,34 +189,44 @@ class SetAssociativeCache:
             self._sets[key] = self._build_set(slice_index, set_index)
         return self._sets[key]
 
+    def _route(self, physical_address: int) -> Tuple[object, int, Optional[str]]:
+        """Build and memoize ``(cache set, block id, leader role or None)`` for an address."""
+        slice_index, set_index = self.mapper.locate(physical_address)
+        role = None
+        if self.adaptive is not None:
+            role = self.adaptive.selector.role(set_index, slice_index)
+            if role == "follower":
+                role = None
+        route = self._routes[physical_address] = (
+            self.set_for(slice_index, set_index),
+            self.mapper.block_id(physical_address),
+            role,
+        )
+        return route
+
     # ---------------------------------------------------------------- actions
 
     def access(self, physical_address: int) -> str:
         """Access the block containing ``physical_address``; return Hit/Miss."""
-        slice_index, set_index = self.mapper.locate(physical_address)
-        block = self.mapper.block_id(physical_address)
-        target = self.set_for(slice_index, set_index)
+        target, block, role = self._routes.get(physical_address) or self._route(physical_address)
         result = target.access(block)
         if result == HIT:
             self.hits += 1
         else:
             self.misses += 1
-            if self.adaptive is not None:
-                role = self.adaptive.selector.role(set_index, slice_index)
+            if role is not None:
                 self.adaptive.controller.record_leader_miss(role)
         return result
 
     def contains(self, physical_address: int) -> bool:
         """Return whether the block containing ``physical_address`` is cached."""
-        slice_index, set_index = self.mapper.locate(physical_address)
-        block = self.mapper.block_id(physical_address)
-        return self.set_for(slice_index, set_index).line_of(block) is not None
+        target, block, _ = self._routes.get(physical_address) or self._route(physical_address)
+        return block in target.content
 
     def flush(self, physical_address: int) -> bool:
         """Invalidate the block containing ``physical_address`` (``clflush``)."""
-        slice_index, set_index = self.mapper.locate(physical_address)
-        block = self.mapper.block_id(physical_address)
-        return self.set_for(slice_index, set_index).flush(block)
+        target, block, _ = self._routes.get(physical_address) or self._route(physical_address)
+        return target.flush(block)
 
     def flush_all(self) -> None:
         """Invalidate the entire level (``wbinvd``)."""

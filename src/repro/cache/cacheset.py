@@ -79,16 +79,9 @@ class CacheSet:
         """Blocks currently stored, in line order, skipping invalid lines."""
         return tuple(block for block in self.content if block is not None)
 
-    def line_of(self, block: Block) -> Optional[int]:
-        """Return the line index storing ``block``, or ``None``."""
-        for index, stored in enumerate(self.content):
-            if stored == block:
-                return index
-        return None
-
     def contains(self, block: Block) -> bool:
         """Return ``True`` when ``block`` is currently stored."""
-        return self.line_of(block) is not None
+        return block in self.content
 
     # --------------------------------------------------------------- actions
 
@@ -99,33 +92,29 @@ class CacheSet:
         policy state (``Ln(i)``); a miss asks the policy for a victim line
         (``Evct``), replaces its content and updates the policy state.
         """
-        result, _ = self.access_returning_victim(block)
-        return result
+        if block is None:
+            raise CacheError("cannot access the invalid block None")
+        content = self.content
+        if block in content:
+            self.policy_state = self.policy.on_hit(self.policy_state, content.index(block))
+            return HIT
+        if None in content:
+            # Real caches allocate invalid ways before evicting valid blocks;
+            # the policy is informed through its insertion (fill) rule.
+            invalid = content.index(None)
+            content[invalid] = block
+            self.policy_state = self.policy.on_fill(self.policy_state, invalid)
+            return MISS
+        self.policy_state, victim = self.policy.on_miss(self.policy_state)
+        content[victim] = block
+        return MISS
 
     def access_returning_victim(self, block: Block) -> Tuple[str, Optional[int]]:
         """Like :meth:`access` but also return the filled/evicted line (``None`` on a hit)."""
-        if block is None:
-            raise CacheError("cannot access the invalid block None")
-        line = self.line_of(block)
-        if line is not None:
-            self.policy_state = self.policy.on_hit(self.policy_state, line)
+        if self.access(block) == HIT:
             return HIT, None
-        invalid = self._first_invalid_line()
-        if invalid is not None:
-            # Real caches allocate invalid ways before evicting valid blocks;
-            # the policy is informed through its insertion (fill) rule.
-            self.content[invalid] = block
-            self.policy_state = self.policy.on_fill(self.policy_state, invalid)
-            return MISS, invalid
-        self.policy_state, victim = self.policy.on_miss(self.policy_state)
-        self.content[victim] = block
-        return MISS, victim
-
-    def _first_invalid_line(self) -> Optional[int]:
-        for index, stored in enumerate(self.content):
-            if stored is None:
-                return index
-        return None
+        # The block was absent, so the one line holding it now is the filled one.
+        return MISS, self.content.index(block)
 
     def flush(self, block: Block) -> bool:
         """Invalidate ``block`` (``clflush``); return whether it was present.
@@ -135,11 +124,11 @@ class CacheSet:
         CPUs a full invalidation followed by a refill (*Flush+Refill*) is a
         valid reset sequence (Section 7.1).
         """
-        line = self.line_of(block)
-        if line is None:
+        content = self.content
+        if block not in content:
             return False
-        self.content[line] = None
-        if all(stored is None for stored in self.content):
+        content[content.index(block)] = None
+        if content.count(None) == len(content):
             self.policy_state = self.policy.initial_state()
         return True
 

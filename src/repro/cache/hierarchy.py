@@ -19,7 +19,7 @@ Lookup semantics are kept simple but structurally faithful:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.addressing import AddressMapper
@@ -63,12 +63,16 @@ class CacheLevelConfig:
 
 @dataclass
 class AccessResult:
-    """Outcome of one load through the hierarchy."""
+    """Outcome of one load through the hierarchy: where it hit and its noise-free latency.
+
+    ``hit_level`` is ``None`` when the load was served by DRAM.  Callers that
+    only need the level use :meth:`CacheHierarchy.load_level`, which builds
+    no result object.
+    """
 
     address: int
     hit_level: Optional[str]
     latency: int
-    per_level: Dict[str, str] = field(default_factory=dict)
 
     @property
     def is_hit(self) -> bool:
@@ -107,22 +111,22 @@ class CacheHierarchy:
         """Return the level names from closest to the core outwards."""
         return tuple(cache.name for cache in self.levels)
 
+    def load_level(self, physical_address: int) -> Optional[str]:
+        """Perform one load; return the level it hit in, or ``None`` for DRAM.
+
+        Each level missed on the way allocates the block, so a full miss
+        leaves it filled everywhere.
+        """
+        for cache in self.levels:
+            if cache.access(physical_address) == HIT:
+                return cache.name
+        return None
+
     def load(self, physical_address: int) -> AccessResult:
         """Perform one load; return where it hit and the latency charged."""
-        per_level: Dict[str, str] = {}
-        hit_index: Optional[int] = None
-        for index, cache in enumerate(self.levels):
-            result = cache.access(physical_address)
-            per_level[cache.name] = result
-            if result == HIT:
-                hit_index = index
-                break
-        if hit_index is None:
-            # Full miss: every level already allocated the block while probing
-            # (the access above filled it), so only the latency remains.
-            return AccessResult(physical_address, None, self.memory_latency, per_level)
-        hit_name = self.levels[hit_index].name
-        return AccessResult(physical_address, hit_name, self._latency[hit_name], per_level)
+        hit_level = self.load_level(physical_address)
+        latency = self.memory_latency if hit_level is None else self._latency[hit_level]
+        return AccessResult(physical_address, hit_level, latency)
 
     def peek(self, physical_address: int) -> Optional[str]:
         """Return the closest level containing the address, without side effects."""

@@ -53,6 +53,10 @@ class BackendConfig:
             raise CacheQueryError("repetitions must be >= 1")
         if self.pool_extra_blocks < 1:
             raise CacheQueryError("the pool needs at least one extra block")
+        if self.eviction_extra_ways < 0:
+            raise CacheQueryError("eviction_extra_ways must be >= 0")
+        if self.eviction_rounds < 1:
+            raise CacheQueryError("eviction_rounds must be >= 1")
 
 
 @dataclass
@@ -63,6 +67,7 @@ class _TargetContext:
     set_index: int
     slice_index: int
     associativity: int
+    closer_levels: Tuple[str, ...]
     pool: Dict[str, int] = field(default_factory=dict)
     eviction_sets: Dict[Tuple[int, str], List[int]] = field(default_factory=dict)
 
@@ -97,11 +102,13 @@ class CacheQueryBackend:
         pool_size = associativity + self.config.pool_extra_blocks
         addresses = mapper.congruent_addresses(set_index, slice_index, pool_size)
         names = default_block_names(pool_size)
+        levels = self.cpu.hierarchy.level_names()
         context = _TargetContext(
             level=level,
             set_index=set_index,
             slice_index=slice_index,
             associativity=associativity,
+            closer_levels=levels[: levels.index(level)],
             pool=dict(zip(names, addresses)),
         )
         self._context = context
@@ -139,10 +146,6 @@ class CacheQueryBackend:
 
     # ------------------------------------------------------- cache filtering
 
-    def _closer_levels(self, level: str) -> List[str]:
-        names = list(self.cpu.hierarchy.level_names())
-        return names[: names.index(level)]
-
     def _eviction_addresses(self, block_address: int, closer_level: str) -> List[int]:
         context = self._require_context()
         key = (block_address, closer_level)
@@ -173,26 +176,27 @@ class CacheQueryBackend:
         context.eviction_sets[key] = selected
         return selected
 
-    def _filter_closer_levels(self, block_address: int) -> None:
-        """Evict the block from every level closer to the core than the target."""
-        context = self._require_context()
-        closer = self._closer_levels(context.level)
-        if not closer:
-            return
-        target_index = list(self.cpu.hierarchy.level_names()).index(context.level)
-        for _ in range(self.config.eviction_rounds):
-            holder = self.cpu.hierarchy.peek(block_address)
-            if holder is None:
-                return
-            if list(self.cpu.hierarchy.level_names()).index(holder) >= target_index:
-                return
+    def _filter_closer_levels(self, context: _TargetContext, block_address: int) -> None:
+        """Evict the block from every level closer to the core than the target.
+
+        Each round loads the eviction set of the closest level still holding
+        the block; the block is checked again after every round, the last
+        one included, and only a block still held after ``eviction_rounds``
+        rounds is an error.
+        """
+        rounds = self.config.eviction_rounds
+        holder = self.cpu.hierarchy.peek(block_address)
+        while holder in context.closer_levels:
+            if rounds == 0:
+                raise CacheQueryError(
+                    f"failed to evict block {block_address:#x} from the levels above "
+                    f"{context.level}"
+                )
+            rounds -= 1
             for address in self._eviction_addresses(block_address, holder):
                 self.cpu.load_physical(address)
                 self.executed_loads += 1
-        raise CacheQueryError(
-            f"failed to evict block {block_address:#x} from the levels above "
-            f"{context.level}"
-        )
+            holder = self.cpu.hierarchy.peek(block_address)
 
     # -------------------------------------------------------------- execution
 
@@ -227,14 +231,13 @@ class CacheQueryBackend:
     def _execute_once(self, query: Query) -> List[str]:
         context = self._require_context()
         outcomes: List[str] = []
-        is_innermost = context.level == self.cpu.hierarchy.level_names()[0]
         for operation in query:
             address = self.block_address(operation.block)
             if operation.flush:
                 self.cpu.clflush_physical(address)
                 continue
-            if not is_innermost:
-                self._filter_closer_levels(address)
+            if context.closer_levels:
+                self._filter_closer_levels(context, address)
             if operation.profiled and self.config.profile_with_counters:
                 holder_before = self.cpu.hierarchy.peek(address)
                 self.cpu.load_physical(address)

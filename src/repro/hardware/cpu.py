@@ -119,20 +119,20 @@ class SimulatedCPU:
     def load(self, virtual_address: int) -> float:
         """Execute one load; return its measured latency in cycles."""
         physical = self.translate(virtual_address)
-        result = self.hierarchy.load(physical)
-        self.counters.record_load(result.hit_level)
+        latency = self.load_physical(physical)
         prefetch_target = self.prefetcher.observe(physical)
         if prefetch_target is not None:
-            # Prefetches fill the hierarchy but are not timed.
-            self.hierarchy.load(prefetch_target)
+            # Prefetches fill the hierarchy but are neither timed nor counted
+            # as loads, so they draw no noise sample.
+            self.hierarchy.load_level(prefetch_target)
             self.counters.record_prefetch()
-        return self.timing.latency(result.hit_level)
+        return latency
 
     def load_physical(self, physical_address: int) -> float:
         """Execute one load given a physical address (backend-internal use)."""
-        result = self.hierarchy.load(physical_address)
-        self.counters.record_load(result.hit_level)
-        return self.timing.latency(result.hit_level)
+        hit_level = self.hierarchy.load_level(physical_address)
+        self.counters.record_load(hit_level)
+        return self.timing.latency(hit_level)
 
     def probe_level(self, virtual_address: int) -> Optional[str]:
         """Return the closest level currently holding the address (no side effects)."""

@@ -1,6 +1,8 @@
 """Tests for the cache substrates: sets, addressing, levels, hierarchy, CAT, adaptivity."""
 
+import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from repro.cache.cacheset import HIT, MISS, CacheSet, SimulatedCacheSet
 from repro.cache.cat import CATConfig
 from repro.cache.hierarchy import CacheHierarchy, CacheLevelConfig
 from repro.errors import AddressingError, CacheError
+from repro.hardware.cpu import SimulatedCPU
+from repro.hardware.profiles import cpu_profile
 from repro.policies import LRUPolicy, New2Policy
 from repro.policies.registry import make_policy
 
@@ -294,6 +298,64 @@ class TestHierarchy:
     def test_empty_hierarchy_rejected(self):
         with pytest.raises(CacheError):
             CacheHierarchy([])
+
+
+def _hierarchy_trace_digest(profile_name: str, steps: int = 6000) -> str:
+    """Drive one simulated CPU through a seeded trace; return the SHA-256 of what it saw.
+
+    The addresses are congruent to L3 sets 0, 1 and 33 (leader A and
+    follower sets on the modelled parts) and to L1 set 5.  Loads go through
+    the hierarchy, the physical CPU path and the virtual CPU path (whose
+    sequential lines trigger the prefetcher); each is followed by a peek.
+    At one third the L3 gets a 4-way CAT mask where the CPU supports it, and
+    at one half the CPU takes a pickle round trip.
+    """
+    cpu = SimulatedCPU(cpu_profile(profile_name))
+    l3 = cpu.hierarchy.level("L3").mapper
+    physical = [a for s in (0, 1, 33) for a in l3.congruent_addresses(s, 0, 20)]
+    physical += cpu.hierarchy.level("L1").mapper.congruent_addresses(5, 0, 12)
+    rng = random.Random(2026)
+    seen: list = []
+    virtual_loads = 0
+    for step in range(steps):
+        if step == steps // 3 and cpu.profile.level("L3").supports_cat:
+            cpu.configure_cat("L3", 4)
+        if step == steps // 2:
+            cpu = pickle.loads(pickle.dumps(cpu))
+        roll = rng.random()
+        address = rng.choice(physical)
+        if roll < 0.85:
+            if roll < 0.30:
+                seen.append(cpu.hierarchy.load(address).hit_level)
+            elif roll < 0.60:
+                seen.append(cpu.load_physical(address))
+            else:
+                seen.append(cpu.load(0x40000 + 64 * (virtual_loads % 16)))
+                virtual_loads += 1
+            seen.append(cpu.hierarchy.peek(rng.choice(physical)))
+        elif roll < 0.995:
+            cpu.clflush_physical(address)
+        else:
+            cpu.wbinvd()
+        seen.append(cpu.hierarchy.level("L3").adaptive.controller.value)
+        if step % 1000 == 999:
+            seen.append((cpu.hierarchy.statistics(), cpu.counters.snapshot()))
+    return hashlib.sha256(repr(seen).encode()).hexdigest()
+
+
+# Recorded with a hierarchy that decomposed every address on every access.
+# A change that only makes the hierarchy faster must leave them unchanged.
+_TRACE_DIGESTS = {
+    "haswell": "c3627a9af22b792ede2abb504df7e3621902b76b8c906f0f5cac20b353a72c54",
+    "skylake": "d8fa15a23db396b9ce152da36b2140f26cf652c71550802803b6faf47ae3c089",
+    "kabylake": "412d9161d39f96732591f7b26531dc7fb17011a58320e63a13590f7c97fa93f8",
+}
+
+
+@pytest.mark.parametrize("profile_name", sorted(_TRACE_DIGESTS))
+def test_seeded_hierarchy_trace_matches_recorded_digest(profile_name):
+    """Hit levels, peeks, statistics, counters and PSEL values are pinned per CPU."""
+    assert _hierarchy_trace_digest(profile_name) == _TRACE_DIGESTS[profile_name]
 
 
 @settings(max_examples=40, deadline=None)

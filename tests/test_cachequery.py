@@ -16,7 +16,7 @@ from repro.cachequery import (
 )
 from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
-from repro.hardware.profiles import SKYLAKE_I5_6500
+from repro.hardware.profiles import HASWELL_I7_4790, SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
 from repro.mbl.ast import Operation
 from repro.mbl.expansion import expand
@@ -415,6 +415,34 @@ class TestBackend:
         # executions used for majority voting all observe the same state.
         (query,) = expand("A! B! A A? B?", backend.associativity, blocks)
         assert backend.execute(query) == (HIT, MISS)
+
+    @pytest.mark.parametrize("level, rounds", [("L2", 1), ("L3", 2)])
+    @pytest.mark.parametrize(
+        "profile", [SKYLAKE_I5_6500, HASWELL_I7_4790], ids=["skylake", "haswell"]
+    )
+    def test_last_eviction_round_is_checked(self, profile, level, rounds):
+        """``eviction_rounds=N`` tolerates N rounds: one per closer level suffices."""
+
+        def run(config):
+            backend = CacheQueryBackend(SimulatedCPU(profile, noise=NoiseModel(std=0.0)), config)
+            backend.configure_target(level, 0)
+            (query,) = expand("A B C D A? B?", backend.associativity, backend.pool_blocks())
+            return backend.execute(query), backend.executed_loads
+
+        tight = run(BackendConfig(repetitions=1, eviction_rounds=rounds))
+        assert tight == run(BackendConfig(repetitions=1))
+        assert tight[0] == (HIT, HIT)
+        if rounds > 1:
+            with pytest.raises(CacheQueryError, match="failed to evict"):
+                run(BackendConfig(repetitions=1, eviction_rounds=rounds - 1))
+
+    @pytest.mark.parametrize(
+        "changes", [{"eviction_rounds": 0}, {"eviction_rounds": -1}, {"eviction_extra_ways": -1}]
+    )
+    def test_eviction_config_rejects_impossible_values(self, changes):
+        with pytest.raises(CacheQueryError):
+            BackendConfig(**changes)
+        BackendConfig(eviction_extra_ways=0)
 
 
 class TestFrontend:
