@@ -10,36 +10,82 @@ and produces outputs
 * ``⊥`` (here :data:`MISS_OUTPUT`, rendered ``"-"``) for ``Ln(i)`` inputs, and
 * a line index in ``0..n-1`` for ``Evct`` inputs.
 
-Inputs are modelled as small frozen dataclasses so they are hashable (the
-learner uses them as observation-table keys) and have readable ``repr``s in
-learned models and error messages.
+Inputs are immutable ``tuple`` subclasses, ``Ln(i)`` the 1-tuple ``(i,)`` and
+``Evct`` the empty tuple, because every layer above the kernel hashes whole
+words of them: CPython's C tuple hash then runs instead of a Python
+``__hash__`` per symbol, with exactly the values of the frozen dataclasses
+the symbols used to be (``hash((i,))`` and ``hash(())``), so every set and
+dict iterates in the same order.  Otherwise they behave like those
+dataclasses: a symbol equals and orders only against its own kind (never a
+plain tuple), is truthy and read-only, and pickles to its own class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Tuple, Union
 
 
-@dataclass(frozen=True, order=True)
-class Line:
+def _same_kind_only(compare):
+    """Wrap a tuple ordering so it raises ``TypeError`` across symbol kinds."""
+
+    def method(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot order {self!r} against {other!r}")
+        return compare(self, other)
+
+    return method
+
+
+class _Symbol(tuple):
+    """Tuple-backed input symbol; equal and ordered only within its own class."""
+
+    __slots__ = ()
+    # Defining __eq__ would set __hash__ to None; keep the C tuple hash.
+    __hash__ = tuple.__hash__
+    __lt__ = _same_kind_only(tuple.__lt__)
+    __le__ = _same_kind_only(tuple.__le__)
+    __gt__ = _same_kind_only(tuple.__gt__)
+    __ge__ = _same_kind_only(tuple.__ge__)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __bool__(self) -> bool:
+        return True  # ``Evct`` is the empty tuple but a real input
+
+    def __getnewargs__(self) -> tuple:
+        # tuple's own gives ``(tuple(self),)``: unpickle as ``Line(i)`` / ``Evict()``.
+        return tuple(self)
+
+
+class Line(_Symbol):
     """Input symbol ``Ln(i)``: access the block currently stored in line ``i``."""
 
-    index: int
+    __slots__ = ()
+    index = property(itemgetter(0), doc="The accessed line ``i``.")
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"line index must be non-negative, got {self.index}")
+    def __new__(cls, index: int) -> "Line":
+        if index < 0:
+            raise ValueError(f"line index must be non-negative, got {index}")
+        return tuple.__new__(cls, (index,))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"Ln({self.index})"
+        return f"Ln({self[0]})"
 
     __repr__ = __str__
 
 
-@dataclass(frozen=True, order=True)
-class Evict:
+class Evict(_Symbol):
     """Input symbol ``Evct``: request that the policy frees one line."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Evict":
+        return tuple.__new__(cls)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "Evct"

@@ -42,9 +42,10 @@ Robustness:
   An invalid line *followed by* valid data means the append discipline was
   violated and is reported as corruption;
 * **corruption diagnostics** — unreadable, truncated or structurally
-  malformed files raise :class:`~repro.errors.StoreCorruptionError` naming
-  the file and the problem; files written by a newer codec version are
-  rejected with an upgrade hint instead of being half-parsed;
+  malformed files, and symbols their decoder rejects, raise
+  :class:`~repro.errors.StoreCorruptionError` naming the file and the
+  problem; files written by a newer codec version are rejected with an
+  upgrade hint instead of being half-parsed;
 * **symbol registry** — trie children and delta words are keyed by JSON
   strings.  Plain string symbols are stored as-is; any other symbol type
   must be registered via :func:`register_symbol_codec` (the learning stack
@@ -380,6 +381,15 @@ def _corrupt(path: Path, problem: str) -> StoreCorruptionError:
     )
 
 
+def _decode_stored_symbol(path: Path, text: str) -> Hashable:
+    """:func:`decode_symbol` for a symbol read from ``path``; a payload its
+    decoder rejects is corruption, like any other damaged byte."""
+    try:
+        return decode_symbol(text)
+    except (ValueError, TypeError) as exc:
+        raise _corrupt(path, f"undecodable symbol {text!r} ({exc})") from exc
+
+
 def _decode_node(path: Path, namespace, node, depth: int, encoded) -> None:
     """Merge one encoded node (and its subtree) into the live ``node``.
 
@@ -409,7 +419,7 @@ def _decode_node(path: Path, namespace, node, depth: int, encoded) -> None:
         node.terminal = True
         namespace._entries += 1
     for symbol_text, child_encoded in children.items():
-        symbol = decode_symbol(symbol_text)
+        symbol = _decode_stored_symbol(path, symbol_text)
         child = node.children.get(symbol)
         if child is None:
             child = _StoreNode()
@@ -508,7 +518,7 @@ def decode_delta_entry(path: Path, entry) -> DeltaRecord:
             raise _corrupt(path, "non-scalar payload in delta record")
     return DeltaRecord(
         key=tuple(key),
-        word=tuple(decode_symbol(symbol) for symbol in symbols),
+        word=tuple(_decode_stored_symbol(path, symbol) for symbol in symbols),
         payloads=tuple(payloads),
         terminal=bool(terminal),
     )

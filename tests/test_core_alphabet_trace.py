@@ -1,5 +1,8 @@
 """Unit tests for the policy alphabet and the trace containers."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.alphabet import (
@@ -39,10 +42,45 @@ class TestAlphabet:
         assert Line(0) < Line(1)
         assert len({Line(2), Line(2), Line(3)}) == 2
         assert Line(5) == Line(5)
+        # Every set/dict iteration order, hence every count, rests on these.
+        for index in (0, 1, 7, 15, 1023):
+            assert hash(Line(index)) == hash((index,))
+        # A symbol equals only a symbol of its own kind, under == and !=.
+        assert not Line(0) == (0,) and Line(0) != (0,)
+        assert not (0,) == Line(0) and (0,) != Line(0)
+        assert Line(0) != EVICT and not Line(0) == EVICT
+        for other in (EVICT, (1,)):
+            for compare in (
+                lambda a, b: a < b,
+                lambda a, b: a <= b,
+                lambda a, b: a > b,
+                lambda a, b: a >= b,
+            ):
+                with pytest.raises(TypeError):
+                    compare(Line(0), other)
+                with pytest.raises(TypeError):
+                    compare(other, Line(0))
 
     def test_evict_is_singleton_like(self):
         assert Evict() == EVICT
         assert hash(Evict()) == hash(EVICT)
+        assert hash(EVICT) == hash(())
+        assert not EVICT == () and EVICT != () and () != EVICT
+        assert bool(EVICT) is True
+
+    def test_line_index_is_read_only(self):
+        with pytest.raises(AttributeError):
+            Line(3).index = 4
+
+    @pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+    @pytest.mark.parametrize("symbol", [Line(0), Line(6), EVICT], ids=str)
+    def test_symbols_survive_pickle_and_copy(self, symbol, protocol):
+        for clone in (
+            pickle.loads(pickle.dumps(symbol, protocol)),
+            copy.copy(symbol),
+            copy.deepcopy(symbol),
+        ):
+            assert clone == symbol and type(clone) is type(symbol)
 
     def test_predicates(self):
         assert is_line_input(Line(1)) and not is_line_input(EVICT)

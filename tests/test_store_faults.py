@@ -28,8 +28,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.learning.query_engine  # noqa: F401 - registers the Ln/Ev symbol codecs
+from repro.core.alphabet import EVICT, Line
 from repro.errors import StoreCorruptionError, StoreError
 from repro.store import PrefixStore, ShardedStore, open_store, track_store_io
+from repro.store.codec import load_store_file
 
 NS = ("mbl", "cpu", "L2", 0, 21)
 
@@ -153,6 +156,63 @@ class TestSnapshotDamage:
         )
         with pytest.raises(StoreCorruptionError, match="version 99"):
             PrefixStore(str(path))
+
+
+class TestUndecodableSymbols:
+    """A symbol payload its decoder rejects is damage like any other byte:
+    corruption in the snapshot or mid-log, a dropped torn tail at the end."""
+
+    BAD_SYMBOLS = pytest.mark.parametrize(
+        "bad",
+        ["\x01Ln:x", "\x01Ln:-1", "\x01i:zz", "\x01b:q"],
+        ids=["Ln-x", "Ln-negative", "i-zz", "b-q"],
+    )
+
+    @staticmethod
+    def damaged_store(path: Path, placement: str, bad: str) -> bytes:
+        """Save ``(Ln(0), Evct)`` at ``placement``, then swap its ``Ln:0`` for ``bad``."""
+        store = PrefixStore(str(path))
+        if placement != "snapshot":
+            store.namespace(NS).record((Line(1),), ("-",))
+            store.save()
+        store.namespace(NS).record((Line(0), EVICT), ("-", 1))
+        store.save()
+        if placement == "delta-then-more":
+            store.namespace(NS).record((Line(2),), ("-",))
+            store.save()
+        data = path.read_bytes()
+        lines = data.split(b"\n")
+        damaged_line = {"snapshot": 1, "final-delta": 2, "delta-then-more": 2}[placement]
+        good = json.dumps("\x01Ln:0").encode()
+        assert data.count(good) == 1 and good in lines[damaged_line]
+        lines[damaged_line] = lines[damaged_line].replace(good, json.dumps(bad).encode())
+        path.write_bytes(b"\n".join(lines))
+        return lines[damaged_line] + b"\n"
+
+    @BAD_SYMBOLS
+    @pytest.mark.parametrize("placement", ["snapshot", "delta-then-more"])
+    def test_bad_symbol_before_the_tail_is_corruption(self, tmp_path, placement, bad):
+        path = tmp_path / "store.json"
+        self.damaged_store(path, placement, bad)
+        with pytest.raises(StoreCorruptionError) as excinfo:
+            PrefixStore(str(path))
+        message = str(excinfo.value)
+        assert str(path) in message and repr(bad) in message and "delete it" in message
+
+        before = PrefixStore()
+        before.namespace(("other",)).record(("A",), ("Hit",))
+        with pytest.raises(StoreCorruptionError):
+            load_store_file(path, before)
+        assert before.namespaces() == (("other",),)
+        assert list(before.namespace(("other",)).iter_entries()) == [(("A",), ("Hit",))]
+
+    @BAD_SYMBOLS
+    def test_bad_symbol_in_final_line_is_dropped_like_a_torn_tail(self, tmp_path, bad):
+        path = tmp_path / "store.json"
+        final_line = self.damaged_store(path, "final-delta", bad)
+        reopened = PrefixStore(str(path))
+        assert reopened.load_report.discarded_bytes == len(final_line)
+        assert entry_words(reopened) == {(Line(1),)}
 
 
 class TestCompactionLeftovers:
