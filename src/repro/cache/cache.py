@@ -122,6 +122,10 @@ class SetAssociativeCache:
     set's own line scan.  The routes hold the set objects themselves, so
     :meth:`configure_cat`, the only place that drops sets, clears them too.
     Like the mapper's memo, the routes grow with the distinct addresses seen.
+    Each :class:`~repro.cache.cacheset.CacheSet` also memoizes its policy's
+    transitions, up to
+    :data:`~repro.cache.cacheset.TRANSITION_MEMO_BOUND` entries per table;
+    the follower sets of an adaptive level step their two policies directly.
     """
 
     def __init__(

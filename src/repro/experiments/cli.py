@@ -180,8 +180,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="learning algorithm for table2/table4: lstar (observation table, "
         "the paper's configuration) or ttt (Kearns–Vazirani classification "
         "tree with TTT discriminator finalization and incremental sifting — "
-        "fewer executed symbols and a shorter wall clock on large "
-        "policies); both learn identical minimal machines",
+        "fewer executed symbols, similar wall clock); both learn identical "
+        "minimal machines",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit raw results as JSON instead of tables"

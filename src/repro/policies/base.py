@@ -36,7 +36,17 @@ PolicyState = Hashable
 
 
 class ReplacementPolicy(abc.ABC):
-    """Abstract deterministic replacement policy of a fixed associativity."""
+    """Abstract deterministic replacement policy of a fixed associativity.
+
+    :meth:`initial_state`, :meth:`on_hit`, :meth:`on_fill` and
+    :meth:`on_miss` must be pure functions of their arguments: the same
+    state and line always give the same result, and nothing outside the
+    returned state may change.  A policy with a counter or other history
+    keeps it in its state (BRRIP's throttle counter).  The cache model
+    relies on this: each :class:`~repro.cache.cacheset.CacheSet` memoizes
+    ``on_hit``, ``on_fill`` and ``on_miss`` and calls the policy only for a
+    transition it has not taken before.
+    """
 
     #: Short, human-readable policy name (e.g. ``"LRU"``); set by subclasses.
     name: str = "policy"
@@ -153,8 +163,10 @@ class ReplacementPolicy(abc.ABC):
 class PolicyStepper:
     """A mutable cursor over a policy's control state.
 
-    The software-simulated caches use one stepper per cache set; the policy
-    object itself stays immutable and can be shared.
+    The policy object itself stays immutable and can be shared; the cursor
+    holds the state.  (Cache sets do not use steppers: a
+    :class:`~repro.cache.cacheset.CacheSet` holds its own state and memoizes
+    the policy's transitions.)
     """
 
     def __init__(self, policy: ReplacementPolicy) -> None:

@@ -1,8 +1,10 @@
 """Tests for the cache substrates: sets, addressing, levels, hierarchy, CAT, adaptivity."""
 
+import copy
 import hashlib
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,14 @@ import repro.cache.addressing as addressing_module
 from repro.cache.adaptive import AdaptiveSetSelector, SetDuelingController
 from repro.cache.addressing import AddressMapper, slice_hash
 from repro.cache.cache import AdaptiveConfig, SetAssociativeCache
-from repro.cache.cacheset import HIT, MISS, CacheSet, SimulatedCacheSet
+from repro.cache.cacheset import HIT, MISS, TRANSITION_MEMO_BOUND, CacheSet, SimulatedCacheSet
 from repro.cache.cat import CATConfig
 from repro.cache.hierarchy import CacheHierarchy, CacheLevelConfig
 from repro.errors import AddressingError, CacheError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
 from repro.policies import LRUPolicy, New2Policy
-from repro.policies.registry import make_policy
+from repro.policies.registry import available_policies, make_policy
 
 
 class TestCacheSet:
@@ -95,6 +97,15 @@ class TestSimulatedCacheSet:
     def test_probe_last_requires_blocks(self):
         with pytest.raises(CacheError):
             SimulatedCacheSet(LRUPolicy(2)).probe_last([])
+
+    def test_initial_content_leaves_the_session_alone(self):
+        simulated = SimulatedCacheSet(LRUPolicy(2), initial_content=["A", "B"])
+        simulated.begin_session()
+        assert simulated.session_access(["C"]) == (MISS,)  # evicts B, the LRU line
+        counters = (simulated.probe_count, simulated.access_count, simulated.sessions_opened)
+        assert simulated.initial_content() == ("A", "B")
+        assert (simulated.probe_count, simulated.access_count, simulated.sessions_opened) == counters
+        assert simulated.session_access(["B"]) == (MISS,)
 
 
 class TestAddressing:
@@ -364,12 +375,136 @@ def test_seeded_hierarchy_trace_matches_recorded_digest(profile_name):
     policy_name=st.sampled_from(["LRU", "FIFO", "PLRU", "NEW1", "NEW2", "SRRIP-HP"]),
 )
 def test_cache_set_invariants(blocks, policy_name):
-    """Property: a cache set never stores duplicates and never exceeds capacity."""
-    cache = CacheSet(make_policy(policy_name, 4))
+    """Property: a cache set never stores duplicates, never exceeds capacity,
+    and its memoized transitions agree with calling the policy directly."""
+    policy = make_policy(policy_name, 4)
+    cache = CacheSet(policy)
+    content, state = [None] * 4, policy.initial_state()
     for block in blocks:
         result = cache.access(block)
-        assert result in (HIT, MISS)
+        expected, content, state = _reference_access(policy, content, state, block)
+        assert result == expected
+        assert (cache.content, cache.policy_state) == (content, state)
         stored = [b for b in cache.content if b is not None]
         assert len(stored) == len(set(stored))
         assert len(stored) <= 4
         assert cache.contains(block)
+
+
+def _reference_access(policy, content, state, block):
+    """Figure 2's Hit and Miss rules, calling the policy directly: ``(output, content, state)``."""
+    if block in content:
+        return HIT, content, policy.on_hit(state, content.index(block))
+    content = list(content)
+    if None in content:
+        line = content.index(None)
+        content[line] = block
+        return MISS, content, policy.on_fill(state, line)
+    state, victim = policy.on_miss(state)
+    content[victim] = block
+    return MISS, content, state
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8])
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_memoized_cache_set_matches_direct_policy_calls(policy_name, ways):
+    """Accesses, flushes, resets and restores agree with a set that never memoizes."""
+    policy = make_policy(policy_name, ways)
+    cache = CacheSet(policy)
+    initial = ([None] * ways, policy.initial_state())
+    content, state = initial
+    saved = cache.snapshot(), (content, state)
+    rng = random.Random(f"{policy_name}-{ways}")
+    for _ in range(2000):
+        roll, block = rng.random(), rng.randrange(ways + 2)
+        if roll < 0.85:
+            expected, content, state = _reference_access(policy, content, state, block)
+            assert cache.access(block) == expected
+        elif roll < 0.93:
+            assert cache.flush(block) == (block in content)
+            content = [None if b == block else b for b in content]
+            if content.count(None) == ways:
+                state = policy.initial_state()
+        elif roll < 0.95:
+            cache.flush_all()
+            content, state = initial
+        elif roll < 0.97:
+            cache.reset()
+            content, state = initial
+        elif roll < 0.985:
+            saved = cache.snapshot(), (content, state)
+        else:
+            cache.restore(saved[0])
+            content, state = saved[1]
+        assert (cache.content, cache.policy_state) == (content, state)
+
+
+class _CountingNew2(New2Policy):
+    """NEW2 that counts the calls of each transition it is asked for."""
+
+    def __init__(self, associativity):
+        super().__init__(associativity)
+        self.calls = Counter()
+
+    def on_hit(self, state, line):
+        self.calls["hit", state, line] += 1
+        return super().on_hit(state, line)
+
+    def on_fill(self, state, line):
+        self.calls["fill", state, line] += 1
+        return super().on_fill(state, line)
+
+    def on_miss(self, state):
+        self.calls["miss", state] += 1
+        return super().on_miss(state)
+
+
+def test_cache_set_asks_its_policy_once_per_transition():
+    policy = _CountingNew2(4)
+    cache = CacheSet(policy)
+    rng = random.Random(7)
+    blocks = [rng.choice("ABCDEF") for _ in range(400)]
+    outputs = [cache.access(block) for block in blocks]
+    calls = Counter(policy.calls)
+    assert {"hit", "fill", "miss"} == {key[0] for key in calls}
+    assert max(calls.values()) == 1
+    cache.reset()
+    assert [cache.access(block) for block in blocks] == outputs
+    cache.flush_all()
+    assert [cache.access(block) for block in blocks] == outputs
+    assert policy.calls == calls
+
+
+def test_transition_memo_stays_bounded_and_exact_past_its_bound():
+    """A long random trace visits more NEW2-16 states than the memo may hold."""
+    policy = make_policy("NEW2", 16)
+    cache = CacheSet(policy)
+    content, state = [None] * 16, policy.initial_state()
+    rng = random.Random(2026)
+    for _ in range(40_000):
+        block = rng.randrange(32)
+        expected, content, state = _reference_access(policy, content, state, block)
+        assert cache.access(block) == expected
+        assert cache.policy_state == state
+    assert cache.content == content
+    sizes = [len(memo) for memo in (cache._hits, cache._fills, cache._misses)]
+    assert max(sizes) == TRANSITION_MEMO_BOUND
+
+
+def test_populated_cache_set_survives_pickle_and_copy():
+    cache = CacheSet(make_policy("PLRU", 8))
+    rng = random.Random(11)
+    for _ in range(300):
+        cache.access(rng.randrange(12))
+    clones = [
+        pickle.loads(pickle.dumps(cache)),
+        pickle.loads(pickle.dumps(cache, pickle.HIGHEST_PROTOCOL)),
+        copy.deepcopy(cache),
+    ]
+    for clone in clones:
+        assert (clone._hits, clone._fills, clone._misses) == (cache._hits, cache._fills, cache._misses)
+    tail = [rng.randrange(12) for _ in range(300)]
+    outputs = [cache.access(block) for block in tail]
+    for clone in clones:
+        assert [clone.access(block) for block in tail] == outputs
+        assert (clone.content, clone.policy_state) == (cache.content, cache.policy_state)
