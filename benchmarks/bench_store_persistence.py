@@ -101,10 +101,11 @@ def measure(associativity: int, depth: int, cap=None):
         ]
         legacy_path.write_text(json.dumps(legacy))
 
-        cache = QueryCache(str(store_path))
+        store = PrefixStore(str(store_path))
+        cache = QueryCache(store)
         for text, outcomes in entries:
             cache.put("L2", 0, 0, text, outcomes)
-        cache.save()
+        store.save()
 
         start = time.perf_counter()
         json.loads(legacy_path.read_text())

@@ -40,7 +40,6 @@ class CacheQueryConfig:
     set_index: int = 0
     slice_index: int = 0
     use_cache: bool = True
-    cache_path: Optional[str] = None
     backend: BackendConfig = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -84,15 +83,15 @@ class CacheQuery:
         self.backend = backend or CacheQueryBackend(cpu, self.config.backend)
         # ``store`` (a repro.store.PrefixStore) lets the response cache live
         # in a shared store — e.g. the same instance backing the learning
-        # trie — so one file persists the whole measurement state.  The
-        # scope keys cached measurements by CPU and effective geometry, so
-        # different machines (or CAT-reduced profiles) sharing one store
-        # file never collide.
+        # trie — so one file persists the whole measurement state; without
+        # one the cache is in memory only.  The scope keys cached
+        # measurements by CPU and effective geometry, so different machines
+        # (or CAT-reduced profiles) sharing one store file never collide.
         scope = (cpu.profile.name,) + tuple(
             f"{name}:{cpu.hierarchy.level(name).effective_associativity}"
             for name in cpu.hierarchy.level_names()
         )
-        self.cache = QueryCache(self.config.cache_path, store=store, scope=scope)
+        self.cache = QueryCache(store, scope=scope)
         self._session: Optional[_MeasurementSession] = None
         self.configure(
             level=self.config.level,
@@ -109,16 +108,19 @@ class CacheQuery:
         set_index: Optional[int] = None,
         slice_index: Optional[int] = None,
     ) -> None:
-        """Re-target the session (the interactive mode's ``set``/``level`` commands)."""
-        if level is not None:
-            self.config.level = level
-        if set_index is not None:
-            self.config.set_index = set_index
-        if slice_index is not None:
-            self.config.slice_index = slice_index
-        self.backend.configure_target(
-            self.config.level, self.config.set_index, self.config.slice_index
-        )
+        """Re-target the session (the interactive mode's ``set``/``level`` commands).
+
+        The backend validates the new target first: a rejected one raises
+        and leaves the current target, its session and ``config`` as they
+        were.
+        """
+        level = self.config.level if level is None else level
+        set_index = self.config.set_index if set_index is None else set_index
+        slice_index = self.config.slice_index if slice_index is None else slice_index
+        self.backend.configure_target(level, set_index, slice_index)
+        self.config.level = level
+        self.config.set_index = set_index
+        self.config.slice_index = slice_index
         self._session = None  # a session is bound to one target
 
     @property

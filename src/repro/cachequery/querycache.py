@@ -1,8 +1,8 @@
 """Query response cache (the LevelDB stand-in of the frontend).
 
 The real frontend memoises MBL query responses in LevelDB so repeated
-queries never reach the kernel module.  Since PR 5 the cache is a view over
-the shared :class:`~repro.store.PrefixStore` — the same trie substrate the
+queries never reach the kernel module.  Here the cache is a view over the
+shared :class:`~repro.store.PrefixStore` — the same trie substrate the
 learning engine's ``ResponseTrie`` uses — keyed by the target
 ``(level, slice, set)`` (one store namespace per target) and the query's
 *operation path* rather than its full text:
@@ -22,21 +22,19 @@ learning engine's ``ResponseTrie`` uses — keyed by the target
   :class:`~repro.errors.NonDeterminismError`, the broken-reset signal of
   Section 7.1, now enforced on the frontend path too.
 
-Legacy flat-JSON cache files (one object per full query text) are migrated
-into the trie format on first open and rewritten in the versioned store
-codec on the next :meth:`QueryCache.save`.
+The cache holds no file of its own: persistence is the store's job.  A
+frontend cache persists through the store it is handed —
+``CacheQuery(cpu, store=open_store(path))`` … ``store.save()`` — exactly
+like the learning trie beside it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import CacheQueryError, NonDeterminismError, StoreError
+from repro.errors import CacheQueryError
 from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG
-from repro.store import PrefixStore, is_store_document
+from repro.store import PrefixStore
 
 #: First element of every frontend namespace key inside a shared store.
 FRONTEND_NAMESPACE = "mbl"
@@ -68,102 +66,26 @@ def operation_symbol(operation) -> str:
 
 
 class QueryCache:
-    """A trie-backed response cache with optional on-disk persistence.
+    """A trie-backed response cache: a view over one prefix store.
 
-    ``QueryCache(path)`` owns a private :class:`~repro.store.PrefixStore`
-    loaded from ``path`` (native codec or legacy flat JSON, migrated);
-    ``QueryCache(store=...)`` joins an existing — possibly shared — store
-    instead, which is how one store file backs both the frontend cache and
-    the learning trie of a hardware-path run.
+    ``QueryCache(store)`` records into ``store`` — possibly shared with the
+    learning trie of the same run, possibly bound to a file by
+    :func:`~repro.store.open_store` — and ``QueryCache()`` into a fresh
+    in-memory :class:`~repro.store.PrefixStore`.
     """
 
     def __init__(
-        self,
-        path: Optional[str] = None,
-        *,
-        store: Optional[PrefixStore] = None,
-        scope: Sequence[object] = (),
+        self, store: Optional[PrefixStore] = None, *, scope: Sequence[object] = ()
     ) -> None:
         """``scope`` extends the namespace key between the ``"mbl"`` marker and
         the ``(level, slice, set)`` target — the frontend passes the CPU
         profile name and per-level effective associativities, so different
         machines (or CAT/profile-reduced geometries) sharing one store file
         never collide on a target key."""
-        self._path = Path(path) if path is not None else None
+        self.store = store if store is not None else PrefixStore()
         self._scope = tuple(scope)
-        if store is not None:
-            self.store = store
-            if self._path is None:
-                self._path = store.path
-        else:
-            self.store = self._open_private_store(path)
         self.hits = 0
         self.misses = 0
-        if (
-            self._path is not None
-            and not getattr(self.store, "sharded", False)
-            and self._path.is_file()
-            and not self._loaded_marker()
-        ):
-            self._load()
-
-    @staticmethod
-    def _open_private_store(path: Optional[str]):
-        """Open the cache's own backing store for ``path``.
-
-        A directory (or ``.shards``-suffixed / trailing-separator path)
-        opens a sharded corpus; an existing native store file opens
-        (and, for v1, migrates) through :class:`~repro.store.PrefixStore`
-        directly so its append-log sync state is adopted; anything else —
-        a fresh path or a legacy flat-JSON cache — gets an empty store
-        bound to the path, and :meth:`_load` migrates the legacy content.
-        """
-        if path is None:
-            return PrefixStore()
-        from repro.store.codec import read_first_line
-        from repro.store.shards import open_store
-
-        target = Path(path)
-        if target.is_dir() or str(path).endswith(os.sep) or target.suffix == ".shards":
-            return open_store(path)
-        if target.exists():
-            try:
-                header = json.loads(read_first_line(target))
-            except OSError as exc:
-                raise CacheQueryError(
-                    f"query cache file {target} is unreadable or corrupted "
-                    f"({exc}); delete it to start with an empty cache"
-                ) from exc
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                header = None
-            if is_store_document(header):
-                try:
-                    return PrefixStore(str(target))
-                except StoreError as exc:
-                    raise CacheQueryError(str(exc)) from exc
-                except NonDeterminismError as exc:
-                    raise CacheQueryError(
-                        f"query cache file {target} contains conflicting "
-                        f"measurements for a shared operation prefix ({exc}); "
-                        "the recorded system was not deterministic — delete "
-                        "the file to start with an empty cache"
-                    ) from exc
-        store = PrefixStore()
-        store.path = target
-        return store
-
-    def _loaded_marker(self) -> bool:
-        """True when the backing store already holds this file's namespaces.
-
-        A store created with ``PrefixStore(path)`` loads the file itself
-        (its :attr:`~repro.store.PrefixStore.load_report` says so);
-        joining such a store must not migrate/load the same file twice.
-        """
-        if self.store.path != self._path:
-            return False
-        if getattr(self.store, "load_report", None) is not None:
-            return True
-        return any(key and key[0] == FRONTEND_NAMESPACE for key in self.store.namespaces())
 
     # ------------------------------------------------------------- namespaces
 
@@ -271,112 +193,3 @@ class QueryCache:
         """Drop every cached response (frontend namespaces only)."""
         for namespace in self._frontend_namespaces():
             namespace.clear()
-
-    # ----------------------------------------------------------- persistence
-
-    def _load(self) -> None:
-        """Populate the cache from its file (native store codec or legacy JSON).
-
-        A corrupted, truncated or empty file raises a
-        :class:`~repro.errors.CacheQueryError` naming the file instead of
-        leaking a raw traceback — a half-written cache (e.g. a killed run)
-        is an expected failure mode, and callers can delete the file and
-        retry.  Loading is all-or-nothing: the file is decoded into a
-        scratch store first and merged into the backing store only on full
-        success, so a corrupt file never leaves partial measurements behind
-        — in particular not in a *shared* store other views depend on.
-        Legacy flat-JSON caches (a list of per-query-text objects) are
-        migrated into the trie on load and rewritten in the store codec by
-        the next :meth:`save`.
-        """
-        from repro.store.codec import load_store_file, read_first_line
-
-        try:
-            header = json.loads(read_first_line(self._path))
-        except OSError as exc:
-            raise CacheQueryError(
-                f"query cache file {self._path} is unreadable or corrupted "
-                f"({exc}); delete it to start with an empty cache"
-            ) from exc
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            header = None
-        staging = PrefixStore()
-        foreign = True  # until proven a current-format native file
-        if is_store_document(header):
-            try:
-                report = load_store_file(self._path, staging)
-            except StoreError as exc:
-                raise CacheQueryError(str(exc)) from exc
-            except NonDeterminismError as exc:
-                raise CacheQueryError(
-                    f"query cache file {self._path} contains conflicting "
-                    f"measurements for a shared operation prefix ({exc}); "
-                    "the recorded system was not deterministic — delete the "
-                    "file to start with an empty cache"
-                ) from exc
-            foreign = report.migrated
-        else:
-            try:
-                raw = json.loads(self._path.read_text())
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CacheQueryError(
-                    f"query cache file {self._path} is unreadable or corrupted "
-                    f"({exc}); delete it to start with an empty cache"
-                ) from exc
-            if not isinstance(raw, list):
-                raise CacheQueryError(
-                    f"query cache file {self._path} is malformed: expected a JSON "
-                    f"list of entries (legacy format) or a prefix-store document, "
-                    f"got {type(raw).__name__}"
-                )
-            self._migrate_legacy(raw, staging)
-        try:
-            for key in staging.namespaces():
-                self.store.namespace(key).merge(staging.namespace(key))
-        except NonDeterminismError as exc:
-            raise CacheQueryError(
-                f"query cache file {self._path} conflicts with measurements "
-                f"already in the shared store ({exc}); the two sources "
-                "disagree about the same operation prefix"
-            ) from exc
-        if foreign and self.store.path == self._path:
-            # The on-disk bytes are not a v2 append log (legacy JSON or a
-            # v1 document loaded sideways): the next save must rewrite a
-            # full snapshot rather than try to append to foreign content.
-            self.store.require_snapshot()
-
-    def _migrate_legacy(self, raw: list, staging: PrefixStore) -> None:
-        """Decode a legacy flat-JSON cache into ``staging``, validating every entry."""
-        migrated = QueryCache(store=staging, scope=self._scope)
-        for index, item in enumerate(raw):
-            try:
-                level = item["level"]
-                slice_index = item["slice"]
-                set_index = item["set"]
-                query = item["query"]
-                outcomes = tuple(item["outcomes"])
-            except (KeyError, TypeError) as exc:
-                raise CacheQueryError(
-                    f"query cache file {self._path} is malformed at entry "
-                    f"{index}: {exc!r}; delete it to start with an empty cache"
-                ) from exc
-            try:
-                migrated.put(level, slice_index, set_index, query, outcomes)
-            except NonDeterminismError as exc:
-                raise CacheQueryError(
-                    f"legacy query cache file {self._path} contains conflicting "
-                    f"measurements for a shared operation prefix ({exc}); the "
-                    "recorded system was not deterministic — delete the file to "
-                    "start with an empty cache"
-                ) from exc
-            except CacheQueryError as exc:
-                raise CacheQueryError(
-                    f"query cache file {self._path} is malformed at entry "
-                    f"{index}: {exc}; delete it to start with an empty cache"
-                ) from exc
-
-    def save(self) -> None:
-        """Atomically write the backing store (no-op for purely in-memory caches)."""
-        if self._path is None:
-            return
-        self.store.save(self._path)

@@ -17,11 +17,12 @@ replaces that loop for bounded policies:
 Consumers choose between this tabulated path and the legacy scalar
 stepper with the ``kernel=`` knob threaded through
 :class:`~repro.polca.algorithm.PolcaMembershipOracle`,
-:class:`~repro.polca.pipeline.PolicyLearningPipeline`, the worker factories
-and the experiment CLI (``--kernel``, choices
-:data:`~repro.polca.algorithm.POLCA_KERNELS`); answers and statistics are
-bit-identical across both by construction, a property
-``tests/test_property_fuzz.py`` enforces.
+:class:`~repro.polca.pipeline.PolicyLearningPipeline` and the experiment
+CLI (``--kernel``, choices :data:`~repro.polca.algorithm.POLCA_KERNELS`);
+a :class:`~repro.learning.parallel.WorkerPool` ships Polca to its workers
+with the kernel already bound.  Answers and statistics are bit-identical
+across both by construction, a property ``tests/test_property_fuzz.py``
+enforces.
 """
 
 from repro.simkernel.batch import BatchSimulator

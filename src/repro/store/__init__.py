@@ -25,7 +25,6 @@ from repro.store.codec import (
     StoreIO,
     decode_symbol,
     encode_symbol,
-    is_store_document,
     register_symbol_codec,
     track_store_io,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "StoreIO",
     "decode_symbol",
     "encode_symbol",
-    "is_store_document",
     "open_store",
     "register_symbol_codec",
     "shard_filename",

@@ -356,16 +356,6 @@ def append_delta(path: Path, records: Sequence[tuple]) -> int:
     return append_file_bytes(path, render_delta(records))
 
 
-def save_store_file(path: Path, store) -> None:
-    """Write a full v2 snapshot of ``store`` to ``path`` (atomic, generation 0).
-
-    This is the save-to-an-explicit-path entry point; incremental saves to
-    a store's own path go through
-    :meth:`~repro.store.prefix_store.PrefixStore.save`.
-    """
-    write_snapshot_file(Path(path), store, 0)
-
-
 # ----------------------------------------------------------------- decoding
 
 

@@ -34,10 +34,13 @@ views over:
   Readers never lock: they tolerate a concurrent appender by dropping a
   torn final line (see :class:`~repro.store.codec.LoadReport`).
 
-The store is deliberately generic: symbols are hashable keys (strings
-persist natively; other types persist through the codec's symbol registry),
-payloads are JSON scalars, and no learning- or MBL-specific logic lives
-here.  For corpora shared by many independent sweeps, see
+Persistence is the store's alone: a store is bound to one file when it is
+built and saves only there, :func:`~repro.store.shards.open_store` decides
+what a path means, and the views never open, merge or save files
+themselves.  The store is deliberately generic: symbols are hashable keys
+(strings persist natively; other types persist through the codec's symbol
+registry), payloads are JSON scalars, and no learning- or MBL-specific
+logic lives here.  For corpora shared by many independent sweeps, see
 :class:`~repro.store.shards.ShardedStore`, which spreads namespaces over
 one file (one lock, one log) per namespace key.
 """
@@ -51,7 +54,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import NonDeterminismError, StoreCorruptionError, StoreError
+from repro.errors import NonDeterminismError, StoreError
 
 try:  # pragma: no cover - POSIX everywhere we run; gate for portability
     import fcntl
@@ -380,13 +383,13 @@ class PrefixNamespace:
 class PrefixStore:
     """A namespaced collection of prefix tries with optional persistence.
 
-    ``PrefixStore(path)`` loads the file when it exists (the v2 append-log
-    codec, the v1 whole-file codec — migrated to v2 on open — and, for
-    callers that route through
-    :class:`~repro.cachequery.querycache.QueryCache`, legacy flat-JSON
-    caches via migration); :meth:`save` appends the journaled delta since
-    the last save, compacting back to a snapshot when the log outgrows it.
-    A store without a path is purely in-memory and journals nothing.
+    ``PrefixStore(path)`` binds the store to one file for its whole life
+    and loads it when it exists (the v2 append-log codec, or the v1
+    whole-file codec — migrated to v2 on open); anything else there raises
+    :class:`~repro.errors.StoreCorruptionError` naming the file.
+    :meth:`save` appends the journaled delta since the last save to that
+    file, compacting back to a snapshot when the log outgrows it.  A store
+    without a path is purely in-memory and journals nothing.
     """
 
     #: Duck-typing marker consumers use to tell file-backed stores from
@@ -409,8 +412,8 @@ class PrefixStore:
         #: shard key a :class:`~repro.store.shards.ShardedStore` stamps).
         self.header_extra = dict(header_extra) if header_extra else {}
         #: Set when the in-memory state cannot be expressed as an append
-        #: (cleared namespaces, adopted pre-existing data, v1 migration):
-        #: the next save rewrites a full snapshot.
+        #: (cleared or dropped namespaces, a v1 file still on disk): the
+        #: next save rewrites a full snapshot.
         self._needs_snapshot = False
         #: Log-position bookkeeping for the multi-writer protocol: the
         #: compaction generation and byte offset this process has synced
@@ -441,17 +444,6 @@ class PrefixStore:
         """The backing file (None for in-memory stores)."""
         return self._path
 
-    @path.setter
-    def path(self, value) -> None:
-        self._path = _store_file(value)
-        self._generation = -1
-        self._synced_offset = 0
-        self._snapshot_end = 0
-        if self._namespaces:
-            # Data recorded before the path existed was never journaled:
-            # the first save must write a full snapshot.
-            self._needs_snapshot = True
-
     def _journal_record(self, key, word, payloads, terminal) -> None:
         if self._path is None or self._journal_suspended:
             return
@@ -461,15 +453,6 @@ class PrefixStore:
         """A mutation happened that an append cannot express (e.g. clear)."""
         self._needs_snapshot = True
         self._journal.clear()
-
-    def require_snapshot(self) -> None:
-        """Force the next :meth:`save` to rewrite a full snapshot.
-
-        Callers use this after adopting content that is not a v2 append
-        log — e.g. :class:`~repro.cachequery.querycache.QueryCache`
-        migrating a legacy flat-JSON cache in place.
-        """
-        self._note_structural_change()
 
     @contextmanager
     def _suspended_journal(self):
@@ -611,15 +594,7 @@ class PrefixStore:
         if not self._path.exists():
             self._needs_snapshot = True
             return
-        try:
-            version, generation = read_header(self._path)
-        except StoreCorruptionError:
-            if self._needs_snapshot:
-                # The file holds adopted foreign content (e.g. a legacy
-                # flat-JSON cache QueryCache migrated): the pending full
-                # snapshot will overwrite it, nothing to catch up on.
-                return
-            raise
+        version, generation = read_header(self._path)
         if fcntl is None and self._generation >= 0:
             size = self._path.stat().st_size
             if generation != self._generation or size != self._synced_offset:
@@ -687,29 +662,21 @@ class PrefixStore:
         self._journal.clear()
         self._needs_snapshot = False
 
-    def save(self, path: Optional[str] = None, *, compact: bool = False) -> None:
-        """Persist the store: append the journaled delta (or compact).
+    def save(self, *, compact: bool = False) -> None:
+        """Persist the store to its file: append the journaled delta (or compact).
 
-        Saving to the store's own path is incremental — O(delta records
-        since the last save) — and multi-writer safe: under the advisory
-        writer lock it first replays other writers' appends (or a whole
-        compacted file) into memory, raising
-        :class:`~repro.errors.NonDeterminismError` when their measurements
-        conflict with ours, then appends one delta line.  ``compact=True``
-        (or an oversized log, or a mutation appends cannot express)
-        rewrites the compact snapshot instead, bumping the generation.
-
-        Saving to an explicit *different* path writes a full standalone
-        snapshot there and leaves the store's own log state untouched.  A
-        no-op for purely in-memory stores called without a path.
+        Saving is incremental — O(delta records since the last save) — and
+        multi-writer safe: under the advisory writer lock it first replays
+        other writers' appends (or a whole compacted file) into memory,
+        raising :class:`~repro.errors.NonDeterminismError` when their
+        measurements conflict with ours, then appends one delta line.
+        ``compact=True`` (or an oversized log, or a mutation appends cannot
+        express) rewrites the compact snapshot instead, bumping the
+        generation.  A no-op for purely in-memory stores.
         """
-        from repro.store.codec import append_delta, save_store_file
+        from repro.store.codec import append_delta
 
-        target = Path(path) if path is not None else self._path
-        if target is None:
-            return
-        if self._path is None or target != self._path:
-            save_store_file(target, self)
+        if self._path is None:
             return
         with self._writer_lock():
             self._catch_up_locked()

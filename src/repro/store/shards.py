@@ -187,18 +187,12 @@ class ShardedStore:
 
     # ------------------------------------------------------------- persistence
 
-    def save(self, path: Optional[str] = None, *, compact: bool = False) -> None:
+    def save(self, *, compact: bool = False) -> None:
         """Incrementally save every loaded shard (each under its own lock).
 
-        Shards the process never touched have nothing to save.  Saving a
-        sharded corpus to a different path is not supported — copy the
-        directory instead.
+        Shards the process never touched have nothing to save.  A corpus
+        persists in place; copy the directory to keep it elsewhere.
         """
-        if path is not None and Path(path) != self._path:
-            raise StoreError(
-                f"sharded store {self._path} persists in place; copy the "
-                f"directory to save it elsewhere (got {path!r})"
-            )
         for shard in self._shards.values():
             shard.save(compact=compact)
 

@@ -14,13 +14,14 @@ from repro.cachequery import (
     QueryCache,
     calibrate_classifier,
 )
-from repro.errors import CacheQueryError
+from repro.errors import CacheQueryError, ReproError, StoreCorruptionError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import HASWELL_I7_4790, SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
 from repro.mbl.ast import Operation
 from repro.mbl.expansion import expand
 from repro.polca.reset import SequenceReset
+from repro.store import PrefixStore
 
 
 def _cpu(noise: float = 0.0) -> SimulatedCPU:
@@ -70,10 +71,11 @@ class TestQueryCache:
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
-        cache = QueryCache(str(path))
+        store = PrefixStore(str(path))
+        cache = QueryCache(store=store)
         cache.put("L1", 0, 1, "A?", ("Miss",))
-        cache.save()
-        reloaded = QueryCache(str(path))
+        store.save()
+        reloaded = QueryCache(store=PrefixStore(str(path)))
         assert reloaded.get("L1", 0, 1, "A?") == ("Miss",)
 
     def test_clear(self):
@@ -94,7 +96,8 @@ class TestQueryCache:
 
     def test_persistence_round_trip_multiple_entries(self, tmp_path):
         path = tmp_path / "cache.json"
-        cache = QueryCache(str(path))
+        store = PrefixStore(str(path))
+        cache = QueryCache(store=store)
         entries = {
             ("L1", 0, 1, "A?"): ("Miss",),
             ("L2", 1, 3, "A? B?"): ("Hit", "Miss"),
@@ -102,8 +105,8 @@ class TestQueryCache:
         }
         for (level, slice_index, set_index, query), outcomes in entries.items():
             cache.put(level, slice_index, set_index, query, outcomes)
-        cache.save()
-        reloaded = QueryCache(str(path))
+        store.save()
+        reloaded = QueryCache(store=PrefixStore(str(path)))
         assert len(reloaded) == len(entries)
         for (level, slice_index, set_index, query), outcomes in entries.items():
             assert reloaded.get(level, slice_index, set_index, query) == outcomes
@@ -112,13 +115,13 @@ class TestQueryCache:
         assert reloaded.hit_ratio == 1.0
 
     def test_save_is_noop_without_path_and_reload_is_idempotent(self, tmp_path):
-        QueryCache().save()  # purely in-memory: must not raise
+        QueryCache().store.save()  # purely in-memory: must not raise
         path = tmp_path / "cache.json"
-        cache = QueryCache(str(path))
-        cache.put("L1", 0, 0, "A?", ("Hit",))
-        cache.save()
-        cache.save()  # saving twice must not duplicate entries
-        assert len(QueryCache(str(path))) == 1
+        store = PrefixStore(str(path))
+        QueryCache(store=store).put("L1", 0, 0, "A?", ("Hit",))
+        store.save()
+        store.save()  # saving twice must not duplicate entries
+        assert len(QueryCache(store=PrefixStore(str(path)))) == 1
 
     @pytest.mark.parametrize(
         "content",
@@ -126,16 +129,19 @@ class TestQueryCache:
         ids=["empty", "truncated", "not-a-list", "missing-keys", "bad-entry"],
     )
     def test_corrupted_file_raises_cachequery_error(self, tmp_path, content):
+        """A damaged file, or a stale flat-JSON cache (the not-a-list,
+        missing-keys and bad-entry inputs), is rejected by the store that
+        opens it, naming the file."""
         path = tmp_path / "cache.json"
         path.write_text(content)
-        with pytest.raises(CacheQueryError, match=str(path)):
-            QueryCache(str(path))
+        with pytest.raises(StoreCorruptionError, match=str(path)):
+            PrefixStore(str(path))
 
     def test_binary_garbage_raises_cachequery_error(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_bytes(b"\xff\xfe\x00garbage\x80")
-        with pytest.raises(CacheQueryError):
-            QueryCache(str(path))
+        with pytest.raises(StoreCorruptionError, match=str(path)):
+            PrefixStore(str(path))
 
     def test_outcome_count_must_match_profiled_accesses(self):
         with pytest.raises(CacheQueryError, match="profiles"):
@@ -162,56 +168,6 @@ class TestQueryCache:
         with pytest.raises(NonDeterminismError):
             cache.put("L1", 0, 0, "A B? C?", ("Miss", "Hit"))
 
-    def test_legacy_json_cache_migrates_on_open(self, tmp_path):
-        """Pre-PR-5 flat caches load transparently and re-save as a store."""
-        path = tmp_path / "cache.json"
-        legacy = [
-            {"level": "L2", "slice": 0, "set": 5, "query": "A B?", "outcomes": ["Hit"]},
-            {
-                "level": "L2",
-                "slice": 0,
-                "set": 5,
-                "query": "A B? C?",
-                "outcomes": ["Hit", "Miss"],
-            },
-            {"level": "L1", "slice": 1, "set": 2, "query": "X?", "outcomes": ["Miss"]},
-        ]
-        import json
-
-        path.write_text(json.dumps(legacy))
-        cache = QueryCache(str(path))
-        assert cache.get("L2", 0, 5, "A B?") == ("Hit",)
-        assert cache.get("L2", 0, 5, "A B? C?") == ("Hit", "Miss")
-        assert cache.get("L1", 1, 2, "X?") == ("Miss",)
-        cache.save()
-        from repro.store import is_store_document
-
-        # v2 is line-oriented: the header line identifies the document.
-        assert is_store_document(json.loads(path.read_text().splitlines()[0]))
-        reloaded = QueryCache(str(path))
-        assert reloaded.get("L2", 0, 5, "A B? C?") == ("Hit", "Miss")
-
-    def test_legacy_cache_with_conflicting_measurements_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "cache.json"
-        path.write_text(
-            json.dumps(
-                [
-                    {"level": "L1", "slice": 0, "set": 0, "query": "A B?", "outcomes": ["Hit"]},
-                    {
-                        "level": "L1",
-                        "slice": 0,
-                        "set": 0,
-                        "query": "A B? C?",
-                        "outcomes": ["Miss", "Hit"],
-                    },
-                ]
-            )
-        )
-        with pytest.raises(CacheQueryError, match="conflicting"):
-            QueryCache(str(path))
-
     def test_trie_persistence_is_smaller_than_legacy_json(self, tmp_path):
         """Queries sharing a long reset prefix store it once on disk."""
         import json
@@ -236,85 +192,12 @@ class TestQueryCache:
             )
         )
         path = tmp_path / "store.json"
-        cache = QueryCache(str(path))
+        store = PrefixStore(str(path))
+        cache = QueryCache(store=store)
         for lvl, sl, st, query, outcomes in entries:
             cache.put(lvl, sl, st, query, outcomes)
-        cache.save()
+        store.save()
         assert path.stat().st_size < legacy_bytes / 3
-
-    def test_corrupt_file_never_partially_populates_a_shared_store(self, tmp_path):
-        """All-or-nothing loading: a file whose tail is malformed must not
-        leave its valid head in a shared store other views depend on."""
-        import json
-
-        from repro.store import PrefixStore
-
-        path = tmp_path / "cache.json"
-        # Legacy file: first entry valid, second has more outcomes than
-        # profiled accesses.
-        path.write_text(
-            json.dumps(
-                [
-                    {"level": "L1", "slice": 0, "set": 0, "query": "A?", "outcomes": ["Hit"]},
-                    {
-                        "level": "L1",
-                        "slice": 0,
-                        "set": 0,
-                        "query": "B C?",
-                        "outcomes": ["Hit", "Miss"],
-                    },
-                ]
-            )
-        )
-        shared = PrefixStore()
-        with pytest.raises(CacheQueryError, match="entry 1"):
-            QueryCache(str(path), store=shared)
-        assert shared.node_count == 0 and shared.namespaces() == ()
-        # Native store file: valid first namespace, malformed second one.
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro-prefix-store",
-                    "version": 1,
-                    "namespaces": [
-                        {"key": ["mbl", "L1", 0, 0], "trie": [None, {"A": ["Hit", {}, 1]}]},
-                        {"key": ["mbl", "L1", 0, 1], "trie": [None]},
-                    ],
-                }
-            )
-        )
-        shared = PrefixStore()
-        with pytest.raises(CacheQueryError, match="malformed"):
-            QueryCache(str(path), store=shared)
-        assert shared.node_count == 0 and shared.namespaces() == ()
-
-    def test_loaded_file_conflicting_with_shared_store_is_rejected(self, tmp_path):
-        from repro.store import PrefixStore
-
-        path = tmp_path / "cache.json"
-        writer = QueryCache(str(path))
-        writer.put("L1", 0, 0, "A?", ("Hit",))
-        writer.save()
-        shared = PrefixStore()
-        live = QueryCache(store=shared)
-        live.put("L1", 0, 0, "A?", ("Miss",))
-        with pytest.raises(CacheQueryError, match="conflict"):
-            QueryCache(str(path), store=shared)
-        # The live measurement is untouched.
-        assert live.get("L1", 0, 0, "A?") == ("Miss",)
-
-    def test_shared_store_is_not_loaded_twice(self, tmp_path):
-        from repro.store import PrefixStore
-
-        path = tmp_path / "store.json"
-        first = QueryCache(str(path))
-        first.put("L1", 0, 0, "A?", ("Hit",))
-        first.save()
-        store = PrefixStore(str(path))  # loads the file itself
-        joined = QueryCache(str(path), store=store)
-        assert len(joined) == 1  # not duplicated by a second load
-        assert joined.get("L1", 0, 0, "A?") == ("Hit",)
-
 
 class TestBackend:
     def test_requires_target_configuration(self):
@@ -465,6 +348,28 @@ class TestFrontend:
         frontend.configure(level="L2", set_index=8)
         assert frontend.config.level == "L2"
         assert frontend.associativity == 4
+
+    def test_rejected_configure_keeps_the_current_target(self):
+        cpu = _cpu()
+        frontend = CacheQuery(cpu, CacheQueryConfig(level="L1", set_index=3))
+        frontend.query("A B C A?")
+        for rejected in ({"set_index": 10**9}, {"slice_index": 10**9}, {"level": "L9"}):
+            with pytest.raises(ReproError):
+                frontend.configure(**rejected)
+            config = frontend.config
+            assert (config.level, config.slice_index, config.set_index) == ("L1", 0, 3)
+            # The backend still aims at the set ``config`` names...
+            mapper = cpu.hierarchy.level(config.level).mapper
+            assert frontend.backend.target_level == config.level
+            assert mapper.locate(frontend.backend.block_address("A")) == (0, 3)
+            # ...and answers are cached under that target only.
+            executed = frontend.backend.executed_queries
+            frontend.query("A B C A?")
+            assert frontend.backend.executed_queries == executed
+            assert {key[-3:] for key in frontend.cache.store.namespaces()} == {("L1", 0, 3)}
+        frontend.query("B C D B?")
+        assert frontend.cache.get("L1", 0, 3, "B C D B?") is not None
+        assert {key[-3:] for key in frontend.cache.store.namespaces()} == {("L1", 0, 3)}
 
     def test_batch_mode_restores_target(self):
         frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=2))

@@ -1,5 +1,7 @@
 """Experiment-harness tests plus end-to-end integration through simulated hardware."""
 
+import json
+
 import pytest
 
 from repro.experiments.leader_sets import detect_leader_sets, leader_set_formula_check
@@ -10,6 +12,7 @@ from repro.experiments.table3 import format_table3, table3_rows
 from repro.experiments.table4 import (
     Table4Configuration,
     format_table4,
+    run_table4,
     run_table4_configuration,
     table4_configurations,
 )
@@ -136,6 +139,32 @@ class TestTable4:
         warm = run_table4_configuration(configuration, store=PrefixStore(str(store.path)))
         assert warm.membership_queries == 0
         assert warm.identified_policy == "NEW1"
+
+    def test_table4_after_table2_on_one_fresh_store_appends_each_record_once(
+        self, tmp_path
+    ):
+        """The CLI's ``all --cache-path F`` flow: the first CacheQuery target
+        joins a fresh store Table 2 has just saved without re-reading F, so
+        Table 4's saves append its own records and none of Table 2's."""
+        from repro.store import open_store
+
+        path = tmp_path / "c.store"
+        store = open_store(path)
+        run_table2(configurations=[("LRU", 2)], store=store)
+        header = path.read_bytes().splitlines()[0]
+        table2_end = path.stat().st_size
+        configuration = next(c for c in table4_configurations("fast") if c.learnable)
+        (row,) = run_table4(configurations=[configuration], store=store)
+        assert row.learned_states is not None
+        data = path.read_bytes()
+        assert data.splitlines()[0] == header  # appended to, not compacted
+        records = [
+            record
+            for line in data[table2_end:].splitlines()
+            for record in json.loads(line)["delta"]
+        ]
+        assert records  # Table 4's own measurements were saved
+        assert [r for r in records if r[0][:2] == ["learning", "simulated"]] == []
 
     def test_resume_on_the_hardware_path(self):
         configuration = Table4Configuration(

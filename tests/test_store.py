@@ -205,22 +205,13 @@ class TestCodecRoundTrip:
         assert reloaded.node_count == store.node_count
         assert reloaded.entry_count == store.entry_count
 
-    def test_save_to_explicit_path(self, tmp_path):
-        store = PrefixStore()
-        store.namespace(("n",)).record(("a",), (1,))
-        target = tmp_path / "explicit.json"
-        store.save(str(target))
-        assert PrefixStore(str(target)).namespace(("n",)).lookup(("a",)) == (1,)
-
     def test_store_file_in_missing_directory_is_store_error(self, tmp_path):
-        # Checked where a single-file store binds its path — the constructor
-        # and the setter QueryCache uses — not at the first save's lock file.
+        # Checked when a single-file store is built, not at the first
+        # save's lock file.
         missing = tmp_path / "missing" / "store.json"
         with pytest.raises(StoreError) as error:
             PrefixStore(str(missing))
         assert str(missing.parent) in str(error.value)
-        with pytest.raises(StoreError, match="does not exist"):
-            QueryCache(str(missing))
 
     def test_save_without_path_is_noop(self):
         PrefixStore().save()
@@ -296,15 +287,35 @@ class TestCodecCorruption:
             PrefixStore(str(path))
 
     def test_failed_load_leaves_store_empty(self, tmp_path):
+        from repro.store.codec import load_store_file
+
         path = tmp_path / "store.json"
         path.write_text('{"format": "repro-prefix-store", "version": "x"}')
         store = PrefixStore()
-        store.path = path
-        from repro.store.codec import load_store_file
-
         with pytest.raises(StoreCorruptionError):
             load_store_file(path, store)
         assert store.namespaces() == ()
+        # All or nothing: a valid first namespace followed by a malformed
+        # one leaves nothing behind, not even in a store already in use.
+        path.write_text(
+            json.dumps(
+                {
+                    "format": STORE_FORMAT,
+                    "version": 1,
+                    "namespaces": [
+                        {"key": ["mbl", "L1", 0, 0], "trie": [None, {"A": ["Hit", {}, 1]}]},
+                        {"key": ["mbl", "L1", 0, 1], "trie": [None]},
+                    ],
+                }
+            )
+        )
+        store.namespace(("learning", "x")).record(("a",), (1,))
+        with pytest.raises(StoreCorruptionError, match="malformed"):
+            load_store_file(path, store)
+        assert store.namespaces() == (("learning", "x"),)
+        assert store.node_count == 1
+        with pytest.raises(StoreCorruptionError, match="malformed"):
+            PrefixStore(str(path))
 
 
 class TestSharedStoreViews:
