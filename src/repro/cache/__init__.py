@@ -14,7 +14,7 @@ and the set-dueling adaptive policies of Appendix B
 (:mod:`repro.cache.adaptive`).
 """
 
-from repro.cache.cacheset import HIT, MISS, CacheSet, SimulatedCacheSet
+from repro.cache.cacheset import HIT, MISS, CacheSet
 from repro.cache.addressing import AddressMapper, slice_hash
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, CacheLevelConfig
@@ -25,7 +25,6 @@ __all__ = [
     "HIT",
     "MISS",
     "CacheSet",
-    "SimulatedCacheSet",
     "AddressMapper",
     "slice_hash",
     "SetAssociativeCache",

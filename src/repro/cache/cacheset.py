@@ -1,17 +1,12 @@
 """A single cache set driven by a replacement policy (Definition 2.3).
 
-Two classes live here:
-
-* :class:`CacheSet` — the raw labelled transition system: an ``n``-tuple of
-  stored blocks plus a policy control state, advanced by the Hit/Miss rules
-  of Figure 2.  Lines may be *invalid* (hold no block), which models the
-  state after a ``clflush``; a miss always asks the policy for the victim
-  line, exactly as in the paper's model.
-
-* :class:`SimulatedCacheSet` — the "software-simulated cache" of Section 6:
-  a :class:`CacheSet` wrapped with the reset-and-probe interface that Polca
-  and CacheQuery expect (:meth:`probe` runs a whole block sequence from the
-  initial state and returns the hit/miss trace).
+:class:`CacheSet` is the raw labelled transition system: an ``n``-tuple of
+stored blocks plus a policy control state, advanced by the Hit/Miss rules
+of Figure 2.  Lines may be *invalid* (hold no block), which models the
+state after a ``clflush``; a miss always asks the policy for the victim
+line, exactly as in the paper's model.  The "software-simulated cache" of
+Section 6 is a :class:`CacheSet` reset before every probe
+(:class:`~repro.polca.interfaces.SimulatedCacheInterface`).
 
 Each :class:`CacheSet` memoizes its policy's ``on_hit``, ``on_fill`` and
 ``on_miss`` transitions in three per-set dicts of at most
@@ -186,87 +181,3 @@ class CacheSet:
             f"CacheSet(policy={self.policy.name}, content={self.content!r}, "
             f"state={self.policy_state!r})"
         )
-
-
-class SimulatedCacheSet:
-    """The software-simulated cache of Section 6: reset-and-probe semantics.
-
-    Every :meth:`probe` starts from the same initial state (a full cache with
-    blocks ``cc0`` if provided, otherwise an empty set), which is exactly the
-    cache-semantics access ``[[C]]`` that Polca's ``probeCache`` helper needs.
-    The class also counts probes and individual block accesses so experiments
-    can report query complexity.
-    """
-
-    def __init__(
-        self,
-        policy: ReplacementPolicy,
-        initial_content: Optional[Sequence[Block]] = None,
-    ) -> None:
-        self._set = CacheSet(policy, initial_content)
-        self.policy = policy
-        self.associativity = policy.associativity
-        self.probe_count = 0
-        self.access_count = 0
-        self.sessions_opened = 0
-
-    def probe(self, blocks: Sequence[Block]) -> Tuple[str, ...]:
-        """Reset the cache, access ``blocks`` in order, return all hit/miss outputs."""
-        self._set.reset()
-        self.probe_count += 1
-        self.access_count += len(blocks)
-        return tuple(self._set.access(block) for block in blocks)
-
-    def begin_session(self) -> None:
-        """Reset the cache and leave it live for incremental :meth:`session_access`.
-
-        This is the measurement-session counterpart of :meth:`probe`: the
-        state persists between calls, so a consumer following one access
-        chain pays each access once instead of replaying the chain per
-        probe.  Interleaving :meth:`probe` calls invalidates the session
-        state (a probe resets the set), exactly as on hardware — the caller
-        must begin a new session afterwards.
-        """
-        self._set.reset()
-        self.sessions_opened += 1
-
-    def session_access(self, blocks: Sequence[Block]) -> Tuple[str, ...]:
-        """Access ``blocks`` from the current (session) state; return the outcomes."""
-        self.access_count += len(blocks)
-        return tuple(self._set.access(block) for block in blocks)
-
-    def probe_last(self, blocks: Sequence[Block]) -> str:
-        """Reset, access ``blocks``, return only the last output (paper's ``probeCache``)."""
-        outputs = self.probe(blocks)
-        if not outputs:
-            raise CacheError("probe_last requires at least one block")
-        return outputs[-1]
-
-    def count_kernel_probes(self, probes: int, accesses: int) -> None:
-        """Account for probes executed on this cache's behalf by a kernel.
-
-        The tabulated execution kernels (:mod:`repro.simkernel`) answer
-        policy words without touching this object, but the probe/access
-        counters must stay *execution-strategy-independent*: a learning run
-        reports the same measurement cost whether its words were stepped
-        here one block at a time or batched through a transition table.
-        Kernel consumers therefore fold the analytically-derived cost of
-        the probes they elided into these counters.
-        """
-        if probes < 0 or accesses < 0:
-            raise CacheError(
-                f"kernel probe accounting must be non-negative, got "
-                f"probes={probes}, accesses={accesses}"
-            )
-        self.probe_count += probes
-        self.access_count += accesses
-
-    def initial_content(self) -> Tuple[Optional[Block], ...]:
-        """Return the content the cache holds right after a reset, leaving the set as it is."""
-        return tuple(self._set._initial_content)
-
-    def reset_statistics(self) -> None:
-        """Zero the probe/access/session counters."""
-        self.probe_count = 0
-        self.access_count = 0
-        self.sessions_opened = 0

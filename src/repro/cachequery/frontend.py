@@ -413,10 +413,6 @@ class CacheQuerySetInterface:
         self._universe = universe
         self._initial = universe[: self.associativity]
         self._prefix: Optional[Query] = None
-        self.probe_count = 0
-        self.access_count = 0
-        self.sessions_opened = 0
-        self.session_accesses = 0
 
     def initial_blocks(self) -> Tuple[str, ...]:
         return self._initial
@@ -462,15 +458,12 @@ class CacheQuerySetInterface:
         self.frontend.open_session()
         if prefix:
             self.frontend.extend(prefix)
-        self.sessions_opened += 1
 
     def extend(self, blocks: Sequence[str]) -> Tuple[str, ...]:
         """Profile ``blocks`` as an extension of the session's access chain."""
         if not blocks:
             return ()
-        outcomes = self.frontend.extend(self._profiled(blocks))
-        self.session_accesses += len(blocks)
-        return outcomes
+        return self.frontend.extend(self._profiled(blocks))
 
     def close_session(self) -> None:
         """End the measurement session (idempotent)."""
@@ -480,35 +473,7 @@ class CacheQuerySetInterface:
         if not blocks:
             return ()
         (outcome,) = self.frontend.query(self._reset_prefix() + self._profiled(blocks))
-        self.probe_count += 1
-        self.access_count += len(blocks)
         return outcome
-
-    def probe_batch(
-        self, block_sequences: Sequence[Sequence[str]]
-    ) -> List[Tuple[str, ...]]:
-        """Run many probes through the frontend's deduplicating batch entry point.
-
-        Identical probe sequences collapse to a single hardware query; the
-        response cache handles cross-batch repeats.  Empty sequences yield
-        empty outcome tuples, matching :meth:`probe`.
-        """
-        queries = [
-            self._reset_prefix() + self._profiled(blocks)
-            for blocks in block_sequences
-            if blocks
-        ]
-        answered = iter(self.frontend.query_batch(queries))
-        results: List[Tuple[str, ...]] = []
-        for blocks in block_sequences:
-            if not blocks:
-                results.append(())
-                continue
-            (outcome,) = next(answered)
-            self.probe_count += 1
-            self.access_count += len(blocks)
-            results.append(outcome)
-        return results
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

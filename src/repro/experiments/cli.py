@@ -161,7 +161,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="answer each query by executing only its un-cached suffix through "
         "stateful measurement sessions (table2/table4; serial runs only — "
         "resume changes which measurements execute, so it is incompatible "
-        "with --workers > 1)",
+        "with --workers > 1); on simulated targets it runs the scalar "
+        "stepper, so it sends fewer cache probes but takes longer than the "
+        "tabulated kernel",
     )
     parser.add_argument(
         "--kernel",
@@ -169,9 +171,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="auto",
         help="simulator execution kernel for table2/table4: auto uses the "
         "tabulated kernel when the policy tabulates and falls back to the "
-        "scalar path otherwise; python forces the tabulated kernel; scalar "
-        "forces the legacy per-symbol stepper — results are identical "
-        "either way",
+        "scalar path otherwise (always under --resume, and on CacheQuery "
+        "targets); scalar forces the per-symbol stepper — results are "
+        "identical either way",
     )
     parser.add_argument(
         "--learner",

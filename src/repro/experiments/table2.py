@@ -145,7 +145,7 @@ def run_table2(
     resume: bool = False,
     store=None,
     cache_path: Optional[str] = None,
-    kernel: Optional[str] = "auto",
+    kernel: str = "auto",
     learner: str = "lstar",
 ) -> List[Table2Row]:
     """Learn every configured policy from its software-simulated cache.
@@ -161,7 +161,7 @@ def run_table2(
     :class:`~repro.store.PrefixStore` (one namespace per policy target);
     with a path the store is saved after every row, so an interrupted sweep
     resumes from what it already measured.  ``kernel`` selects the simulator
-    execution strategy (``auto``/``python``/``scalar``); answers, machines
+    execution strategy (``auto``/``scalar``); answers, machines
     and probe columns are identical across kernels.  ``learner`` selects the
     student (``"lstar"`` or ``"ttt"``); both learn identical minimal
     machines, so state and match columns are learner-invariant.

@@ -204,7 +204,7 @@ def run_table4_configuration(
     workers: Optional[int] = None,
     resume: bool = False,
     store=None,
-    kernel: Optional[str] = "auto",
+    kernel: str = "auto",
     learner: str = "lstar",
 ) -> Table4Row:
     """Run the hardware-learning pipeline for one (CPU, level) target.
@@ -281,8 +281,7 @@ def run_table4_configuration(
     # with workers each pool worker holds a copy of Polca, interface and CPU
     # alike, and executes its share of every batch against it.
     # The CacheQuery interface has no policy-exact kernel hook, so
-    # kernel="auto" degrades to the scalar path here; forcing a kernel is
-    # rejected by Polca with a clean error.
+    # kernel="auto" runs the scalar path here.
     report = learn_policy_from_cache(
         interface,
         depth=depth,
@@ -327,7 +326,7 @@ def run_table4(
     resume: bool = False,
     store=None,
     cache_path: Optional[str] = None,
-    kernel: Optional[str] = "auto",
+    kernel: str = "auto",
     learner: str = "lstar",
 ) -> List[Table4Row]:
     """Run the hardware-learning experiment for every configured target.

@@ -70,13 +70,13 @@ def statistics_snapshot(oracle) -> Dict[str, float]:
 
     Collects every numeric field of the oracle's ``statistics`` dataclass
     (:class:`~repro.learning.oracles.QueryStatistics` for machine-backed
-    oracles, ``PolcaStatistics`` for Polca) plus, when the oracle wraps a
-    cache interface, the interface-level probe/access counters and — for
-    the CacheQuery hardware path — the frontend response-cache hit/miss and
-    backend execution counters.  Two snapshots bracket a chunk execution
-    and their difference (:func:`statistics_delta`) travels back to the
-    parent, so reports can merge the *full* worker-side cost — probes,
-    block accesses, frontend cache hits — not just query/symbol counts.
+    oracles, ``PolcaStatistics`` for Polca, the one ledger of probes and
+    block accesses) plus, for the CacheQuery hardware path, the frontend
+    response-cache hit/miss and backend execution counters.  Two snapshots
+    bracket a chunk execution and their difference
+    (:func:`statistics_delta`) travels back to the parent, so reports can
+    merge the *full* worker-side cost — probes, block accesses, frontend
+    cache hits — not just query/symbol counts.
     """
     snapshot: Dict[str, float] = {}
     statistics = getattr(oracle, "statistics", None)
@@ -85,22 +85,16 @@ def statistics_snapshot(oracle) -> Dict[str, float]:
             value = getattr(statistics, field.name)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 snapshot[field.name] = value
-    cache = getattr(oracle, "cache", None)
-    if cache is not None:
-        for name in ("probe_count", "access_count", "sessions_opened", "session_accesses"):
-            value = getattr(cache, name, None)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                snapshot[f"interface_{name}"] = value
-        frontend = getattr(cache, "frontend", None)
-        if frontend is not None:
-            response_cache = getattr(frontend, "cache", None)
-            if response_cache is not None:
-                snapshot["frontend_cache_hits"] = response_cache.hits
-                snapshot["frontend_cache_misses"] = response_cache.misses
-            backend = getattr(frontend, "backend", None)
-            if backend is not None:
-                snapshot["backend_executed_queries"] = backend.executed_queries
-                snapshot["backend_executed_loads"] = backend.executed_loads
+    frontend = getattr(getattr(oracle, "cache", None), "frontend", None)
+    if frontend is not None:
+        response_cache = getattr(frontend, "cache", None)
+        if response_cache is not None:
+            snapshot["frontend_cache_hits"] = response_cache.hits
+            snapshot["frontend_cache_misses"] = response_cache.misses
+        backend = getattr(frontend, "backend", None)
+        if backend is not None:
+            snapshot["backend_executed_queries"] = backend.executed_queries
+            snapshot["backend_executed_loads"] = backend.executed_loads
     return snapshot
 
 

@@ -40,8 +40,8 @@ from repro.simkernel.batch import BatchSimulator
 
 Block = Hashable
 
-#: Kernel names accepted by the ``kernel=`` knob (``None`` ≡ ``"scalar"``).
-POLCA_KERNELS = ("auto", "python", "scalar")
+#: Kernel names accepted by the ``kernel=`` knob.
+POLCA_KERNELS = ("auto", "scalar")
 
 
 def scalar_probe_cost(
@@ -56,8 +56,9 @@ def scalar_probe_cost(
     probes of ``k + 2`` accesses each (the loop never breaks early, by
     design: a second missing line must raise ``NonDeterminismError``).
     Over a full simulated cache only ``Evct`` symbols miss, so the cost is
-    a pure function of the input word.  The kernel fast path uses this to
-    keep the probe/access counters execution-strategy-independent.
+    a pure function of the input word.  The kernel fast path books this
+    cost in :class:`PolcaStatistics`, so the probe/access counters are
+    execution-strategy-independent.
     """
     length = len(word)
     probes = length
@@ -71,7 +72,11 @@ def scalar_probe_cost(
 
 @dataclass
 class PolcaStatistics:
-    """Cost counters for Polca's interaction with the cache interface."""
+    """Cost counters for Polca's interaction with the cache interface.
+
+    This is the one ledger of probes and block accesses: interfaces count
+    nothing themselves, and every report column is read from here.
+    """
 
     policy_queries: int = 0
     policy_symbols: int = 0
@@ -123,18 +128,18 @@ class PolcaMembershipOracle:
     when both use the same setting; the pipeline keeps it off for parallel
     runs (a session is inherently a serial, stateful object).
 
-    ``kernel`` selects the execution strategy for *simulated* targets: when
-    the interface exposes :meth:`kernel_policy` (it guarantees policy-exact
-    probe semantics — the simulated cache starts full), the oracle compiles
-    the policy into a flat transition table and answers whole batches
-    through a :class:`~repro.simkernel.batch.BatchSimulator` instead of
-    probing symbol by symbol.  Answers are bit-identical to the scalar path
-    and the probe/access counters are kept identical too, via
-    :func:`scalar_probe_cost` accounting.  ``"auto"`` degrades silently
-    to the scalar path (no ``kernel_policy``, non-tabulatable policy,
-    ``resume=True``); forcing ``"python"`` raises
-    :class:`~repro.errors.PolicyError` instead.  :attr:`kernel_in_use`
-    reports what actually runs.
+    ``kernel`` selects the execution strategy for *simulated* targets.
+    Under ``"auto"``, when the interface exposes ``kernel_policy`` (it
+    guarantees policy-exact probe semantics — the simulated cache starts
+    full), the oracle compiles the policy into a flat transition table and
+    answers whole batches through a
+    :class:`~repro.simkernel.batch.BatchSimulator` instead of probing
+    symbol by symbol.  Answers are bit-identical to the scalar path and
+    the probe/access counters are kept identical too, via
+    :func:`scalar_probe_cost` accounting.  ``"auto"`` runs the scalar path
+    when there is no ``kernel_policy``, when the policy does not tabulate
+    and under ``resume=True``; ``"scalar"`` (the default) always does.
+    :attr:`kernel_in_use` reports what actually runs.
     """
 
     def __init__(
@@ -142,7 +147,7 @@ class PolcaMembershipOracle:
         cache: CacheProbeInterface,
         *,
         resume: bool = False,
-        kernel: Optional[str] = None,
+        kernel: str = "scalar",
     ) -> None:
         self.cache = cache
         self.associativity = cache.associativity
@@ -161,47 +166,28 @@ class PolcaMembershipOracle:
         self.resume = bool(resume)
         self._use_sessions = self.resume and supports_sessions(cache)
         self.statistics = PolcaStatistics()
-        self._simulator: Optional[BatchSimulator] = None
-        if kernel is not None and kernel != "scalar":
-            self._simulator = self._build_simulator(kernel)
+        if kernel not in POLCA_KERNELS:
+            raise PolicyError(
+                f"unknown simulator kernel {kernel!r}; choose one of {POLCA_KERNELS}"
+            )
+        self._simulator = self._build_simulator() if kernel == "auto" else None
         #: Execution strategy actually answering queries: ``"scalar"`` or
         #: ``"python"`` (the tabulated kernel).
         self.kernel_in_use = (
             "scalar" if self._simulator is None else self._simulator.kernel
         )
 
-    def _build_simulator(self, kernel: str) -> Optional[BatchSimulator]:
+    def _build_simulator(self) -> Optional[BatchSimulator]:
         """Try to bind the tabulated fast path; ``None`` means scalar fallback."""
-        if kernel not in POLCA_KERNELS:
-            raise PolicyError(
-                f"unknown simulator kernel {kernel!r}; choose one of {POLCA_KERNELS}"
-            )
-        forced = kernel != "auto"
         kernel_policy = getattr(self.cache, "kernel_policy", None)
-        accounting = getattr(self.cache, "count_kernel_probes", None)
-        if not (callable(kernel_policy) and callable(accounting)):
-            if forced:
-                raise PolicyError(
-                    f"kernel={kernel!r} requires a cache interface with "
-                    "policy-exact semantics (kernel_policy/count_kernel_probes); "
-                    f"{type(self.cache).__name__} only supports the scalar path"
-                )
-            return None
-        if self.resume:
+        if not callable(kernel_policy) or self.resume:
             # The resume protocol reconstructs Polca state from cached prefix
             # outputs and drives measurement sessions — an inherently scalar,
             # stateful execution; the kernel answers from the initial state.
-            if forced:
-                raise PolicyError(
-                    f"kernel={kernel!r} is incompatible with resume=True; "
-                    "use kernel='auto' (degrades to scalar) or disable resume"
-                )
             return None
         try:
             return BatchSimulator(kernel_policy())
         except PolicyError:
-            if forced:
-                raise
             return None
 
     @property
@@ -278,17 +264,12 @@ class PolcaMembershipOracle:
         """Answer executed (maximal) words through the kernel, with the same
         counter increments the scalar path would have produced."""
         answers = self._simulator.answer_words(words)
-        total_probes = 0
-        total_accesses = 0
         for word in words:
             self.statistics.policy_queries += 1
             self.statistics.policy_symbols += len(word)
             probes, accesses = scalar_probe_cost(word, self.associativity)
             self.statistics.cache_probes += probes
             self.statistics.block_accesses += accesses
-            total_probes += probes
-            total_accesses += accesses
-        self.cache.count_kernel_probes(total_probes, total_accesses)
         return answers
 
     def output_query_resume(

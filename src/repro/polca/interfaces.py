@@ -13,7 +13,8 @@ Polca only needs three things from a cache (its view of the cache semantics
 Two adapters implement the protocol:
 
 * :class:`SimulatedCacheInterface` — the software-simulated caches of
-  Section 6, wrapping :class:`~repro.cache.cacheset.SimulatedCacheSet`;
+  Section 6, stepping a :class:`~repro.cache.cacheset.CacheSet` that it
+  resets before every probe;
 * ``CacheQuerySetInterface`` (in :mod:`repro.cachequery.frontend`) — the
   hardware path of Section 7, wrapping a CacheQuery session for one cache
   set of a simulated CPU.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import string
 from typing import Hashable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.cache.cacheset import SimulatedCacheSet
+from repro.cache.cacheset import CacheSet
 from repro.errors import CacheError
 from repro.policies.base import ReplacementPolicy
 
@@ -75,7 +76,9 @@ class SimulatedCacheInterface:
     The cache starts out holding the first ``associativity`` blocks of the
     block universe (``A``, ``B``, ...), i.e. the state reached by the
     Flush+Refill reset sequence, so hardware and simulator expose the same
-    initial content to Polca.
+    initial content to Polca.  Every :meth:`probe` and :meth:`open_session`
+    resets the underlying :class:`~repro.cache.cacheset.CacheSet` to that
+    content first.
     """
 
     def __init__(
@@ -98,7 +101,7 @@ class SimulatedCacheInterface:
                 )
         self._universe = universe
         self._initial = universe[: self.associativity]
-        self._cache = SimulatedCacheSet(policy, initial_content=self._initial)
+        self._set = CacheSet(policy, self._initial)
 
     supports_sessions = True
 
@@ -109,7 +112,8 @@ class SimulatedCacheInterface:
         return self._universe
 
     def probe(self, blocks: Sequence[Block]) -> Tuple[str, ...]:
-        return self._cache.probe(blocks)
+        self._set.reset()
+        return self.extend(blocks)
 
     def store_namespace(self) -> Tuple[object, ...]:
         """Namespace key identifying this target inside a shared prefix store."""
@@ -120,50 +124,31 @@ class SimulatedCacheInterface:
     def kernel_policy(self) -> ReplacementPolicy:
         """Return the policy whose Mealy semantics this interface realises.
 
-        Exposing this opts the interface into the tabulated execution
-        kernels (:mod:`repro.simkernel`): because the simulated cache starts
-        *full* (Flush+Refill content, never an invalid line), every probe
-        outcome is determined by the policy machine alone, so Polca's
-        answers over this interface coincide exactly with the policy's
-        Mealy outputs.  Hardware interfaces have no such guarantee and do
-        not implement this hook.
+        Exposing this hook is what opts an interface into the tabulated
+        kernel (:mod:`repro.simkernel`) under ``kernel="auto"``: because the
+        simulated cache starts *full* (Flush+Refill content, never an
+        invalid line), every probe outcome is determined by the policy
+        machine alone, so Polca's answers over this interface coincide
+        exactly with the policy's Mealy outputs.  Hardware interfaces have
+        no such guarantee and do not implement this hook.
         """
         return self.policy
-
-    def count_kernel_probes(self, probes: int, accesses: int) -> None:
-        """Fold kernel-elided probe costs into the underlying cache counters."""
-        self._cache.count_kernel_probes(probes, accesses)
 
     # ----------------------------------------------------- measurement session
 
     def open_session(self) -> None:
-        """Reset the cache and keep it live for incremental :meth:`extend` calls."""
-        self._cache.begin_session()
+        """Reset the cache and keep it live for incremental :meth:`extend` calls.
+
+        A :meth:`probe` resets the set too, so it ends the session's state,
+        exactly as on hardware.
+        """
+        self._set.reset()
 
     def extend(self, blocks: Sequence[Block]) -> Tuple[str, ...]:
         """Access ``blocks`` from the session's current state; return the outcomes."""
-        return self._cache.session_access(blocks)
+        access = self._set.access
+        return tuple(access(block) for block in blocks)
 
     def close_session(self) -> None:
         """End the measurement session (stateless for the simulator)."""
 
-    # ------------------------------------------------------------- statistics
-
-    @property
-    def probe_count(self) -> int:
-        """Number of probe() calls issued so far."""
-        return self._cache.probe_count
-
-    @property
-    def access_count(self) -> int:
-        """Total number of individual block accesses issued so far."""
-        return self._cache.access_count
-
-    @property
-    def sessions_opened(self) -> int:
-        """Number of measurement sessions opened so far."""
-        return self._cache.sessions_opened
-
-    def reset_statistics(self) -> None:
-        """Zero the probe/access counters."""
-        self._cache.reset_statistics()

@@ -126,7 +126,7 @@ class PolicyLearningPipeline:
         workers: Optional[int] = None,
         resume: bool = False,
         store=None,
-        kernel: Optional[str] = "auto",
+        kernel: str = "auto",
         learner: str = "lstar",
     ) -> None:
         if learner.lower() not in LEARNER_NAMES:
@@ -156,9 +156,8 @@ class PolicyLearningPipeline:
         self.learner = learner.lower()
         #: Execution strategy for Polca's probes over simulated targets:
         #: ``"auto"`` (the tabulated kernel when the policy tabulates, else
-        #: scalar), ``"python"`` (the tabulated kernel, forced), or
-        #: ``"scalar"`` / ``None`` for the legacy per-symbol stepper.
-        #: Answers and statistics are identical across all settings.
+        #: scalar) or ``"scalar"`` for the per-symbol stepper.  Answers and
+        #: statistics are identical across both settings.
         self.kernel = kernel
         #: Optional shared :class:`~repro.store.PrefixStore` the query
         #: engine's trie lives in — pass the same instance backing the

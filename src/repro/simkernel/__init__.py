@@ -8,14 +8,12 @@ replaces that loop for bounded policies:
 * :mod:`~repro.simkernel.tables` compiles any registered policy into dense
   ``next_state`` / ``output`` transition arrays via the existing
   ``to_mealy`` enumeration;
-* :mod:`~repro.simkernel.steppers` provides the chunk stepper over those
-  arrays, a tight pure-Python loop over flat tuples;
-* :mod:`~repro.simkernel.batch` wraps table + stepper into the
-  :class:`BatchSimulator` facade, which speaks the learning stack's
-  batched/resumable oracle protocol.
+* :mod:`~repro.simkernel.batch` holds the :class:`BatchSimulator`, which
+  owns one such table and steps whole chunks of policy words through its
+  flat tuples.
 
-Consumers choose between this tabulated path and the legacy scalar
-stepper with the ``kernel=`` knob threaded through
+Consumers choose between this tabulated path and the scalar stepper with
+the ``kernel=`` knob threaded through
 :class:`~repro.polca.algorithm.PolcaMembershipOracle`,
 :class:`~repro.polca.pipeline.PolicyLearningPipeline` and the experiment
 CLI (``--kernel``, choices :data:`~repro.polca.algorithm.POLCA_KERNELS`);
@@ -26,7 +24,6 @@ enforces.
 """
 
 from repro.simkernel.batch import BatchSimulator
-from repro.simkernel.steppers import PythonKernel
 from repro.simkernel.tables import (
     DEFAULT_STATE_BOUND,
     TabulatedPolicy,
@@ -36,7 +33,6 @@ from repro.simkernel.tables import (
 __all__ = [
     "BatchSimulator",
     "DEFAULT_STATE_BOUND",
-    "PythonKernel",
     "TabulatedPolicy",
     "tabulate_policy",
 ]

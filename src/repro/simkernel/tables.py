@@ -19,7 +19,7 @@ with states numbered ``0 .. num_states - 1`` in BFS discovery order (the
 initial state is always ``0``), input symbols numbered ``Ln(i) -> i`` and
 ``Evct -> associativity``, and outputs encoded as ``-1`` for the paper's
 ``⊥`` (:data:`~repro.core.alphabet.MISS_OUTPUT`) or the victim line index.
-The stepper (:mod:`repro.simkernel.steppers`) indexes the flat tuples
+:class:`~repro.simkernel.batch.BatchSimulator` indexes the flat tuples
 directly.
 
 Tables are immutable, hashable-free plain data and therefore picklable: a
@@ -59,7 +59,7 @@ class TabulatedPolicy:
     and output encodings.  Instances are produced by
     :func:`tabulate_policy` (or the
     :meth:`~repro.policies.base.ReplacementPolicy.tabulate` hook) and
-    consumed by the stepper in :mod:`repro.simkernel.steppers`.
+    stepped by :class:`~repro.simkernel.batch.BatchSimulator`.
     """
 
     name: str

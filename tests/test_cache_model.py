@@ -14,7 +14,7 @@ import repro.cache.addressing as addressing_module
 from repro.cache.adaptive import AdaptiveSetSelector, SetDuelingController
 from repro.cache.addressing import AddressMapper, slice_hash
 from repro.cache.cache import AdaptiveConfig, SetAssociativeCache
-from repro.cache.cacheset import HIT, MISS, TRANSITION_MEMO_BOUND, CacheSet, SimulatedCacheSet
+from repro.cache.cacheset import HIT, MISS, TRANSITION_MEMO_BOUND, CacheSet
 from repro.cache.cat import CATConfig
 from repro.cache.hierarchy import CacheHierarchy, CacheLevelConfig
 from repro.errors import AddressingError, CacheError
@@ -22,6 +22,7 @@ from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
 from repro.policies import LRUPolicy, New2Policy
 from repro.policies.registry import available_policies, make_policy
+from repro.polca.interfaces import SimulatedCacheInterface
 
 
 class TestCacheSet:
@@ -80,32 +81,22 @@ class TestCacheSet:
 
 
 class TestSimulatedCacheSet:
+    """The software-simulated cache of Section 6: a :class:`CacheSet` that
+    :class:`SimulatedCacheInterface` resets before every probe."""
+
     def test_probe_resets_between_calls(self):
-        simulated = SimulatedCacheSet(LRUPolicy(2), initial_content=["A", "B"])
+        simulated = SimulatedCacheInterface(LRUPolicy(2))
+        assert simulated.initial_blocks() == ("A", "B")
         assert simulated.probe(["C"]) == (MISS,)
         # The previous probe must not leak into this one: A is present again.
         assert simulated.probe(["A"]) == (HIT,)
 
-    def test_probe_last_and_counters(self):
-        simulated = SimulatedCacheSet(LRUPolicy(2), initial_content=["A", "B"])
-        assert simulated.probe_last(["C", "A"]) == HIT
-        assert simulated.probe_count == 1
-        assert simulated.access_count == 2
-        simulated.reset_statistics()
-        assert simulated.probe_count == 0
-
-    def test_probe_last_requires_blocks(self):
-        with pytest.raises(CacheError):
-            SimulatedCacheSet(LRUPolicy(2)).probe_last([])
-
     def test_initial_content_leaves_the_session_alone(self):
-        simulated = SimulatedCacheSet(LRUPolicy(2), initial_content=["A", "B"])
-        simulated.begin_session()
-        assert simulated.session_access(["C"]) == (MISS,)  # evicts B, the LRU line
-        counters = (simulated.probe_count, simulated.access_count, simulated.sessions_opened)
-        assert simulated.initial_content() == ("A", "B")
-        assert (simulated.probe_count, simulated.access_count, simulated.sessions_opened) == counters
-        assert simulated.session_access(["B"]) == (MISS,)
+        simulated = SimulatedCacheInterface(LRUPolicy(2))
+        simulated.open_session()
+        assert simulated.extend(["C"]) == (MISS,)  # evicts B, the LRU line
+        assert simulated.initial_blocks() == ("A", "B")
+        assert simulated.extend(["B"]) == (MISS,)
 
 
 class TestAddressing:

@@ -423,11 +423,8 @@ class TestConcreteQueries:
         frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=17))
         interface = CacheQuerySetInterface(frontend)
         blocks = interface.block_universe()
-        words = [[blocks[n % 7], blocks[(3 * n) % 11]] for n in range(50)]
-        for word in words[:25]:
-            interface.probe(word)
-        interface.probe_batch(words[25:])
-        assert interface.probe_count == 50
+        for n in range(50):
+            interface.probe([blocks[n % 7], blocks[(3 * n) % 11]])
         assert len(expansions) == 1
 
     @pytest.mark.parametrize("probe_first", [True, False])
@@ -448,13 +445,13 @@ class TestConcreteQueries:
         assert frontend.backend.executed_queries == executed
         assert len(frontend.cache) == 1
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_multi_query_reset_rejected_before_anything_executes(self, batched):
+    @pytest.mark.parametrize("session", [False, True])
+    def test_multi_query_reset_rejected_before_anything_executes(self, session):
         frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=6))
         interface = CacheQuerySetInterface(frontend, reset=SequenceReset("_"))
         with pytest.raises(CacheQueryError, match="exactly one query"):
-            if batched:
-                interface.probe_batch([["A"], ["B"]])
+            if session:
+                interface.open_session()
             else:
                 interface.probe(["A"])
         assert frontend.backend.executed_queries == 0

@@ -53,13 +53,6 @@ class TestSimulatedCacheInterface:
         with pytest.raises(Exception):
             SimulatedCacheInterface(make_policy("LRU", 4), block_names=("A", "B"))
 
-    def test_statistics(self):
-        interface = SimulatedCacheInterface(make_policy("LRU", 2))
-        interface.probe(("A",))
-        assert interface.probe_count == 1 and interface.access_count == 1
-        interface.reset_statistics()
-        assert interface.probe_count == 0
-
 
 class TestPolcaOracle:
     @pytest.mark.parametrize(

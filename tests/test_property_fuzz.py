@@ -167,13 +167,14 @@ def _assert_policy_differential(policy_name: str) -> None:
 def _assert_kernel_differential(policy_name: str) -> None:
     """Every execution kernel learns field-for-field identical results.
 
-    The legacy scalar stepper is the reference; the tabulated kernel must
-    reproduce the machine, the learning trajectory (rounds,
-    counterexamples), the engine statistics *and* Polca's probe accounting
-    exactly — the kernel is an execution strategy, never an observable.
+    The scalar stepper is the reference; the tabulated kernel that
+    ``kernel="auto"`` binds must reproduce the machine, the learning
+    trajectory (rounds, counterexamples), the engine statistics *and*
+    Polca's probe accounting exactly — the kernel is an execution strategy,
+    never an observable.
     """
     depth = EXACT_DEPTH.get(policy_name, 1)
-    kernels = ["scalar", "python"]
+    kernels = ["scalar", "auto"]
     reports = {
         kernel: learn_simulated_policy(
             make_policy(policy_name, ASSOCIATIVITY),
@@ -187,7 +188,7 @@ def _assert_kernel_differential(policy_name: str) -> None:
     assert reference.extra["kernel"] == "scalar"
     for kernel in kernels[1:]:
         report = reports[kernel]
-        assert report.extra["kernel"] == kernel
+        assert report.extra["kernel"] == "python"
         assert report.machine == reference.machine, f"{policy_name}/{kernel}: machines diverged"
         assert report.learning_result.rounds == reference.learning_result.rounds
         assert (

@@ -442,17 +442,6 @@ class TestCacheQueryBatchFrontend:
         stats = frontend.cache_statistics()
         assert stats["entries"] == 2
 
-    def test_probe_batch_matches_serial_probes(self):
-        from repro.cachequery.frontend import CacheQuerySetInterface
-
-        interface = CacheQuerySetInterface(self._frontend())
-        blocks = interface.initial_blocks()
-        sequences = [blocks[:2], (), blocks[:2], (blocks[0],)]
-        batched = interface.probe_batch(sequences)
-        serial_interface = CacheQuerySetInterface(self._frontend())
-        serial = [serial_interface.probe(sequence) for sequence in sequences]
-        assert batched == serial
-
 
 @pytest.mark.slow
 class TestFullRegistryEquivalenceSlow:

@@ -133,7 +133,6 @@ class TestInterfaceSessions:
             incremental.extend(with_session.extend((block,)))
         with_session.close_session()
         assert tuple(incremental) == reference.probe(chain)
-        assert with_session.sessions_opened == 1
 
     def test_cachequery_interface_session_matches_probe(self):
         interface = CacheQuerySetInterface(_frontend())

@@ -1,7 +1,7 @@
 """Unit tests for the tabulated simulator kernels (:mod:`repro.simkernel`).
 
-Covers the three layers of the subsystem — table compilation, the
-stepper, and the :class:`BatchSimulator` facade — plus the Polca
+Covers both parts of the subsystem — table compilation and the
+:class:`BatchSimulator` that steps the tables — plus the Polca
 integration: kernel selection/fallback semantics and the analytic probe
 accounting that keeps statistics execution-strategy-independent.
 """
@@ -14,19 +14,14 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.alphabet import EVICT, MISS_OUTPUT, Line, policy_input_alphabet
-from repro.errors import CacheError, PolicyError
+from repro.errors import PolicyError
 from repro.learning.query_engine import dedupe_and_subsume
 from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import make_policy
 from repro.polca.algorithm import POLCA_KERNELS, PolcaMembershipOracle, scalar_probe_cost
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
-from repro.simkernel import (
-    BatchSimulator,
-    PythonKernel,
-    TabulatedPolicy,
-    tabulate_policy,
-)
+from repro.simkernel import BatchSimulator, TabulatedPolicy, tabulate_policy
 
 
 def _random_words(associativity, *, count=60, max_length=14, seed="simkernel"):
@@ -54,6 +49,44 @@ class NonTabulatablePolicy(ReplacementPolicy):
     def on_miss(self, state):
         victim = state[-1]
         return tuple([victim] + list(state[:-1])), victim
+
+
+class ProbeOnlyInterface:
+    """A thin probe interface over a simulated cache, without the kernel hook."""
+
+    def __init__(self, policy):
+        self._inner = SimulatedCacheInterface(policy)
+        self.associativity = policy.associativity
+
+    def initial_blocks(self):
+        return self._inner.initial_blocks()
+
+    def block_universe(self):
+        return self._inner.block_universe()
+
+    def probe(self, blocks):
+        return self._inner.probe(blocks)
+
+
+class PolicyExactInterface(ProbeOnlyInterface):
+    """The same thin interface plus the ``kernel_policy`` hook, and nothing else."""
+
+    def kernel_policy(self):
+        return self._inner.kernel_policy()
+
+
+class CountingInterface(SimulatedCacheInterface):
+    """Counts the probes and block accesses that reach the simulated cache."""
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self.probes = 0
+        self.accesses = 0
+
+    def probe(self, blocks):
+        self.probes += 1
+        self.accesses += len(blocks)
+        return super().probe(blocks)
 
 
 # ---------------------------------------------------------------- tables
@@ -110,41 +143,32 @@ def test_non_tabulatable_policy_raises():
         NonTabulatablePolicy(2).tabulate()
 
 
-# -------------------------------------------------------------- steppers
+# -------------------------------------------------------- BatchSimulator
 
 
 def test_python_kernel_matches_scalar_table_walk():
     table = make_policy("MRU", 3).tabulate()
-    kernel = PythonKernel(table)
-    words = [table.encode_word(word) for word in _random_words(3, seed="py")]
-    answered, end_states = kernel.run_chunk(words)
-    assert len(answered) == len(words) == len(end_states)
-    for codes, outputs, end in zip(words, answered, end_states):
-        state = 0
+    words = _random_words(3, seed="py")
+    answered = BatchSimulator(table).answer_words(words)
+    assert len(answered) == len(words)
+    for word, outputs in zip(words, answered):
+        state = table.initial_state
         expected = []
-        for code in codes:
+        for code in table.encode_word(word):
             state, out = table.step(state, code)
-            expected.append(out)
+            expected.append(table.decode_output(out))
         assert outputs == tuple(expected)
-        assert end == state
 
 
 def test_kernels_handle_empty_and_ragged_chunks():
-    table = make_policy("FIFO", 2).tabulate()
-    kernel = PythonKernel(table)
-    ragged = [(), (2,), (0, 1, 2, 2, 0), (2, 2)]
-    coded = [tuple(word) for word in ragged]
-    assert kernel.run_chunk([]) == ([], [])
-    answered, end_states = kernel.run_chunk(coded)
+    simulator = BatchSimulator(make_policy("FIFO", 2).tabulate())
+    ragged = [(), (EVICT,), (Line(0), Line(1), EVICT, EVICT, Line(0)), (EVICT, EVICT)]
+    assert simulator.answer_words([]) == []
+    answered = simulator.answer_words(ragged)
     assert answered[0] == ()  # empty word answers empty
-    assert end_states[0] == 0
     # Splitting a chunk never changes an answer.
-    halves = [kernel.run_chunk(coded[:2]), kernel.run_chunk(coded[2:])]
-    assert answered == halves[0][0] + halves[1][0]
-    assert end_states == halves[0][1] + halves[1][1]
-
-
-# -------------------------------------------------------- BatchSimulator
+    halves = simulator.answer_words(ragged[:2]) + simulator.answer_words(ragged[2:])
+    assert answered == halves
 
 
 def test_batch_simulator_answers_match_policy_oracle():
@@ -155,20 +179,6 @@ def test_batch_simulator_answers_match_policy_oracle():
     for word, outputs in zip(words, answers):
         stepper = policy.stepper()
         assert outputs == tuple(stepper.apply(symbol) for symbol in word)
-    # Oracle-protocol entry points agree with the chunk API.
-    assert simulator.output_query(words[1]) == answers[1]
-    assert simulator.output_query_batch(words) == answers
-
-
-def test_batch_simulator_resume_protocol():
-    policy = make_policy("PLRU", 4)
-    simulator = BatchSimulator(policy)
-    assert simulator.supports_resume
-    word = (Line(0), EVICT, Line(2), EVICT, EVICT, Line(1))
-    full = simulator.output_query(word)
-    for cut in range(len(word) + 1):
-        resumed = simulator.output_query_resume(word[:cut], word[cut:])
-        assert resumed == full[cut:]
 
 
 def test_batch_simulator_adopts_ready_table():
@@ -183,111 +193,93 @@ def test_batch_simulator_adopts_ready_table():
 
 def test_scalar_probe_cost_matches_executed_scalar_path():
     for word in dedupe_and_subsume(_random_words(3, count=40, seed="cost")):
-        interface = SimulatedCacheInterface(make_policy("LRU", 3))
-        oracle = PolcaMembershipOracle(interface)
-        oracle.output_query(word)
-        probes, accesses = scalar_probe_cost(word, 3)
-        assert probes == interface.probe_count, word
-        assert accesses == interface.access_count, word
+        interface = CountingInterface(make_policy("LRU", 3))
+        PolcaMembershipOracle(interface).output_query(word)
+        assert scalar_probe_cost(word, 3) == (interface.probes, interface.accesses), word
 
 
 def test_kernel_oracle_matches_scalar_oracle_and_counters():
     words = _random_words(4, count=50, seed="polca")
-    scalar_interface = SimulatedCacheInterface(make_policy("PLRU", 4))
+    scalar_interface = CountingInterface(make_policy("PLRU", 4))
     scalar = PolcaMembershipOracle(scalar_interface)
     expected = scalar.output_query_batch(words)
-    for kernel in ("python", "auto"):
-        interface = SimulatedCacheInterface(make_policy("PLRU", 4))
-        oracle = PolcaMembershipOracle(interface, kernel=kernel)
-        assert oracle.kernel_in_use == "python"
-        assert oracle.output_query_batch(words) == expected
-        assert asdict(oracle.statistics) == asdict(scalar.statistics)
-        assert interface.probe_count == scalar_interface.probe_count
-        assert interface.access_count == scalar_interface.access_count
+    assert (scalar.statistics.cache_probes, scalar.statistics.block_accesses) == (
+        scalar_interface.probes,
+        scalar_interface.accesses,
+    )
+    interface = CountingInterface(make_policy("PLRU", 4))
+    oracle = PolcaMembershipOracle(interface, kernel="auto")
+    assert oracle.kernel_in_use == "python"
+    assert oracle.output_query_batch(words) == expected
+    assert asdict(oracle.statistics) == asdict(scalar.statistics)
+    # The kernel probes nothing; Polca books the scalar path's cost.
+    assert interface.probes == 0
+
+
+def test_kernel_policy_hook_alone_decides_kernel_eligibility():
+    """An interface exposing ``kernel_policy`` and no accounting hook of its
+    own runs the tabulated kernel under ``kernel="auto"``: Polca's
+    statistics are the one probe ledger."""
+    words = _random_words(4, count=50, seed="hook")
+    scalar = PolcaMembershipOracle(SimulatedCacheInterface(make_policy("PLRU", 4)))
+    expected = scalar.output_query_batch(words)
+    oracle = PolcaMembershipOracle(
+        PolicyExactInterface(make_policy("PLRU", 4)), kernel="auto"
+    )
+    assert oracle.kernel_in_use == "python"
+    assert oracle.output_query_batch(words) == expected
+    assert asdict(oracle.statistics) == asdict(scalar.statistics)
 
 
 def test_auto_kernel_falls_back_to_scalar_for_non_tabulatable_policy():
     interface = SimulatedCacheInterface(NonTabulatablePolicy(2))
     oracle = PolcaMembershipOracle(interface, kernel="auto")
     assert oracle.kernel_in_use == "scalar"
-    # Forcing a kernel on the same target is a clean error instead.
-    with pytest.raises(PolicyError, match="supports_tabulation=False"):
-        PolcaMembershipOracle(
-            SimulatedCacheInterface(NonTabulatablePolicy(2)), kernel="python"
-        )
 
 
 def test_forced_kernel_requires_policy_exact_interface():
-    class ScalarOnlyInterface:
-        """A probe interface without the kernel_policy hook."""
-
-        def __init__(self):
-            self._inner = SimulatedCacheInterface(make_policy("LRU", 2))
-            self.associativity = 2
-
-        def initial_blocks(self):
-            return self._inner.initial_blocks()
-
-        def block_universe(self):
-            return self._inner.block_universe()
-
-        def probe(self, blocks):
-            return self._inner.probe(blocks)
-
-    assert PolcaMembershipOracle(ScalarOnlyInterface(), kernel="auto").kernel_in_use == "scalar"
-    with pytest.raises(PolicyError, match="scalar path"):
-        PolcaMembershipOracle(ScalarOnlyInterface(), kernel="python")
+    oracle = PolcaMembershipOracle(ProbeOnlyInterface(make_policy("LRU", 2)), kernel="auto")
+    assert oracle.kernel_in_use == "scalar"
 
 
 def test_kernel_and_resume_interaction():
     interface = SimulatedCacheInterface(make_policy("LRU", 2))
     auto = PolcaMembershipOracle(interface, kernel="auto", resume=True)
     assert auto.kernel_in_use == "scalar"  # auto degrades silently
-    with pytest.raises(PolicyError, match="incompatible with resume"):
-        PolcaMembershipOracle(interface, kernel="python", resume=True)
 
 
 def test_resolve_kernel_selection_semantics():
     """Every accepted kernel name resolves to one of two execution paths
     for a tabulatable policy: the tabulated Python kernel or the scalar
-    stepper (``None`` is the scalar default)."""
-    expected = {None: "scalar", "scalar": "scalar", "python": "python", "auto": "python"}
-    assert set(expected) - {None} == set(POLCA_KERNELS)
+    stepper (the default)."""
+    expected = {"scalar": "scalar", "auto": "python"}
+    assert set(expected) == set(POLCA_KERNELS)
     for name, in_use in expected.items():
         interface = SimulatedCacheInterface(make_policy("LRU", 2))
         assert PolcaMembershipOracle(interface, kernel=name).kernel_in_use == in_use
+    interface = SimulatedCacheInterface(make_policy("LRU", 2))
+    assert PolcaMembershipOracle(interface).kernel_in_use == "scalar"
 
 
 def test_unknown_kernel_name_is_rejected():
     interface = SimulatedCacheInterface(make_policy("LRU", 2))
-    for name in ("fortran", "numpy"):
+    for name in ("fortran", "numpy", "python"):
         with pytest.raises(PolicyError, match="unknown simulator kernel"):
             PolcaMembershipOracle(interface, kernel=name)
-
-
-def test_count_kernel_probes_validates_and_counts():
-    interface = SimulatedCacheInterface(make_policy("LRU", 2))
-    interface.count_kernel_probes(3, 11)
-    assert interface.probe_count == 3
-    assert interface.access_count == 11
-    with pytest.raises(CacheError):
-        interface.count_kernel_probes(-1, 0)
 
 
 def test_pipeline_reports_kernel_and_learns_identically():
     scalar = learn_simulated_policy(make_policy("MRU", 3), kernel="scalar")
     assert scalar.extra["kernel"] == "scalar"
-    python = learn_simulated_policy(make_policy("MRU", 3), kernel="python")
-    assert python.extra["kernel"] == "python"
-    assert python.machine == scalar.machine
-    assert asdict(python.polca_statistics) == asdict(scalar.polca_statistics)
     auto = learn_simulated_policy(make_policy("MRU", 3), kernel="auto")
     assert auto.extra["kernel"] == "python"
     assert auto.machine == scalar.machine
+    assert asdict(auto.polca_statistics) == asdict(scalar.polca_statistics)
 
 
 def test_parallel_kernel_run_is_worker_count_invariant():
-    serial = learn_simulated_policy(make_policy("PLRU", 4), kernel="python")
-    parallel = learn_simulated_policy(make_policy("PLRU", 4), kernel="python", workers=2)
+    serial = learn_simulated_policy(make_policy("PLRU", 4), kernel="auto")
+    parallel = learn_simulated_policy(make_policy("PLRU", 4), kernel="auto", workers=2)
+    assert serial.extra["kernel"] == parallel.extra["kernel"] == "python"
     assert parallel.machine == serial.machine
     assert asdict(parallel.polca_statistics) == asdict(serial.polca_statistics)
