@@ -112,17 +112,31 @@ class MealyMachine:
         input symbol are collected.
         """
         current = self.initial_state if state is None else state
+        transitions = self.transitions
+        outputs = self.outputs
         produced: List[Output] = []
-        for symbol in word:
-            current, output = self.step(current, symbol)
-            produced.append(output)
+        append = produced.append
+        key = None
+        try:
+            for symbol in word:
+                key = (current, symbol)
+                append(outputs[key])
+                current = transitions[key]
+        except KeyError as exc:
+            raise MealyDefinitionError(f"no transition for {key!r}") from exc
         return tuple(produced)
 
     def state_after(self, word: Sequence[Input], state: Optional[State] = None) -> State:
         """Return the state reached after reading ``word``."""
         current = self.initial_state if state is None else state
-        for symbol in word:
-            current, _ = self.step(current, symbol)
+        transitions = self.transitions
+        key = None
+        try:
+            for symbol in word:
+                key = (current, symbol)
+                current = transitions[key]
+        except KeyError as exc:
+            raise MealyDefinitionError(f"no transition for {key!r}") from exc
         return current
 
     def trace(self, word: Sequence[Input]) -> Trace:

@@ -75,6 +75,11 @@ class ObservationTable:
         # Memoised row contents, keyed by prefix; valid for the current
         # suffix list only (add_suffix invalidates).
         self._row_cache: Dict[Word, Tuple[Tuple[Output, ...], ...]] = {}
+        # Per prefix, how many leading suffixes are known to have a cell:
+        # set when a fill completes.  Suffixes are only ever appended, so
+        # missing_cells scans each row from there and sees only new long
+        # rows and new columns.
+        self._filled: Dict[Word, int] = {}
         #: Access word of each state of the last :meth:`hypothesis`, in state
         #: order: the first short prefix with that state's row.
         self.access_words: List[Word] = []
@@ -99,11 +104,17 @@ class ObservationTable:
 
     def missing_cells(self) -> List[Tuple[Word, Word]]:
         """Return every (prefix, suffix) cell that has not been queried yet."""
+        return self._missing_cells(self.all_prefixes())
+
+    def _missing_cells(self, prefixes: List[Word]) -> List[Tuple[Word, Word]]:
+        cells = self._cells
+        suffixes = self.suffixes
+        filled = self._filled
         return [
             (prefix, suffix)
-            for prefix in self.all_prefixes()
-            for suffix in self.suffixes
-            if (prefix, suffix) not in self._cells
+            for prefix in prefixes
+            for suffix in suffixes[filled.get(prefix, 0):]
+            if (prefix, suffix) not in cells
         ]
 
     def fill(self) -> None:
@@ -113,13 +124,14 @@ class ObservationTable:
         query, so the oracle sees the whole round at once and can dedupe,
         prefix-subsume and (for caches) reuse earlier answers.
         """
-        missing = self.missing_cells()
-        if not missing:
-            return
-        words = [prefix + suffix for prefix, suffix in missing]
-        answers = output_query_batch(self.oracle, words)
-        for (prefix, suffix), outputs in zip(missing, answers):
-            self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
+        prefixes = self.all_prefixes()
+        missing = self._missing_cells(prefixes)
+        if missing:
+            words = [prefix + suffix for prefix, suffix in missing]
+            answers = output_query_batch(self.oracle, words)
+            for (prefix, suffix), outputs in zip(missing, answers):
+                self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
+        self._filled.update(dict.fromkeys(prefixes, len(self.suffixes)))
 
     def all_prefixes(self) -> List[Word]:
         """Return short prefixes followed by their one-symbol extensions."""

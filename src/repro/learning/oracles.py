@@ -29,7 +29,7 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError, OutputLengthMismatchError
@@ -253,26 +253,38 @@ class CachedMembershipOracle:
     def output_query_batch(self, words: Sequence[Sequence[Input]]) -> List[OutputWord]:
         """Answer a batch: partition it once, execute only its misses.
 
-        Cached words are served from the trie.  The remaining maximal words
-        execute one by one through :meth:`_execute` for a resumable
-        delegate (later misses resume from earlier answers), else as one
-        call into the delegate; either way every answer passes the same
-        length and non-determinism checks.  Every requested word —
-        duplicate, prefix or miss — is then answered from the trie.
+        Cached words are answered by the same trie walk that finds them.
+        The remaining maximal words execute one by one through
+        :meth:`_execute` for a resumable delegate (later misses resume from
+        earlier answers), else as one call into the delegate; either way
+        every answer passes the same length and non-determinism checks
+        before it is inserted, and then answers its word.  Only a duplicate
+        or prefix of an executed word is read back from the trie.
         """
         words = [tuple(word) for word in words]
-        already_cached, missing = partition_batch(words, self._trie.covers)
-        self.statistics.record_batch(len(words), already_cached, len(missing))
+        answers, missing = partition_batch(words, self._trie.lookup)
+        self.statistics.record_batch(
+            len(words), len(words) - answers.count(None), len(missing)
+        )
+        if not missing:
+            return answers
         if self._resume:
-            for word in missing:
-                self._execute(word)
-        elif missing:
-            self._merge(missing, execute_words(self._delegate, missing))
+            executed = {word: self._execute(word) for word in missing}
+        else:
+            executed = self._merge(missing, execute_words(self._delegate, missing))
         lookup = self._trie.lookup
-        return [lookup(word) for word in words]
+        for index, answer in enumerate(answers):
+            if answer is None:
+                word = words[index]
+                answer = executed.get(word)
+                answers[index] = lookup(word) if answer is None else answer
+        return answers
 
-    def _merge(self, words: Sequence[Word], answers: Sequence[OutputWord]) -> None:
-        """Insert executed answers, one executed membership query per word."""
+    def _merge(
+        self, words: Sequence[Word], answers: Sequence[OutputWord]
+    ) -> Dict[Word, OutputWord]:
+        """Insert executed answers, one executed membership query per word;
+        return each word's answer."""
         answers = list(answers)
         if len(answers) != len(words):
             # One answer per handed word is the SUL batch contract.
@@ -280,9 +292,17 @@ class CachedMembershipOracle:
                 f"oracle returned {len(answers)} answers for a batch of "
                 f"{len(words)} words"
             )
+        insert = self._trie.insert
+        record_query = self.statistics.record_query
+        executed = {}
         for word, outputs in zip(words, answers):
-            self.record_external(word, outputs)
-            self.statistics.record_query(len(word))
+            outputs = tuple(outputs)
+            if len(outputs) != len(word):
+                raise OutputLengthMismatchError(word, outputs)
+            insert(word, outputs)
+            record_query(len(word))
+            executed[word] = outputs
+        return executed
 
     # --------------------------------------------------- external observations
 

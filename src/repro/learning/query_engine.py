@@ -57,6 +57,7 @@ mandatory ``output_query(word)``:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import EVICT, Evict, Line
@@ -112,10 +113,6 @@ class ResponseTrie:
             return ()
         return self._namespace.lookup(word)
 
-    def covers(self, word: Sequence[Input]) -> bool:
-        """True when ``word`` is cached (``lookup`` would not return ``None``)."""
-        return self._namespace.covers(word)
-
     def longest_cached_prefix(self, word: Sequence[Input]) -> Tuple[int, OutputWord]:
         """Return ``(k, outputs)`` for the longest cached prefix ``word[:k]``."""
         return self._namespace.lookup_prefix(word)
@@ -164,17 +161,12 @@ def dedupe_and_subsume(words: Sequence[Sequence[Input]]) -> List[Word]:
     # of its extensions, so a single next-neighbour check per word replaces
     # materializing (and hashing) every prefix of every word — the
     # difference between O(total symbols) and O(total symbols * length) on
-    # the deep batches of the tabulated kernels.
-    symbol_ids: dict = {}
-    keys: List[List[int]] = []
-    for word in unique:
-        key: List[int] = []
-        for symbol in word:
-            code = symbol_ids.get(symbol)
-            if code is None:
-                code = symbol_ids[symbol] = len(symbol_ids)
-            key.append(code)
-        keys.append(key)
+    # the deep batches of the tabulated kernels.  Any injective numbering
+    # finds the same prefixes, so the batch's distinct symbols are numbered
+    # in set order and each key is built by one ``map``.
+    symbol_ids = {symbol: code for code, symbol in enumerate(set(chain.from_iterable(unique)))}
+    code_of = symbol_ids.__getitem__
+    keys: List[List[int]] = [list(map(code_of, word)) for word in unique]
     order = sorted(range(len(unique)), key=keys.__getitem__)
     dropped = set()
     for here, there in zip(order, order[1:]):
@@ -186,27 +178,22 @@ def dedupe_and_subsume(words: Sequence[Sequence[Input]]) -> List[Word]:
 
 
 def partition_batch(
-    words: Sequence[Word], known: Callable[[Word], bool]
-) -> Tuple[int, List[Word]]:
+    words: Sequence[Word], lookup: Callable[[Word], Optional[OutputWord]]
+) -> Tuple[List[Optional[OutputWord]], List[Word]]:
     """Partition a batch by what a cache can already answer.
 
-    ``known`` is a pure predicate over a prefix-closed set of words (the
-    engine passes its response trie's ``covers``).  Returns
-    ``(already_cached, missing)``: ``already_cached`` counts the batch's
-    words (duplicates included) that ``known`` accepts — the cache-hit
-    count — and ``missing`` holds the deduped, prefix-subsumed maximal
-    words among the rest, in first-seen order.  Because the known set is
-    prefix-closed, a miss is never a proper prefix of a known word, so
-    subsuming the misses alone loses nothing.
+    ``lookup`` answers a word from a prefix-closed cache, or returns
+    ``None`` (the engine passes its response trie's ``lookup``).  Returns
+    ``(answers, missing)``: ``answers`` holds, per batch word, its cached
+    answer or ``None`` for a miss — the non-``None`` entries are the
+    cache hits, duplicates included — and ``missing`` holds the deduped,
+    prefix-subsumed maximal words among the misses, in first-seen order.
+    Because the known set is prefix-closed, a miss is never a proper prefix
+    of a known word, so subsuming the misses alone loses nothing.
     """
-    already_cached = 0
-    misses: List[Word] = []
-    for word in words:
-        if known(word):
-            already_cached += 1
-        else:
-            misses.append(word)
-    return already_cached, dedupe_and_subsume(misses)
+    answers = list(map(lookup, words))
+    misses = [word for word, answer in zip(words, answers) if answer is None]
+    return answers, dedupe_and_subsume(misses)
 
 
 def supports_batching(oracle) -> bool:

@@ -146,36 +146,49 @@ def characterization_set(
     """Return a characterization set ``W``: suffixes separating every state pair.
 
     The machine must be minimal (the learner's hypotheses are by
-    construction).  The set is built greedily: for every pair of states not
-    yet separated by the current ``W``, a shortest distinguishing suffix is
-    added.
+    construction).  The set is built greedily: for every pair of states
+    ``(a, b)``, in state order, that the current ``W`` does not separate, a
+    shortest distinguishing suffix is added.
 
-    Each ``(state, word)`` output tail is computed once and the signature
-    lists extended lazily as ``W`` grows, so the greedy pair scan costs
-    O(|S|·|W|) machine runs instead of the O(|S|²·|W|) the per-pair
-    recomputation used to pay — the returned set is unchanged (same
-    suffixes, same order), this is purely how often ``machine.run`` fires.
+    The pairs are not visited one by one.  The states after ``a`` are kept
+    in blocks of equal signature (their outputs on ``W``), so the next
+    unseparated partner of ``a`` is the first state of ``a``'s block, and
+    only a new suffix re-splits the blocks.  That costs O(|S|·|W|) steps
+    instead of O(|S|²), and the suffixes are the pair scan's, in its order.
+    A signature is extended only as far as the pair scan would have
+    extended it (through the last pair its state takes part in), so
+    ``machine.run`` fires exactly as often too.
     """
     states = list(machine.states)
     if len(states) <= 1:
         # Any single-symbol word works as a placeholder so product sets are
         # non-empty.
         return [(machine.inputs[0],)]
+    run = machine.run
+    last = len(states) - 1
     w_set: List[Word] = []
-    signatures: Dict[Hashable, List] = {state: [] for state in states}
-
-    def signature(state: Hashable) -> List:
-        outputs = signatures[state]
-        while len(outputs) < len(w_set):
-            outputs.append(machine.run(w_set[len(outputs)], state))
-        return outputs
-
-    for i, state_a in enumerate(states):
-        for state_b in states[i + 1:]:
-            if signature(state_a) == signature(state_b):
-                w_set.append(
-                    _distinguishing_suffix(machine, state_a, state_b, _suffix_cache)
-                )
+    signatures: List[Tuple] = [()] * len(states)
+    # Signature -> indices of the states after the current ``a``, ascending.
+    blocks: Dict[Tuple, Deque[int]] = {(): deque(range(len(states)))}
+    for index, state_a in enumerate(states):
+        block = blocks[signatures[index]]
+        block.popleft()  # state_a: the first of the states still in blocks
+        while block:
+            partner = block[0]
+            suffix = _distinguishing_suffix(machine, state_a, states[partner], _suffix_cache)
+            w_set.append(suffix)
+            if index < last - 1:
+                # Every later state takes part in a later pair, which would
+                # extend its signature: extend it now and re-split the blocks.
+                blocks = {}
+                for later in range(index + 1, len(states)):
+                    signature = signatures[later] + (run(suffix, states[later]),)
+                    signatures[later] = signature
+                    blocks.setdefault(signature, deque()).append(later)
+            if partner == last:
+                break  # a's last pair: its signature stops here
+            signatures[index] += (run(suffix, state_a),)
+            block = blocks.get(signatures[index], ())
     return w_set
 
 
@@ -223,11 +236,9 @@ def identification_sets(
 
 # ----------------------------------------------------------------- test suites
 
-def _middle_words(alphabet: Sequence[Input], depth: int) -> Iterator[Word]:
-    """Yield all words over ``alphabet`` of length 0..depth."""
-    for length in range(depth + 1):
-        for word in product(alphabet, repeat=length):
-            yield word
+def _middle_words(alphabet: Sequence[Input], depth: int) -> List[Word]:
+    """Return all words over ``alphabet`` of length 0..depth, shortest first."""
+    return [word for length in range(depth + 1) for word in product(alphabet, repeat=length)]
 
 
 def iter_w_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word]:
@@ -245,10 +256,12 @@ def iter_w_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word]
 
     def generate() -> Iterator[Word]:
         seen: Set[Word] = set()
+        middles = _middle_words(machine.inputs, depth)
         for prefix in prefixes:
-            for middle in _middle_words(machine.inputs, depth):
+            for middle in middles:
+                stem = prefix + middle
                 for suffix in w_set:
-                    word = prefix + middle + suffix
+                    word = stem + suffix
                     if word and word not in seen:
                         seen.add(word)
                         yield word
@@ -278,12 +291,14 @@ def iter_wp_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word
 
     def generate() -> Iterator[Word]:
         seen: Set[Word] = set()
+        middles = _middle_words(machine.inputs, depth)
 
         # Phase 1: state cover x Sigma^{<=depth} x W.
         for base in access.values():
-            for middle in _middle_words(machine.inputs, depth):
+            for middle in middles:
+                stem = base + middle
                 for suffix in w_set:
-                    word = base + middle + suffix
+                    word = stem + suffix
                     if word and word not in seen:
                         seen.add(word)
                         yield word
@@ -302,9 +317,10 @@ def iter_wp_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word
                 continue
             for symbol in machine.inputs:
                 prefix = base + (symbol,)
-                for middle in _middle_words(machine.inputs, depth):
+                reached, _ = machine.step(state, symbol)
+                for middle in middles:
                     stem = prefix + middle
-                    target = machine.state_after(stem)
+                    target = machine.state_after(middle, reached)
                     for suffix in ident[target]:
                         word = stem + suffix
                         if word and word not in seen:

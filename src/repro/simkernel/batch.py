@@ -10,6 +10,12 @@ dispatch, no per-step object churn).  Answering is a pure function of the
 table: splitting a chunk in two can never change an answer, the property
 ``tests/test_simkernel.py`` and ``tests/test_property_fuzz.py`` pin down.
 
+Symbols are converted by lookup, not per-symbol calls: a per-simulator dict
+maps each policy input to its column index, filled by the validating
+:meth:`~repro.simkernel.tables.TabulatedPolicy.encode_symbol` the first
+time the simulator meets that symbol (so it holds at most the alphabet),
+and output codes index one ``associativity + 1`` tuple of decoded outputs.
+
 Outputs are always plain Python values (``"-"`` or ``int``): answers must
 be bit-identical to the scalar path — including through pickling, the
 prefix store codec and machine equality.
@@ -17,9 +23,9 @@ prefix store codec and machine equality.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.alphabet import PolicyInput, PolicyOutput
+from repro.core.alphabet import MISS_OUTPUT, PolicyInput, PolicyOutput
 from repro.simkernel.tables import TabulatedPolicy, tabulate_policy
 
 Word = Sequence[PolicyInput]
@@ -43,12 +49,36 @@ class BatchSimulator:
             self.table = policy
         else:
             self.table = tabulate_policy(policy, max_states=max_states)
+        #: Column index of every input symbol met so far, each validated
+        #: by ``encode_symbol`` before it is kept.
+        self._codes: Dict[PolicyInput, int] = {}
+        # Output code -> output: victim ``i`` at index ``i``, and
+        # ``MISS_CODE`` (-1) picks the trailing ``MISS_OUTPUT``.
+        self._decoded = tuple(range(self.table.associativity)) + (MISS_OUTPUT,)
 
     def answer_words(self, words: Sequence[Word]) -> List[OutputWord]:
         """Answer a chunk of policy words from the initial state, in order."""
+        try:
+            return self._step_words(words)
+        except (KeyError, TypeError):
+            # A symbol this simulator has not met yet: validate and keep
+            # every symbol of the chunk (a non-input raises PolicyError),
+            # then step the chunk again.
+            self._validate_symbols(words)
+            return self._step_words(words)
+
+    def _validate_symbols(self, words: Sequence[Word]) -> None:
+        codes = self._codes
+        encode_symbol = self.table.encode_symbol
+        for word in words:
+            for symbol in word:
+                codes[symbol] = encode_symbol(symbol)
+
+    def _step_words(self, words: Sequence[Word]) -> List[OutputWord]:
+        """Step every word through the table; ``KeyError`` on an unmet symbol."""
         table = self.table
-        encode = table.encode_word
-        decode = table.decode_outputs
+        codes = self._codes
+        decoded = self._decoded
         next_state = table.next_state
         outputs = table.outputs
         width = table.num_symbols
@@ -56,11 +86,11 @@ class BatchSimulator:
         answers: List[OutputWord] = []
         for word in words:
             state = initial
-            codes = []
-            append = codes.append
-            for code in encode(word):
-                base = state * width + code
-                append(outputs[base])
+            produced = []
+            append = produced.append
+            for symbol in word:
+                base = state * width + codes[symbol]
+                append(decoded[outputs[base]])
                 state = next_state[base]
-            answers.append(decode(codes))
+            answers.append(tuple(produced))
         return answers

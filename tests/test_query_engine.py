@@ -1,5 +1,7 @@
 """Tests for the batched, trie-backed query engine and its satellite fixes."""
 
+import random
+
 import pytest
 
 from repro.cachequery.backend import CacheQueryBackend
@@ -101,10 +103,12 @@ class TestDedupeAndSubsume:
 
 class TestPartitionBatch:
     def test_counts_known_words_and_subsumes_only_the_misses(self):
-        known = {(), ("a",), ("a", "b")}
+        known = {(): (), ("a",): (1,), ("a", "b"): (1, 2)}
         words = [("a",), ("c",), ("a", "b"), ("c", "d"), ("a",), (), ("c", "d")]
-        already_cached, missing = partition_batch(words, known.__contains__)
-        assert already_cached == 4  # duplicates and the empty word count
+        answers, missing = partition_batch(words, known.get)
+        assert answers == [(1,), None, (1, 2), None, (1,), (), None]
+        # Duplicates and the empty word count as cache hits.
+        assert len(answers) - answers.count(None) == 4
         assert missing == [("c", "d")]
 
 
@@ -196,6 +200,21 @@ class TestCachedMembershipOracle:
         with pytest.raises(LearningError, match="1 answers for a batch of 2"):
             cached.output_query_batch([("a",), ("b", "c")])
 
+    def test_batch_truncated_answer_raises_dedicated_error(self):
+        class TruncatesOneAnswer(FunctionOracle):
+            def output_query_batch(self, words):
+                answers = [self.output_query(word) for word in words]
+                answers[1] = answers[1][:-1]
+                return answers
+
+        cached = CachedMembershipOracle(TruncatesOneAnswer(_echo))
+        with pytest.raises(OutputLengthMismatchError) as info:
+            cached.output_query_batch([("a",), ("b", "c")])
+        # The batch path raises the typed error, naming the short answer,
+        # not the trie's bare length ValueError.
+        assert info.value.word == ("b", "c")
+        assert info.value.outputs == (1,)
+
     def test_truncated_answer_raises_dedicated_error(self):
         cached = CachedMembershipOracle(FunctionOracle(lambda word: ("x",)))
         with pytest.raises(OutputLengthMismatchError) as info:
@@ -234,6 +253,57 @@ class TestObservationTableBatching:
         table = ObservationTable(machine.inputs, MealyMachineOracle(machine))
         assert table.missing_cells() == []
         table.add_short_prefix((machine.inputs[0],))
+        assert table.missing_cells() == []
+
+    def test_missing_cells_match_a_full_rescan_before_every_fill(self):
+        machine = make_policy("PLRU", 4).to_mealy().minimize()
+        alphabet = tuple(machine.inputs)
+        table = ObservationTable(alphabet, MealyMachineOracle(machine))
+        fill = table.fill
+        scans = []
+
+        def checked_fill():
+            rescan = [
+                (prefix, suffix)
+                for prefix in table.all_prefixes()
+                for suffix in table.suffixes
+                if (prefix, suffix) not in table._cells
+            ]
+            assert table.missing_cells() == rescan
+            scans.append(len(rescan))
+            fill()
+
+        table.fill = checked_fill
+        rng = random.Random("incremental-scan")
+        # A suffix whose two tails are not columns yet: all three arrive at once.
+        assert table.add_suffix((alphabet[0], alphabet[-1], alphabet[1]))
+        assert {(alphabet[-1], alphabet[1]), (alphabet[0], alphabet[-1], alphabet[1])} <= set(
+            table.suffixes
+        )
+        for _ in range(30):
+            action = rng.randrange(3)
+            if action == 0:
+                long_rows = [
+                    prefix
+                    for prefix in table.all_prefixes()
+                    if prefix not in table.short_prefixes
+                ]
+                table.add_short_prefix(rng.choice(long_rows))
+            elif action == 1:
+                length = rng.randint(1, 3)
+                table.add_suffix(tuple(rng.choice(alphabet) for _ in range(length)))
+            else:
+                # Out of band, through the _query_cell that find_inconsistency
+                # uses: a cell of a future long row and one of a future column.
+                prefix = rng.choice(table.all_prefixes()) + (rng.choice(alphabet),)
+                table._query_cell(prefix + (rng.choice(alphabet),), rng.choice(table.suffixes))
+                future_suffix = tuple(rng.choice(alphabet) for _ in range(4))
+                table._query_cell(rng.choice(table.all_prefixes()), future_suffix)
+                table.add_short_prefix(prefix)
+                table.add_suffix(future_suffix)
+            # Fills (checked) before it compares rows.
+            table.find_inconsistency()
+        assert len(scans) > 40 and sum(scans) > 0
         assert table.missing_cells() == []
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.alphabet import EVICT, MISS_OUTPUT, Line, policy_input_alphabet
+from repro.core.alphabet import EVICT, MISS_OUTPUT, Evict, Line, policy_input_alphabet
 from repro.errors import PolicyError
 from repro.learning.query_engine import dedupe_and_subsume
 from repro.policies.base import ReplacementPolicy
@@ -179,6 +179,31 @@ def test_batch_simulator_answers_match_policy_oracle():
     for word, outputs in zip(words, answers):
         stepper = policy.stepper()
         assert outputs == tuple(stepper.apply(symbol) for symbol in word)
+
+
+def test_symbol_lookup_keeps_every_check():
+    simulator = BatchSimulator(make_policy("PLRU", 4))
+    words = _random_words(4, seed="lookup")
+    simulator.answer_words(words)  # every symbol of the alphabet met
+    # Line(4) is out of range, "bogus" no policy input, and the plain tuple
+    # (0,) hashes like Line(0) but is not one; none of them is ever kept, so
+    # each still raises on a second meeting.
+    for bad in (Line(4), "bogus", (0,)):
+        for _ in range(2):
+            with pytest.raises(PolicyError):
+                simulator.answer_words([(Line(0), EVICT), (Line(1), bad)])
+    # Fresh symbol objects, equal to the alphabet's but not the same objects.
+    fresh = [
+        tuple(Line(symbol.index) if isinstance(symbol, Line) else Evict() for symbol in word)
+        for word in words
+    ]
+    assert not any(
+        new is old for new_word, word in zip(fresh, words) for new, old in zip(new_word, word)
+    )
+    scalar = PolcaMembershipOracle(
+        SimulatedCacheInterface(make_policy("PLRU", 4)), kernel="scalar"
+    )
+    assert simulator.answer_words(fresh) == [scalar.output_query(word) for word in words]
 
 
 def test_batch_simulator_adopts_ready_table():

@@ -10,6 +10,7 @@ the first chunk executes).
 
 from __future__ import annotations
 
+import random
 import types
 from itertools import islice, product
 from typing import List, Set, Tuple
@@ -22,6 +23,7 @@ from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
 from repro.learning.parallel import WorkerPool
 from repro.learning.wpmethod import (
+    _distinguishing_suffix,
     characterization_set,
     identification_sets,
     iter_w_method_suite,
@@ -94,6 +96,76 @@ def _reference_wp_suite(machine, depth):
                 for suffix in ident[target]:
                     add(word + suffix)
     return suite
+
+
+def _reference_characterization_set(machine):
+    """The lazy pair scan that characterization_set ran before it kept
+    signature blocks: every pair in state order, each signature extended
+    to the current W when its state is compared."""
+    states = list(machine.states)
+    if len(states) <= 1:
+        return [(machine.inputs[0],)]
+    w_set: List[Word] = []
+    signatures = {state: [] for state in states}
+
+    def signature(state):
+        outputs = signatures[state]
+        while len(outputs) < len(w_set):
+            outputs.append(machine.run(w_set[len(outputs)], state))
+        return outputs
+
+    for i, state_a in enumerate(states):
+        for state_b in states[i + 1:]:
+            if signature(state_a) == signature(state_b):
+                w_set.append(_distinguishing_suffix(machine, state_a, state_b))
+    return w_set
+
+
+def _random_minimal_machine(seed: int) -> MealyMachine:
+    rng = random.Random(f"characterization-{seed}")
+    num_states = rng.randint(2, 40)
+    inputs = [f"i{k}" for k in range(rng.randint(1, 3))]
+    transitions = {}
+    outputs = {}
+    for state in range(num_states):
+        for symbol in inputs:
+            transitions[(state, symbol)] = rng.randrange(num_states)
+            outputs[(state, symbol)] = rng.randrange(rng.randint(2, 3))
+    return MealyMachine(list(range(num_states)), 0, inputs, transitions, outputs).minimize()
+
+
+def _runs_and_result(function, machine):
+    """Call ``function(machine)`` counting the ``machine.run`` calls it makes."""
+    calls = []
+    run = machine.run
+    machine.run = lambda word, state=None: calls.append(state) or run(word, state)
+    try:
+        result = function(machine)
+    finally:
+        del machine.run
+    return len(calls), result
+
+
+_CHARACTERIZATION_MACHINES = [
+    *[(name, 2) for name in available_policies()],
+    ("PLRU", 4),
+    ("LRU", 4),
+    ("SRRIP-HP", 4),
+]
+
+
+@pytest.mark.parametrize("policy_name,associativity", _CHARACTERIZATION_MACHINES)
+def test_characterization_set_matches_the_pair_scan(policy_name, associativity):
+    machine = _machine(policy_name, associativity)
+    runs, w_set = _runs_and_result(characterization_set, machine)
+    assert (runs, w_set) == _runs_and_result(_reference_characterization_set, machine)
+
+
+def test_characterization_set_matches_the_pair_scan_on_random_machines():
+    for seed in range(60):
+        machine = _random_minimal_machine(seed)
+        runs, w_set = _runs_and_result(characterization_set, machine)
+        assert (runs, w_set) == _runs_and_result(_reference_characterization_set, machine), seed
 
 
 # --------------------------------------------------------------- exact parity
