@@ -34,7 +34,7 @@ from repro.cache.cacheset import HIT, MISS
 from repro.cachequery.classification import HitMissClassifier
 from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
-from repro.mbl.ast import Operation, Query
+from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG, Operation, Query
 from repro.polca.interfaces import default_block_names
 
 
@@ -230,24 +230,29 @@ class CacheQueryBackend:
 
     def _execute_once(self, query: Query) -> List[str]:
         context = self._require_context()
+        pool = context.pool
+        cpu = self.cpu
+        counters = self.config.profile_with_counters
         outcomes: List[str] = []
         for operation in query:
-            address = self.block_address(operation.block)
-            if operation.flush:
-                self.cpu.clflush_physical(address)
+            tag = operation.tag
+            address = pool.get(operation.block)
+            if address is None:
+                self.block_address(operation.block)  # raises, naming the block
+            if tag == FLUSH_TAG:
+                cpu.clflush_physical(address)
                 continue
             if context.closer_levels:
                 self._filter_closer_levels(context, address)
-            if operation.profiled and self.config.profile_with_counters:
-                holder_before = self.cpu.hierarchy.peek(address)
-                self.cpu.load_physical(address)
-                self.executed_loads += 1
+            if tag != PROFILE_TAG:
+                cpu.load_physical(address)
+            elif counters:
+                holder_before = cpu.hierarchy.peek(address)
+                cpu.load_physical(address)
                 outcomes.append(HIT if holder_before == context.level else MISS)
-                continue
-            cycles = self.cpu.load_physical(address)
+            else:
+                outcomes.append(self._classifier.classify(cpu.load_physical(address)))
             self.executed_loads += 1
-            if operation.profiled:
-                outcomes.append(self._classifier.classify(cycles))
         return outcomes
 
     def execute_operations(self, operations: Sequence[Operation]) -> Tuple[str, ...]:

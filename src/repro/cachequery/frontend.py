@@ -4,10 +4,12 @@ The frontend is what users (and Polca) talk to.  It takes either
 MemBlockLang text, which it expands into concrete queries, or a concrete
 query (a tuple of :class:`~repro.mbl.ast.Operation`) that it runs as it is.
 Queries go to the backend targeting the currently selected cache set, and
-responses are memoised (the LevelDB stand-in) under their canonical MBL
-text.  MBL is the public query language: the interactive REPL and the batch
-mode that sweeps many sets with the same expressions (used for the
-leader-set detection of Appendix B) speak it.
+responses are memoised (the LevelDB stand-in) under each concrete query's
+operation path (:func:`~repro.cachequery.querycache.operation_path`), never
+its rendered text; a query whose path is a prefix of an answered one is
+served without executing.  MBL is the public query language: the
+interactive REPL and the batch mode that sweeps many sets with the same
+expressions (used for the leader-set detection of Appendix B) speak it.
 
 :class:`CacheQuerySetInterface` adapts a configured frontend to the
 :class:`~repro.polca.interfaces.CacheProbeInterface` protocol so the whole
@@ -23,12 +25,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cachequery.backend import BackendConfig, CacheQueryBackend
-from repro.cachequery.querycache import QueryCache, operation_symbol
+from repro.cachequery.querycache import OperationPath, QueryCache, operation_path
 from repro.errors import CacheQueryError, NonDeterminismError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
 from repro.mbl.ast import PROFILE_TAG, Operation, Query
-from repro.mbl.expansion import expand, query_to_text
+from repro.mbl.expansion import expand
 from repro.polca.reset import FlushRefillReset, ResetStrategy
 
 
@@ -142,10 +144,7 @@ class CacheQuery:
         per expanded query, in expansion order; a concrete query yields
         exactly one.
         """
-        return [
-            self._execute_concrete(query_to_text(c), c)
-            for c in self._concrete(expression)
-        ]
+        return [self._execute_concrete(c) for c in self._concrete(expression)]
 
     def _concrete(self, expression: Union[str, Query]) -> List[Query]:
         """The concrete queries ``expression`` denotes on the current target."""
@@ -153,26 +152,20 @@ class CacheQuery:
             return expand(expression, self.associativity, self.blocks)
         return [tuple(expression)]
 
-    def _execute_concrete(self, text, concrete) -> Tuple[str, ...]:
-        """Execute one concrete query through the response cache."""
-        cached = (
-            self.cache.get(
-                self.config.level, self.config.slice_index, self.config.set_index, text
-            )
-            if self.config.use_cache
-            else None
-        )
+    def _execute_concrete(
+        self, concrete: Query, path: Optional[OperationPath] = None
+    ) -> Tuple[str, ...]:
+        """Execute one concrete query through the response cache, keyed by
+        its operation ``path`` (computed here when not given)."""
+        if not self.config.use_cache:
+            return self.backend.execute(concrete)
+        target = (self.config.level, self.config.slice_index, self.config.set_index)
+        symbols, profiled = path if path is not None else operation_path(concrete)
+        cached = self.cache.get_path(*target, symbols, profiled)
         if cached is not None:
             return cached
         outcome = self.backend.execute(concrete)
-        if self.config.use_cache:
-            self.cache.put(
-                self.config.level,
-                self.config.slice_index,
-                self.config.set_index,
-                text,
-                outcome,
-            )
+        self.cache.put_path(*target, symbols, profiled, outcome)
         return outcome
 
     def query_batch(
@@ -181,7 +174,7 @@ class CacheQuery:
         """Expand and execute many expressions, deduplicating concrete queries.
 
         The expansions of all expressions are collected first; each distinct
-        concrete query (by its canonical text) is executed at most once for
+        concrete query (by its operation path) is executed at most once for
         the current target, whether the repetition comes from one expression
         expanding to overlapping queries or from duplicate expressions in
         the batch.  Results are returned per expression, in input order —
@@ -194,18 +187,18 @@ class CacheQuery:
         :meth:`query` calls.
         """
         expanded = [self._concrete(expression) for expression in expressions]
-        answered: Dict[str, Tuple[str, ...]] = {}
+        answered: Dict[OperationPath, Tuple[str, ...]] = {}
         results: List[List[Tuple[str, ...]]] = []
         for queries in expanded:
             outcomes: List[Tuple[str, ...]] = []
             for concrete in queries:
-                text = query_to_text(concrete)
                 if not self.config.use_cache:
-                    outcomes.append(self._execute_concrete(text, concrete))
+                    outcomes.append(self._execute_concrete(concrete))
                     continue
-                if text not in answered:
-                    answered[text] = self._execute_concrete(text, concrete)
-                outcomes.append(answered[text])
+                path = operation_path(concrete)
+                if path not in answered:
+                    answered[path] = self._execute_concrete(concrete, path)
+                outcomes.append(answered[path])
             results.append(outcomes)
         return results
 
@@ -280,14 +273,11 @@ class CacheQuery:
 
     def _extend_operations(self, session: _MeasurementSession, operations) -> Tuple[str, ...]:
         start = len(session.operations)
+        symbols, profiled = operation_path(operations)
         session.operations.extend(operations)
-        session.symbols.extend(operation_symbol(operation) for operation in operations)
+        session.symbols.extend(symbols)
         session.payloads.extend(None for _ in operations)
-        new_profiled = [
-            position
-            for position in range(start, len(session.operations))
-            if session.operations[position].profiled
-        ]
+        new_profiled = [start + position for position in profiled]
         target = (self.config.level, self.config.slice_index, self.config.set_index)
         if self.config.use_cache:
             known, payloads = self.cache.known_prefix(*target, session.symbols)
@@ -391,8 +381,9 @@ class CacheQuerySetInterface:
     first use, and must denote exactly one query; otherwise
     :class:`~repro.errors.CacheQueryError` is raised before anything
     executes.  Each probe appends one profiled
-    :class:`~repro.mbl.ast.Operation` per block to that query.  Responses
-    stay cached under the query's canonical MBL text, so a probe and its
+    :class:`~repro.mbl.ast.Operation` per block to that query, built once
+    per pool block.  Responses are cached under the query's operation path,
+    the same trie symbols its MBL text tokenizes to, so a probe and its
     text spelling share one cache entry.
     """
 
@@ -413,6 +404,7 @@ class CacheQuerySetInterface:
         self._universe = universe
         self._initial = universe[: self.associativity]
         self._prefix: Optional[Query] = None
+        self._operations = {block: Operation(block, PROFILE_TAG) for block in universe}
 
     def initial_blocks(self) -> Tuple[str, ...]:
         return self._initial
@@ -446,9 +438,13 @@ class CacheQuerySetInterface:
             self._prefix = queries[0]
         return self._prefix
 
-    @staticmethod
-    def _profiled(blocks: Sequence[str]) -> Query:
-        return tuple(Operation(block, PROFILE_TAG) for block in blocks)
+    def _profiled(self, blocks: Sequence[str]) -> Query:
+        """One profiled access per block, built once per pool block; a block
+        outside the pool gets a fresh one, which the backend rejects."""
+        try:
+            return tuple([self._operations[block] for block in blocks])
+        except KeyError:
+            return tuple([Operation(block, PROFILE_TAG) for block in blocks])
 
     # ----------------------------------------------------- measurement session
 

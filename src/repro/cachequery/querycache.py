@@ -7,10 +7,14 @@ learning engine's ``ResponseTrie`` uses — keyed by the target
 ``(level, slice, set)`` (one store namespace per target) and the query's
 *operation path* rather than its full text:
 
-* each whitespace token of the canonical query text is one trie symbol —
-  the block name plus its state-changing flush marker (``A``, ``A!``) —
-  while the measurement marker ``?`` selects which positions carry a
-  payload (cache outcomes are per *profiled* access);
+* each operation of a query is one trie symbol — the block name plus its
+  state-changing flush marker (``A``, ``A!``) — while the measurement
+  marker ``?`` selects which positions carry a payload (cache outcomes are
+  per *profiled* access);
+* a concrete query is keyed by :func:`operation_path` without ever being
+  rendered to text; MBL text is tokenized into exactly the same symbols
+  (:func:`tokenize_query`), so :meth:`QueryCache.get` and
+  :meth:`QueryCache.put` share entries with their path counterparts;
 * queries sharing an operation prefix (every probe of one Polca word, every
   query behind one reset sequence) share storage structurally, so on-disk
   caches stop growing quadratically with suite depth;
@@ -39,8 +43,11 @@ from repro.store import PrefixStore
 #: First element of every frontend namespace key inside a shared store.
 FRONTEND_NAMESPACE = "mbl"
 
+#: A query's response-cache key: its trie symbols and profiled positions.
+OperationPath = Tuple[Tuple[str, ...], Tuple[int, ...]]
 
-def tokenize_query(query_text: str) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+
+def tokenize_query(query_text: str) -> OperationPath:
     """Split canonical query text into trie symbols and profiled positions.
 
     Returns ``(symbols, profiled)`` where ``symbols`` keeps the
@@ -60,9 +67,22 @@ def tokenize_query(query_text: str) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
     return tuple(symbols), tuple(profiled)
 
 
-def operation_symbol(operation) -> str:
-    """Trie symbol for one :class:`~repro.mbl.ast.Operation` (flush kept, ``?`` dropped)."""
-    return f"{operation.block}{FLUSH_TAG}" if operation.flush else operation.block
+def operation_path(query) -> OperationPath:
+    """The ``(symbols, profiled)`` key of a concrete query: exactly what
+    :func:`tokenize_query` returns for the query's canonical text (each
+    operation's block, ``!`` kept and ``?`` dropped, plus the positions
+    that carry ``?``)."""
+    symbols: List[str] = []
+    profiled: List[int] = []
+    for position, operation in enumerate(query):
+        tag = operation.tag
+        if tag == FLUSH_TAG:
+            symbols.append(operation.block + FLUSH_TAG)
+        else:
+            symbols.append(operation.block)
+            if tag == PROFILE_TAG:
+                profiled.append(position)
+    return tuple(symbols), tuple(profiled)
 
 
 class QueryCache:
@@ -108,13 +128,23 @@ class QueryCache:
     def get(
         self, level: str, slice_index: int, set_index: int, query_text: str
     ) -> Optional[Tuple[str, ...]]:
-        """Return the cached outcome trace for a query, or ``None``.
+        """Return the cached outcome trace for a query's text, or ``None``."""
+        return self.get_path(level, slice_index, set_index, *tokenize_query(query_text))
+
+    def get_path(
+        self,
+        level: str,
+        slice_index: int,
+        set_index: int,
+        symbols: Sequence[str],
+        profiled: Sequence[int],
+    ) -> Optional[Tuple[str, ...]]:
+        """Return the cached outcome trace for an operation path, or ``None``.
 
         A query is served when its whole operation path is stored — whether
         it was recorded itself or is a prefix of a longer recorded query —
         and every profiled position carries a measurement.
         """
-        symbols, profiled = tokenize_query(query_text)
         if not symbols:
             self.misses += 1
             return None
@@ -133,20 +163,30 @@ class QueryCache:
         query_text: str,
         outcomes: Sequence[str],
     ) -> None:
-        """Store the outcome trace of a query (one outcome per profiled access)."""
+        """Store the outcome trace of a query's text (one outcome per profiled access)."""
         symbols, profiled = tokenize_query(query_text)
+        self.put_path(level, slice_index, set_index, symbols, profiled, outcomes)
+
+    def put_path(
+        self,
+        level: str,
+        slice_index: int,
+        set_index: int,
+        symbols: Sequence[str],
+        profiled: Sequence[int],
+        outcomes: Sequence[str],
+    ) -> None:
+        """Store the outcome trace of an operation path (one outcome per profiled access)."""
         outcomes = tuple(outcomes)
         if len(outcomes) != len(profiled):
             raise CacheQueryError(
-                f"query {query_text!r} profiles {len(profiled)} accesses but "
-                f"{len(outcomes)} outcomes were provided"
+                f"query {' '.join(symbols)!r} profiles {len(profiled)} accesses "
+                f"but {len(outcomes)} outcomes were provided"
             )
         payloads: List[Optional[str]] = [None] * len(symbols)
         for position, outcome in zip(profiled, outcomes):
             payloads[position] = outcome
-        self._namespace(level, slice_index, set_index).record(
-            symbols, payloads, terminal=True
-        )
+        self.record_path(level, slice_index, set_index, symbols, payloads)
 
     def record_path(
         self,

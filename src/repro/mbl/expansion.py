@@ -142,7 +142,8 @@ def expand(
 
 
 def query_to_text(query: Query) -> str:
-    """Render a query back to MBL text (used by caches, logs and reports)."""
+    """Render a query back to MBL text (for logs and reports; the response
+    cache keys a query by its operation path instead)."""
     return " ".join(str(operation) for operation in query)
 
 

@@ -13,6 +13,16 @@ Polca answers policy-level queries by driving a cache-level interface:
   ``findEvicted``) by re-probing the prefix extended with each block Polca
   believes is cached and seeing which one now misses.
 
+Polca issues Algorithm 1's probes in one other order.  Hits never change
+its belief about the cache content, so the blocks of a maximal run of
+``Ln(i)`` symbols, and of the ``Evct`` that closes the run (the first
+universe block not cached), are all known before the run executes.  The
+probe of the run's last symbol is issued first; the run's shorter probes
+follow in Algorithm 1's order.  Each is a prefix of that longest query, so
+a cache interface with a response cache (CacheQuery's) answers them
+without executing anything.  The probes, their number and their lengths
+are those of Algorithm 1; only their order changes.
+
 Two entry points are provided: :meth:`PolcaMembershipOracle.output_query`,
 the output-query form used by the learner, and :func:`polca_check_trace`,
 the boolean membership form that matches Algorithm 1 literally.
@@ -21,7 +31,7 @@ the boolean membership form that matches Algorithm 1 literally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cache.cacheset import HIT, MISS
 from repro.core.alphabet import (
@@ -42,6 +52,10 @@ Block = Hashable
 
 #: Kernel names accepted by the ``kernel=`` knob.
 POLCA_KERNELS = ("auto", "scalar")
+
+#: Most kernel answers whose :func:`scalar_probe_cost` one oracle keeps;
+#: past it the cost of a new answer is computed for every word again.
+PROBE_COST_MEMO_BOUND = 1 << 14
 
 
 def scalar_probe_cost(
@@ -171,6 +185,8 @@ class PolcaMembershipOracle:
                 f"unknown simulator kernel {kernel!r}; choose one of {POLCA_KERNELS}"
             )
         self._simulator = self._build_simulator() if kernel == "auto" else None
+        #: ``scalar_probe_cost`` per kernel answer (see ``_answer_kernel_words``).
+        self._probe_costs: Dict[Tuple[PolicyOutput, ...], Tuple[int, int]] = {}
         #: Execution strategy actually answering queries: ``"scalar"`` or
         #: ``"python"`` (the tabulated kernel).
         self.kernel_in_use = (
@@ -264,12 +280,23 @@ class PolcaMembershipOracle:
         """Answer executed (maximal) words through the kernel, with the same
         counter increments the scalar path would have produced."""
         answers = self._simulator.answer_words(words)
-        for word in words:
-            self.statistics.policy_queries += 1
-            self.statistics.policy_symbols += len(word)
-            probes, accesses = scalar_probe_cost(word, self.associativity)
-            self.statistics.cache_probes += probes
-            self.statistics.block_accesses += accesses
+        # An answer fixes its word's cost: it has the word's length, and a
+        # victim index exactly where the word has Evct (Ln(i) always hits).
+        costs = self._probe_costs
+        probes = accesses = 0
+        for word, answer in zip(words, answers):
+            cost = costs.get(answer)
+            if cost is None:
+                cost = scalar_probe_cost(word, self.associativity)
+                if len(costs) < PROBE_COST_MEMO_BOUND:
+                    costs[answer] = cost
+            probes += cost[0]
+            accesses += cost[1]
+        statistics = self.statistics
+        statistics.policy_queries += len(words)
+        statistics.policy_symbols += sum(map(len, words))
+        statistics.cache_probes += probes
+        statistics.block_accesses += accesses
         return answers
 
     def output_query_resume(
@@ -322,48 +349,75 @@ class PolcaMembershipOracle:
         """The main loop of Algorithm 1, from an arbitrary reconstructed state.
 
         Without sessions each step's outcome comes from a full replay probe
-        of the access chain; with sessions the Hit-chain extends one open
+        of the access chain, and the probes of each maximal ``Ln(i)`` run
+        (with the ``Evct`` closing it) are issued longest first: a run's
+        blocks are all known before it executes, because hits never change
+        ``content``, so the shorter probes that follow are prefixes of the
+        one just issued.  With sessions the Hit-chain extends one open
         session incrementally, and only ``findEvicted``'s diverging probes
         (which trash the live state, on hardware and simulator alike) force
         a re-anchoring replay.
         """
         outputs: List[PolicyOutput] = []
-        session_live = self._use_sessions and self._session_anchor(accesses)
+        if not self._use_sessions:
+            start = 0
+            while start < len(symbols):
+                stop = start
+                while stop < len(symbols) - 1 and isinstance(symbols[stop], Line):
+                    stop += 1
+                run = symbols[start : stop + 1]
+                blocks = [self._map_input(symbol, content) for symbol in run]
+                last = self._probe_last(accesses + blocks)
+                for symbol, block in zip(run[:-1], blocks):
+                    accesses.append(block)
+                    outcome = self._probe_last(accesses)
+                    self._observe(symbol, outcome, accesses, content, outputs)
+                accesses.append(blocks[-1])
+                self._observe(run[-1], last, accesses, content, outputs)
+                start = stop + 1
+            return tuple(outputs)
+        self._session_anchor(accesses)
         try:
             for symbol in symbols:
                 block = self._map_input(symbol, content)
                 accesses.append(block)
-                if session_live:
-                    extended = self.cache.extend((block,))
-                    if len(extended) != 1:
-                        raise LearningError(
-                            "cache interface returned a truncated session extension"
-                        )
-                    self.statistics.record_extend(1)
-                    outcome = extended[0]
-                else:
-                    outcome = self._probe_last(accesses)
-                if isinstance(symbol, Line) and outcome != HIT:
-                    # Polca believes the block is cached, the cache disagrees:
-                    # the reset sequence is broken or the cache is not
-                    # deterministic.
-                    raise NonDeterminismError(tuple(accesses), (HIT,), (outcome,))
-                if outcome == HIT:
-                    outputs.append(MISS_OUTPUT)
-                    continue
-                evicted = self._find_evicted(accesses, content)
-                content[evicted] = block
-                outputs.append(evicted)
-                if session_live:
+                extended = self.cache.extend((block,))
+                if len(extended) != 1:
+                    raise LearningError(
+                        "cache interface returned a truncated session extension"
+                    )
+                self.statistics.record_extend(1)
+                if self._observe(symbol, extended[0], accesses, content, outputs):
                     # findEvicted's probes reset the underlying set, so the
                     # open session no longer reflects the access chain.
-                    session_live = self._session_anchor(accesses)
+                    self._session_anchor(accesses)
         finally:
-            if self._use_sessions:
-                self.cache.close_session()
+            self.cache.close_session()
         return tuple(outputs)
 
-    def _session_anchor(self, accesses: Sequence[Block]) -> bool:
+    def _observe(
+        self,
+        symbol: PolicyInput,
+        outcome: str,
+        accesses: List[Block],
+        content: List[Block],
+        outputs: List[PolicyOutput],
+    ) -> bool:
+        """Turn the outcome of ``symbol``'s access (the last of ``accesses``)
+        into its output; return whether it missed and ``findEvicted`` ran."""
+        if isinstance(symbol, Line) and outcome != HIT:
+            # Polca believes the block is cached, the cache disagrees: the
+            # reset sequence is broken or the cache is not deterministic.
+            raise NonDeterminismError(tuple(accesses), (HIT,), (outcome,))
+        if outcome == HIT:
+            outputs.append(MISS_OUTPUT)
+            return False
+        evicted = self._find_evicted(accesses, content)
+        content[evicted] = accesses[-1]
+        outputs.append(evicted)
+        return True
+
+    def _session_anchor(self, accesses: Sequence[Block]) -> None:
         """(Re-)open a measurement session and replay the access chain into it."""
         self.cache.open_session()
         self.statistics.sessions_opened += 1
@@ -374,7 +428,6 @@ class PolcaMembershipOracle:
                 raise LearningError(
                     "cache interface returned a truncated session replay"
                 )
-        return True
 
     def output_query_batch(
         self, words: Sequence[Sequence[PolicyInput]]

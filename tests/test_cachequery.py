@@ -412,6 +412,25 @@ class TestConcreteQueries:
         frontend.open_session()
         assert frontend.extend(concrete) == (MISS, HIT)
 
+    def test_query_batch_without_cache_executes_every_query(self):
+        frontend = CacheQuery(
+            _cpu(), CacheQueryConfig(level="L1", set_index=4, use_cache=False)
+        )
+        results = frontend.query_batch(["A B?", "A B?", "A? B?"])
+        assert [len(outcomes) for outcomes in results] == [1, 1, 1]
+        assert frontend.backend.executed_queries == 3
+        assert len(frontend.cache) == 0 and frontend.cache.misses == 0
+
+    def test_query_batch_dedupes_on_the_operation_path(self):
+        """``A B?`` spelled twice, as text and as a concrete query, runs once;
+        ``A? B?`` measures another position, so it runs too."""
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L1", set_index=4))
+        (concrete,) = expand("A B?", frontend.associativity, frontend.blocks)
+        results = frontend.query_batch(["A B?", concrete, "A? B?"])
+        assert results[0] == results[1] and len(results[2][0]) == 2
+        assert frontend.backend.executed_queries == 2
+        assert (frontend.cache.hits, frontend.cache.misses) == (0, 2)
+
     def test_set_interface_expands_its_reset_once(self, monkeypatch):
         expansions = []
 

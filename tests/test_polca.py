@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from repro.core.alphabet import EVICT, MISS_OUTPUT, Line, policy_input_alphabet
 from repro.core.mealy import MealyDefinitionError
 from repro.core.trace import Trace
-from repro.errors import NonDeterminismError, PolicyError
+from repro.cachequery import CacheQuery, CacheQueryConfig, CacheQuerySetInterface
+from repro.errors import CacheQueryError, NonDeterminismError, PolicyError
+from repro.hardware.cpu import SimulatedCPU
+from repro.hardware.profiles import SKYLAKE_I5_6500
+from repro.hardware.timing import NoiseModel
 from repro.polca import (
     FlushRefillReset,
     NoReset,
@@ -143,6 +147,99 @@ class TestPolcaOracle:
         alphabet = policy_input_alphabet(4)
         word = tuple(rng.choice(alphabet) for _ in range(length))
         assert oracle.output_query(word) == reference.run(word)
+
+
+def _cachequery_oracle(associativity=2, *, use_cache=True, reset=None):
+    """Polca over CacheQuery on Skylake, L2 reduced to ``associativity``,
+    set 0, noise-free timing; returns ``(frontend, oracle)``."""
+    profile = SKYLAKE_I5_6500.with_level("L2", associativity=associativity)
+    frontend = CacheQuery(
+        SimulatedCPU(profile, noise=NoiseModel(std=0.0)),
+        CacheQueryConfig(level="L2", set_index=0, use_cache=use_cache),
+    )
+    interface = CacheQuerySetInterface(frontend, reset=reset or FlushRefillReset())
+    return frontend, PolcaMembershipOracle(interface)
+
+
+def _has_hit_run(word):
+    """True when some Ln(i) is followed by another symbol of its run."""
+    return any(isinstance(symbol, Line) for symbol in word[:-1])
+
+
+class TestProbeOrder:
+    """Polca probes each Hit-run's longest query first, so CacheQuery's
+    response cache answers the run's shorter probes."""
+
+    def test_one_word_books_algorithm_1_and_executes_the_run_once(self):
+        frontend, oracle = _cachequery_oracle()
+        assert oracle.output_query((Line(0), Line(1), EVICT)) == (MISS_OUTPUT, MISS_OUTPUT, 0)
+        assert (oracle.statistics.cache_probes, oracle.statistics.block_accesses) == (5, 14)
+        # P.A.B.C and the two findEvicted probes execute; P.A and P.A.B are
+        # its prefixes (probing shortest first executed all 5: 282 loads).
+        assert frontend.backend.executed_queries == 3
+        assert frontend.backend.executed_loads == 201
+        assert (frontend.cache.hits, frontend.cache.misses) == (2, 3)
+
+    @pytest.mark.parametrize("associativity", [2, 4])
+    def test_seeded_words_match_an_uncached_frontend(self, associativity):
+        import dataclasses
+        import random
+
+        rng = random.Random(associativity)
+        alphabet = policy_input_alphabet(associativity)
+        for _ in range(25):
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
+            cached, oracle = _cachequery_oracle(associativity)
+            uncached, reference = _cachequery_oracle(associativity, use_cache=False)
+            assert oracle.output_query(word) == reference.output_query(word)
+            assert dataclasses.asdict(oracle.statistics) == dataclasses.asdict(
+                reference.statistics
+            )
+            assert uncached.backend.executed_queries == reference.statistics.cache_probes
+            if _has_hit_run(word):
+                assert cached.backend.executed_queries < uncached.backend.executed_queries
+
+    def test_broken_resets_fail_on_the_same_words(self):
+        """With no reset or ``A B``, 16 of these 80 words raise; every word
+        raises, or answers, as it did when Polca probed shortest first
+        (recorded then: a word's outputs, or ``!`` for a raise)."""
+        import random
+
+        expected = (
+            "- 01 ! -- ---- -- -- -0-- ----- -1--- - 0--10- ! - ---- -01 ! 01---- "
+            "- 01- - 0- ! 0- -- ---- ---- -101 - -0-- -- -1--1 ! -- ! 01-- ! "
+            "-010- ! --- ! -0- - 01 ---- - ! ---- -- 0---0- - - ! --0-01 -- 0--- "
+            "- 0--- ! --1- ! 0-- ! 0 ! -01 --- ---- ---- --0-- ! ---01 --- ---1 "
+            "-- --1-1 --- -- ---- 0----"
+        ).split()
+        rng = random.Random(28)
+        alphabet = policy_input_alphabet(2)
+        observed = []
+        for index in range(80):
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+            _, oracle = _cachequery_oracle(reset=(NoReset(), SequenceReset("A B"))[index % 2])
+            try:
+                observed.append("".join(str(output) for output in oracle.output_query(word)))
+            except NonDeterminismError:
+                observed.append("!")
+        assert observed.count("!") == 16
+        assert observed == expected
+
+    @pytest.mark.parametrize(
+        "word", [(Line(0), Line(5)), (Line(0), Line(1), Line(0), Line(9), EVICT)]
+    )
+    def test_out_of_range_line_fails_before_its_run_is_probed(self, word):
+        frontend, oracle = _cachequery_oracle()
+        bad = next(symbol for symbol in word if symbol.index >= 2)
+        with pytest.raises(PolicyError, match=f"line index {bad.index} out of range"):
+            oracle.output_query(word)
+        assert oracle.statistics.cache_probes == 0
+        assert frontend.backend.executed_queries == 0
+
+    def test_probe_outside_the_pool_names_the_block(self):
+        frontend, oracle = _cachequery_oracle()
+        with pytest.raises(CacheQueryError, match="'ZZ'"):
+            oracle.cache.probe(["A", "ZZ"])
 
 
 class TestResetStrategies:

@@ -241,6 +241,24 @@ def test_kernel_oracle_matches_scalar_oracle_and_counters():
     assert interface.probes == 0
 
 
+def test_kernel_ledger_memo_is_bounded_and_exact(monkeypatch):
+    """Polca books a kernel word's scalar cost from a memo keyed by its
+    answer; past ``PROBE_COST_MEMO_BOUND`` answers it computes the cost per
+    word, and the counters equal the scalar path's either way."""
+    import repro.polca.algorithm as algorithm
+
+    monkeypatch.setattr(algorithm, "PROBE_COST_MEMO_BOUND", 3)
+    words = _random_words(4, count=50, seed="memo")
+    scalar = PolcaMembershipOracle(SimulatedCacheInterface(make_policy("PLRU", 4)))
+    oracle = PolcaMembershipOracle(
+        SimulatedCacheInterface(make_policy("PLRU", 4)), kernel="auto"
+    )
+    for _ in range(2):
+        assert oracle.output_query_batch(words) == scalar.output_query_batch(words)
+    assert asdict(oracle.statistics) == asdict(scalar.statistics)
+    assert len(oracle._probe_costs) == 3
+
+
 def test_kernel_policy_hook_alone_decides_kernel_eligibility():
     """An interface exposing ``kernel_policy`` and no accounting hook of its
     own runs the tabulated kernel under ``kernel="auto"``: Polca's
