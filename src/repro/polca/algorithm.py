@@ -17,11 +17,17 @@ Polca issues Algorithm 1's probes in one other order.  Hits never change
 its belief about the cache content, so the blocks of a maximal run of
 ``Ln(i)`` symbols, and of the ``Evct`` that closes the run (the first
 universe block not cached), are all known before the run executes.  The
-probe of the run's last symbol is issued first; the run's shorter probes
-follow in Algorithm 1's order.  Each is a prefix of that longest query, so
-a cache interface with a response cache (CacheQuery's) answers them
-without executing anything.  The probes, their number and their lengths
-are those of Algorithm 1; only their order changes.
+run's longest probe is issued first: ``findEvicted``'s line-0 probe (the
+run's accesses extended with the block in line 0) when an ``Evct`` closes
+the run, else the probe of its last symbol.  The run's other probes
+follow in Algorithm 1's order; each is a prefix of the first, so a cache
+interface with a response cache (CacheQuery's) answers them without
+executing anything.  ``findEvicted`` reuses line 0's outcome and probes
+the other lines after the run.  On a well-formed target the probes, their number and their lengths, and
+so the statistics ledger, are those of Algorithm 1; only their order
+changes.  When a run's ``Ln(i)`` misses or its ``Evct`` hits, Polca
+raises :class:`~repro.errors.NonDeterminismError`, and may by then have
+booked ``findEvicted``'s line-0 probe.
 
 Two entry points are provided: :meth:`PolcaMembershipOracle.output_query`,
 the output-query form used by the learner, and :func:`polca_check_trace`,
@@ -238,11 +244,24 @@ class PolcaMembershipOracle:
             raise PolicyError("block universe exhausted: no block outside the cache")
         raise PolicyError(f"unknown policy input {symbol!r}")
 
-    def _find_evicted(self, accesses: Sequence[Block], content: Sequence[Block]) -> int:
-        """``findEvicted``: identify which line the last miss replaced."""
+    def _find_evicted(
+        self,
+        accesses: Sequence[Block],
+        content: Sequence[Block],
+        first: Optional[str] = None,
+    ) -> int:
+        """``findEvicted``: identify which line the last miss replaced.
+
+        ``first`` is the outcome of line 0's probe when the caller already
+        issued it (the replay loop does, before the run it extends); the
+        other lines are probed here, in order.
+        """
         evicted: Optional[int] = None
         for line in range(self.associativity):
-            outcome = self._probe_last(tuple(accesses) + (content[line],))
+            if line == 0 and first is not None:
+                outcome = first
+            else:
+                outcome = self._probe_last(tuple(accesses) + (content[line],))
             if outcome == MISS:
                 if evicted is not None:
                     raise NonDeterminismError(
@@ -353,7 +372,11 @@ class PolcaMembershipOracle:
         (with the ``Evct`` closing it) are issued longest first: a run's
         blocks are all known before it executes, because hits never change
         ``content``, so the shorter probes that follow are prefixes of the
-        one just issued.  With sessions the Hit-chain extends one open
+        one just issued.  The longest is ``findEvicted``'s line-0 probe when
+        an ``Evct`` closes the run; its outcome is handed to
+        :meth:`_find_evicted` rather than probed again, so the ledger books
+        Algorithm 1's probes unless the run raises before ``findEvicted``
+        runs.  With sessions the Hit-chain extends one open
         session incrementally, and only ``findEvicted``'s diverging probes
         (which trash the live state, on hardware and simulator alike) force
         a re-anchoring replay.
@@ -367,13 +390,16 @@ class PolcaMembershipOracle:
                     stop += 1
                 run = symbols[start : stop + 1]
                 blocks = [self._map_input(symbol, content) for symbol in run]
+                first = None
+                if isinstance(run[-1], Evict):
+                    first = self._probe_last(accesses + blocks + [content[0]])
                 last = self._probe_last(accesses + blocks)
                 for symbol, block in zip(run[:-1], blocks):
                     accesses.append(block)
                     outcome = self._probe_last(accesses)
                     self._observe(symbol, outcome, accesses, content, outputs)
                 accesses.append(blocks[-1])
-                self._observe(run[-1], last, accesses, content, outputs)
+                self._observe(run[-1], last, accesses, content, outputs, first)
                 start = stop + 1
             return tuple(outputs)
         self._session_anchor(accesses)
@@ -402,17 +428,23 @@ class PolcaMembershipOracle:
         accesses: List[Block],
         content: List[Block],
         outputs: List[PolicyOutput],
+        first: Optional[str] = None,
     ) -> bool:
         """Turn the outcome of ``symbol``'s access (the last of ``accesses``)
-        into its output; return whether it missed and ``findEvicted`` ran."""
-        if isinstance(symbol, Line) and outcome != HIT:
-            # Polca believes the block is cached, the cache disagrees: the
-            # reset sequence is broken or the cache is not deterministic.
-            raise NonDeterminismError(tuple(accesses), (HIT,), (outcome,))
+        into its output; return whether it missed and ``findEvicted`` ran.
+
+        ``first`` is ``findEvicted``'s line-0 outcome, if already probed.
+        """
+        expected = HIT if isinstance(symbol, Line) else MISS
+        if outcome != expected:
+            # Polca believes the block is cached (``Ln(i)``) or not cached
+            # (``Evct``), the cache disagrees: the reset sequence is broken
+            # or the cache is not deterministic.
+            raise NonDeterminismError(tuple(accesses), (expected,), (outcome,))
         if outcome == HIT:
             outputs.append(MISS_OUTPUT)
             return False
-        evicted = self._find_evicted(accesses, content)
+        evicted = self._find_evicted(accesses, content, first)
         content[evicted] = accesses[-1]
         outputs.append(evicted)
         return True

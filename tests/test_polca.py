@@ -149,16 +149,18 @@ class TestPolcaOracle:
         assert oracle.output_query(word) == reference.run(word)
 
 
-def _cachequery_oracle(associativity=2, *, use_cache=True, reset=None):
-    """Polca over CacheQuery on Skylake, L2 reduced to ``associativity``,
-    set 0, noise-free timing; returns ``(frontend, oracle)``."""
+def _cachequery_oracle(
+    associativity=2, *, use_cache=True, reset=None, oracle_type=PolcaMembershipOracle
+):
+    """Polca (an ``oracle_type``) over CacheQuery on Skylake, L2 reduced to
+    ``associativity``, set 0, noise-free timing; returns ``(frontend, oracle)``."""
     profile = SKYLAKE_I5_6500.with_level("L2", associativity=associativity)
     frontend = CacheQuery(
         SimulatedCPU(profile, noise=NoiseModel(std=0.0)),
         CacheQueryConfig(level="L2", set_index=0, use_cache=use_cache),
     )
     interface = CacheQuerySetInterface(frontend, reset=reset or FlushRefillReset())
-    return frontend, PolcaMembershipOracle(interface)
+    return frontend, oracle_type(interface)
 
 
 def _has_hit_run(word):
@@ -166,19 +168,40 @@ def _has_hit_run(word):
     return any(isinstance(symbol, Line) for symbol in word[:-1])
 
 
+class _AlgorithmOneOrder(PolcaMembershipOracle):
+    """Reference Polca: one probe per symbol, shortest first, and every
+    ``findEvicted`` line probed after its miss, as Algorithm 1 reads."""
+
+    def _run_symbols(self, symbols, content, accesses):
+        outputs = []
+        for symbol in symbols:
+            accesses.append(self._map_input(symbol, content))
+            self._observe(symbol, self._probe_last(accesses), accesses, content, outputs)
+        return tuple(outputs)
+
+
 class TestProbeOrder:
-    """Polca probes each Hit-run's longest query first, so CacheQuery's
-    response cache answers the run's shorter probes."""
+    """Polca probes findEvicted's first line, then each Hit-run's longest
+    query, so CacheQuery's response cache answers the run's shorter probes."""
 
     def test_one_word_books_algorithm_1_and_executes_the_run_once(self):
         frontend, oracle = _cachequery_oracle()
         assert oracle.output_query((Line(0), Line(1), EVICT)) == (MISS_OUTPUT, MISS_OUTPUT, 0)
         assert (oracle.statistics.cache_probes, oracle.statistics.block_accesses) == (5, 14)
-        # P.A.B.C and the two findEvicted probes execute; P.A and P.A.B are
-        # its prefixes (probing shortest first executed all 5: 282 loads).
-        assert frontend.backend.executed_queries == 3
-        assert frontend.backend.executed_loads == 201
-        assert (frontend.cache.hits, frontend.cache.misses) == (2, 3)
+        # P.A.B.C.A (findEvicted's first probe) and P.A.B.C.B execute;
+        # P.A, P.A.B and P.A.B.C are prefixes of the first (probing shortest
+        # first executed all 5: 282 loads).
+        assert frontend.backend.executed_queries == 2
+        assert frontend.backend.executed_loads == 156
+        assert (frontend.cache.hits, frontend.cache.misses) == (3, 2)
+
+    def test_lone_evict_executes_find_evicted_only(self):
+        frontend, oracle = _cachequery_oracle()
+        assert oracle.output_query((EVICT,)) == (0,)
+        assert (oracle.statistics.cache_probes, oracle.statistics.block_accesses) == (3, 5)
+        # P.C is a prefix of findEvicted's first probe, P.C.A.
+        assert frontend.backend.executed_queries == 2
+        assert frontend.backend.executed_loads == 84
 
     @pytest.mark.parametrize("associativity", [2, 4])
     def test_seeded_words_match_an_uncached_frontend(self, associativity):
@@ -196,34 +219,50 @@ class TestProbeOrder:
                 reference.statistics
             )
             assert uncached.backend.executed_queries == reference.statistics.cache_probes
-            if _has_hit_run(word):
+            if _has_hit_run(word) or EVICT in word:
                 assert cached.backend.executed_queries < uncached.backend.executed_queries
 
     def test_broken_resets_fail_on_the_same_words(self):
-        """With no reset or ``A B``, 16 of these 80 words raise; every word
-        raises, or answers, as it did when Polca probed shortest first
-        (recorded then: a word's outputs, or ``!`` for a raise)."""
+        """With no reset or ``A B``, 25 of these 80 words raise; every word
+        raises, or answers, as it does when Polca probes in Algorithm 1's
+        order (a word's outputs, or ``!`` for a raise).  Messages are not
+        compared: the conflicting query they name follows the probe order."""
         import random
 
         expected = (
-            "- 01 ! -- ---- -- -- -0-- ----- -1--- - 0--10- ! - ---- -01 ! 01---- "
-            "- 01- - 0- ! 0- -- ---- ---- -101 - -0-- -- -1--1 ! -- ! 01-- ! "
-            "-010- ! --- ! -0- - 01 ---- - ! ---- -- 0---0- - - ! --0-01 -- 0--- "
-            "- 0--- ! --1- ! 0-- ! 0 ! -01 --- ---- ---- --0-- ! ---01 --- ---1 "
-            "-- --1-1 --- -- ---- 0----"
+            "! 01 ! -- ! -- -- -0-- ! -1--- - 0--10- ! - ---- -01 ! 01---- "
+            "- 01- - 0- ! 0- -- ---- ! -101 ! -0-- -- -1--1 ! -- ! 01-- ! "
+            "-010- ! --- ! -0- ! 01 ---- - ! ---- -- 0---0- - - ! --0-01 -- 0--- "
+            "- 0--- ! --1- ! 0-- ! 0 ! -01 --- ---- ! --0-- ! ---01 --- ---1 "
+            "-- --1-1 ! -- ! 0----"
         ).split()
         rng = random.Random(28)
         alphabet = policy_input_alphabet(2)
-        observed = []
+        observed, reference = [], []
         for index in range(80):
             word = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-            _, oracle = _cachequery_oracle(reset=(NoReset(), SequenceReset("A B"))[index % 2])
-            try:
-                observed.append("".join(str(output) for output in oracle.output_query(word)))
-            except NonDeterminismError:
-                observed.append("!")
-        assert observed.count("!") == 16
+            reset = (NoReset(), SequenceReset("A B"))[index % 2]
+            for answers, oracle_type in (
+                (observed, PolcaMembershipOracle),
+                (reference, _AlgorithmOneOrder),
+            ):
+                _, oracle = _cachequery_oracle(reset=reset, oracle_type=oracle_type)
+                try:
+                    answers.append("".join(str(output) for output in oracle.output_query(word)))
+                except NonDeterminismError:
+                    answers.append("!")
+        assert observed.count("!") == 25
+        assert observed == reference
         assert observed == expected
+
+    def test_evict_that_hits_raises(self):
+        """Without a reset the block Polca picks for ``Evct`` can be cached:
+        a hit is not an output of Definition 2.1, so Polca raises."""
+        _, oracle = _cachequery_oracle(reset=NoReset())
+        with pytest.raises(NonDeterminismError) as raised:
+            oracle.output_query((EVICT,))
+        assert raised.value.query == ("C",)
+        assert (raised.value.first, raised.value.second) == (("Miss",), ("Hit",))
 
     @pytest.mark.parametrize(
         "word", [(Line(0), Line(5)), (Line(0), Line(1), Line(0), Line(9), EVICT)]
