@@ -26,16 +26,16 @@ from repro.hardware.timing import NoiseModel
 def eviction_probing() -> None:
     print("=== 1. Eviction probing on an L1 set (PLRU) ===")
     cpu = SimulatedCPU(SKYLAKE_I5_6500, noise=NoiseModel(std=0.0))
-    session = CacheQuery(
+    frontend = CacheQuery(
         cpu, CacheQueryConfig(level="L1", set_index=3, backend=BackendConfig(repetitions=1))
     )
     expression = "@ M _?"
     print(f"MBL query          : {expression}")
-    print(f"expands to         : {session.associativity} concrete queries")
-    results = session.query(expression)
-    for block, outcome in zip(session.blocks, results):
+    print(f"expands to         : {frontend.associativity} concrete queries")
+    results = frontend.query(expression)
+    for block, outcome in zip(frontend.blocks, results):
         print(f"  probe {block}: {outcome[0]}")
-    evicted = [block for block, outcome in zip(session.blocks, results) if outcome[0] == "Miss"]
+    evicted = [block for block, outcome in zip(frontend.blocks, results) if outcome[0] == "Miss"]
     print(f"=> the PLRU victim for the fresh block M was line holding {evicted}")
     print()
 
@@ -43,16 +43,16 @@ def eviction_probing() -> None:
 def reproducible_resets() -> None:
     print("=== 2. Reset sequences make measurements reproducible ===")
     cpu = SimulatedCPU(SKYLAKE_I5_6500, noise=NoiseModel(std=0.0))
-    session = CacheQuery(
+    frontend = CacheQuery(
         cpu,
         CacheQueryConfig(
             level="L2", set_index=40, use_cache=False, backend=BackendConfig(repetitions=1)
         ),
     )
-    flushes = " ".join(f"{block}!" for block in session.blocks)
+    flushes = " ".join(f"{block}!" for block in frontend.blocks)
     query = f"{flushes} @ E A? B? C? D?"
-    first = session.query(query)[0]
-    second = session.query(query)[0]
+    first = frontend.query(query)[0]
+    second = frontend.query(query)[0]
     print(f"query   : F+R reset, miss on E, probe A-D")
     print(f"1st run : {first}")
     print(f"2nd run : {second}")

@@ -28,13 +28,13 @@ changing what the measured query observes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cacheset import HIT, MISS
 from repro.cachequery.classification import HitMissClassifier
 from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
-from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG, Operation, Query
+from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG, Query
 from repro.polca.interfaces import default_block_names
 
 
@@ -254,25 +254,6 @@ class CacheQueryBackend:
                 outcomes.append(self._classifier.classify(cpu.load_physical(address)))
             self.executed_loads += 1
         return outcomes
-
-    def execute_operations(self, operations: Sequence[Operation]) -> Tuple[str, ...]:
-        """Execute ``operations`` once, in order, from the CPU's *current* state.
-
-        This is the measurement-session primitive: unlike :meth:`execute`
-        it performs no repetition/majority voting (a session's operations
-        mutate the very state later extensions depend on, so each operation
-        runs exactly once) and does not start from a reset — the caller's
-        session path is responsible for establishing a reproducible state.
-        Returns one Hit/Miss verdict per profiled operation.
-        """
-        self._require_context()
-        previous_prefetcher = self.cpu.prefetcher.enabled
-        self.cpu.set_prefetcher(False)
-        try:
-            outcomes = self._execute_once(tuple(operations))
-        finally:
-            self.cpu.set_prefetcher(previous_prefetcher)
-        return tuple(outcomes)
 
     def execute(self, query: Query) -> Tuple[str, ...]:
         """Execute one concrete query; return one Hit/Miss verdict per ``?`` block.

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cachequery.backend import BackendConfig, CacheQueryBackend
 from repro.cachequery.querycache import OperationPath, QueryCache, operation_path
-from repro.errors import CacheQueryError, NonDeterminismError
+from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
 from repro.mbl.ast import PROFILE_TAG, Operation, Query
@@ -36,7 +36,8 @@ from repro.polca.reset import FlushRefillReset, ResetStrategy
 
 @dataclass
 class CacheQueryConfig:
-    """User-facing configuration of a CacheQuery session."""
+    """User-facing configuration of a CacheQuery frontend: its target set,
+    whether responses are cached, and the backend settings."""
 
     level: str = "L2"
     set_index: int = 0
@@ -47,26 +48,6 @@ class CacheQueryConfig:
     def __post_init__(self) -> None:
         if self.backend is None:
             self.backend = BackendConfig()
-
-
-class _MeasurementSession:
-    """State of one open measurement session (see :meth:`CacheQuery.open_session`).
-
-    ``operations``/``symbols`` is the logical operation path accumulated so
-    far; ``payloads`` carries one measurement (or ``None``) per position;
-    ``executed`` is the watermark of operations that actually ran on the
-    CPU — everything before it was either executed or served from the
-    response cache and will be (re)played lazily the first time an
-    un-cached extension needs the real state.
-    """
-
-    __slots__ = ("operations", "symbols", "payloads", "executed")
-
-    def __init__(self) -> None:
-        self.operations: List = []
-        self.symbols: List[str] = []
-        self.payloads: List[Optional[str]] = []
-        self.executed = 0
 
 
 class CacheQuery:
@@ -94,7 +75,6 @@ class CacheQuery:
             for name in cpu.hierarchy.level_names()
         )
         self.cache = QueryCache(store, scope=scope)
-        self._session: Optional[_MeasurementSession] = None
         self.configure(
             level=self.config.level,
             set_index=self.config.set_index,
@@ -110,11 +90,10 @@ class CacheQuery:
         set_index: Optional[int] = None,
         slice_index: Optional[int] = None,
     ) -> None:
-        """Re-target the session (the interactive mode's ``set``/``level`` commands).
+        """Re-target the frontend (the interactive mode's ``set``/``level`` commands).
 
         The backend validates the new target first: a rejected one raises
-        and leaves the current target, its session and ``config`` as they
-        were.
+        and leaves the current target and ``config`` as they were.
         """
         level = self.config.level if level is None else level
         set_index = self.config.set_index if set_index is None else set_index
@@ -123,7 +102,6 @@ class CacheQuery:
         self.config.level = level
         self.config.set_index = set_index
         self.config.slice_index = slice_index
-        self._session = None  # a session is bound to one target
 
     @property
     def associativity(self) -> int:
@@ -178,8 +156,9 @@ class CacheQuery:
         the current target, whether the repetition comes from one expression
         expanding to overlapping queries or from duplicate expressions in
         the batch.  Results are returned per expression, in input order —
-        the batched counterpart of :meth:`query`, used by consumers that
-        stage many queries per round (e.g. the learning hot path).
+        the batched counterpart of :meth:`query`.  The learning pipeline does
+        not call it: Polca probes one concrete query at a time through
+        :meth:`query`.
 
         When the response cache is disabled (``use_cache=False``, set to
         force fresh measurements) no intra-batch memoisation happens either:
@@ -211,107 +190,6 @@ class CacheQuery:
             "nodes": self.cache.node_count,
             "hit_ratio": self.cache.hit_ratio,
         }
-
-    # ----------------------------------------------------- measurement session
-
-    @property
-    def session_active(self) -> bool:
-        """True while a measurement session is open on the current target."""
-        return self._session is not None
-
-    def open_session(self) -> None:
-        """Open a stateful measurement session on the current target.
-
-        A session accumulates one *operation path*: repeated :meth:`extend`
-        calls append operations and return the new operations' outcomes,
-        executing **only what the response cache cannot already answer** —
-        the resume protocol of the learning stack, pushed down to the
-        hardware frontend.  Execution is lazy: cached extensions cost
-        nothing, and the first un-cached extension replays the pending
-        suffix (never the whole session) to bring the CPU to the session's
-        state.  Session operations run once each (no majority voting): the
-        path itself must start with a reset sequence to be reproducible,
-        exactly like a standalone query.  Because single-shot measurements
-        forgo the repetition-based outlier suppression of :meth:`query`, a
-        noisy timing source can misclassify one access — the session's
-        cross-check against cached measurements then raises
-        :class:`~repro.errors.NonDeterminismError` (the Section 7.1
-        signal) rather than caching a wrong outcome.
-        """
-        self._session = _MeasurementSession()
-
-    def reset_session(self) -> None:
-        """Restart the open session's operation path from scratch."""
-        self._require_session()
-        self._session = _MeasurementSession()
-
-    def close_session(self) -> None:
-        """End the measurement session (idempotent)."""
-        self._session = None
-
-    def _require_session(self) -> _MeasurementSession:
-        if self._session is None:
-            raise CacheQueryError("no measurement session open; call open_session() first")
-        return self._session
-
-    def extend(self, expression: Union[str, Query]) -> Tuple[str, ...]:
-        """Append ``expression`` to the open session; return its profiled outcomes.
-
-        The expression is a concrete query fragment, or MBL text that must
-        expand to exactly one for the current target.  Outcomes cover only
-        the *new* operations' profiled accesses; earlier outcomes were
-        already returned by the extends that appended them.
-        """
-        session = self._require_session()
-        fragments = self._concrete(expression)
-        if len(fragments) != 1:
-            raise CacheQueryError(
-                f"a session extension must expand to exactly one query, "
-                f"got {len(fragments)}"
-            )
-        return self._extend_operations(session, fragments[0])
-
-    def _extend_operations(self, session: _MeasurementSession, operations) -> Tuple[str, ...]:
-        start = len(session.operations)
-        symbols, profiled = operation_path(operations)
-        session.operations.extend(operations)
-        session.symbols.extend(symbols)
-        session.payloads.extend(None for _ in operations)
-        new_profiled = [start + position for position in profiled]
-        target = (self.config.level, self.config.slice_index, self.config.set_index)
-        if self.config.use_cache:
-            known, payloads = self.cache.known_prefix(*target, session.symbols)
-            if known == len(session.symbols) and all(
-                payloads[position] is not None for position in new_profiled
-            ):
-                # Fully cached: serve without touching the CPU.  The session
-                # keeps the cached payloads so a later executed replay can
-                # cross-check them against fresh measurements.
-                for position in range(start, len(session.symbols)):
-                    if session.payloads[position] is None:
-                        session.payloads[position] = payloads[position]
-                return tuple(session.payloads[position] for position in new_profiled)
-        # Execute the pending suffix (everything after the watermark — the
-        # un-cached part of the path plus any lazily skipped operations).
-        pending = session.operations[session.executed :]
-        outcomes = iter(self.backend.execute_operations(pending))
-        for position in range(session.executed, len(session.operations)):
-            if session.operations[position].profiled:
-                measured = next(outcomes)
-                cached = session.payloads[position]
-                if cached is not None and cached != measured:
-                    raise NonDeterminismError(
-                        tuple(session.symbols[: position + 1]),
-                        (cached,),
-                        (measured,),
-                    )
-                session.payloads[position] = measured
-        session.executed = len(session.operations)
-        if self.config.use_cache:
-            self.cache.record_path(
-                *target, session.symbols, session.payloads, terminal=False
-            )
-        return tuple(session.payloads[position] for position in new_profiled)
 
     def batch(
         self,
@@ -365,20 +243,16 @@ class CacheQuery:
 
 
 class CacheQuerySetInterface:
-    """Polca's view of one hardware cache set, through a CacheQuery session.
+    """Polca's view of one hardware cache set, through a CacheQuery frontend.
 
     Every :meth:`probe` prepends the configured reset sequence and profiles
     every block of the probe, so Polca sees exactly the reset-and-probe
-    semantics it expects.  The interface also implements the *measurement
-    session* extension (``supports_sessions``): :meth:`open_session` starts
-    a reset-anchored session and :meth:`extend` profiles additional blocks
-    incrementally, so a resuming consumer (Polca with ``resume=True``)
-    executes only the un-cached suffix of a growing access chain instead of
-    replaying the whole chain per step.
+    semantics it expects.  Each probe is one query, which the backend runs
+    ``repetitions`` times, majority-voting every outcome.
 
-    Probes and session extensions reach the frontend as concrete queries,
-    never as MBL text.  The reset sequence's MBL text is expanded once, on
-    first use, and must denote exactly one query; otherwise
+    Probes reach the frontend as concrete queries, never as MBL text.  The
+    reset sequence's MBL text is expanded once, on first use, and must
+    denote exactly one query; otherwise
     :class:`~repro.errors.CacheQueryError` is raised before anything
     executes.  Each probe appends one profiled
     :class:`~repro.mbl.ast.Operation` per block to that query, built once
@@ -386,8 +260,6 @@ class CacheQuerySetInterface:
     the same trie symbols its MBL text tokenizes to, so a probe and its
     text spelling share one cache entry.
     """
-
-    supports_sessions = True
 
     def __init__(
         self,
@@ -446,25 +318,6 @@ class CacheQuerySetInterface:
         except KeyError:
             return tuple([Operation(block, PROFILE_TAG) for block in blocks])
 
-    # ----------------------------------------------------- measurement session
-
-    def open_session(self) -> None:
-        """Start a measurement session anchored at the reset state."""
-        prefix = self._reset_prefix()
-        self.frontend.open_session()
-        if prefix:
-            self.frontend.extend(prefix)
-
-    def extend(self, blocks: Sequence[str]) -> Tuple[str, ...]:
-        """Profile ``blocks`` as an extension of the session's access chain."""
-        if not blocks:
-            return ()
-        return self.frontend.extend(self._profiled(blocks))
-
-    def close_session(self) -> None:
-        """End the measurement session (idempotent)."""
-        self.frontend.close_session()
-
     def probe(self, blocks: Sequence[str]) -> Tuple[str, ...]:
         if not blocks:
             return ()
@@ -484,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cpu = SimulatedCPU(cpu_profile(arguments.cpu))
     if arguments.cat_ways:
         cpu.configure_cat("L3", arguments.cat_ways)
-    session = CacheQuery(
+    frontend = CacheQuery(
         cpu,
         CacheQueryConfig(
             level=arguments.level,
@@ -492,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             slice_index=arguments.slice_index,
         ),
     )
-    session.interactive()
+    frontend.interactive()
     return 0
 
 

@@ -19,9 +19,8 @@ learning engine's ``ResponseTrie`` uses — keyed by the target
   query behind one reset sequence) share storage structurally, so on-disk
   caches stop growing quadratically with suite depth;
 * a query whose operations form a *prefix* of an already-answered query is
-  served without ever having been executed itself — and measurement
-  sessions (:meth:`~repro.cachequery.frontend.CacheQuery.open_session`)
-  use :meth:`known_prefix` to execute only the un-cached suffix;
+  served without ever having been executed itself — Polca issues each
+  run's longest probe first so the run's other probes are served this way;
 * conflicting measurements for the same operation prefix raise
   :class:`~repro.errors.NonDeterminismError`, the broken-reset signal of
   Section 7.1, now enforced on the frontend path too.
@@ -186,32 +185,7 @@ class QueryCache:
         payloads: List[Optional[str]] = [None] * len(symbols)
         for position, outcome in zip(profiled, outcomes):
             payloads[position] = outcome
-        self.record_path(level, slice_index, set_index, symbols, payloads)
-
-    def record_path(
-        self,
-        level: str,
-        slice_index: int,
-        set_index: int,
-        symbols: Sequence[str],
-        payloads: Sequence[Optional[str]],
-        *,
-        terminal: bool = True,
-    ) -> None:
-        """Record a pre-tokenized operation path (the measurement-session entry point)."""
-        self._namespace(level, slice_index, set_index).record(
-            symbols, payloads, terminal=terminal
-        )
-
-    def known_prefix(
-        self, level: str, slice_index: int, set_index: int, symbols: Sequence[str]
-    ) -> Tuple[int, Tuple[Optional[str], ...]]:
-        """Longest stored prefix of an operation path: ``(k, payloads[:k])``.
-
-        No hit/miss accounting — this is the pure peek measurement sessions
-        use to decide how much of a query still has to execute.
-        """
-        return self._namespace(level, slice_index, set_index).lookup_prefix(symbols)
+        self._namespace(level, slice_index, set_index).record(symbols, payloads)
 
     # ------------------------------------------------------------- statistics
 

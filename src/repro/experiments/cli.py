@@ -156,24 +156,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "corpora); saves happen incrementally either way",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="answer each query by executing only its un-cached suffix through "
-        "stateful measurement sessions (table2/table4; serial runs only — "
-        "resume changes which measurements execute, so it is incompatible "
-        "with --workers > 1); on simulated targets it runs the scalar "
-        "stepper, so it sends fewer cache probes but takes longer than the "
-        "tabulated kernel",
-    )
-    parser.add_argument(
         "--kernel",
         choices=POLCA_KERNELS,
         default="auto",
         help="simulator execution kernel for table2/table4: auto uses the "
         "tabulated kernel when the policy tabulates and falls back to the "
-        "scalar path otherwise (always under --resume, and on CacheQuery "
-        "targets); scalar forces the per-symbol stepper — results are "
-        "identical either way",
+        "scalar path otherwise (always on CacheQuery targets); scalar "
+        "forces the per-symbol stepper — results are identical either way",
     )
     parser.add_argument(
         "--learner",
@@ -194,14 +183,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # flag validation happens here, before any store/experiment work starts.
     if arguments.workers is not None and arguments.workers < 0:
         parser.error("--workers must be >= 0 (0 means serial)")
-    if arguments.resume and arguments.workers is not None and arguments.workers > 1:
-        parser.error("--resume is serial-only; drop it or use --workers 0")
     if arguments.store_compact and arguments.cache_path is None:
         parser.error("--store-compact needs --cache-path")
     store = _make_store(arguments.cache_path)
     learning_kwargs = {
         "store": store,
-        "resume": arguments.resume,
         "kernel": arguments.kernel,
         "learner": arguments.learner,
     }

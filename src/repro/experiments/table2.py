@@ -142,7 +142,6 @@ def run_table2(
     *,
     depth: int = 1,
     workers: Optional[int] = None,
-    resume: bool = False,
     store=None,
     cache_path: Optional[str] = None,
     kernel: str = "auto",
@@ -154,9 +153,7 @@ def run_table2(
     learning run — observation-table fill *and* conformance testing — on N
     worker processes, each holding a copy of the run's Polca; the learned
     machines and counts are identical to serial runs (see
-    :mod:`repro.learning.parallel`).  ``resume=True`` (serial only)
-    answers each query by executing only its un-cached suffix through
-    measurement sessions.  ``store``/``cache_path`` place every
+    :mod:`repro.learning.parallel`).  ``store``/``cache_path`` place every
     configuration's query engine in one shared
     :class:`~repro.store.PrefixStore` (one namespace per policy target);
     with a path the store is saved after every row, so an interrupted sweep
@@ -180,7 +177,6 @@ def run_table2(
             policy,
             depth=depth,
             workers=workers,
-            resume=resume,
             store=store,
             kernel=kernel,
             learner=learner,

@@ -202,7 +202,6 @@ def run_table4_configuration(
     noise_std: float = 0.0,
     depth: int = 1,
     workers: Optional[int] = None,
-    resume: bool = False,
     store=None,
     kernel: str = "auto",
     learner: str = "lstar",
@@ -213,8 +212,6 @@ def run_table4_configuration(
     stacks of the run — the frontend's response cache and the learning
     engine's trie — in separate namespaces; pass ``store`` (possibly
     path-backed) to share it across configurations or persist it.
-    ``resume=True`` (serial only) opens measurement sessions on the
-    CacheQuery frontend so only un-cached suffixes execute.
     """
     paper_policy = PAPER_TABLE4_POLICY.get((configuration.cpu, configuration.level))
     paper_states = PAPER_TABLE4_STATES.get((configuration.cpu, configuration.level))
@@ -287,7 +284,6 @@ def run_table4_configuration(
         depth=depth,
         identification_candidates=candidates,
         workers=workers,
-        resume=resume,
         store=store,
         kernel=kernel,
         learner=learner,
@@ -323,7 +319,6 @@ def run_table4(
     repetitions: int = 1,
     noise_std: float = 0.0,
     workers: Optional[int] = None,
-    resume: bool = False,
     store=None,
     cache_path: Optional[str] = None,
     kernel: str = "auto",
@@ -348,7 +343,6 @@ def run_table4(
             repetitions=repetitions,
             noise_std=noise_std,
             workers=workers,
-            resume=resume,
             store=store,
             kernel=kernel,
             learner=learner,

@@ -35,7 +35,6 @@ from repro.learning.query_engine import (
     output_query_batch,
     partition_batch,
     supports_batching,
-    supports_resume,
 )
 from repro.learning.oracles import (
     CachedMembershipOracle,
@@ -81,7 +80,6 @@ __all__ = [
     "output_query_batch",
     "partition_batch",
     "supports_batching",
-    "supports_resume",
     "CachedMembershipOracle",
     "FunctionOracle",
     "MealyMachineOracle",

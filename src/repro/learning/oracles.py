@@ -8,20 +8,18 @@ formulation of Angluin's membership queries.)
 The module provides:
 
 * :class:`MembershipOracle` — the protocol every oracle implements; the
-  optional batched/resumable extensions are documented in
+  optional batched extension is documented in
   :mod:`repro.learning.query_engine`;
 * :class:`FunctionOracle` / :class:`MealyMachineOracle` — single-query
   adapters for plain callables and for known machines (used in tests and
-  for conformance checks against reference policies); the machine adapter
-  additionally supports resume-from-state;
+  for conformance checks against reference policies);
 * :class:`CachedMembershipOracle` — the query engine: the trie-backed
   response cache mirroring the LevelDB response cache of CacheQuery's
   frontend, and the only layer that partitions a batch; its misses go to
   its delegate, the system under learning (or a
   :class:`~repro.learning.parallel.WorkerPool` wrapping it).  It shares
-  prefix storage structurally, reuses the longest cached prefix (executing
-  only the un-cached suffix when the delegate supports resume), and
-  detects non-determinism (two executions of the same prefix giving
+  prefix storage structurally, answers every prefix of an answered word,
+  and detects non-determinism (two executions of the same prefix giving
   different outputs), which the paper uses to reject bad reset sequences;
 * :class:`QueryStatistics` — counters reported by the experiment harness.
 """
@@ -29,7 +27,7 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError, OutputLengthMismatchError
@@ -38,7 +36,6 @@ from repro.learning.query_engine import (
     ResponseTrie,
     execute_words,
     partition_batch,
-    supports_resume,
 )
 
 Input = Hashable
@@ -62,9 +59,6 @@ class QueryStatistics:
     #: subsumption (slicing another batch member's answer) rather than by a
     #: pre-existing cache entry or an execution.
     subsumed_words: int = 0
-    #: Symbols answered by resuming from a cached prefix instead of
-    #: re-executing it (only oracles with resume support contribute).
-    resumed_symbols: int = 0
     #: Conformance-suite words dropped by a ``max_tests`` truncation — when
     #: non-zero the (|H| + k)-completeness guarantee of Corollary 3.4 is void.
     tests_skipped: int = 0
@@ -98,11 +92,10 @@ class MembershipOracle(Protocol):
     """Protocol for output-query oracles.
 
     ``output_query`` is mandatory.  Oracles may additionally implement the
-    batched/resumable extensions described in
-    :mod:`repro.learning.query_engine` (``output_query_batch``,
-    ``output_query_resume`` + ``supports_resume``); consumers discover them
-    through :func:`repro.learning.query_engine.supports_batching` /
-    ``supports_resume`` and fall back to word-by-word queries otherwise.
+    batched extension described in :mod:`repro.learning.query_engine`
+    (``output_query_batch``); consumers discover it through
+    :func:`repro.learning.query_engine.supports_batching` and fall back to
+    word-by-word queries otherwise.
     """
 
     def output_query(self, word: Sequence[Input]) -> OutputWord:
@@ -134,13 +127,8 @@ class MealyMachineOracle:
 
     Used for learning from "white box" models in tests, and as the reference
     teacher in the scalability study where the software-simulated cache can
-    be bypassed.  Because the machine's state after any executed word is
-    known, the oracle supports *resume*: answering ``prefix + suffix`` by
-    running only ``suffix`` from the state ``prefix`` reaches — the
-    behaviour a session-keeping hardware backend would offer.
+    be bypassed.
     """
-
-    supports_resume = True
 
     def __init__(self, machine: MealyMachine) -> None:
         self.machine = machine
@@ -151,25 +139,6 @@ class MealyMachineOracle:
         self.statistics.record_query(len(word))
         return self.machine.run(word)
 
-    def output_query_resume(
-        self,
-        prefix: Sequence[Input],
-        suffix: Sequence[Input],
-        prefix_outputs: Optional[Sequence[Output]] = None,
-    ) -> OutputWord:
-        """Return the outputs of ``suffix`` after ``prefix``, executing only ``suffix``.
-
-        ``prefix_outputs`` (the cached answer of ``prefix``) is part of the
-        resume protocol for oracles that rebuild their resume state from
-        past observations (Polca); a machine-backed oracle knows its state
-        directly and ignores it.
-        """
-        suffix = tuple(suffix)
-        self.statistics.record_query(len(suffix))
-        self.statistics.resumed_symbols += len(suffix)
-        state = self.machine.state_after(tuple(prefix))
-        return self.machine.run(suffix, state)
-
 
 class CachedMembershipOracle:
     """The query engine: a trie-backed response cache in front of the SUL.
@@ -177,10 +146,9 @@ class CachedMembershipOracle:
     Every answered query also answers all of its prefixes; the
     :class:`~repro.learning.query_engine.ResponseTrie` stores them
     structurally, so the cache needs O(1) extra space per *new* symbol
-    instead of one dictionary entry per prefix.  On a miss the longest
-    cached prefix is reused: when the delegate supports resume only the
-    un-cached suffix is executed, otherwise the full word is executed once.
-    Conflicting observations for the same prefix raise a
+    instead of one dictionary entry per prefix.  On a miss the full word
+    is executed once through the delegate.  Conflicting observations for
+    the same prefix raise a
     :class:`~repro.errors.NonDeterminismError`, mirroring how the paper
     detects incorrect reset sequences (Section 7.1).
 
@@ -212,7 +180,6 @@ class CachedMembershipOracle:
             store=store,
             namespace=namespace if namespace is not None else DEFAULT_LEARNING_NAMESPACE,
         )
-        self._resume = supports_resume(delegate)
         self.statistics = QueryStatistics()
 
     # ----------------------------------------------------------- single query
@@ -223,28 +190,10 @@ class CachedMembershipOracle:
         if cached is not None:
             self.statistics.cache_hits += 1
             return cached
-        return self._execute(word)
-
-    def _execute(self, word: Word) -> OutputWord:
-        """Answer an un-cached word, reusing the longest cached prefix."""
-        prefix_length, prefix_outputs = self._trie.longest_cached_prefix(word)
-        if self._resume and 0 < prefix_length < len(word):
-            suffix = word[prefix_length:]
-            self.statistics.record_query(len(suffix))
-            self.statistics.resumed_symbols += len(suffix)
-            suffix_outputs = tuple(
-                self._delegate.output_query_resume(
-                    word[:prefix_length], suffix, prefix_outputs=prefix_outputs
-                )
-            )
-            if len(suffix_outputs) != len(suffix):
-                raise OutputLengthMismatchError(suffix, suffix_outputs)
-            outputs = prefix_outputs + suffix_outputs
-        else:
-            self.statistics.record_query(len(word))
-            outputs = tuple(self._delegate.output_query(word))
-            if len(outputs) != len(word):
-                raise OutputLengthMismatchError(word, outputs)
+        self.statistics.record_query(len(word))
+        outputs = tuple(self._delegate.output_query(word))
+        if len(outputs) != len(word):
+            raise OutputLengthMismatchError(word, outputs)
         self._trie.insert(word, outputs)
         return outputs
 
@@ -254,9 +203,7 @@ class CachedMembershipOracle:
         """Answer a batch: partition it once, execute only its misses.
 
         Cached words are answered by the same trie walk that finds them.
-        The remaining maximal words execute one by one through
-        :meth:`_execute` for a resumable delegate (later misses resume from
-        earlier answers), else as one call into the delegate; either way
+        The remaining maximal words execute as one call into the delegate;
         every answer passes the same length and non-determinism checks
         before it is inserted, and then answers its word.  Only a duplicate
         or prefix of an executed word is read back from the trie.
@@ -268,10 +215,7 @@ class CachedMembershipOracle:
         )
         if not missing:
             return answers
-        if self._resume:
-            executed = {word: self._execute(word) for word in missing}
-        else:
-            executed = self._merge(missing, execute_words(self._delegate, missing))
+        executed = self._merge(missing, execute_words(self._delegate, missing))
         lookup = self._trie.lookup
         for index, answer in enumerate(answers):
             if answer is None:

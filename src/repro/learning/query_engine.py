@@ -37,22 +37,12 @@ the words on worker processes.  A SUL therefore only ever receives
 distinct, non-empty, prefix-free words that are not cached yet, and never
 dedupes them again.
 
-An oracle *may* implement any of the following extensions on top of the
-mandatory ``output_query(word)``:
+An oracle *may* implement one extension on top of the mandatory
+``output_query(word)``:
 
 ``output_query_batch(words)``
     Answer many words in one call, one output word per input word, in
     order.  Implementations execute every word they are handed.
-
-``output_query_resume(prefix, suffix, prefix_outputs=None)``
-    Answer ``prefix + suffix`` while only *executing* ``suffix``, resuming
-    from the state reached by ``prefix`` (the oracle must have answered a
-    word extending ``prefix`` before).  ``prefix_outputs`` is the caller's
-    cached answer for ``prefix``: machine-backed oracles ignore it (they
-    recompute their state directly), while measurement-backed oracles
-    (Polca with ``resume=True``) rebuild their resume state from it without
-    touching the system under learning.  Oracles advertise the capability
-    with a truthy ``supports_resume`` attribute.
 """
 
 from __future__ import annotations
@@ -112,10 +102,6 @@ class ResponseTrie:
         if not word:
             return ()
         return self._namespace.lookup(word)
-
-    def longest_cached_prefix(self, word: Sequence[Input]) -> Tuple[int, OutputWord]:
-        """Return ``(k, outputs)`` for the longest cached prefix ``word[:k]``."""
-        return self._namespace.lookup_prefix(word)
 
     def insert(self, word: Sequence[Input], outputs: Sequence[Output]) -> None:
         """Store ``outputs`` for ``word`` (and thereby for all its prefixes).
@@ -199,13 +185,6 @@ def partition_batch(
 def supports_batching(oracle) -> bool:
     """True when ``oracle`` implements the batched-oracle protocol."""
     return callable(getattr(oracle, "output_query_batch", None))
-
-
-def supports_resume(oracle) -> bool:
-    """True when ``oracle`` can resume execution from a previously run prefix."""
-    return bool(getattr(oracle, "supports_resume", False)) and callable(
-        getattr(oracle, "output_query_resume", None)
-    )
 
 
 def output_query_batch(oracle, words: Sequence[Sequence[Input]]) -> List[OutputWord]:

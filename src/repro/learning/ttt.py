@@ -41,8 +41,8 @@ The learner plugs in behind the :class:`~repro.learning.learner.ActiveLearner`
 interface, so it transparently reuses the batched query engine (every sift
 level is one deduped / prefix-subsumed batch, whose misses run on worker
 processes when the engine's delegate is a worker pool), the simkernel
-``--kernel`` path and ``--resume`` stores, which live below the membership
-oracle and never see which learner is asking.
+``--kernel`` path and ``--cache-path`` stores, which live below the
+membership oracle and never see which learner is asking.
 
 Mealy-specific subtlety: intermediate tree hypotheses need not be minimal
 (two leaves can be merged behaviourally until a discriminator separates

@@ -69,8 +69,8 @@ def scalar_probe_cost(
 ) -> Tuple[int, int]:
     """Return ``(probes, block_accesses)`` the scalar path would issue for ``word``.
 
-    Derived from :meth:`PolcaMembershipOracle._run_symbols` with sessions
-    off and an empty resumed prefix: the symbol at 0-based position ``k``
+    Derived from :meth:`PolcaMembershipOracle._run_symbols` run from the
+    initial state: the symbol at 0-based position ``k``
     always costs one replay probe of ``k + 1`` accesses, and every ``Evct``
     symbol additionally runs ``findEvicted`` — exactly ``associativity``
     probes of ``k + 2`` accesses each (the loop never breaks early, by
@@ -102,51 +102,19 @@ class PolcaStatistics:
     policy_symbols: int = 0
     cache_probes: int = 0
     block_accesses: int = 0
-    #: Measurement sessions opened on the cache interface (``resume=True``).
-    sessions_opened: int = 0
-    #: Incremental session extensions (each replaces a full replay probe).
-    session_extends: int = 0
-    #: Policy symbols answered from cached prefixes without re-executing them.
-    resumed_symbols: int = 0
 
     def record_probe(self, length: int) -> None:
         """Record one probe of ``length`` block accesses."""
         self.cache_probes += 1
         self.block_accesses += length
 
-    def record_extend(self, length: int) -> None:
-        """Record one session extension of ``length`` block accesses."""
-        self.session_extends += 1
-        self.block_accesses += length
-
-
-def supports_sessions(cache) -> bool:
-    """True when ``cache`` implements the measurement-session extension."""
-    return bool(getattr(cache, "supports_sessions", False)) and all(
-        callable(getattr(cache, name, None))
-        for name in ("open_session", "extend", "close_session")
-    )
-
 
 class PolcaMembershipOracle:
     """A policy-level membership/output oracle built on a cache interface.
 
-    With ``resume=True`` the oracle advertises the learning stack's resume
-    protocol (``supports_resume`` / :meth:`output_query_resume`): the query
-    engine then executes only the un-cached *suffix* of each word,
-    reconstructing Polca's state after the cached prefix purely from the
-    prefix's recorded outputs — no probe ever re-derives what the cache
-    already answered.  When the interface additionally implements
-    measurement sessions (``supports_sessions`` — both the simulated
-    interface and CacheQuery do), the Hit-chain of Algorithm 1 runs
-    incrementally through one open session instead of replaying the whole
-    access chain per symbol; ``findEvicted``'s diverging probes still
-    replay, and the session is re-anchored afterwards.
-
-    ``resume`` changes which measurements execute (strictly fewer), so
-    serial and process-parallel runs only report identical probe counters
-    when both use the same setting; the pipeline keeps it off for parallel
-    runs (a session is inherently a serial, stateful object).
+    Every word is answered from the initial state, each step by a probe
+    that replays the access chain from the reset state (see
+    :meth:`_run_symbols`).
 
     ``kernel`` selects the execution strategy for *simulated* targets.
     Under ``"auto"``, when the interface exposes ``kernel_policy`` (it
@@ -157,8 +125,8 @@ class PolcaMembershipOracle:
     symbol by symbol.  Answers are bit-identical to the scalar path and
     the probe/access counters are kept identical too, via
     :func:`scalar_probe_cost` accounting.  ``"auto"`` runs the scalar path
-    when there is no ``kernel_policy``, when the policy does not tabulate
-    and under ``resume=True``; ``"scalar"`` (the default) always does.
+    when there is no ``kernel_policy`` or the policy does not tabulate;
+    ``"scalar"`` (the default) always does.
     :attr:`kernel_in_use` reports what actually runs.
     """
 
@@ -166,7 +134,6 @@ class PolcaMembershipOracle:
         self,
         cache: CacheProbeInterface,
         *,
-        resume: bool = False,
         kernel: str = "scalar",
     ) -> None:
         self.cache = cache
@@ -183,8 +150,6 @@ class PolcaMembershipOracle:
             raise PolicyError(
                 "the block universe must contain more blocks than the associativity"
             )
-        self.resume = bool(resume)
-        self._use_sessions = self.resume and supports_sessions(cache)
         self.statistics = PolcaStatistics()
         if kernel not in POLCA_KERNELS:
             raise PolicyError(
@@ -202,20 +167,12 @@ class PolcaMembershipOracle:
     def _build_simulator(self) -> Optional[BatchSimulator]:
         """Try to bind the tabulated fast path; ``None`` means scalar fallback."""
         kernel_policy = getattr(self.cache, "kernel_policy", None)
-        if not callable(kernel_policy) or self.resume:
-            # The resume protocol reconstructs Polca state from cached prefix
-            # outputs and drives measurement sessions — an inherently scalar,
-            # stateful execution; the kernel answers from the initial state.
+        if not callable(kernel_policy):
             return None
         try:
             return BatchSimulator(kernel_policy())
         except PolicyError:
             return None
-
-    @property
-    def supports_resume(self) -> bool:
-        """Advertised to the query engine (see :mod:`repro.learning.query_engine`)."""
-        return self.resume
 
     # ------------------------------------------------------------ primitives
 
@@ -318,57 +275,17 @@ class PolcaMembershipOracle:
         statistics.block_accesses += accesses
         return answers
 
-    def output_query_resume(
-        self,
-        prefix: Sequence[PolicyInput],
-        suffix: Sequence[PolicyInput],
-        prefix_outputs: Optional[Sequence[PolicyOutput]] = None,
-    ) -> Tuple[PolicyOutput, ...]:
-        """Answer ``prefix + suffix`` executing only ``suffix``'s measurements.
-
-        ``prefix_outputs`` — the caller's cached answer for ``prefix`` —
-        lets Polca reconstruct its state (cache content and access chain)
-        after the prefix *symbolically*: each output says which line the
-        access filled, so no probe touches the system for the resumed part.
-        The query engine always provides it; calling without it is an error
-        because Polca, unlike a machine-backed oracle, cannot re-derive the
-        state without re-measuring the prefix.
-        """
-        prefix = tuple(prefix)
-        suffix = tuple(suffix)
-        if prefix_outputs is None:
-            raise LearningError(
-                "Polca resume needs the cached prefix outputs to reconstruct "
-                "its state (pass prefix_outputs)"
-            )
-        prefix_outputs = tuple(prefix_outputs)
-        if len(prefix_outputs) != len(prefix):
-            raise LearningError(
-                f"resume prefix of length {len(prefix)} needs exactly "
-                f"{len(prefix)} outputs, got {len(prefix_outputs)}"
-            )
-        content: List[Block] = list(self._initial_content)
-        accesses: List[Block] = []
-        for symbol, output in zip(prefix, prefix_outputs):
-            block = self._map_input(symbol, content)
-            accesses.append(block)
-            if output != MISS_OUTPUT:
-                content[output] = block
-        self.statistics.policy_queries += 1
-        self.statistics.policy_symbols += len(suffix)
-        self.statistics.resumed_symbols += len(prefix)
-        return self._run_symbols(suffix, content, accesses)
-
     def _run_symbols(
         self,
         symbols: Sequence[PolicyInput],
         content: List[Block],
         accesses: List[Block],
     ) -> Tuple[PolicyOutput, ...]:
-        """The main loop of Algorithm 1, from an arbitrary reconstructed state.
+        """The main loop of Algorithm 1, from the state ``content`` and
+        ``accesses`` describe.
 
-        Without sessions each step's outcome comes from a full replay probe
-        of the access chain, and the probes of each maximal ``Ln(i)`` run
+        Each step's outcome comes from a full replay probe of the access
+        chain, and the probes of each maximal ``Ln(i)`` run
         (with the ``Evct`` closing it) are issued longest first: a run's
         blocks are all known before it executes, because hits never change
         ``content``, so the shorter probes that follow are prefixes of the
@@ -376,49 +293,27 @@ class PolcaMembershipOracle:
         an ``Evct`` closes the run; its outcome is handed to
         :meth:`_find_evicted` rather than probed again, so the ledger books
         Algorithm 1's probes unless the run raises before ``findEvicted``
-        runs.  With sessions the Hit-chain extends one open
-        session incrementally, and only ``findEvicted``'s diverging probes
-        (which trash the live state, on hardware and simulator alike) force
-        a re-anchoring replay.
+        runs.
         """
         outputs: List[PolicyOutput] = []
-        if not self._use_sessions:
-            start = 0
-            while start < len(symbols):
-                stop = start
-                while stop < len(symbols) - 1 and isinstance(symbols[stop], Line):
-                    stop += 1
-                run = symbols[start : stop + 1]
-                blocks = [self._map_input(symbol, content) for symbol in run]
-                first = None
-                if isinstance(run[-1], Evict):
-                    first = self._probe_last(accesses + blocks + [content[0]])
-                last = self._probe_last(accesses + blocks)
-                for symbol, block in zip(run[:-1], blocks):
-                    accesses.append(block)
-                    outcome = self._probe_last(accesses)
-                    self._observe(symbol, outcome, accesses, content, outputs)
-                accesses.append(blocks[-1])
-                self._observe(run[-1], last, accesses, content, outputs, first)
-                start = stop + 1
-            return tuple(outputs)
-        self._session_anchor(accesses)
-        try:
-            for symbol in symbols:
-                block = self._map_input(symbol, content)
+        start = 0
+        while start < len(symbols):
+            stop = start
+            while stop < len(symbols) - 1 and isinstance(symbols[stop], Line):
+                stop += 1
+            run = symbols[start : stop + 1]
+            blocks = [self._map_input(symbol, content) for symbol in run]
+            first = None
+            if isinstance(run[-1], Evict):
+                first = self._probe_last(accesses + blocks + [content[0]])
+            last = self._probe_last(accesses + blocks)
+            for symbol, block in zip(run[:-1], blocks):
                 accesses.append(block)
-                extended = self.cache.extend((block,))
-                if len(extended) != 1:
-                    raise LearningError(
-                        "cache interface returned a truncated session extension"
-                    )
-                self.statistics.record_extend(1)
-                if self._observe(symbol, extended[0], accesses, content, outputs):
-                    # findEvicted's probes reset the underlying set, so the
-                    # open session no longer reflects the access chain.
-                    self._session_anchor(accesses)
-        finally:
-            self.cache.close_session()
+                outcome = self._probe_last(accesses)
+                self._observe(symbol, outcome, accesses, content, outputs)
+            accesses.append(blocks[-1])
+            self._observe(run[-1], last, accesses, content, outputs, first)
+            start = stop + 1
         return tuple(outputs)
 
     def _observe(
@@ -429,9 +324,9 @@ class PolcaMembershipOracle:
         content: List[Block],
         outputs: List[PolicyOutput],
         first: Optional[str] = None,
-    ) -> bool:
+    ) -> None:
         """Turn the outcome of ``symbol``'s access (the last of ``accesses``)
-        into its output; return whether it missed and ``findEvicted`` ran.
+        into its output, running ``findEvicted`` on a miss.
 
         ``first`` is ``findEvicted``'s line-0 outcome, if already probed.
         """
@@ -443,23 +338,10 @@ class PolcaMembershipOracle:
             raise NonDeterminismError(tuple(accesses), (expected,), (outcome,))
         if outcome == HIT:
             outputs.append(MISS_OUTPUT)
-            return False
-        evicted = self._find_evicted(accesses, content, first)
-        content[evicted] = accesses[-1]
-        outputs.append(evicted)
-        return True
-
-    def _session_anchor(self, accesses: Sequence[Block]) -> None:
-        """(Re-)open a measurement session and replay the access chain into it."""
-        self.cache.open_session()
-        self.statistics.sessions_opened += 1
-        if accesses:
-            outcomes = self.cache.extend(tuple(accesses))
-            self.statistics.record_extend(len(accesses))
-            if len(outcomes) != len(accesses):
-                raise LearningError(
-                    "cache interface returned a truncated session replay"
-                )
+        else:
+            evicted = self._find_evicted(accesses, content, first)
+            content[evicted] = accesses[-1]
+            outputs.append(evicted)
 
     def output_query_batch(
         self, words: Sequence[Sequence[PolicyInput]]

@@ -16,8 +16,8 @@ Two adapters implement the protocol:
   Section 6, stepping a :class:`~repro.cache.cacheset.CacheSet` that it
   resets before every probe;
 * ``CacheQuerySetInterface`` (in :mod:`repro.cachequery.frontend`) — the
-  hardware path of Section 7, wrapping a CacheQuery session for one cache
-  set of a simulated CPU.
+  hardware path of Section 7, sending each probe as one query through a
+  CacheQuery frontend targeting one cache set of a simulated CPU.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ class SimulatedCacheInterface:
     The cache starts out holding the first ``associativity`` blocks of the
     block universe (``A``, ``B``, ...), i.e. the state reached by the
     Flush+Refill reset sequence, so hardware and simulator expose the same
-    initial content to Polca.  Every :meth:`probe` and :meth:`open_session`
-    resets the underlying :class:`~repro.cache.cacheset.CacheSet` to that
-    content first.
+    initial content to Polca.  Every :meth:`probe` resets the underlying
+    :class:`~repro.cache.cacheset.CacheSet` to that content first.
     """
 
     def __init__(
@@ -103,8 +102,6 @@ class SimulatedCacheInterface:
         self._initial = universe[: self.associativity]
         self._set = CacheSet(policy, self._initial)
 
-    supports_sessions = True
-
     def initial_blocks(self) -> Tuple[Block, ...]:
         return self._initial
 
@@ -113,7 +110,8 @@ class SimulatedCacheInterface:
 
     def probe(self, blocks: Sequence[Block]) -> Tuple[str, ...]:
         self._set.reset()
-        return self.extend(blocks)
+        access = self._set.access
+        return tuple(access(block) for block in blocks)
 
     def store_namespace(self) -> Tuple[object, ...]:
         """Namespace key identifying this target inside a shared prefix store."""
@@ -133,22 +131,3 @@ class SimulatedCacheInterface:
         no such guarantee and do not implement this hook.
         """
         return self.policy
-
-    # ----------------------------------------------------- measurement session
-
-    def open_session(self) -> None:
-        """Reset the cache and keep it live for incremental :meth:`extend` calls.
-
-        A :meth:`probe` resets the set too, so it ends the session's state,
-        exactly as on hardware.
-        """
-        self._set.reset()
-
-    def extend(self, blocks: Sequence[Block]) -> Tuple[str, ...]:
-        """Access ``blocks`` from the session's current state; return the outcomes."""
-        access = self._set.access
-        return tuple(access(block) for block in blocks)
-
-    def close_session(self) -> None:
-        """End the measurement session (stateless for the simulator)."""
-

@@ -124,7 +124,6 @@ class PolicyLearningPipeline:
         identification_candidates: Optional[Sequence[str]] = None,
         max_tests: Optional[int] = None,
         workers: Optional[int] = None,
-        resume: bool = False,
         store=None,
         kernel: str = "auto",
         learner: str = "lstar",
@@ -133,13 +132,6 @@ class PolicyLearningPipeline:
             raise LearningError(
                 f"unknown learner {learner!r}; expected one of {LEARNER_NAMES}"
             )
-        if resume and workers is not None and workers > 1:
-            raise LearningError(
-                "resume sessions are stateful and inherently serial; they also "
-                "change which measurements execute, so probe columns would no "
-                "longer be worker-count-invariant — use resume=True or "
-                "workers>1, not both"
-            )
         self.cache = cache
         self.depth = depth
         self.counterexample_strategy = counterexample_strategy
@@ -147,7 +139,6 @@ class PolicyLearningPipeline:
         self.identification_candidates = identification_candidates
         self.max_tests = max_tests
         self.workers = workers
-        self.resume = resume
         #: Which student runs the loop: ``"lstar"`` (observation table, the
         #: paper's configuration) or ``"ttt"`` (classification tree with
         #: discriminator finalization and incremental sifting — fewer
@@ -180,9 +171,7 @@ class PolicyLearningPipeline:
         interface twice.
         """
         start = time.perf_counter()
-        polca = PolcaMembershipOracle(
-            self.cache, resume=self.resume, kernel=self.kernel
-        )
+        polca = PolcaMembershipOracle(self.cache, kernel=self.kernel)
         pool = None
         if self.workers is not None and self.workers > 1:
             pool = WorkerPool(polca, self.workers)
@@ -236,12 +225,6 @@ class PolicyLearningPipeline:
             extra["ttt_words_resifted_per_split"] = list(tree.words_resifted_per_split)
             extra["ttt_finalization_shrinkage"] = list(tree.finalization_shrinkage)
             extra["ttt_finalization_probe_words"] = tree.finalization_probe_words
-        if self.resume:
-            extra["resume"] = True
-            extra["resumed_symbols"] = result.statistics.resumed_symbols
-            extra["polca_resumed_symbols"] = polca.statistics.resumed_symbols
-            extra["sessions_opened"] = polca.statistics.sessions_opened
-            extra["session_extends"] = polca.statistics.session_extends
         if self.store is not None:
             extra["store"] = self.store.statistics()
         if pool is not None:

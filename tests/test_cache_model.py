@@ -91,12 +91,12 @@ class TestSimulatedCacheSet:
         # The previous probe must not leak into this one: A is present again.
         assert simulated.probe(["A"]) == (HIT,)
 
-    def test_initial_content_leaves_the_session_alone(self):
+    def test_probes_leave_the_initial_content_alone(self):
         simulated = SimulatedCacheInterface(LRUPolicy(2))
-        simulated.open_session()
-        assert simulated.extend(["C"]) == (MISS,)  # evicts B, the LRU line
+        # C evicts B, the LRU line, and B's reload evicts A.
+        assert simulated.probe(["C", "B"]) == (MISS, MISS)
         assert simulated.initial_blocks() == ("A", "B")
-        assert simulated.extend(["B"]) == (MISS,)
+        assert simulated.probe(["A", "B"]) == (HIT, HIT)
 
 
 class TestAddressing:

@@ -409,8 +409,6 @@ class TestConcreteQueries:
         assert frontend.query(concrete) == frontend.query(text) == [(MISS, HIT)]
         assert frontend.query_batch([text, concrete]) == [[(MISS, HIT)]] * 2
         assert frontend.backend.executed_queries == 1
-        frontend.open_session()
-        assert frontend.extend(concrete) == (MISS, HIT)
 
     def test_query_batch_without_cache_executes_every_query(self):
         frontend = CacheQuery(
@@ -464,14 +462,32 @@ class TestConcreteQueries:
         assert frontend.backend.executed_queries == executed
         assert len(frontend.cache) == 1
 
-    @pytest.mark.parametrize("session", [False, True])
-    def test_multi_query_reset_rejected_before_anything_executes(self, session):
-        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=6))
+    def test_corpora_written_by_sessions_still_answer_probes(self):
+        """Stores written by the removed measurement sessions hold operation
+        paths recorded non-terminally, a payload at every profiled position;
+        such a path answers its probe, and a prefix's, without executing."""
+        config = CacheQueryConfig(level="L2", set_index=5)
+        reference = CacheQuery(_cpu(), config)
+        blocks = ("E", "A", "B")
+        outcomes = CacheQuerySetInterface(reference).probe(blocks)
+        (key,) = reference.cache.store.namespaces()
+        ((symbols, payloads),) = reference.cache.store.namespace(key).iter_entries()
+        store = PrefixStore()
+        store.namespace(key).record(symbols, payloads, terminal=False)
+        frontend = CacheQuery(_cpu(), config, store=store)
+        interface = CacheQuerySetInterface(frontend)
+        assert interface.probe(blocks) == outcomes
+        assert interface.probe(blocks[:2]) == outcomes[:2]
+        assert frontend.backend.executed_queries == 0
+        assert frontend.cache.hits == 2
+
+    @pytest.mark.parametrize("uncached", [False, True])
+    def test_multi_query_reset_rejected_before_anything_executes(self, uncached):
+        frontend = CacheQuery(
+            _cpu(), CacheQueryConfig(level="L2", set_index=6, use_cache=not uncached)
+        )
         interface = CacheQuerySetInterface(frontend, reset=SequenceReset("_"))
         with pytest.raises(CacheQueryError, match="exactly one query"):
-            if session:
-                interface.open_session()
-            else:
-                interface.probe(["A"])
+            interface.probe(["A"])
         assert frontend.backend.executed_queries == 0
         assert len(frontend.cache) == 0

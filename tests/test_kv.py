@@ -9,7 +9,7 @@ any more, and ``make_learner("kv")`` fails like any unknown name.
 Covers the tree's own semantics (sift-based state discovery, splitting),
 counterexample-driven refinement, the minimality-repair pair search, the
 query- and symbol-count comparison against L* across the policy registry,
-the interaction with persistent stores and resume sessions, and the loud
+the interaction with persistent stores, and the loud
 failures for unknown learners and unsupported strategies.  The TTT
 mechanisms (finalization, incremental sifting) are pinned in
 ``tests/test_ttt.py``; the registry-wide ground-truth matrix lives in
@@ -281,19 +281,19 @@ class TestStoreAndResume:
         # (table rows + suite), so the warm run executes nothing new.
         assert warm[0].membership_queries == 0
 
-    def test_kv_resume_sessions_learn_the_identical_machine(self):
-        serial = learn_simulated_policy(
+    def test_kv_scalar_replay_learns_the_identical_machine(self):
+        tabulated = learn_simulated_policy(
             make_policy("CLOCK", 2), depth=1, identify=False, learner="ttt"
         )
-        resumed = learn_simulated_policy(
+        scalar = learn_simulated_policy(
             make_policy("CLOCK", 2),
             depth=1,
             identify=False,
             learner="ttt",
-            resume=True,
+            kernel="scalar",
         )
-        assert resumed.machine == serial.machine
-        assert resumed.extra["resume"] is True
+        assert scalar.machine == tabulated.machine
+        assert scalar.extra["kernel"] == "scalar" != tabulated.extra["kernel"]
 
 
 # ------------------------------------------------------------- forced errors

@@ -22,7 +22,6 @@ from repro.learning import (
     output_query_batch,
     partition_batch,
     supports_batching,
-    supports_resume,
     wp_method_suite,
 )
 from repro.learning.learner import learn_mealy_machine, make_learner
@@ -49,12 +48,14 @@ class TestResponseTrie:
         # Three nodes store the word and both proper prefixes.
         assert len(trie) == 3
 
-    def test_longest_cached_prefix(self):
+    def test_extension_of_a_stored_word_is_a_miss(self):
+        """Only stored words and their prefixes are answered: a word that
+        extends a stored one is executed whole."""
         trie = ResponseTrie()
         trie.insert(("a", "b"), (1, 2))
-        length, outputs = trie.longest_cached_prefix(("a", "b", "c", "d"))
-        assert (length, outputs) == (2, (1, 2))
-        assert trie.longest_cached_prefix(("x",)) == (0, ())
+        assert trie.lookup(("a", "b", "c", "d")) is None
+        trie.insert(("a", "b", "c", "d"), (1, 2, 3, 4))
+        assert trie.lookup(("a", "b", "c")) == (1, 2, 3)
 
     def test_structural_sharing_of_common_prefixes(self):
         trie = ResponseTrie()
@@ -138,15 +139,14 @@ class TestBatchedOracles:
         assert answers == [(1, 2), (1,)]
         assert plain.calls == [("a", "b")]  # the prefix was subsumed
 
-    def test_mealy_oracle_supports_resume(self):
+    def test_mealy_oracle_answers_from_the_initial_state(self):
         machine = make_policy("LRU", 2).to_mealy().minimize()
         oracle = MealyMachineOracle(machine)
-        assert supports_resume(oracle)
         word = tuple(machine.inputs[:2])
         full = oracle.output_query(word)
-        resumed = oracle.output_query_resume(word[:1], word[1:])
-        assert full[1:] == resumed
-        assert oracle.statistics.resumed_symbols == 1
+        assert oracle.output_query(word[:1]) == full[:1]
+        assert oracle.output_query(word[1:]) == machine.run(word[1:])
+        assert oracle.statistics.membership_symbols == 4
 
 
 class TestCachedMembershipOracle:
@@ -159,17 +159,18 @@ class TestCachedMembershipOracle:
         assert cached.statistics.cache_hits == 1
         assert cached.size == 3
 
-    def test_resume_executes_only_the_uncached_suffix(self):
+    def test_extension_of_a_cached_word_runs_whole(self):
         machine = make_policy("PLRU", 4).to_mealy().minimize()
         oracle = MealyMachineOracle(machine)
         cached = CachedMembershipOracle(oracle)
         word = tuple(machine.inputs)[:3]
-        cached.output_query(word[:2])
+        prefix = cached.output_query(word[:2])
         executed_before = oracle.statistics.membership_symbols
-        cached.output_query(word)
-        # Only the one-symbol suffix was executed, not the whole word.
-        assert oracle.statistics.membership_symbols == executed_before + 1
-        assert cached.statistics.resumed_symbols == 1
+        answer = cached.output_query(word)
+        # The cached prefix gives no head start: all three symbols run.
+        assert oracle.statistics.membership_symbols == executed_before + 3
+        assert answer[:2] == prefix
+        assert cached.statistics.cache_hits == 0
 
     def test_batch_dedups_and_serves_from_cache(self):
         delegate = FunctionOracle(_echo)

@@ -285,10 +285,23 @@ def test_forced_kernel_requires_policy_exact_interface():
     assert oracle.kernel_in_use == "scalar"
 
 
-def test_kernel_and_resume_interaction():
-    interface = SimulatedCacheInterface(make_policy("LRU", 2))
-    auto = PolcaMembershipOracle(interface, kernel="auto", resume=True)
-    assert auto.kernel_in_use == "scalar"  # auto degrades silently
+def test_auto_kernel_on_the_cachequery_path_is_scalar():
+    """A hardware interface exposes no ``kernel_policy``: under ``"auto"``
+    Polca replays its probes through CacheQuery."""
+    from repro.cachequery.frontend import CacheQuery, CacheQueryConfig, CacheQuerySetInterface
+    from repro.hardware.cpu import SimulatedCPU
+    from repro.hardware.profiles import SKYLAKE_I5_6500
+    from repro.hardware.timing import NoiseModel
+
+    profile = SKYLAKE_I5_6500.with_level("L2", associativity=2)
+    frontend = CacheQuery(
+        SimulatedCPU(profile, noise=NoiseModel(std=0.0)),
+        CacheQueryConfig(level="L2", set_index=0),
+    )
+    oracle = PolcaMembershipOracle(CacheQuerySetInterface(frontend), kernel="auto")
+    assert oracle.kernel_in_use == "scalar"
+    assert oracle.output_query((EVICT,)) == (0,)
+    assert frontend.backend.executed_queries > 0
 
 
 def test_resolve_kernel_selection_semantics():

@@ -4,7 +4,7 @@ Covers the two TTT mechanisms on their own terms — discriminator
 finalization (temporary suffixes replaced by verified shortest
 candidates, never longer) and incremental sifting (post-split re-sift
 volume bounded by the split leaf's residents, not the whole transition
-table) — plus the facade (``make_learner("ttt")``), store/resume
+table) — plus the facade (``make_learner("ttt")``), store
 interaction, and the ``learner_symbols`` accounting the comparison
 benchmarks read.  The tree's own mechanics (sifting, splitting,
 refinement, LCA suffixes, the minimality-repair pair search) and the
@@ -219,19 +219,19 @@ class TestStoreAndResume:
         assert warm[0].learned_states == cold[0].learned_states
         assert warm[0].learner == "ttt"
 
-    def test_ttt_resume_sessions_learn_the_identical_machine(self):
-        serial = learn_simulated_policy(
+    def test_ttt_scalar_replay_learns_the_identical_machine(self):
+        tabulated = learn_simulated_policy(
             make_policy("SRRIP-HP", 2), depth=1, identify=False, learner="ttt"
         )
-        resumed = learn_simulated_policy(
+        scalar = learn_simulated_policy(
             make_policy("SRRIP-HP", 2),
             depth=1,
             identify=False,
             learner="ttt",
-            resume=True,
+            kernel="scalar",
         )
-        assert resumed.machine == serial.machine
-        assert resumed.extra["resume"] is True
+        assert scalar.machine == tabulated.machine
+        assert scalar.extra["kernel"] == "scalar" != tabulated.extra["kernel"]
 
 
 # --------------------------------------------------------------- the facade
