@@ -43,9 +43,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cachequery.querycache import QueryCache
+from repro.cachequery.querycache import QueryCache, operation_path
 from repro.core.alphabet import MISS_OUTPUT, Line
 from repro.learning.wpmethod import iter_wp_method_suite
+from repro.mbl.ast import PROFILE_TAG, Operation
+from repro.mbl.expansion import expand
 from repro.polca.interfaces import default_block_names
 from repro.polca.reset import FlushRefillReset
 from repro.policies.registry import make_policy
@@ -71,10 +73,14 @@ def polca_access_chain(word, outputs, universe, associativity):
 
 
 def sweep_entries(associativity: int, depth: int, cap=None):
-    """Yield ``(query_text, outcomes)`` for a PLRU conformance sweep."""
+    """Yield ``(query_text, operation_path, outcomes)`` for a PLRU
+    conformance sweep: each probe as MBL text and as the response-cache key
+    CacheQuery stores it under (the expanded reset plus one profiled access
+    per block, as ``CacheQuerySetInterface.probe`` builds it)."""
     machine = make_policy("PLRU", associativity).to_mealy(max_states=200_000).minimize()
     universe = default_block_names(associativity + 2)
     reset = FlushRefillReset().mbl_prefix(associativity, universe)
+    (prefix,) = expand(reset, associativity, universe)
     suite = iter_wp_method_suite(machine, depth)
     if cap is not None:
         suite = islice(suite, cap)
@@ -82,10 +88,11 @@ def sweep_entries(associativity: int, depth: int, cap=None):
         outputs = machine.run(word)
         chain = polca_access_chain(word, outputs, universe, associativity)
         text = f"{reset} " + " ".join(f"{block}?" for block in chain)
+        path = operation_path(prefix + tuple(Operation(block, PROFILE_TAG) for block in chain))
         outcomes = tuple(
             "Hit" if output == MISS_OUTPUT else "Miss" for output in outputs
         )
-        yield text, outcomes
+        yield text, path, outcomes
 
 
 def measure(associativity: int, depth: int, cap=None):
@@ -97,14 +104,14 @@ def measure(associativity: int, depth: int, cap=None):
 
         legacy = [
             {"level": "L2", "slice": 0, "set": 0, "query": text, "outcomes": list(out)}
-            for text, out in entries
+            for text, _, out in entries
         ]
         legacy_path.write_text(json.dumps(legacy))
 
         store = PrefixStore(str(store_path))
         cache = QueryCache(store)
-        for text, outcomes in entries:
-            cache.put("L2", 0, 0, text, outcomes)
+        for _, path, outcomes in entries:
+            cache.put_path("L2", 0, 0, *path, outcomes)
         store.save()
 
         start = time.perf_counter()

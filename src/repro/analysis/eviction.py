@@ -40,23 +40,18 @@ class EvictionStrategy:
         return len(self.accesses)
 
 
-def _attacker_blocks(count: int) -> Tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(count))
-
-
 def optimal_eviction_strategy(
     policy: ReplacementPolicy,
     *,
     victim_line: int = 0,
     max_length: int = 64,
-    extra_blocks: int = 0,
 ) -> Optional[EvictionStrategy]:
     """Return a shortest attacker access sequence that evicts the victim.
 
     The cache starts full: the victim block occupies ``victim_line`` and the
     remaining lines hold other (non-attacker) blocks; the attacker owns
-    ``associativity + extra_blocks`` distinct blocks mapping to the same set
-    and may access them in any order.  Returns ``None`` when no strategy of
+    ``associativity`` distinct blocks mapping to the same set and may access
+    them in any order.  Returns ``None`` when no strategy of
     length ``max_length`` or less exists (which would indicate a
     thrash-resistant configuration).
     """
@@ -69,7 +64,7 @@ def optimal_eviction_strategy(
     fill_iter = iter(others)
     for line in range(n):
         initial_content.append(victim if line == victim_line else next(fill_iter))
-    attacker = _attacker_blocks(n + extra_blocks)
+    attacker = tuple(f"x{i}" for i in range(n))
 
     base = CacheSet(policy, initial_content=initial_content)
     start = base.snapshot()

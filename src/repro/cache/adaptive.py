@@ -61,10 +61,6 @@ class AdaptiveSetSelector:
         """Return the group-A leader set indexes among ``0..total_sets-1``."""
         return [s for s in range(total_sets) if self.role(s) == "leader_a"]
 
-    def leader_b_sets(self, total_sets: int) -> list:
-        """Return the group-B leader set indexes among ``0..total_sets-1``."""
-        return [s for s in range(total_sets) if self.role(s) == "leader_b"]
-
 
 @dataclass
 class SetDuelingController:

@@ -101,16 +101,6 @@ class AddressMapper:
             raise AddressingError(f"slices must be a power of two, got {self.slices}")
 
     @property
-    def set_index_bits(self) -> int:
-        """Number of address bits used for the set index."""
-        return self.sets_per_slice.bit_length() - 1
-
-    @property
-    def line_size(self) -> int:
-        """Cache line size in bytes."""
-        return 1 << self.line_offset_bits
-
-    @property
     def total_sets(self) -> int:
         """Total number of sets across all slices."""
         return self.sets_per_slice * self.slices

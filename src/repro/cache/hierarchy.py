@@ -74,11 +74,6 @@ class AccessResult:
     hit_level: Optional[str]
     latency: int
 
-    @property
-    def is_hit(self) -> bool:
-        """True when the load hit in some cache level (not DRAM)."""
-        return self.hit_level is not None
-
 
 class CacheHierarchy:
     """An ordered stack of cache levels in front of DRAM."""

@@ -37,13 +37,15 @@ from repro.hardware.cpu import SimulatedCPU
 from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG, Query
 from repro.polca.interfaces import default_block_names
 
+#: Blocks beyond the target's associativity in each target's address pool.
+POOL_EXTRA_BLOCKS = 8
+
 
 @dataclass
 class BackendConfig:
     """Tunables of the backend measurement procedure."""
 
     repetitions: int = 3
-    pool_extra_blocks: int = 8
     eviction_extra_ways: int = 2
     eviction_rounds: int = 4
     profile_with_counters: bool = False
@@ -51,8 +53,6 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise CacheQueryError("repetitions must be >= 1")
-        if self.pool_extra_blocks < 1:
-            raise CacheQueryError("the pool needs at least one extra block")
         if self.eviction_extra_ways < 0:
             raise CacheQueryError("eviction_extra_ways must be >= 0")
         if self.eviction_rounds < 1:
@@ -99,7 +99,7 @@ class CacheQueryBackend:
                 f"slice {slice_index} out of range for {level} (0..{mapper.slices - 1})"
             )
         associativity = cache.effective_associativity
-        pool_size = associativity + self.config.pool_extra_blocks
+        pool_size = associativity + POOL_EXTRA_BLOCKS
         addresses = mapper.congruent_addresses(set_index, slice_index, pool_size)
         names = default_block_names(pool_size)
         levels = self.cpu.hierarchy.level_names()

@@ -18,6 +18,9 @@ from repro.cache.cacheset import HIT, MISS
 from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
 
+#: The virtual address whose line calibration times as a hit and a miss.
+CALIBRATION_ADDRESS = 0x51C0_0000
+
 
 @dataclass(frozen=True)
 class HitMissClassifier:
@@ -42,7 +45,6 @@ def calibrate_classifier(
     level: str,
     *,
     samples: int = 64,
-    probe_address: int = 0x51C0_0000,
 ) -> HitMissClassifier:
     """Measure known hits and misses on ``cpu`` and derive a threshold.
 
@@ -56,13 +58,13 @@ def calibrate_classifier(
     if samples < 4:
         raise CacheQueryError("calibration needs at least 4 samples")
     hit_samples = []
-    cpu.load(probe_address)
+    cpu.load(CALIBRATION_ADDRESS)
     for _ in range(samples):
-        hit_samples.append(cpu.load(probe_address))
+        hit_samples.append(cpu.load(CALIBRATION_ADDRESS))
     miss_samples = []
     for _ in range(samples):
-        cpu.clflush(probe_address)
-        miss_samples.append(cpu.load(probe_address))
+        cpu.clflush(CALIBRATION_ADDRESS)
+        miss_samples.append(cpu.load(CALIBRATION_ADDRESS))
     hit_latency = median(hit_samples)
     miss_latency = median(miss_samples)
     if hit_latency >= miss_latency:

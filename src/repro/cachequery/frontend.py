@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cachequery.backend import BackendConfig, CacheQueryBackend
-from repro.cachequery.querycache import OperationPath, QueryCache, operation_path
+from repro.cachequery.querycache import QueryCache, operation_path
 from repro.errors import CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
@@ -130,15 +130,13 @@ class CacheQuery:
             return expand(expression, self.associativity, self.blocks)
         return [tuple(expression)]
 
-    def _execute_concrete(
-        self, concrete: Query, path: Optional[OperationPath] = None
-    ) -> Tuple[str, ...]:
+    def _execute_concrete(self, concrete: Query) -> Tuple[str, ...]:
         """Execute one concrete query through the response cache, keyed by
-        its operation ``path`` (computed here when not given)."""
+        its operation path."""
         if not self.config.use_cache:
             return self.backend.execute(concrete)
         target = (self.config.level, self.config.slice_index, self.config.set_index)
-        symbols, profiled = path if path is not None else operation_path(concrete)
+        symbols, profiled = operation_path(concrete)
         cached = self.cache.get_path(*target, symbols, profiled)
         if cached is not None:
             return cached
@@ -149,37 +147,14 @@ class CacheQuery:
     def query_batch(
         self, expressions: Sequence[Union[str, Query]]
     ) -> List[List[Tuple[str, ...]]]:
-        """Expand and execute many expressions, deduplicating concrete queries.
+        """:meth:`query` for each expression, in input order.
 
-        The expansions of all expressions are collected first; each distinct
-        concrete query (by its operation path) is executed at most once for
-        the current target, whether the repetition comes from one expression
-        expanding to overlapping queries or from duplicate expressions in
-        the batch.  Results are returned per expression, in input order —
-        the batched counterpart of :meth:`query`.  The learning pipeline does
-        not call it: Polca probes one concrete query at a time through
-        :meth:`query`.
-
-        When the response cache is disabled (``use_cache=False``, set to
-        force fresh measurements) no intra-batch memoisation happens either:
-        every concrete query reaches the backend, exactly like repeated
-        :meth:`query` calls.
+        A plain loop, kept under this name because ``perfbench``'s tracer
+        wraps it; nothing in the library calls it.  The response cache
+        answers a repeated query without executing it again, unless it is
+        disabled (``use_cache=False``).
         """
-        expanded = [self._concrete(expression) for expression in expressions]
-        answered: Dict[OperationPath, Tuple[str, ...]] = {}
-        results: List[List[Tuple[str, ...]]] = []
-        for queries in expanded:
-            outcomes: List[Tuple[str, ...]] = []
-            for concrete in queries:
-                if not self.config.use_cache:
-                    outcomes.append(self._execute_concrete(concrete))
-                    continue
-                path = operation_path(concrete)
-                if path not in answered:
-                    answered[path] = self._execute_concrete(concrete, path)
-                outcomes.append(answered[path])
-            results.append(outcomes)
-        return results
+        return [self.query(expression) for expression in expressions]
 
     def cache_statistics(self) -> Dict[str, float]:
         """Hit/miss/size counters of the response cache (for overhead reports)."""
@@ -257,8 +232,8 @@ class CacheQuerySetInterface:
     executes.  Each probe appends one profiled
     :class:`~repro.mbl.ast.Operation` per block to that query, built once
     per pool block.  Responses are cached under the query's operation path,
-    the same trie symbols its MBL text tokenizes to, so a probe and its
-    text spelling share one cache entry.
+    so a probe and MBL text that :meth:`CacheQuery.query` expands to the
+    same query share one cache entry.
     """
 
     def __init__(

@@ -11,10 +11,6 @@ learning engine's ``ResponseTrie`` uses — keyed by the target
   state-changing flush marker (``A``, ``A!``) — while the measurement
   marker ``?`` selects which positions carry a payload (cache outcomes are
   per *profiled* access);
-* a concrete query is keyed by :func:`operation_path` without ever being
-  rendered to text; MBL text is tokenized into exactly the same symbols
-  (:func:`tokenize_query`), so :meth:`QueryCache.get` and
-  :meth:`QueryCache.put` share entries with their path counterparts;
 * queries sharing an operation prefix (every probe of one Polca word, every
   query behind one reset sequence) share storage structurally, so on-disk
   caches stop growing quadratically with suite depth;
@@ -46,31 +42,15 @@ FRONTEND_NAMESPACE = "mbl"
 OperationPath = Tuple[Tuple[str, ...], Tuple[int, ...]]
 
 
-def tokenize_query(query_text: str) -> OperationPath:
-    """Split canonical query text into trie symbols and profiled positions.
-
-    Returns ``(symbols, profiled)`` where ``symbols`` keeps the
-    state-changing flush marker (``A!``) but strips the measurement marker
-    (``A?`` → ``A``), and ``profiled`` lists the positions whose outcome
-    the query measures.  ``A`` and ``A?`` therefore share one trie node:
-    profiling does not change cache state, only what is observed.
-    """
-    symbols: List[str] = []
-    profiled: List[int] = []
-    for position, token in enumerate(query_text.split()):
-        if token.endswith(PROFILE_TAG):
-            symbols.append(token[: -len(PROFILE_TAG)])
-            profiled.append(position)
-        else:
-            symbols.append(token)
-    return tuple(symbols), tuple(profiled)
-
-
 def operation_path(query) -> OperationPath:
-    """The ``(symbols, profiled)`` key of a concrete query: exactly what
-    :func:`tokenize_query` returns for the query's canonical text (each
-    operation's block, ``!`` kept and ``?`` dropped, plus the positions
-    that carry ``?``)."""
+    """The ``(symbols, profiled)`` key of a concrete query.
+
+    ``symbols`` holds each operation's block, keeping the state-changing
+    flush marker (``A!``) but not the measurement marker (``A?`` → ``A``),
+    and ``profiled`` lists the positions whose outcome the query measures.
+    ``A`` and ``A?`` therefore share one trie node: profiling does not
+    change cache state, only what is observed.
+    """
     symbols: List[str] = []
     profiled: List[int] = []
     for position, operation in enumerate(query):
@@ -124,12 +104,6 @@ class QueryCache:
 
     # ----------------------------------------------------------------- access
 
-    def get(
-        self, level: str, slice_index: int, set_index: int, query_text: str
-    ) -> Optional[Tuple[str, ...]]:
-        """Return the cached outcome trace for a query's text, or ``None``."""
-        return self.get_path(level, slice_index, set_index, *tokenize_query(query_text))
-
     def get_path(
         self,
         level: str,
@@ -153,18 +127,6 @@ class QueryCache:
             return None
         self.hits += 1
         return tuple(payloads[position] for position in profiled)
-
-    def put(
-        self,
-        level: str,
-        slice_index: int,
-        set_index: int,
-        query_text: str,
-        outcomes: Sequence[str],
-    ) -> None:
-        """Store the outcome trace of a query's text (one outcome per profiled access)."""
-        symbols, profiled = tokenize_query(query_text)
-        self.put_path(level, slice_index, set_index, symbols, profiled, outcomes)
 
     def put_path(
         self,

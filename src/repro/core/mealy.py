@@ -208,69 +208,44 @@ class MealyMachine:
         """Return the minimal machine equivalent to this one.
 
         Partitions the reachable states (:meth:`equivalence_blocks`) and
-        builds the quotient, relabelled with consecutive integers in BFS
-        order, the initial state becoming the block containing the original
-        initial state.
+        returns the quotient over the blocks, relabelled (:meth:`relabel`)
+        with consecutive integers in BFS order, the initial state becoming
+        the block containing the original initial state.
         """
         machine = self.reachable()
         block_of = machine.equivalence_blocks()
-
-        # Build the quotient machine with stable (BFS from initial) numbering.
         representative = {block: state for state, block in block_of.items()}
-        initial_block = block_of[machine.initial_state]
-        numbering: Dict[int, int] = {}
-        order: List[int] = []
-        queue = deque([initial_block])
-        numbering[initial_block] = 0
-        order.append(initial_block)
-        while queue:
-            block = queue.popleft()
-            state = representative[block]
-            for symbol in machine.inputs:
-                succ_block = block_of[machine.transitions[(state, symbol)]]
-                if succ_block not in numbering:
-                    numbering[succ_block] = len(numbering)
-                    order.append(succ_block)
-                    queue.append(succ_block)
-
-        states = [numbering[block] for block in order]
         transitions: Dict[Tuple[State, Input], State] = {}
         outputs: Dict[Tuple[State, Input], Output] = {}
-        for block in order:
-            state = representative[block]
+        for block, state in representative.items():
             for symbol in machine.inputs:
-                transitions[(numbering[block], symbol)] = numbering[
-                    block_of[machine.transitions[(state, symbol)]]
-                ]
-                outputs[(numbering[block], symbol)] = machine.outputs[(state, symbol)]
-        return MealyMachine(states, 0, list(machine.inputs), transitions, outputs, machine.name)
+                transitions[(block, symbol)] = block_of[machine.transitions[(state, symbol)]]
+                outputs[(block, symbol)] = machine.outputs[(state, symbol)]
+        quotient = MealyMachine(
+            list(representative),
+            block_of[machine.initial_state],
+            list(machine.inputs),
+            transitions,
+            outputs,
+            machine.name,
+        )
+        return quotient.relabel()
 
     def relabel(self) -> "MealyMachine":
-        """Return an isomorphic machine whose states are ``0..n-1`` in BFS order."""
+        """Return an isomorphic machine whose states are ``0..n-1`` in BFS
+        order: :meth:`reachable`'s state order."""
         machine = self.reachable()
-        numbering: Dict[State, int] = {machine.initial_state: 0}
-        order = [machine.initial_state]
-        queue = deque(order)
-        while queue:
-            state = queue.popleft()
-            for symbol in machine.inputs:
-                successor = machine.transitions[(state, symbol)]
-                if successor not in numbering:
-                    numbering[successor] = len(numbering)
-                    order.append(successor)
-                    queue.append(successor)
+        numbering = {state: number for number, state in enumerate(machine.states)}
         transitions = {
-            (numbering[state], symbol): numbering[machine.transitions[(state, symbol)]]
-            for state in order
-            for symbol in machine.inputs
+            (numbering[state], symbol): numbering[successor]
+            for (state, symbol), successor in machine.transitions.items()
         }
         outputs = {
-            (numbering[state], symbol): machine.outputs[(state, symbol)]
-            for state in order
-            for symbol in machine.inputs
+            (numbering[state], symbol): output
+            for (state, symbol), output in machine.outputs.items()
         }
         return MealyMachine(
-            [numbering[state] for state in order], 0, list(machine.inputs), transitions, outputs, machine.name
+            list(range(len(numbering))), 0, list(machine.inputs), transitions, outputs, machine.name
         )
 
     # ------------------------------------------------------------ comparison

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.leader_sets import detect_leader_sets, follower_adaptivity
 from repro.experiments.overhead import mbl_query_latency, simulated_vs_cachequery_overhead
-from repro.experiments.reporting import format_store_statistics, format_table
+from repro.experiments.reporting import MODES, format_store_statistics, format_table
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3
 from repro.experiments.table4 import format_table4, run_table4
@@ -119,7 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=["fast", "standard", "full"],
+        choices=MODES,
         default="fast",
         help="experiment size (fast: minutes; full: the paper's exact sweeps)",
     )

@@ -4,6 +4,20 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+from repro.errors import ReproError
+
+#: Experiment sizes, from minutes (``fast``) to the paper's exact sweeps
+#: (``full``): every table's mode and the CLI's ``--mode`` choices.
+MODES = ("fast", "standard", "full")
+
+
+def check_mode(mode: str) -> str:
+    """Return ``mode`` lower-cased, or raise :class:`~repro.errors.ReproError`
+    naming it when it is not one of :data:`MODES`."""
+    if mode.lower() not in MODES:
+        raise ReproError(f"unknown experiment mode {mode!r}; expected one of {MODES}")
+    return mode.lower()
+
 
 def format_seconds(seconds: float) -> str:
     """Render a duration the way the paper's tables do (``0 h 0 m 0.22 s``)."""

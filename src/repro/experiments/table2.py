@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.reporting import format_seconds, format_table
+from repro.experiments.reporting import check_mode, format_seconds, format_table
 from repro.policies.registry import TABLE2_POLICIES, make_policy
 from repro.polca.pipeline import learn_simulated_policy
 
@@ -113,7 +113,7 @@ def table2_configurations(mode: str = "fast") -> List[Tuple[str, int]]:
     * ``full`` — the paper's complete sweep (days of compute; PLRU-16 alone
       has 32768 states).
     """
-    mode = mode.lower()
+    mode = check_mode(mode)
     if mode == "full":
         return [(policy, assoc) for policy, sweep in PAPER_SWEEP.items() for assoc in sweep]
     configurations: List[Tuple[str, int]] = []
@@ -143,7 +143,6 @@ def run_table2(
     depth: int = 1,
     workers: Optional[int] = None,
     store=None,
-    cache_path: Optional[str] = None,
     kernel: str = "auto",
     learner: str = "lstar",
 ) -> List[Table2Row]:
@@ -153,11 +152,12 @@ def run_table2(
     learning run — observation-table fill *and* conformance testing — on N
     worker processes, each holding a copy of the run's Polca; the learned
     machines and counts are identical to serial runs (see
-    :mod:`repro.learning.parallel`).  ``store``/``cache_path`` place every
+    :mod:`repro.learning.parallel`).  ``store`` places every
     configuration's query engine in one shared
-    :class:`~repro.store.PrefixStore` (one namespace per policy target);
-    with a path the store is saved after every row, so an interrupted sweep
-    resumes from what it already measured.  ``kernel`` selects the simulator
+    :class:`~repro.store.PrefixStore` (one namespace per policy target),
+    saved after every row, so with a path-backed store
+    (:func:`~repro.store.open_store`) an interrupted sweep resumes from what
+    it already measured.  ``kernel`` selects the simulator
     execution strategy (``auto``/``scalar``); answers, machines
     and probe columns are identical across kernels.  ``learner`` selects the
     student (``"lstar"`` or ``"ttt"``); both learn identical minimal
@@ -165,10 +165,6 @@ def run_table2(
     """
     if configurations is None:
         configurations = table2_configurations(mode)
-    if store is None and cache_path is not None:
-        from repro.store import open_store
-
-        store = open_store(cache_path)
     rows: List[Table2Row] = []
     for policy_name, associativity in configurations:
         policy = make_policy(policy_name, associativity)

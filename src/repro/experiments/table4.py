@@ -30,7 +30,7 @@ from repro.cache.adaptive import AdaptiveSetSelector
 from repro.cachequery.backend import BackendConfig
 from repro.cachequery.frontend import CacheQuery, CacheQueryConfig, CacheQuerySetInterface
 from repro.errors import ReproError
-from repro.experiments.reporting import format_seconds, format_table
+from repro.experiments.reporting import check_mode, format_seconds, format_table
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import CPUProfile, cpu_profile
 from repro.hardware.timing import NoiseModel
@@ -134,9 +134,7 @@ def table4_configurations(mode: str = "fast") -> List[Table4Configuration]:
     profile reduction for L1/L2); ``standard`` uses associativity 4;
     ``full`` uses the paper's exact geometries (hours to days of compute).
     """
-    mode = mode.lower()
-    if mode not in ("fast", "standard", "full"):
-        raise ReproError(f"unknown Table 4 mode {mode!r}")
+    mode = check_mode(mode)
     reduced = {"fast": 2, "standard": 4, "full": None}[mode]
     configurations: List[Table4Configuration] = []
     for cpu_name in ("i7-4790", "i5-6500", "i7-8550U"):
@@ -320,23 +318,18 @@ def run_table4(
     noise_std: float = 0.0,
     workers: Optional[int] = None,
     store=None,
-    cache_path: Optional[str] = None,
     kernel: str = "auto",
     learner: str = "lstar",
 ) -> List[Table4Row]:
     """Run the hardware-learning experiment for every configured target.
 
-    ``store``/``cache_path`` share one persistent
-    :class:`~repro.store.PrefixStore` across every (CPU, level) target —
-    frontend response caches and learning tries alike, one namespace per
-    target — saved after every configuration.
+    ``store`` shares one :class:`~repro.store.PrefixStore` (possibly
+    path-backed, see :func:`~repro.store.open_store`) across every
+    (CPU, level) target — frontend response caches and learning tries
+    alike, one namespace per target — saved after every configuration.
     """
     if configurations is None:
         configurations = table4_configurations(mode)
-    if store is None and cache_path is not None:
-        from repro.store import open_store
-
-        store = open_store(cache_path)
     return [
         run_table4_configuration(
             configuration,

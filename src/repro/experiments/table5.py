@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import SynthesisError
-from repro.experiments.reporting import format_seconds, format_table
+from repro.experiments.reporting import check_mode, format_seconds, format_table
 from repro.policies.registry import TABLE5_POLICIES, make_policy
 from repro.synthesis.synthesizer import SynthesisConfig, explain_policy
 from repro.synthesis.template import ExplanationProgram
@@ -66,7 +66,7 @@ def table5_policies(mode: str = "fast") -> List[str]:
     ``fast`` skips the three slowest searches (SRRIP-HP, SRRIP-FP and New2,
     roughly a minute each); ``standard`` and ``full`` run all nine.
     """
-    if mode.lower() == "fast":
+    if check_mode(mode) == "fast":
         return [name for name in TABLE5_POLICIES if name not in SLOW_POLICIES]
     return list(TABLE5_POLICIES)
 

@@ -33,6 +33,8 @@ from repro.hardware.profiles import CPUProfile
 from repro.hardware.timing import NoiseModel, TimingModel
 
 PAGE_SIZE = 4096
+#: Physical page frames the virtual→physical mapping draws from (1 GiB).
+PHYSICAL_PAGES = 1 << 18
 _PAGE_MIX_PRIME = 0x9E3779B97F4A7C15
 
 
@@ -44,10 +46,8 @@ class SimulatedCPU:
         profile: CPUProfile,
         *,
         noise: Optional[NoiseModel] = None,
-        physical_pages: int = 1 << 18,
     ) -> None:
         self.profile = profile
-        self.physical_pages = physical_pages
         self.hierarchy = self._build_hierarchy(profile)
         self.timing = TimingModel(
             {spec.name: spec.hit_latency for spec in profile.levels},
@@ -107,9 +107,9 @@ class SimulatedCPU:
         return frame * PAGE_SIZE + offset
 
     def _pick_frame(self, page: int) -> int:
-        candidate = ((page + 1) * _PAGE_MIX_PRIME ^ self.profile.v2p_seed) % self.physical_pages
-        for attempt in range(self.physical_pages):
-            frame = (candidate + attempt) % self.physical_pages
+        candidate = ((page + 1) * _PAGE_MIX_PRIME ^ self.profile.v2p_seed) % PHYSICAL_PAGES
+        for attempt in range(PHYSICAL_PAGES):
+            frame = (candidate + attempt) % PHYSICAL_PAGES
             if frame not in self._used_frames:
                 return frame
         raise CacheError("physical memory exhausted in the simulated CPU")

@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+#: Cache line size in bytes: the granularity the prefetcher tracks.
+LINE_SIZE = 64
+
 
 @dataclass
 class NextLinePrefetcher:
     """Fetches line ``x + 1`` after two consecutive line accesses ``x-1, x``."""
 
     enabled: bool = True
-    line_size: int = 64
     _last_line: Optional[int] = field(default=None, repr=False)
     issued: int = 0
 
@@ -31,13 +33,13 @@ class NextLinePrefetcher:
         touched the immediately preceding line, which keeps the model from
         flooding the hierarchy on random access patterns.
         """
-        line = physical_address // self.line_size
+        line = physical_address // LINE_SIZE
         previous, self._last_line = self._last_line, line
         if not self.enabled:
             return None
         if previous is not None and line == previous + 1:
             self.issued += 1
-            return (line + 1) * self.line_size
+            return (line + 1) * LINE_SIZE
         return None
 
     def reset(self) -> None:

@@ -18,6 +18,9 @@ from typing import Dict, Optional
 
 from repro.errors import CacheError
 
+#: Largest extra latency, in cycles, of one measurement outlier.
+OUTLIER_MAGNITUDE = 200.0
+
 
 @dataclass
 class NoiseModel:
@@ -25,7 +28,6 @@ class NoiseModel:
 
     std: float = 2.0
     outlier_probability: float = 0.002
-    outlier_magnitude: float = 200.0
     seed: int = 1234
 
     def __post_init__(self) -> None:
@@ -41,7 +43,7 @@ class NoiseModel:
         """Return one noise sample in cycles (can be negative for jitter)."""
         noise = self._random.gauss(0.0, self.std) if self.std > 0 else 0.0
         if self.outlier_probability > 0 and self._random.random() < self.outlier_probability:
-            noise += self.outlier_magnitude * self._random.random()
+            noise += OUTLIER_MAGNITUDE * self._random.random()
         return noise
 
     def reseed(self, seed: int) -> None:

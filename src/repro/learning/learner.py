@@ -48,6 +48,9 @@ Word = Tuple[Input, ...]
 #: Learner names accepted by :func:`make_learner` (and the ``--learner`` knob).
 LEARNER_NAMES = ("lstar", "ttt")
 
+#: Equivalence rounds after which :meth:`ActiveLearner.learn` gives up.
+MAX_LEARNING_ROUNDS = 10_000
+
 
 @dataclass
 class LearningResult:
@@ -124,7 +127,6 @@ class ActiveLearner:
         equivalence_oracle: EquivalenceOracle,
         *,
         counterexample_strategy: str = "rivest-schapire",
-        max_rounds: int = 10_000,
     ) -> None:
         if counterexample_strategy not in self.counterexample_strategies:
             raise LearningError(
@@ -139,7 +141,6 @@ class ActiveLearner:
             self.membership_oracle = CachedMembershipOracle(membership_oracle)
         self.equivalence_oracle = equivalence_oracle
         self.counterexample_strategy = counterexample_strategy
-        self.max_rounds = max_rounds
         self._suite_queries = 0
         self._suite_symbols = 0
 
@@ -156,7 +157,7 @@ class ActiveLearner:
 
         hypothesis = self._initial_hypothesis()
 
-        for round_number in range(1, self.max_rounds + 1):
+        for round_number in range(1, MAX_LEARNING_ROUNDS + 1):
             counterexample = self._find_counterexample(hypothesis)
             if counterexample is None:
                 per_round_queries.append(self._executed_queries() - round_mark)
@@ -183,9 +184,9 @@ class ActiveLearner:
             round_mark = self._executed_queries()
 
         raise BudgetExceeded(
-            f"learning did not converge within {self.max_rounds} rounds",
-            spent=self.max_rounds,
-            budget=self.max_rounds,
+            f"learning did not converge within {MAX_LEARNING_ROUNDS} rounds",
+            spent=MAX_LEARNING_ROUNDS,
+            budget=MAX_LEARNING_ROUNDS,
         )
 
     def _initial_hypothesis(self) -> MealyMachine:

@@ -42,6 +42,9 @@ from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle
 from repro.learning.query_engine import output_query_batch
 
+#: Closedness/consistency repairs after which the table is declared unstable.
+MAX_REPAIR_ROUNDS = 100_000
+
 Input = Hashable
 Output = Hashable
 Word = Tuple[Input, ...]
@@ -231,9 +234,9 @@ class ObservationTable:
                     f"{suffix!r}) is not a column — hypotheses may be non-minimal"
                 )
 
-    def make_closed_and_consistent(self, *, max_rounds: int = 100_000) -> None:
+    def make_closed_and_consistent(self) -> None:
         """Repeatedly repair closedness and consistency until both hold."""
-        for _ in range(max_rounds):
+        for _ in range(MAX_REPAIR_ROUNDS):
             unclosed = self.find_unclosed()
             if unclosed is not None:
                 self.add_short_prefix(unclosed)

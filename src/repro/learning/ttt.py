@@ -190,10 +190,6 @@ class TTTTree:
     def num_states(self) -> int:
         return len(self._access)
 
-    @property
-    def num_discriminators(self) -> int:
-        return len(self._access) - 1
-
     def access_words(self) -> Tuple[Word, ...]:
         """Access words in state order (state ``i`` → ``access_words()[i]``)."""
         return tuple(self._access)

@@ -16,7 +16,7 @@ block universe.  The rules follow Appendix A:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.errors import MBLExpansionError
 from repro.mbl.ast import (
@@ -145,8 +145,3 @@ def query_to_text(query: Query) -> str:
     """Render a query back to MBL text (for logs and reports; the response
     cache keys a query by its operation path instead)."""
     return " ".join(str(operation) for operation in query)
-
-
-def queries_to_text(queries: Sequence[Query]) -> Tuple[str, ...]:
-    """Render several queries (reporting helper)."""
-    return tuple(query_to_text(query) for query in queries)

@@ -10,7 +10,7 @@ line each miss evicted (Algorithm 1).
 The package contains the faithful algorithm (:mod:`repro.polca.algorithm`),
 the cache-interface adapters it runs against (:mod:`repro.polca.interfaces`),
 reset-sequence helpers (:mod:`repro.polca.reset`) and the end-to-end learning
-pipeline that chains Polca with the learner (:mod:`repro.polca.pipeline`).
+function that chains Polca with the learner (:mod:`repro.polca.pipeline`).
 """
 
 from repro.polca.interfaces import (
@@ -20,7 +20,7 @@ from repro.polca.interfaces import (
 )
 from repro.polca.algorithm import PolcaMembershipOracle, PolcaStatistics, polca_check_trace
 from repro.polca.reset import FlushRefillReset, NoReset, ResetStrategy, SequenceReset
-from repro.polca.pipeline import PolicyLearningPipeline, PolicyLearningReport, learn_policy_from_cache
+from repro.polca.pipeline import PolicyLearningReport, learn_policy_from_cache
 
 __all__ = [
     "CacheProbeInterface",
@@ -33,7 +33,6 @@ __all__ = [
     "NoReset",
     "ResetStrategy",
     "SequenceReset",
-    "PolicyLearningPipeline",
     "PolicyLearningReport",
     "learn_policy_from_cache",
 ]

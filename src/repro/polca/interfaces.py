@@ -31,6 +31,10 @@ from repro.policies.base import ReplacementPolicy
 
 Block = Hashable
 
+#: Blocks beyond the associativity in a simulated interface's default
+#: universe: enough for Polca's misses to fetch a block not cached.
+UNIVERSE_EXTRA_BLOCKS = 2
+
 
 def default_block_names(count: int) -> Tuple[str, ...]:
     """Return ``count`` distinct block names: ``A, B, ..., Z, A1, B1, ...``.
@@ -84,14 +88,12 @@ class SimulatedCacheInterface:
         self,
         policy: ReplacementPolicy,
         *,
-        extra_blocks: int = 2,
         block_names: Optional[Sequence[Block]] = None,
     ) -> None:
         self.policy = policy
         self.associativity = policy.associativity
-        universe_size = self.associativity + max(1, extra_blocks)
         if block_names is None:
-            universe = default_block_names(universe_size)
+            universe = default_block_names(self.associativity + UNIVERSE_EXTRA_BLOCKS)
         else:
             universe = tuple(block_names)
             if len(universe) < self.associativity + 1:

@@ -102,154 +102,98 @@ def identify_policy(
     return None
 
 
-class PolicyLearningPipeline:
-    """Configurable Polca + learner pipeline.
+def learn_policy_from_cache(
+    cache: CacheProbeInterface,
+    *,
+    depth: int = 1,
+    identify: bool = True,
+    identification_candidates: Optional[Sequence[str]] = None,
+    max_tests: Optional[int] = None,
+    workers: Optional[int] = None,
+    store=None,
+    kernel: str = "auto",
+    learner: str = "lstar",
+) -> PolicyLearningReport:
+    """Learn the policy behind a cache interface (Figure 1).
 
-    ``workers=N`` (N > 1) hands the query engine
-    ``WorkerPool(polca, N)`` (:mod:`repro.learning.parallel`) instead of
-    Polca itself, so the misses of every engine batch — the learner's
-    rounds and the conformance suite's chunks alike — execute on N worker
-    processes, each holding a copy of this run's Polca.  Answers and Polca's
-    counters come back in batch order, so the learned machine and every
-    statistics column are identical to a serial run.
+    One trie-backed query engine is shared between the learner and the
+    conformance tester, so equivalence-testing words whose prefixes were
+    already learned (or vice versa) never hit the cache interface twice.
+
+    * ``learner`` names the student: ``"lstar"`` (observation table, the
+      paper's configuration) or ``"ttt"`` (classification tree with
+      discriminator finalization and incremental sifting).  Both learn the
+      same minimal machine bit-identically; an unknown name raises
+      :class:`~repro.errors.LearningError` before anything is built.
+    * ``kernel`` runs Polca's probes over simulated targets: ``"auto"`` (the
+      tabulated kernel when the policy tabulates, else scalar) or
+      ``"scalar"``.  Answers and statistics are identical either way.
+    * ``store`` is an optional shared :class:`~repro.store.PrefixStore` for
+      the engine's trie: pass the instance backing the frontend's
+      ``QueryCache`` (and/or a path-backed store) so one file persists the
+      whole measurement state of a run.
+    * ``workers=N`` (N > 1) hands the engine ``WorkerPool(polca, N)``
+      (:mod:`repro.learning.parallel`) instead of Polca itself, so the
+      misses of every engine batch — the learner's rounds and the
+      conformance suite's chunks alike — execute on N worker processes,
+      each holding a copy of this run's Polca.  Answers and Polca's counters
+      come back in batch order, so the learned machine and every statistics
+      column are identical to a serial run.
     """
-
-    def __init__(
-        self,
-        cache: CacheProbeInterface,
-        *,
-        depth: int = 1,
-        counterexample_strategy: str = "rivest-schapire",
-        identify: bool = True,
-        identification_candidates: Optional[Sequence[str]] = None,
-        max_tests: Optional[int] = None,
-        workers: Optional[int] = None,
-        store=None,
-        kernel: str = "auto",
-        learner: str = "lstar",
-    ) -> None:
-        if learner.lower() not in LEARNER_NAMES:
-            raise LearningError(
-                f"unknown learner {learner!r}; expected one of {LEARNER_NAMES}"
-            )
-        self.cache = cache
-        self.depth = depth
-        self.counterexample_strategy = counterexample_strategy
-        self.identify = identify
-        self.identification_candidates = identification_candidates
-        self.max_tests = max_tests
-        self.workers = workers
-        #: Which student runs the loop: ``"lstar"`` (observation table, the
-        #: paper's configuration) or ``"ttt"`` (classification tree with
-        #: discriminator finalization and incremental sifting — fewer
-        #: executed symbols per discovered state on large policies).  Both
-        #: learn the same minimal machine bit-identically.
-        self.learner = learner.lower()
-        #: Execution strategy for Polca's probes over simulated targets:
-        #: ``"auto"`` (the tabulated kernel when the policy tabulates, else
-        #: scalar) or ``"scalar"`` for the per-symbol stepper.  Answers and
-        #: statistics are identical across both settings.
-        self.kernel = kernel
-        #: Optional shared :class:`~repro.store.PrefixStore` the query
-        #: engine's trie lives in — pass the same instance backing the
-        #: frontend's ``QueryCache`` (and/or a path-backed store) so one
-        #: file persists the whole measurement state of a run.
-        self.store = store
-
-    def _engine_namespace(self) -> Sequence[object]:
-        """Namespace key of the learning trie inside a shared store."""
-        derive = getattr(self.cache, "store_namespace", None)
-        target = tuple(derive()) if callable(derive) else ()
-        return ("learning",) + target
-
-    def run(self) -> PolicyLearningReport:
-        """Learn the policy of the configured cache interface.
-
-        One trie-backed query engine is shared between the observation
-        table and the conformance tester, so equivalence-testing words whose
-        prefixes were already learned (or vice versa) never hit the cache
-        interface twice.
-        """
-        start = time.perf_counter()
-        polca = PolcaMembershipOracle(self.cache, kernel=self.kernel)
-        pool = None
-        if self.workers is not None and self.workers > 1:
-            pool = WorkerPool(polca, self.workers)
-        engine = CachedMembershipOracle(
-            pool or polca, store=self.store, namespace=self._engine_namespace()
-        )
-        equivalence = ConformanceEquivalenceOracle(
-            engine, depth=self.depth, max_tests=self.max_tests
-        )
-        learner = make_learner(
-            self.learner,
-            polca.alphabet(),
-            engine,
-            equivalence,
-            counterexample_strategy=self.counterexample_strategy,
-        )
-        try:
-            result = learner.learn()
-        finally:
-            if pool is not None:
-                pool.close()
-        machine = result.machine.minimize()
-        identified = None
-        if self.identify:
-            identified = identify_policy(
-                machine, self.cache.associativity, self.identification_candidates
-            )
-        elapsed = time.perf_counter() - start
-        extra = {
-            "kernel": polca.kernel_in_use,
-            "learner": result.learner,
-            "rounds": result.rounds,
-            "per_round_queries": list(result.per_round_queries),
-            "learner_queries": result.learner_queries,
-            "learner_symbols": result.learner_symbols,
-            "cache_hits": result.statistics.cache_hits,
-            "batches": result.statistics.batches,
-            "tests_skipped": result.statistics.tests_skipped,
-            "cached_prefixes": engine.size,
-        }
-        tree = getattr(learner, "tree", None)
-        if tree is not None:
-            # Classification-tree counters (see repro.learning.ttt).
-            extra["kv_leaves_from_sifting"] = tree.leaves_from_sifting
-            extra["kv_leaves_from_splits"] = tree.leaves_from_splits
-            extra["kv_internal_refinements"] = tree.internal_refinements
-            extra["discriminator_lengths"] = tree.discriminator_lengths()
-            extra["max_discriminator_length"] = tree.max_discriminator_length
-            extra["ttt_finalized_discriminators"] = tree.discriminators_finalized
-            extra["ttt_temporary_discriminators"] = tree.temporary_discriminators
-            extra["ttt_words_resifted_per_split"] = list(tree.words_resifted_per_split)
-            extra["ttt_finalization_shrinkage"] = list(tree.finalization_shrinkage)
-            extra["ttt_finalization_probe_words"] = tree.finalization_probe_words
-        if self.store is not None:
-            extra["store"] = self.store.statistics()
+    if learner.lower() not in LEARNER_NAMES:
+        raise LearningError(f"unknown learner {learner!r}; expected one of {LEARNER_NAMES}")
+    start = time.perf_counter()
+    polca = PolcaMembershipOracle(cache, kernel=kernel)
+    pool = WorkerPool(polca, workers) if workers is not None and workers > 1 else None
+    derive = getattr(cache, "store_namespace", None)
+    namespace = ("learning",) + (tuple(derive()) if callable(derive) else ())
+    engine = CachedMembershipOracle(pool or polca, store=store, namespace=namespace)
+    equivalence = ConformanceEquivalenceOracle(engine, depth=depth, max_tests=max_tests)
+    student = make_learner(learner, polca.alphabet(), engine, equivalence)
+    try:
+        result = student.learn()
+    finally:
         if pool is not None:
-            extra["workers"] = self.workers
-            extra["parallel_chunks"] = pool.shipped_chunks
-            extra["parallel_words"] = pool.shipped_words
-            extra["worker_query_counts"] = dict(pool.worker_query_counts)
-            extra["worker_symbol_counts"] = dict(pool.worker_symbol_counts)
-            extra["worker_statistics"] = {
-                pid: dict(counters) for pid, counters in pool.worker_statistics.items()
-            }
-        return PolicyLearningReport(
-            machine=machine,
-            learning_result=result,
-            polca_statistics=polca.statistics,
-            associativity=self.cache.associativity,
-            identified_policy=identified,
-            wall_clock_seconds=elapsed,
-            extra=extra,
-        )
-
-
-def learn_policy_from_cache(cache: CacheProbeInterface, **kwargs) -> PolicyLearningReport:
-    """Convenience wrapper around :class:`PolicyLearningPipeline`."""
-    return PolicyLearningPipeline(cache, **kwargs).run()
+            pool.close()
+    machine = result.machine.minimize()
+    identified = None
+    if identify:
+        identified = identify_policy(machine, cache.associativity, identification_candidates)
+    elapsed = time.perf_counter() - start
+    extra = {"kernel": polca.kernel_in_use, "cached_prefixes": engine.size}
+    tree = getattr(student, "tree", None)
+    if tree is not None:
+        # Classification-tree counters (see repro.learning.ttt).
+        extra["kv_leaves_from_sifting"] = tree.leaves_from_sifting
+        extra["kv_leaves_from_splits"] = tree.leaves_from_splits
+        extra["kv_internal_refinements"] = tree.internal_refinements
+        extra["discriminator_lengths"] = tree.discriminator_lengths()
+        extra["max_discriminator_length"] = tree.max_discriminator_length
+        extra["ttt_finalized_discriminators"] = tree.discriminators_finalized
+        extra["ttt_temporary_discriminators"] = tree.temporary_discriminators
+        extra["ttt_words_resifted_per_split"] = list(tree.words_resifted_per_split)
+        extra["ttt_finalization_shrinkage"] = list(tree.finalization_shrinkage)
+        extra["ttt_finalization_probe_words"] = tree.finalization_probe_words
+    if store is not None:
+        extra["store"] = store.statistics()
+    if pool is not None:
+        extra["workers"] = workers
+        extra["parallel_chunks"] = pool.shipped_chunks
+        extra["parallel_words"] = pool.shipped_words
+        extra["worker_query_counts"] = dict(pool.worker_query_counts)
+        extra["worker_symbol_counts"] = dict(pool.worker_symbol_counts)
+        extra["worker_statistics"] = {
+            pid: dict(counters) for pid, counters in pool.worker_statistics.items()
+        }
+    return PolicyLearningReport(
+        machine=machine,
+        learning_result=result,
+        polca_statistics=polca.statistics,
+        associativity=cache.associativity,
+        identified_policy=identified,
+        wall_clock_seconds=elapsed,
+        extra=extra,
+    )
 
 
 def learn_simulated_policy(

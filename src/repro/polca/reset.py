@@ -21,7 +21,7 @@ manifest as non-determinism, which the learning stack surfaces as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, Tuple
+from typing import Protocol, Sequence
 
 from repro.errors import ResetError
 
@@ -100,8 +100,3 @@ def reset_for_table4(cpu: str, level: str) -> ResetStrategy:
     if level_key == "L2" and ("skylake" in cpu_key or "kaby" in cpu_key):
         return SequenceReset("D C B A @")
     return FlushRefillReset()
-
-
-def reset_names(strategies: Sequence[ResetStrategy]) -> Tuple[str, ...]:
-    """Return the display names of several strategies (reporting helper)."""
-    return tuple(strategy.describe() for strategy in strategies)

@@ -21,7 +21,6 @@ import abc
 from typing import Hashable, Optional, Tuple
 
 from repro.core.alphabet import (
-    EVICT,
     MISS_OUTPUT,
     Evict,
     Line,
@@ -182,11 +181,6 @@ class PolicyStepper:
         self.state, victim = self.policy.on_miss(self.state)
         return victim
 
-    def evict_output(self) -> int:
-        """Peek at the victim the policy would choose now, without stepping."""
-        _, victim = self.policy.on_miss(self.state)
-        return victim
-
     def reset(self) -> None:
         """Return to the policy's initial state."""
         self.state = self.policy.initial_state()
@@ -198,8 +192,3 @@ class PolicyStepper:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PolicyStepper({self.policy.name}, state={self.state!r})"
-
-
-def evict_alphabet_symbol() -> PolicyInput:
-    """Return the eviction-request symbol (convenience re-export)."""
-    return EVICT

@@ -15,7 +15,7 @@ replaces that loop for bounded policies:
 Consumers choose between this tabulated path and the scalar stepper with
 the ``kernel=`` knob threaded through
 :class:`~repro.polca.algorithm.PolcaMembershipOracle`,
-:class:`~repro.polca.pipeline.PolicyLearningPipeline` and the experiment
+:func:`~repro.polca.pipeline.learn_policy_from_cache` and the experiment
 CLI (``--kernel``, choices :data:`~repro.polca.algorithm.POLCA_KERNELS`);
 a :class:`~repro.learning.parallel.WorkerPool` ships Polca to its workers
 with the kernel already bound.  Answers and statistics are bit-identical

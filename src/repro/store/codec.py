@@ -287,19 +287,6 @@ def encode_snapshot_entries(store) -> list:
     ]
 
 
-def encode_store(store) -> dict:
-    """Render a store as one self-contained JSON document (v1 layout).
-
-    Kept for introspection and the v1 fixtures; on-disk persistence goes
-    through :func:`write_snapshot_file` / :func:`append_delta` instead.
-    """
-    return {
-        "format": STORE_FORMAT,
-        "version": 1,
-        "namespaces": encode_snapshot_entries(store),
-    }
-
-
 def encode_delta_record(key, word, payloads, terminal: bool) -> list:
     """Render one replayable ``record()`` call as a delta-line entry."""
     for payload in payloads:

@@ -189,14 +189,6 @@ class PrefixNamespace:
 
     # ---------------------------------------------------------------- lookups
 
-    def _walk(self, word: Sequence[Symbol]) -> Optional[_StoreNode]:
-        node = self._root
-        for symbol in word:
-            node = node.children.get(symbol)
-            if node is None:
-                return None
-        return node
-
     def lookup(self, word: Sequence[Symbol]) -> Optional[Tuple[Payload, ...]]:
         """Return the payloads along ``word``, or ``None`` when the path is unknown.
 
@@ -215,22 +207,6 @@ class PrefixNamespace:
         if not payloads and not node.terminal:
             return None
         return tuple(payloads)
-
-    def lookup_prefix(self, word: Sequence[Symbol]) -> Tuple[int, Tuple[Payload, ...]]:
-        """Return ``(k, payloads)`` for the longest stored prefix ``word[:k]``."""
-        node = self._root
-        payloads: List[Payload] = []
-        for symbol in word:
-            child = node.children.get(symbol)
-            if child is None:
-                break
-            payloads.append(child.payload)
-            node = child
-        return len(payloads), tuple(payloads)
-
-    def covers(self, word: Sequence[Symbol]) -> bool:
-        """True when ``word`` is a prefix of (or equal to) a stored path."""
-        return self._walk(word) is not None
 
     # --------------------------------------------------------------- recording
 

@@ -132,17 +132,3 @@ class Comparison(BoolExpr):
 
     def describe(self) -> str:
         return f"{self.left.describe()} {self.operator} {self.right.describe()}"
-
-
-@dataclass(frozen=True)
-class And(BoolExpr):
-    """Conjunction of two boolean expressions."""
-
-    left: BoolExpr
-    right: BoolExpr
-
-    def evaluate(self, env: Mapping[str, int], max_age: int) -> bool:
-        return self.left.evaluate(env, max_age) and self.right.evaluate(env, max_age)
-
-    def describe(self) -> str:
-        return f"({self.left.describe()} and {self.right.describe()})"

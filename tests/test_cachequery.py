@@ -14,18 +14,25 @@ from repro.cachequery import (
     QueryCache,
     calibrate_classifier,
 )
+from repro.cachequery.querycache import operation_path
 from repro.errors import CacheQueryError, ReproError, StoreCorruptionError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import HASWELL_I7_4790, SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
 from repro.mbl.ast import Operation
 from repro.mbl.expansion import expand
+from repro.polca.interfaces import default_block_names
 from repro.polca.reset import SequenceReset
 from repro.store import PrefixStore
 
 
 def _cpu(noise: float = 0.0) -> SimulatedCPU:
     return SimulatedCPU(SKYLAKE_I5_6500, noise=NoiseModel(std=noise))
+
+
+def _path(text: str):
+    """The response-cache key of the one query ``text`` expands to."""
+    return operation_path(expand(text, 4, default_block_names(26))[0])
 
 
 class TestClassification:
@@ -57,40 +64,40 @@ class TestClassification:
 class TestQueryCache:
     def test_put_get_and_statistics(self):
         cache = QueryCache()
-        assert cache.get("L2", 0, 5, "A B?") is None
-        cache.put("L2", 0, 5, "A B?", ("Hit",))
-        assert cache.get("L2", 0, 5, "A B?") == ("Hit",)
+        assert cache.get_path("L2", 0, 5, *_path("A B?")) is None
+        cache.put_path("L2", 0, 5, *_path("A B?"), ("Hit",))
+        assert cache.get_path("L2", 0, 5, *_path("A B?")) == ("Hit",)
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
 
     def test_keys_include_target(self):
         cache = QueryCache()
-        cache.put("L2", 0, 5, "A?", ("Hit",))
-        assert cache.get("L2", 0, 6, "A?") is None
-        assert cache.get("L1", 0, 5, "A?") is None
+        cache.put_path("L2", 0, 5, *_path("A?"), ("Hit",))
+        assert cache.get_path("L2", 0, 6, *_path("A?")) is None
+        assert cache.get_path("L1", 0, 5, *_path("A?")) is None
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
         store = PrefixStore(str(path))
         cache = QueryCache(store=store)
-        cache.put("L1", 0, 1, "A?", ("Miss",))
+        cache.put_path("L1", 0, 1, *_path("A?"), ("Miss",))
         store.save()
         reloaded = QueryCache(store=PrefixStore(str(path)))
-        assert reloaded.get("L1", 0, 1, "A?") == ("Miss",)
+        assert reloaded.get_path("L1", 0, 1, *_path("A?")) == ("Miss",)
 
     def test_clear(self):
         cache = QueryCache()
-        cache.put("L1", 0, 0, "A?", ("Hit",))
+        cache.put_path("L1", 0, 0, *_path("A?"), ("Hit",))
         cache.clear()
         assert len(cache) == 0
 
     def test_hit_ratio(self):
         cache = QueryCache()
         assert cache.hit_ratio == 0.0  # never queried: no division by zero
-        cache.put("L1", 0, 0, "A?", ("Hit",))
-        cache.get("L1", 0, 0, "A?")  # hit
-        cache.get("L1", 0, 0, "B?")  # miss
-        cache.get("L1", 0, 0, "A?")  # hit
+        cache.put_path("L1", 0, 0, *_path("A?"), ("Hit",))
+        cache.get_path("L1", 0, 0, *_path("A?"))  # hit
+        cache.get_path("L1", 0, 0, *_path("B?"))  # miss
+        cache.get_path("L1", 0, 0, *_path("A?"))  # hit
         assert cache.hits == 2 and cache.misses == 1
         assert cache.hit_ratio == pytest.approx(2 / 3)
 
@@ -104,12 +111,12 @@ class TestQueryCache:
             ("L3", 2, 7, "A! B C? D? E?"): ("Miss", "Hit", "Hit"),
         }
         for (level, slice_index, set_index, query), outcomes in entries.items():
-            cache.put(level, slice_index, set_index, query, outcomes)
+            cache.put_path(level, slice_index, set_index, *_path(query), outcomes)
         store.save()
         reloaded = QueryCache(store=PrefixStore(str(path)))
         assert len(reloaded) == len(entries)
         for (level, slice_index, set_index, query), outcomes in entries.items():
-            assert reloaded.get(level, slice_index, set_index, query) == outcomes
+            assert reloaded.get_path(level, slice_index, set_index, *_path(query)) == outcomes
         # The reload starts with fresh statistics; the lookups above were hits.
         assert reloaded.hits == len(entries) and reloaded.misses == 0
         assert reloaded.hit_ratio == 1.0
@@ -118,7 +125,7 @@ class TestQueryCache:
         QueryCache().store.save()  # purely in-memory: must not raise
         path = tmp_path / "cache.json"
         store = PrefixStore(str(path))
-        QueryCache(store=store).put("L1", 0, 0, "A?", ("Hit",))
+        QueryCache(store=store).put_path("L1", 0, 0, *_path("A?"), ("Hit",))
         store.save()
         store.save()  # saving twice must not duplicate entries
         assert len(QueryCache(store=PrefixStore(str(path)))) == 1
@@ -145,28 +152,28 @@ class TestQueryCache:
 
     def test_outcome_count_must_match_profiled_accesses(self):
         with pytest.raises(CacheQueryError, match="profiles"):
-            QueryCache().put("L1", 0, 0, "A B?", ("Hit", "Miss"))
+            QueryCache().put_path("L1", 0, 0, *_path("A B?"), ("Hit", "Miss"))
 
     def test_prefix_of_cached_query_is_served_without_execution(self):
         """The trie rebase: a shorter query rides on a longer one's answer."""
         cache = QueryCache()
-        cache.put("L2", 0, 3, "A! B? C? D?", ("Hit", "Miss", "Hit"))
-        assert cache.get("L2", 0, 3, "A! B? C?") == ("Hit", "Miss")
-        assert cache.get("L2", 0, 3, "A! B?") == ("Hit",)
+        cache.put_path("L2", 0, 3, *_path("A! B? C? D?"), ("Hit", "Miss", "Hit"))
+        assert cache.get_path("L2", 0, 3, *_path("A! B? C?")) == ("Hit", "Miss")
+        assert cache.get_path("L2", 0, 3, *_path("A! B?")) == ("Hit",)
         # Profiling markers do not change cache state, so an unprofiled
         # variant of the same access path shares the measurements.
-        assert cache.get("L2", 0, 3, "A! B C?") == ("Miss",)
+        assert cache.get_path("L2", 0, 3, *_path("A! B C?")) == ("Miss",)
         # ...but a position never measured cannot be served.
-        cache.put("L2", 0, 3, "A! B C X?", ("Hit",))
-        assert cache.get("L2", 0, 3, "A! B C? X?") == ("Miss", "Hit")
+        cache.put_path("L2", 0, 3, *_path("A! B C X?"), ("Hit",))
+        assert cache.get_path("L2", 0, 3, *_path("A! B C? X?")) == ("Miss", "Hit")
 
     def test_conflicting_measurements_raise_non_determinism(self):
         from repro.errors import NonDeterminismError
 
         cache = QueryCache()
-        cache.put("L1", 0, 0, "A B?", ("Hit",))
+        cache.put_path("L1", 0, 0, *_path("A B?"), ("Hit",))
         with pytest.raises(NonDeterminismError):
-            cache.put("L1", 0, 0, "A B? C?", ("Miss", "Hit"))
+            cache.put_path("L1", 0, 0, *_path("A B? C?"), ("Miss", "Hit"))
 
     def test_trie_persistence_is_smaller_than_legacy_json(self, tmp_path):
         """Queries sharing a long reset prefix store it once on disk."""
@@ -195,7 +202,7 @@ class TestQueryCache:
         store = PrefixStore(str(path))
         cache = QueryCache(store=store)
         for lvl, sl, st, query, outcomes in entries:
-            cache.put(lvl, sl, st, query, outcomes)
+            cache.put_path(lvl, sl, st, *_path(query), outcomes)
         store.save()
         assert path.stat().st_size < legacy_bytes / 3
 
@@ -368,7 +375,7 @@ class TestFrontend:
             assert frontend.backend.executed_queries == executed
             assert {key[-3:] for key in frontend.cache.store.namespaces()} == {("L1", 0, 3)}
         frontend.query("B C D B?")
-        assert frontend.cache.get("L1", 0, 3, "B C D B?") is not None
+        assert frontend.cache.get_path("L1", 0, 3, *_path("B C D B?")) is not None
         assert {key[-3:] for key in frontend.cache.store.namespaces()} == {("L1", 0, 3)}
 
     def test_batch_mode_restores_target(self):
@@ -420,14 +427,15 @@ class TestConcreteQueries:
         assert len(frontend.cache) == 0 and frontend.cache.misses == 0
 
     def test_query_batch_dedupes_on_the_operation_path(self):
-        """``A B?`` spelled twice, as text and as a concrete query, runs once;
-        ``A? B?`` measures another position, so it runs too."""
+        """``A B?`` spelled twice, as text and as a concrete query, runs once:
+        the response cache answers the repeat.  ``A? B?`` measures another
+        position, so it runs too."""
         frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L1", set_index=4))
         (concrete,) = expand("A B?", frontend.associativity, frontend.blocks)
         results = frontend.query_batch(["A B?", concrete, "A? B?"])
         assert results[0] == results[1] and len(results[2][0]) == 2
         assert frontend.backend.executed_queries == 2
-        assert (frontend.cache.hits, frontend.cache.misses) == (0, 2)
+        assert (frontend.cache.hits, frontend.cache.misses) == (1, 2)
 
     def test_set_interface_expands_its_reset_once(self, monkeypatch):
         expansions = []

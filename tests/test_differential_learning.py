@@ -153,7 +153,7 @@ def _assert_ground_truth(policy_name: str, learner: str):
                 workers=workers,
                 kernel=kernel,
             )
-            assert report.extra["learner"] == learner
+            assert report.learning_result.learner == learner
             assert report.extra["kernel"] == ("scalar" if kernel == "scalar" else "python")
             assert report.extra.get("workers") == workers
             reports[(workers, kernel)] = report

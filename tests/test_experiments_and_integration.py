@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments.leader_sets import detect_leader_sets, leader_set_formula_check
 from repro.experiments.overhead import mbl_query_latency, simulated_vs_cachequery_overhead
-from repro.experiments.reporting import format_seconds, format_table, rows_as_dicts
+from repro.experiments.reporting import MODES, format_seconds, format_table, rows_as_dicts
 from repro.experiments.table2 import format_table2, run_table2, table2_configurations
 from repro.experiments.table3 import format_table3, table3_rows
 from repro.experiments.table4 import (
@@ -19,6 +20,7 @@ from repro.experiments.table4 import (
 )
 from repro.experiments.table5 import format_table5, run_table5, table5_policies
 from repro.hardware.profiles import SKYLAKE_I5_6500
+from repro.store import open_store
 
 
 class TestReporting:
@@ -33,6 +35,17 @@ class TestReporting:
 
     def test_rows_as_dicts(self):
         assert rows_as_dicts(("a",), [(1,)]) == [{"a": 1}]
+
+    @pytest.mark.parametrize(
+        "select",
+        [table2_configurations, table4_configurations, table5_policies],
+        ids=lambda select: select.__name__,
+    )
+    def test_every_table_accepts_the_modes_and_rejects_others_by_name(self, select):
+        for mode in MODES + ("FAST",):
+            assert select(mode)
+        with pytest.raises(ReproError, match="'bogus'"):
+            select("bogus")
 
 
 class TestTable2:
@@ -57,9 +70,9 @@ class TestTable2:
         """--cache-path semantics: the second run executes zero queries."""
         path = str(tmp_path / "sweep.json")
         configurations = [("LRU", 2), ("PLRU", 4)]
-        cold = run_table2(configurations=configurations, cache_path=path)
+        cold = run_table2(configurations=configurations, store=open_store(path))
         assert all(row.membership_queries > 0 for row in cold)
-        warm = run_table2(configurations=configurations, cache_path=path)
+        warm = run_table2(configurations=configurations, store=open_store(path))
         assert all(row.membership_queries == 0 for row in warm)
         assert all(row.cache_probes == 0 for row in warm)
         assert [row.learned_states for row in warm] == [
@@ -162,8 +175,6 @@ class TestTable4:
         """The CLI's ``all --cache-path F`` flow: the first CacheQuery target
         joins a fresh store Table 2 has just saved without re-reading F, so
         Table 4's saves append its own records and none of Table 2's."""
-        from repro.store import open_store
-
         path = tmp_path / "c.store"
         store = open_store(path)
         run_table2(configurations=[("LRU", 2)], store=store)

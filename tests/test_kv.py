@@ -30,8 +30,9 @@ from repro.learning.learner import LEARNER_NAMES, MealyLearner, make_learner
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
 from repro.learning.ttt import TTTLearner, TTTTree, equivalent_state_pair
 from repro.polca.interfaces import SimulatedCacheInterface
-from repro.polca.pipeline import PolicyLearningPipeline, learn_simulated_policy
+from repro.polca.pipeline import learn_policy_from_cache, learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
+from repro.store import open_store
 
 #: A 3-state minimal reference machine: ``b`` walks 0 -> 1 -> 2 -> 0 and
 #: every state has a distinct output signature.
@@ -229,8 +230,8 @@ def test_kv_issues_at_most_lstar_learner_queries(policy_name):
         make_policy(policy_name, 2), depth=1, identify=False, learner="ttt"
     )
     assert tree.machine == lstar.machine
-    assert tree.extra["learner_queries"] <= lstar.extra["learner_queries"]
-    assert tree.extra["learner_symbols"] <= lstar.extra["learner_symbols"]
+    assert tree.learning_result.learner_queries <= lstar.learning_result.learner_queries
+    assert tree.learning_result.learner_symbols <= lstar.learning_result.learner_symbols
 
 
 def test_per_round_queries_sum_to_engine_total():
@@ -253,11 +254,11 @@ class TestStoreAndResume:
         path = str(tmp_path / "tree-store.json")
         configurations = [("NRU", 2)]
         cold = run_table2(
-            configurations=configurations, cache_path=path, learner="ttt"
+            configurations=configurations, store=open_store(path), learner="ttt"
         )
         assert cold[0].membership_queries > 0
         warm = run_table2(
-            configurations=configurations, cache_path=path, learner="ttt"
+            configurations=configurations, store=open_store(path), learner="ttt"
         )
         assert warm[0].membership_queries == 0
         assert warm[0].learner_queries == 0
@@ -270,10 +271,10 @@ class TestStoreAndResume:
         path = str(tmp_path / "cross-store.json")
         configurations = [("SRRIP-HP", 2)]
         cold = run_table2(
-            configurations=configurations, cache_path=path, learner="lstar"
+            configurations=configurations, store=open_store(path), learner="lstar"
         )
         warm = run_table2(
-            configurations=configurations, cache_path=path, learner="ttt"
+            configurations=configurations, store=open_store(path), learner="ttt"
         )
         assert warm[0].learned_states == cold[0].learned_states
         assert warm[0].learner == "ttt"
@@ -331,7 +332,7 @@ class TestForcedLearnerErrors:
     def test_pipeline_rejects_unknown_learner_names(self):
         for name in ("nope", "kv"):
             with pytest.raises(LearningError, match="unknown learner"):
-                PolicyLearningPipeline(
+                learn_policy_from_cache(
                     SimulatedCacheInterface(make_policy("LRU", 2)), learner=name
                 )
 

@@ -394,7 +394,7 @@ SLOW_CODEC_SEEDS = tuple(range(10, 40))
 #: sentinel-colliding strings, ints, bools, and the learning stack's
 #: registered symbol types.
 def _codec_pools():
-    from repro.policies.base import EVICT, Line
+    from repro.core.alphabet import EVICT, Line
 
     symbols = ["A", "A!", "blk7", "\x01weird", 0, 7, True, False, Line(0), Line(3), EVICT]
     payloads = [None, "Hit", "Miss", 0, 1, 4, True, "x y z"]
@@ -527,7 +527,7 @@ def test_v1_fixture_bytes_decode_forever(tmp_path):
     from pathlib import Path
 
     import repro.learning.query_engine  # noqa: F401 — registers Line/Evict codecs
-    from repro.policies.base import EVICT, Line
+    from repro.core.alphabet import EVICT, Line
     from repro.store import PrefixStore
 
     fixture = Path(__file__).parent / "fixtures" / "store_v1_small.json"

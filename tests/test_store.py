@@ -41,12 +41,6 @@ class TestPrefixNamespace:
         assert ns.node_count == 3
         assert ns.entry_count == 1
 
-    def test_lookup_prefix(self):
-        ns = PrefixStore().namespace(("t",))
-        ns.record(("a", "b"), ("x", "y"))
-        assert ns.lookup_prefix(("a", "b", "c")) == (2, ("x", "y"))
-        assert ns.lookup_prefix(("z",)) == (0, ())
-
     def test_partial_payloads_fill_in(self):
         ns = PrefixStore().namespace(("t",))
         ns.record(("a", "b"), (None, "y"))
@@ -63,8 +57,8 @@ class TestPrefixNamespace:
     def test_membership_only_record_and_covers(self):
         ns = PrefixStore().namespace(("t",))
         ns.record(("a", "b", "c"))  # no payloads: pure marking
-        assert ns.covers(("a",)) and ns.covers(("a", "b", "c"))
-        assert not ns.covers(("a", "b", "c", "d"))
+        assert ns.lookup(("a",)) is not None and ns.lookup(("a", "b", "c")) is not None
+        assert ns.lookup(("a", "b", "c", "d")) is None
         assert ns.lookup(("a", "b", "c")) == (None, None, None)
 
     def test_payload_length_mismatch_rejected(self):
@@ -324,9 +318,9 @@ class TestSharedStoreViews:
         store = PrefixStore()
         cache = QueryCache(store=store)
         trie = ResponseTrie(store=store, namespace=("learning", "x"))
-        cache.put("L2", 0, 5, "A B?", ("Hit",))
+        cache.put_path("L2", 0, 5, ("A", "B"), (1,), ("Hit",))  # "A B?"
         trie.insert((Line(0), EVICT), ("-", 1))
-        assert cache.get("L2", 0, 5, "A B?") == ("Hit",)
+        assert cache.get_path("L2", 0, 5, ("A", "B"), (1,)) == ("Hit",)
         assert trie.lookup((Line(0), EVICT)) == ("-", 1)
         # Both live in the same store, in disjoint namespaces.
         assert store.node_count == 4
@@ -338,12 +332,15 @@ class TestSharedStoreViews:
         store = PrefixStore(str(path))
         cache = QueryCache(store=store)
         trie = ResponseTrie(store=store, namespace=("learning", "x"))
-        cache.put("L1", 0, 0, "A? B?", ("Hit", "Miss"))
+        cache.put_path("L1", 0, 0, ("A", "B"), (0, 1), ("Hit", "Miss"))  # "A? B?"
         trie.insert((Line(1),), ("-",))
         store.save()
 
         reloaded = PrefixStore(str(path))
-        assert QueryCache(store=reloaded).get("L1", 0, 0, "A? B?") == ("Hit", "Miss")
+        assert QueryCache(store=reloaded).get_path("L1", 0, 0, ("A", "B"), (0, 1)) == (
+            "Hit",
+            "Miss",
+        )
         assert ResponseTrie(store=reloaded, namespace=("learning", "x")).lookup(
             (Line(1),)
         ) == ("-",)

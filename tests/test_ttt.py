@@ -26,6 +26,7 @@ from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
 from repro.learning.ttt import TTTLearner, TTTTree
 from repro.polca.pipeline import learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
+from repro.store import open_store
 
 #: A 3-state minimal reference machine: ``b`` walks 0 -> 1 -> 2 -> 0 and
 #: every state has a distinct output signature.
@@ -162,7 +163,7 @@ class TestIncrementalSifting:
             make_policy("NRU", 2), depth=1, identify=False, learner="ttt"
         )
         assert ttt.machine == lstar.machine
-        assert ttt.extra["learner_queries"] <= lstar.extra["learner_queries"]
+        assert ttt.learning_result.learner_queries <= lstar.learning_result.learner_queries
 
 
 # --------------------------------------------------------- registry-wide cost
@@ -183,7 +184,7 @@ def test_ttt_issues_at_most_lstar_learner_queries(policy_name):
         make_policy(policy_name, 2), depth=1, identify=False, learner="ttt"
     )
     assert ttt.machine == lstar.machine
-    assert ttt.extra["learner_queries"] <= lstar.extra["learner_queries"]
+    assert ttt.learning_result.learner_queries <= lstar.learning_result.learner_queries
 
 
 def test_learner_symbols_accounting():
@@ -196,7 +197,6 @@ def test_learner_symbols_accounting():
         )
         result = report.learning_result
         assert 0 < result.learner_symbols <= result.statistics.membership_symbols
-        assert report.extra["learner_symbols"] == result.learner_symbols
 
 
 # --------------------------------------------------------- store interaction
@@ -207,11 +207,11 @@ class TestStoreAndResume:
         path = str(tmp_path / "ttt-store.json")
         configurations = [("SRRIP-HP", 2)]
         cold = run_table2(
-            configurations=configurations, cache_path=path, learner="ttt"
+            configurations=configurations, store=open_store(path), learner="ttt"
         )
         assert cold[0].membership_queries > 0
         warm = run_table2(
-            configurations=configurations, cache_path=path, learner="ttt"
+            configurations=configurations, store=open_store(path), learner="ttt"
         )
         assert warm[0].membership_queries == 0
         assert warm[0].learner_queries == 0
