@@ -2,17 +2,17 @@
 
 Three claims about the measurement store, each pinned by a benchmark:
 
-* **size** (PR 5): the trie codec stores a PLRU conformance sweep in a
+* **size**: the trie codec stores a PLRU conformance sweep in a
   fraction of the legacy per-query JSON — queries sharing an operation
   prefix store it once;
-* **per-row save cost** (this PR): the v2 append-log codec makes
+* **per-row save cost**: the v2 append-log codec makes
   ``store.save()`` after one learned row cost O(delta records), not
   O(store) — measured by byte counting through
   :func:`~repro.store.codec.track_store_io`, so the old rewrite-the-world
   behaviour cannot silently return;
-* **concurrency** (this PR): N writer processes appending disjoint and
-  overlapping namespaces into one sharded corpus lose zero records and
-  corrupt zero shards across repeated seeded runs
+* **concurrency**: N writer processes appending disjoint and overlapping
+  namespaces into one store file lose zero records, and the merged file
+  reopens, across repeated seeded runs
   (``--json BENCH_store_concurrency.json`` records the sweep).
 
 The probe texts are derived *symbolically* from the PLRU reference machine
@@ -51,7 +51,7 @@ from repro.mbl.expansion import expand
 from repro.polca.interfaces import default_block_names
 from repro.polca.reset import FlushRefillReset
 from repro.policies.registry import make_policy
-from repro.store import PrefixStore, ShardedStore, track_store_io
+from repro.store import PrefixStore, track_store_io
 
 #: Cap on suite words for the default (fast) profile.
 DEFAULT_WORD_CAP = 20_000
@@ -211,15 +211,14 @@ def assert_delta_saves_flat(metrics):
 # --------------------------------------------------------------- concurrency
 
 #: One benchmark writer: appends its own namespace plus a shared one into
-#: a sharded corpus, saving per record (one fcntl lock + catch-up per
-#: save) and timing every save.  Per-save latencies go to stdout as one
-#: JSON list.
+#: one store file, saving per record (one fcntl lock + catch-up per save)
+#: and timing every save.  Per-save latencies go to stdout as one JSON list.
 _WRITER = """
 import json, sys, time
-from repro.store import open_store
+from repro.store import PrefixStore
 
 target, writer_id, records = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-store = open_store(target, sharded=True)
+store = PrefixStore(target)
 own = store.namespace(("bench", "writer", writer_id))
 shared = store.namespace(("bench", "shared"))
 latencies = []
@@ -242,17 +241,17 @@ def percentile(values, fraction: float) -> float:
 
 
 def measure_concurrency(n_writers: int = 4, records: int = 25, runs: int = 20):
-    """N concurrent writer processes into one sharded corpus, ``runs`` times.
+    """N concurrent writer processes into one store file, ``runs`` times.
 
     Every writer takes the advisory ``fcntl`` lock (and replays the
-    others' appends) per save.  Each run verifies zero lost records and
-    zero corrupted shards before counting; any violation raises.
+    others' appends) per save.  Each run verifies that the merged file
+    reopens and lost zero records before counting; any violation raises.
     """
     wall_times = []
     save_latencies = []
     for run in range(runs):
         with tempfile.TemporaryDirectory() as tmp:
-            corpus = Path(tmp) / "corpus.shards"
+            corpus = Path(tmp) / "corpus.json"
             start = time.perf_counter()
             processes = [
                 subprocess.Popen(
@@ -271,7 +270,7 @@ def measure_concurrency(n_writers: int = 4, records: int = 25, runs: int = 20):
                 save_latencies.extend(json.loads(stdout))
             wall_times.append(time.perf_counter() - start)
 
-            merged = ShardedStore(corpus)  # raises on any corrupted shard
+            merged = PrefixStore(str(corpus))  # raises on a corrupted file
             for w in range(n_writers):
                 own = merged.namespace(("bench", "writer", w))
                 words = {word for word, _ in own.iter_entries()}
@@ -286,7 +285,7 @@ def measure_concurrency(n_writers: int = 4, records: int = 25, runs: int = 20):
         "records_per_writer": records * 2,
         "runs": runs,
         "lost_records": 0,
-        "corrupted_shards": 0,
+        "corrupted_stores": 0,
         "mean_run_seconds": sum(wall_times) / len(wall_times),
         "records_per_second": total_records / (sum(wall_times) / len(wall_times)),
         "mean_save_seconds": sum(save_latencies) / len(save_latencies),
@@ -314,7 +313,7 @@ def test_concurrent_writers_smoke():
     """Fast profile: two runs of 4 concurrent writers, nothing lost."""
     metrics = measure_concurrency(n_writers=4, records=10, runs=2)
     assert metrics["lost_records"] == 0
-    assert metrics["corrupted_shards"] == 0
+    assert metrics["corrupted_stores"] == 0
     assert metrics["p99_save_seconds"] > 0
 
 
@@ -332,7 +331,7 @@ def test_concurrent_writers_twenty_seeded_runs():
     """The acceptance configuration: 20 runs of N=4 writers, zero losses."""
     metrics = measure_concurrency(n_writers=4, records=25, runs=20)
     assert metrics["lost_records"] == 0
-    assert metrics["corrupted_shards"] == 0
+    assert metrics["corrupted_stores"] == 0
 
 
 # ----------------------------------------------------------------- standalone
@@ -362,14 +361,14 @@ def main(argv=None):
         "for the O(store) rewrite"
     )
 
-    print("\n== Concurrent writers into one sharded corpus ==")
+    print("\n== Concurrent writers into one store file ==")
     runs = 20 if "--full" in argv or "--json" in argv else 3
     concurrency = measure_concurrency(runs=runs)
     print(
         f"{concurrency['writers']} writers x "
         f"{concurrency['records_per_writer']} records x {concurrency['runs']} runs: "
         f"{concurrency['lost_records']} lost records, "
-        f"{concurrency['corrupted_shards']} corrupted shards, "
+        f"{concurrency['corrupted_stores']} corrupted stores, "
         f"{concurrency['mean_run_seconds'] * 1000:.0f} ms/run "
         f"({concurrency['records_per_second']:.0f} records/s, "
         f"p99 save {concurrency['p99_save_seconds'] * 1000:.1f} ms)"

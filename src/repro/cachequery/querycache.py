@@ -23,7 +23,7 @@ learning engine's ``ResponseTrie`` uses — keyed by the target
 
 The cache holds no file of its own: persistence is the store's job.  A
 frontend cache persists through the store it is handed —
-``CacheQuery(cpu, store=open_store(path))`` … ``store.save()`` — exactly
+``CacheQuery(cpu, store=PrefixStore(path))`` … ``store.save()`` — exactly
 like the learning trie beside it.
 """
 
@@ -69,8 +69,8 @@ class QueryCache:
 
     ``QueryCache(store)`` records into ``store`` — possibly shared with the
     learning trie of the same run, possibly bound to a file by
-    :func:`~repro.store.open_store` — and ``QueryCache()`` into a fresh
-    in-memory :class:`~repro.store.PrefixStore`.
+    ``PrefixStore(path)`` — and ``QueryCache()`` into a fresh in-memory
+    :class:`~repro.store.PrefixStore`.
     """
 
     def __init__(

@@ -34,12 +34,9 @@ from repro.polca.algorithm import POLCA_KERNELS
 def _make_store(cache_path: Optional[str]):
     if cache_path is None:
         return None
-    from repro.store import open_store
+    from repro.store import PrefixStore
 
-    # A directory (or trailing-separator / .shards path) opens a sharded
-    # corpus — one append-log file per namespace — a plain file the classic
-    # single-file store.
-    return open_store(cache_path)
+    return PrefixStore(cache_path)
 
 
 def _print_store(store, rows) -> None:
@@ -142,18 +139,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--cache-path",
         default=None,
         metavar="PATH",
-        help="persistent prefix store shared by the run's response caches "
-        "and learning tries (table2/table4): a file, or a directory (or "
-        ".shards path) for a sharded corpus; saved after every row, so an "
-        "interrupted sweep resumes from what it already measured, and "
-        "processes sharing it serialise their saves on fcntl file locks",
+        help="persistent prefix store file shared by the run's response "
+        "caches and learning tries (table2/table4), in an existing "
+        "directory; saved after every row, so an interrupted sweep resumes "
+        "from what it already measured, and processes sharing it serialise "
+        "their saves on its fcntl file lock",
     )
     parser.add_argument(
         "--store-compact",
         action="store_true",
         help="after the run, fold the --cache-path store's append log back "
-        "into a compact snapshot (every shard, for sharded directory "
-        "corpora); saves happen incrementally either way",
+        "into a compact snapshot; saves happen incrementally either way",
     )
     parser.add_argument(
         "--kernel",
@@ -183,6 +179,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # flag validation happens here, before any store/experiment work starts.
     if arguments.workers is not None and arguments.workers < 0:
         parser.error("--workers must be >= 0 (0 means serial)")
+    if arguments.sets < 1:
+        parser.error("--sets must be >= 1 (leader-sets scans sets 0..N-1)")
     if arguments.store_compact and arguments.cache_path is None:
         parser.error("--store-compact needs --cache-path")
     store = _make_store(arguments.cache_path)

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.adaptive import AdaptiveSetSelector
 from repro.cachequery.backend import BackendConfig
 from repro.cachequery.frontend import CacheQuery, CacheQueryConfig
+from repro.errors import ReproError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import SKYLAKE_I5_6500, CPUProfile
 from repro.hardware.timing import NoiseModel
@@ -91,6 +92,8 @@ def detect_leader_sets(
     if set_indexes is None:
         set_indexes = range(0, 128)
     set_indexes = tuple(set_indexes)
+    if not set_indexes:
+        raise ReproError("detect_leader_sets needs at least one set index to scan")
 
     cpu = SimulatedCPU(base_profile, noise=NoiseModel(std=0.0))
     if spec.supports_cat and cat_ways < spec.associativity:

@@ -155,11 +155,11 @@ def run_table2(
     :mod:`repro.learning.parallel`).  ``store`` places every
     configuration's query engine in one shared
     :class:`~repro.store.PrefixStore` (one namespace per policy target),
-    saved after every row, so with a path-backed store
-    (:func:`~repro.store.open_store`) an interrupted sweep resumes from what
-    it already measured.  ``kernel`` selects the simulator
-    execution strategy (``auto``/``scalar``); answers, machines
-    and probe columns are identical across kernels.  ``learner`` selects the
+    saved after every row, so with a file-backed store
+    (``PrefixStore(path)``) an interrupted sweep resumes from what it
+    already measured.  ``kernel`` selects the simulator execution strategy
+    (``auto``/``scalar``); answers, machines and probe columns are
+    identical across kernels.  ``learner`` selects the
     student (``"lstar"`` or ``"ttt"``); both learn identical minimal
     machines, so state and match columns are learner-invariant.
     """

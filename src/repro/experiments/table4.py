@@ -324,7 +324,7 @@ def run_table4(
     """Run the hardware-learning experiment for every configured target.
 
     ``store`` shares one :class:`~repro.store.PrefixStore` (possibly
-    path-backed, see :func:`~repro.store.open_store`) across every
+    file-backed, ``PrefixStore(path)``) across every
     (CPU, level) target — frontend response caches and learning tries
     alike, one namespace per target — saved after every configuration.
     """

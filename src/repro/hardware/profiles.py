@@ -11,7 +11,7 @@ these policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.cache.adaptive import AdaptiveSetSelector

@@ -83,6 +83,8 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if depth < 0:
+            raise LearningError(f"depth must be >= 0, got {depth}")
         self.oracle = oracle
         self.depth = depth
         self.max_tests = max_tests

@@ -71,17 +71,13 @@ register_symbol_codec("Ev", Evict, lambda s: "", lambda t: EVICT)
 class ResponseTrie:
     """A prefix tree mapping input words to output words.
 
-    Since PR 5 this is a thin learning-flavoured view over a
-    :class:`~repro.store.PrefixStore` namespace — the same substrate the
-    CacheQuery frontend's ``QueryCache`` uses — so one store instance (and
-    one on-disk file) can back both caching stacks.  ``store`` may equally
-    be a directory-backed :class:`~repro.store.ShardedStore`, which places
-    this trie's namespace in its own append-log shard (its own writer
-    lock), so concurrent learning jobs over disjoint targets share one
-    corpus without contending.  The semantics are unchanged: caching the
-    answer of ``u·v`` caches the answer of every prefix of ``u·v`` in the
-    same O(|u·v|) nodes, and inserting an answer that disagrees with a
-    stored prefix raises :class:`~repro.errors.NonDeterminismError`.
+    A thin learning-flavoured view over a :class:`~repro.store.PrefixStore`
+    namespace — the same substrate the CacheQuery frontend's ``QueryCache``
+    uses — so one store instance (and one on-disk file) can back both
+    caching stacks.  Caching the answer of ``u·v`` caches the answer of
+    every prefix of ``u·v`` in the same O(|u·v|) nodes, and inserting an
+    answer that disagrees with a stored prefix raises
+    :class:`~repro.errors.NonDeterminismError`.
     """
 
     def __init__(
@@ -89,8 +85,6 @@ class ResponseTrie:
         store: Optional[PrefixStore] = None,
         namespace: Sequence[Hashable] = DEFAULT_LEARNING_NAMESPACE,
     ) -> None:
-        # Any object with the PrefixStore namespace surface works here —
-        # in particular a ShardedStore (see the class docstring).
         self.store = store if store is not None else PrefixStore()
         self._namespace = self.store.namespace(namespace)
 

@@ -41,7 +41,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cache.cacheset import HIT, MISS
 from repro.core.alphabet import (
-    EVICT,
     MISS_OUTPUT,
     Evict,
     Line,

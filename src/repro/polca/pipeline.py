@@ -108,7 +108,6 @@ def learn_policy_from_cache(
     depth: int = 1,
     identify: bool = True,
     identification_candidates: Optional[Sequence[str]] = None,
-    max_tests: Optional[int] = None,
     workers: Optional[int] = None,
     store=None,
     kernel: str = "auto",
@@ -148,7 +147,7 @@ def learn_policy_from_cache(
     derive = getattr(cache, "store_namespace", None)
     namespace = ("learning",) + (tuple(derive()) if callable(derive) else ())
     engine = CachedMembershipOracle(pool or polca, store=store, namespace=namespace)
-    equivalence = ConformanceEquivalenceOracle(engine, depth=depth, max_tests=max_tests)
+    equivalence = ConformanceEquivalenceOracle(engine, depth=depth)
     student = make_learner(learner, polca.alphabet(), engine, equivalence)
     try:
         result = student.learn()

@@ -5,12 +5,10 @@ Public surface:
 * :class:`~repro.store.prefix_store.PrefixStore` /
   :class:`~repro.store.prefix_store.PrefixNamespace` — the namespaced
   symbol-keyed trie both the learning engine's ``ResponseTrie`` and the
-  CacheQuery frontend's ``QueryCache`` are views over;
-* :class:`~repro.store.shards.ShardedStore` / :func:`~repro.store.shards.open_store`
-  — directory-backed corpora with one append-log file (and one writer
-  lock) per namespace key, and the path-polymorphic opener behind
-  ``--cache-path``, the one way to persist or share a corpus: processes
-  sharing one serialise their saves on each file's ``fcntl`` lock;
+  CacheQuery frontend's ``QueryCache`` are views over.  ``PrefixStore(path)``
+  binds a store to one append-log file, the one way to persist or share a
+  corpus (the ``--cache-path`` of the experiment CLI): processes sharing
+  it serialise their saves on the file's ``fcntl`` lock;
 * the codec helpers of :mod:`repro.store.codec` — the version-2 append-log
   persistence (v1 read-compatible) with corruption diagnostics, the
   symbol registry for non-string trie symbols, and the
@@ -29,7 +27,6 @@ from repro.store.codec import (
     track_store_io,
 )
 from repro.store.prefix_store import AUTO_COMPACT_MIN_BYTES, PrefixNamespace, PrefixStore
-from repro.store.shards import ShardedStore, open_store, shard_filename
 
 __all__ = [
     "AUTO_COMPACT_MIN_BYTES",
@@ -38,12 +35,9 @@ __all__ = [
     "PrefixStore",
     "STORE_FORMAT",
     "STORE_VERSION",
-    "ShardedStore",
     "StoreIO",
     "decode_symbol",
     "encode_symbol",
-    "open_store",
     "register_symbol_codec",
-    "shard_filename",
     "track_store_io",
 ]

@@ -63,9 +63,9 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from repro.errors import StoreCorruptionError, StoreError
 
@@ -303,17 +303,14 @@ def encode_delta_record(key, word, payloads, terminal: bool) -> list:
     ]
 
 
-def encode_header(generation: int, extra: Optional[dict] = None) -> dict:
+def encode_header(generation: int) -> dict:
     """Render the v2 header line."""
-    header = {"format": STORE_FORMAT, "version": STORE_VERSION, "generation": generation}
-    if extra:
-        header.update(extra)
-    return header
+    return {"format": STORE_FORMAT, "version": STORE_VERSION, "generation": generation}
 
 
-def render_snapshot(store, generation: int, extra: Optional[dict] = None) -> bytes:
+def render_snapshot(store, generation: int) -> bytes:
     """Render the full header + snapshot byte image of a store."""
-    header = json.dumps(encode_header(generation, extra), separators=(",", ":"))
+    header = json.dumps(encode_header(generation), separators=(",", ":"))
     snapshot = json.dumps(
         {"snapshot": encode_snapshot_entries(store)}, separators=(",", ":")
     )
@@ -329,11 +326,9 @@ def render_delta(records: Sequence[tuple]) -> bytes:
     return (json.dumps({"delta": encoded}, separators=(",", ":")) + "\n").encode()
 
 
-def write_snapshot_file(
-    path: Path, store, generation: int, extra: Optional[dict] = None
-) -> int:
+def write_snapshot_file(path: Path, store, generation: int) -> int:
     """Atomically write a compact snapshot; return the bytes written."""
-    data = render_snapshot(store, generation, extra)
+    data = render_snapshot(store, generation)
     replace_file_bytes(path, data)
     return len(data)
 
@@ -468,7 +463,6 @@ class LoadReport:
     recovered_records: int = 0
     discarded_bytes: int = 0
     migrated: bool = False
-    header_extra: dict = field(default_factory=dict)
 
 
 def decode_delta_entry(path: Path, entry) -> DeltaRecord:
@@ -596,11 +590,6 @@ def parse_store_data(path: Path, data: bytes, store) -> LoadReport:
     generation = header.get("generation")
     if not isinstance(generation, int):
         raise _corrupt(path, f"missing or non-integer generation ({generation!r})")
-    header_extra = {
-        name: value
-        for name, value in header.items()
-        if name not in ("format", "version", "generation")
-    }
 
     snapshot_start = first_newline + 1
     snapshot_newline = data.find(b"\n", snapshot_start)
@@ -631,7 +620,6 @@ def parse_store_data(path: Path, data: bytes, store) -> LoadReport:
         valid_end=valid_end,
         recovered_records=len(records),
         discarded_bytes=discarded,
-        header_extra=header_extra,
     )
 
 

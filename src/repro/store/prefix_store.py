@@ -35,14 +35,11 @@ views over:
   torn final line (see :class:`~repro.store.codec.LoadReport`).
 
 Persistence is the store's alone: a store is bound to one file when it is
-built and saves only there, :func:`~repro.store.shards.open_store` decides
-what a path means, and the views never open, merge or save files
+built and saves only there, and the views never open, merge or save files
 themselves.  The store is deliberately generic: symbols are hashable keys
 (strings persist natively; other types persist through the codec's symbol
 registry), payloads are JSON scalars, and no learning- or MBL-specific
-logic lives here.  For corpora shared by many independent sweeps, see
-:class:`~repro.store.shards.ShardedStore`, which spreads namespaces over
-one file (one lock, one log) per namespace key.
+logic lives here.
 """
 
 from __future__ import annotations
@@ -75,8 +72,7 @@ def _warn_fcntl_missing() -> None:
         "fcntl is unavailable on this platform: the measurement store cannot "
         "lock out concurrent writers; a second writer touching this file "
         "will be detected on catch-up and rejected with a StoreError instead "
-        "of risking corruption (keep one writer per store file, or give "
-        "concurrent writers disjoint namespaces of a sharded corpus)",
+        "of risking corruption (keep one writer per store file)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -96,12 +92,18 @@ AUTO_COMPACT_MIN_BYTES = 64 * 1024
 def _store_file(value) -> Optional[Path]:
     """``value`` as a store file path; its directory must already exist.
 
-    Checked when a store binds its path, so a typo'd ``--cache-path`` fails
-    before any learning instead of at the first save's lock file.
+    Checked when a store binds its path, so a typo'd ``--cache-path`` (or
+    one naming a directory) fails before any learning instead of at the
+    first load or save.
     """
     if value is None:
         return None
     path = Path(value)
+    if path.is_dir() or str(value).endswith(os.sep):
+        raise StoreError(
+            f"cannot use store file {value}: it names a directory, and a store "
+            f"is one append-log file; name a file instead, e.g. {path / 'store.json'}"
+        )
     if not path.parent.is_dir():
         raise StoreError(
             f"cannot use store file {path}: its directory {path.parent} does "
@@ -365,28 +367,17 @@ class PrefixStore:
     :class:`~repro.errors.StoreCorruptionError` naming the file.
     :meth:`save` appends the journaled delta since the last save to that
     file, compacting back to a snapshot when the log outgrows it.  A store
-    without a path is purely in-memory and journals nothing.
+    without a path is purely in-memory and journals nothing; a path naming
+    a directory raises :class:`~repro.errors.StoreError`.
     """
 
-    #: Duck-typing marker consumers use to tell file-backed stores from
-    #: directory-backed :class:`~repro.store.shards.ShardedStore` corpora.
-    sharded = False
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        *,
-        header_extra: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self._path = _store_file(path)
         self._namespaces: Dict[NamespaceKey, PrefixNamespace] = {}
         #: Replayable mutation records (key, word, payloads, terminal)
         #: accumulated since the last save; only kept for path-backed stores.
         self._journal: List[tuple] = []
         self._journal_suspended = 0
-        #: Extra header fields persisted in the v2 header line (e.g. the
-        #: shard key a :class:`~repro.store.shards.ShardedStore` stamps).
-        self.header_extra = dict(header_extra) if header_extra else {}
         #: Set when the in-memory state cannot be expressed as an append
         #: (cleared or dropped namespaces, a v1 file still on disk): the
         #: next save rewrites a full snapshot.
@@ -408,8 +399,6 @@ class PrefixStore:
             self._generation = self.load_report.generation
             self._synced_offset = self.load_report.valid_end
             self._snapshot_end = self.load_report.snapshot_end
-            if self.load_report.header_extra and not self.header_extra:
-                self.header_extra = dict(self.load_report.header_extra)
             if self.load_report.migrated:
                 self._migrate_on_open()
 
@@ -493,7 +482,6 @@ class PrefixStore:
             "generation": self._generation,
             "log_bytes": max(0, self._synced_offset - self._snapshot_end),
             "pending_records": len(self._journal),
-            "sharded": False,
         }
 
     # ------------------------------------------------------------- persistence
@@ -538,7 +526,7 @@ class PrefixStore:
                 # (and appended!) between our read and our lock acquisition.
                 version, _generation = read_header(self._path)
                 if version < STORE_VERSION:
-                    size = write_snapshot_file(self._path, self, 1, self.header_extra)
+                    size = write_snapshot_file(self._path, self, 1)
                     self._generation = 1
                     self._snapshot_end = size
                     self._synced_offset = size
@@ -584,8 +572,7 @@ class PrefixStore:
                     f"{self._synced_offset} of {size} bytes) but fcntl "
                     "locking is unavailable on this platform: concurrent "
                     "writers cannot be serialised — keep one writer per "
-                    "store file, or give each writer disjoint namespaces of "
-                    "a sharded corpus (a directory --cache-path)"
+                    "store file"
                 )
         if version < STORE_VERSION or generation != self._generation:
             # The file was compacted (or rewritten) behind our back — or we
@@ -630,7 +617,7 @@ class PrefixStore:
         from repro.store.codec import render_snapshot, replace_file_bytes
 
         generation = max(self._generation, 0) + 1
-        data = render_snapshot(self, generation, self.header_extra)
+        data = render_snapshot(self, generation)
         replace_file_bytes(self._path, data)
         self._generation = generation
         self._snapshot_end = len(data)

@@ -11,7 +11,7 @@ generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import SynthesisError

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.alphabet import EVICT, Line, policy_input_alphabet
 from repro.core.mealy import MealyMachine, shortest_counterexample
@@ -35,7 +35,7 @@ from repro.errors import SynthesisError
 from repro.learning.wpmethod import characterization_set, state_cover
 from repro.policies.base import ReplacementPolicy
 from repro.synthesis.grammar import GrammarConfig, extended_grammar, simple_grammar
-from repro.synthesis.rules import EvictionRule, NormalizationRule, UpdateRule
+from repro.synthesis.rules import UpdateRule
 from repro.synthesis.template import ExplanationProgram
 
 Word = Tuple

@@ -20,7 +20,7 @@ from repro.experiments.table4 import (
 )
 from repro.experiments.table5 import format_table5, run_table5, table5_policies
 from repro.hardware.profiles import SKYLAKE_I5_6500
-from repro.store import open_store
+from repro.store import PrefixStore
 
 
 class TestReporting:
@@ -70,9 +70,9 @@ class TestTable2:
         """--cache-path semantics: the second run executes zero queries."""
         path = str(tmp_path / "sweep.json")
         configurations = [("LRU", 2), ("PLRU", 4)]
-        cold = run_table2(configurations=configurations, store=open_store(path))
+        cold = run_table2(configurations=configurations, store=PrefixStore(path))
         assert all(row.membership_queries > 0 for row in cold)
-        warm = run_table2(configurations=configurations, store=open_store(path))
+        warm = run_table2(configurations=configurations, store=PrefixStore(path))
         assert all(row.membership_queries == 0 for row in warm)
         assert all(row.cache_probes == 0 for row in warm)
         assert [row.learned_states for row in warm] == [
@@ -153,8 +153,6 @@ class TestTable4:
 
     def test_one_store_backs_frontend_and_learning_trie(self, tmp_path):
         """The acceptance shape: one PrefixStore holds both caching stacks."""
-        from repro.store import PrefixStore
-
         store = PrefixStore(str(tmp_path / "t4.json"))
         configuration = Table4Configuration(
             cpu="i5-6500", level="L2", set_index=5, reduce_associativity=2
@@ -176,7 +174,7 @@ class TestTable4:
         joins a fresh store Table 2 has just saved without re-reading F, so
         Table 4's saves append its own records and none of Table 2's."""
         path = tmp_path / "c.store"
-        store = open_store(path)
+        store = PrefixStore(path)
         run_table2(configurations=[("LRU", 2)], store=store)
         header = path.read_bytes().splitlines()[0]
         table2_end = path.stat().st_size
@@ -198,7 +196,6 @@ class TestTable4:
         again; Polca replays the same probes, and the frontend's response
         cache answers them all without executing a query."""
         from repro.cachequery.backend import CacheQueryBackend
-        from repro.store import PrefixStore
 
         configuration = Table4Configuration(
             cpu="i7-8550U", level="L1", set_index=0, reduce_associativity=2
@@ -296,6 +293,32 @@ class TestCLIFlags:
             table2_module.table2_configurations = original
         assert not (tmp_path / "nonexistent").exists()
 
+    def test_cache_path_naming_a_directory_fails_before_learning(
+        self, tmp_path, monkeypatch
+    ):
+        """A store is one file: a directory ``--cache-path`` is refused with
+        the fix before any learning starts, not opened or half-read."""
+        from repro.errors import StoreError
+        from repro.experiments import cli
+
+        monkeypatch.setattr(
+            cli, "run_table2", lambda *args, **kwargs: pytest.fail("learning started")
+        )
+        with pytest.raises(StoreError) as error:
+            cli.main(["table2", "--cache-path", str(tmp_path)])
+        assert type(error.value) is StoreError
+        assert "names a directory" in str(error.value)
+        assert str(tmp_path / "store.json") in str(error.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leader_sets_needs_at_least_one_set(self, capsys):
+        from repro.experiments.cli import main
+
+        for count in ("0", "-2"):
+            with pytest.raises(SystemExit):
+                main(["leader-sets", "--sets", count])
+            assert "--sets must be >= 1" in capsys.readouterr().err
+
     def test_store_compact_without_cache_path_rejected(self, capsys):
         from repro.experiments.cli import main
 
@@ -352,6 +375,10 @@ class TestOverheadAndLeaderSets:
         leaders = leader_set_formula_check(1024)
         assert leaders[0] == 0 and len(leaders) == 16
         assert all((s & 0x2) == 0 for s in leaders)
+
+    def test_leader_set_detection_rejects_an_empty_scan(self):
+        with pytest.raises(ReproError, match="at least one set"):
+            detect_leader_sets(set_indexes=[])
 
     def test_leader_set_detection_agrees_with_formula(self):
         detection = detect_leader_sets(set_indexes=range(0, 36), repetitions=3)

@@ -32,7 +32,7 @@ from repro.learning.ttt import TTTLearner, TTTTree, equivalent_state_pair
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_policy_from_cache, learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
-from repro.store import open_store
+from repro.store import PrefixStore
 
 #: A 3-state minimal reference machine: ``b`` walks 0 -> 1 -> 2 -> 0 and
 #: every state has a distinct output signature.
@@ -254,11 +254,11 @@ class TestStoreAndResume:
         path = str(tmp_path / "tree-store.json")
         configurations = [("NRU", 2)]
         cold = run_table2(
-            configurations=configurations, store=open_store(path), learner="ttt"
+            configurations=configurations, store=PrefixStore(path), learner="ttt"
         )
         assert cold[0].membership_queries > 0
         warm = run_table2(
-            configurations=configurations, store=open_store(path), learner="ttt"
+            configurations=configurations, store=PrefixStore(path), learner="ttt"
         )
         assert warm[0].membership_queries == 0
         assert warm[0].learner_queries == 0
@@ -271,10 +271,10 @@ class TestStoreAndResume:
         path = str(tmp_path / "cross-store.json")
         configurations = [("SRRIP-HP", 2)]
         cold = run_table2(
-            configurations=configurations, store=open_store(path), learner="lstar"
+            configurations=configurations, store=PrefixStore(path), learner="lstar"
         )
         warm = run_table2(
-            configurations=configurations, store=open_store(path), learner="ttt"
+            configurations=configurations, store=PrefixStore(path), learner="ttt"
         )
         assert warm[0].learned_states == cold[0].learned_states
         assert warm[0].learner == "ttt"

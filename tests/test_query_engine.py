@@ -1,6 +1,7 @@
 """Tests for the batched, trie-backed query engine and its satellite fixes."""
 
 import random
+import warnings
 
 import pytest
 
@@ -394,6 +395,32 @@ class TestConformanceBatchingAndTruncation:
         oracle = FunctionOracle(_echo)
         with pytest.raises(ValueError):
             ConformanceEquivalenceOracle(oracle, batch_size=0)
+
+    def test_negative_depth_rejected_at_construction(self):
+        oracle = FunctionOracle(_echo)
+        with warnings.catch_warnings():
+            # Not the non-minimal-hypothesis fallback's warning first.
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LearningError, match="depth must be >= 0"):
+                ConformanceEquivalenceOracle(oracle, depth=-1)
+
+    def test_negative_depth_fails_before_polca_answers_a_query(self, monkeypatch):
+        from repro.polca.pipeline import learn_simulated_policy
+
+        answered = []
+        for name in ("output_query", "output_query_batch"):
+            original = getattr(PolcaMembershipOracle, name)
+
+            def counting(self, words, _original=original, _name=name):
+                answered.append(_name)
+                return _original(self, words)
+
+            monkeypatch.setattr(PolcaMembershipOracle, name, counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LearningError, match="depth must be >= 0"):
+                learn_simulated_policy(make_policy("PLRU", 4), depth=-1)
+        assert answered == []
 
 
 class TestPolcaBatch:

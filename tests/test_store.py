@@ -207,6 +207,40 @@ class TestCodecRoundTrip:
             PrefixStore(str(missing))
         assert str(missing.parent) in str(error.value)
 
+    @pytest.mark.parametrize("spelling", ["existing", "trailing-separator"])
+    def test_directory_path_is_store_error_naming_a_file(self, tmp_path, spelling):
+        # A store is one file: a directory is refused when the store is
+        # built, with the fix, not read as a corrupted store file, and a
+        # path spelled as a directory is not created as a file.
+        target = tmp_path if spelling == "existing" else tmp_path / "new"
+        text = str(target) + ("" if spelling == "existing" else os.sep)
+        with pytest.raises(StoreError) as error:
+            PrefixStore(text)
+        assert type(error.value) is StoreError
+        assert "names a directory" in str(error.value)
+        assert str(target / "store.json") in str(error.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_header_field_of_a_former_shard_file_is_ignored(self, tmp_path):
+        # Directory corpora stamped each file's namespace key into the v2
+        # header; such a file opens, appends and compacts as a plain store.
+        path = tmp_path / "old.shard"
+        written = PrefixStore(str(path))
+        written.namespace(("mbl", "L2", 0, 3)).record(("A", "B"), (None, "Hit"))
+        written.save()
+        header, rest = path.read_bytes().split(b"\n", 1)
+        stamped = {**json.loads(header), "shard": ["mbl", "L2", 0, 3]}
+        path.write_bytes(json.dumps(stamped).encode() + b"\n" + rest)
+
+        store = PrefixStore(str(path))
+        namespace = store.namespace(("mbl", "L2", 0, 3))
+        assert namespace.lookup(("A", "B")) == (None, "Hit")
+        namespace.record(("A", "C"), (None, "Miss"))
+        store.save()
+        assert PrefixStore(str(path)).namespace(("mbl", "L2", 0, 3)).entry_count == 2
+        store.compact()
+        assert "shard" not in json.loads(path.read_bytes().split(b"\n", 1)[0])
+
     def test_save_without_path_is_noop(self):
         PrefixStore().save()
 

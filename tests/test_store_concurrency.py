@@ -1,12 +1,15 @@
-"""Multi-writer stress tests for the sharded measurement store.
+"""Multi-writer stress tests for the measurement store file.
 
-N real writer processes append into one corpus — disjoint namespaces
-(each writer its own shard) and an overlapping namespace (every writer
-the same shard, serialised by its advisory lock).  The promises under
-test:
+N real writer processes append into one store file — disjoint namespaces
+(each writer its own) and an overlapping namespace (every writer the
+same one), serialised by the file's advisory lock.  Two kinds of writer
+run: ``single-file`` writers only append, ``compacting`` writers also
+rewrite the file as a fresh snapshot now and then, so the others' next
+save finds a new generation and must re-read the whole file.  The
+promises under test:
 
 * **no lost records** — every record every writer saved is present
-  afterwards, whether writers contended on one shard or not;
+  afterwards, whether writers appended or compacted under contention;
 * **cross-writer conflict detection** — two writers measuring the same
   prefix differently produce :class:`~repro.errors.NonDeterminismError`
   in the later writer's save, exactly like a broken reset within one
@@ -15,7 +18,6 @@ test:
   concurrent writers re-executes 0 membership queries.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -24,30 +26,30 @@ from pathlib import Path
 import pytest
 
 from repro.errors import NonDeterminismError
-from repro.store import PrefixStore, ShardedStore
+from repro.store import PrefixStore
 
 N_WRITERS = 4
 RECORDS_PER_WRITER = 25
 
 #: One writer process: appends its disjoint rows and the shared rows into
-#: the corpus, saving after every record (the per-row save discipline of
-#: run_table2/run_table4).  Modes: "clean" payloads agree across writers;
-#: "conflict" makes this writer disagree on the shared words.
+#: the store file, saving after every record (the per-row save discipline
+#: of run_table2/run_table4).  Modes: "clean" payloads agree across
+#: writers; "conflict" makes this writer disagree on the shared words.  A
+#: "compacting" writer compacts on every fifth record, staggered by writer.
 WRITER = """
-import json, sys
-from pathlib import Path
-from repro.store import PrefixStore, ShardedStore
+import sys
+from repro.store import PrefixStore
 from repro.errors import NonDeterminismError
 
 corpus, writer_id, records, mode, kind = sys.argv[1:6]
 writer_id, records = int(writer_id), int(records)
-store = ShardedStore(corpus) if kind == "sharded" else PrefixStore(corpus)
+store = PrefixStore(corpus)
 own = store.namespace(("mbl", "cpu", "L2", 0, writer_id))
 shared = store.namespace(("mbl", "cpu", "L2", 0, 999))
 try:
     for i in range(records):
         own.record((f"w{writer_id}", f"blk{i}"), (None, "Hit"))
-        store.save()
+        store.save(compact=kind == "compacting" and (i + writer_id) % 5 == 0)
         outcome = "Miss" if mode == "conflict" and writer_id % 2 else "Hit"
         shared.record((f"shared{i % 5}", f"s{i}"), (None, outcome))
         store.save()
@@ -84,18 +86,14 @@ def run_writers(corpus: Path, *, mode: str, kind: str) -> list:
     return results
 
 
-def reopen(corpus: Path, kind: str):
-    return ShardedStore(corpus) if kind == "sharded" else PrefixStore(str(corpus))
-
-
-@pytest.mark.parametrize("kind", ["sharded", "single-file"])
+@pytest.mark.parametrize("kind", ["single-file", "compacting"])
 class TestConcurrentWriters:
     def test_no_lost_records(self, tmp_path, kind):
-        corpus = tmp_path / ("corpus.shards" if kind == "sharded" else "corpus.json")
+        corpus = tmp_path / "corpus.json"
         results = run_writers(corpus, mode="clean", kind=kind)
         assert [code for code, _ in results] == [0] * N_WRITERS
 
-        merged = reopen(corpus, kind)
+        merged = PrefixStore(str(corpus))
         for writer_id in range(N_WRITERS):
             own = merged.namespace(("mbl", "cpu", "L2", 0, writer_id))
             words = {word for word, _ in own.iter_entries()}
@@ -111,7 +109,7 @@ class TestConcurrentWriters:
             assert shared.lookup(word) == (None, "Hit")
 
     def test_conflicting_writers_raise_nondeterminism(self, tmp_path, kind):
-        corpus = tmp_path / ("corpus.shards" if kind == "sharded" else "corpus.json")
+        corpus = tmp_path / "corpus.json"
         results = run_writers(corpus, mode="conflict", kind=kind)
         codes = sorted(code for code, _ in results)
         # Writers 1 and 3 record "Miss" where 0 and 2 record "Hit": whoever
@@ -125,23 +123,23 @@ class TestConcurrentWriters:
             if code == 23:
                 assert "NONDETERMINISM" in stdout
 
-        # The surviving corpus still loads and agrees with itself.
-        merged = reopen(corpus, kind)
+        # The surviving store still loads and agrees with itself.
+        merged = PrefixStore(str(corpus))
         assert merged.namespace(("mbl", "cpu", "L2", 0, 0)).entry_count > 0
 
     def test_stress_twenty_seeded_rounds(self, tmp_path, kind):
-        """20 short two-writer rounds over one corpus: zero corrupted
-        shards, zero lost records (the acceptance-criteria sweep)."""
-        corpus = tmp_path / ("corpus.shards" if kind == "sharded" else "corpus.json")
+        """20 short two-writer rounds over one store file: it reopens every
+        time, zero lost records (the acceptance-criteria sweep)."""
+        corpus = tmp_path / "corpus.json"
         script = """
 import sys
-from repro.store import PrefixStore, ShardedStore
+from repro.store import PrefixStore
 corpus, writer_id, round_id, kind = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
-store = ShardedStore(corpus) if kind == "sharded" else PrefixStore(corpus)
+store = PrefixStore(corpus)
 ns = store.namespace(("stress", writer_id % 2))
 for i in range(5):
     ns.record((f"r{round_id}", f"w{writer_id}", f"b{i}"), (None, None, "Hit"))
-    store.save()
+    store.save(compact=kind == "compacting" and i == 2 + writer_id)
 """
         for round_id in range(20):
             processes = [
@@ -154,15 +152,15 @@ for i in range(5):
             for process in processes:
                 assert process.wait(timeout=180) == 0
 
-        merged = reopen(corpus, kind)
-        for shard_key in ((("stress", 0)), (("stress", 1))):
-            ns = merged.namespace(shard_key)
+        merged = PrefixStore(str(corpus))
+        for key in (("stress", 0), ("stress", 1)):
+            ns = merged.namespace(key)
             words = {word for word, _ in ns.iter_entries()}
             expected = {
                 (f"r{r}", f"w{w}", f"b{i}")
                 for r in range(20)
                 for w in (0, 1)
-                if w % 2 == shard_key[1]
+                if w % 2 == key[1]
                 for i in range(5)
             }
             assert words == expected
@@ -218,19 +216,19 @@ class TestInProcessInterleaving:
 
 class TestWarmStartAfterConcurrentPopulation:
     def test_sharded_warm_start_reexecutes_zero_queries(self, tmp_path):
+        """A sweep over one store file that concurrent writer processes
+        populated (the id predates the one-file layout)."""
         from repro.experiments.table2 import run_table2
-        from repro.store import open_store
 
-        corpus = tmp_path / "corpus.shards"
+        corpus = tmp_path / "corpus.json"
         configurations = [("LRU", 2), ("FIFO", 2)]
-        # Populate the corpus concurrently: one writer process per policy.
+        # Populate the store concurrently: one writer process per policy.
         script = """
 import sys
 from repro.experiments.table2 import run_table2
-from repro.store import open_store
+from repro.store import PrefixStore
 corpus, policy = sys.argv[1], sys.argv[2]
-store = open_store(corpus, sharded=True)
-run_table2(configurations=[(policy, 2)], store=store)
+run_table2(configurations=[(policy, 2)], store=PrefixStore(corpus))
 """
         processes = [
             subprocess.Popen(
@@ -242,8 +240,9 @@ run_table2(configurations=[(policy, 2)], store=store)
         for process in processes:
             assert process.wait(timeout=300) == 0
 
-        warm = open_store(str(corpus))
-        assert warm.sharded
+        warm = PrefixStore(str(corpus))
+        # Both writers' learning tries landed in the one file.
+        assert sorted(key[2] for key in warm.namespaces()) == ["FIFO", "LRU"]
         rows = run_table2(configurations=configurations, store=warm)
         assert [row.membership_queries for row in rows] == [0, 0]
         assert all(row.identified for row in rows)

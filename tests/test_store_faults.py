@@ -31,7 +31,7 @@ import pytest
 import repro.learning.query_engine  # noqa: F401 - registers the Ln/Ev symbol codecs
 from repro.core.alphabet import EVICT, Line
 from repro.errors import StoreCorruptionError, StoreError
-from repro.store import PrefixStore, ShardedStore, open_store, track_store_io
+from repro.store import PrefixStore, track_store_io
 from repro.store.codec import load_store_file
 
 NS = ("mbl", "cpu", "L2", 0, 21)
@@ -302,46 +302,6 @@ class TestKillNineWriter:
             assert report.discarded_bytes == cut - report.valid_end
 
 
-class TestShardFaults:
-    def test_damaged_shard_header_is_corruption(self, tmp_path):
-        corpus = ShardedStore(tmp_path / "corpus.shards")
-        corpus.namespace(NS).record(("A",), ("Hit",))
-        corpus.save()
-        shard = corpus.shard_path(NS)
-        shard.write_bytes(b"not json\n" + shard.read_bytes())
-        fresh = ShardedStore(tmp_path / "corpus.shards")
-        with pytest.raises(StoreCorruptionError):
-            fresh.namespaces()
-
-    def test_renamed_shard_detected_as_mismatch(self, tmp_path):
-        corpus = ShardedStore(tmp_path / "corpus.shards")
-        corpus.namespace(NS).record(("A",), ("Hit",))
-        corpus.save()
-        other_key = ("mbl", "cpu", "L2", 0, 22)
-        os.replace(corpus.shard_path(NS), corpus.shard_path(other_key))
-        fresh = ShardedStore(tmp_path / "corpus.shards")
-        with pytest.raises(StoreCorruptionError, match="stamped"):
-            fresh.namespace(other_key)
-
-    def test_torn_shard_tail_recovers_like_single_file(self, tmp_path):
-        corpus = ShardedStore(tmp_path / "corpus.shards")
-        corpus.namespace(NS).record(("A",), ("Hit",))
-        corpus.save()
-        corpus.namespace(NS).record(("B",), ("Miss",))
-        corpus.save()
-        shard = corpus.shard_path(NS)
-        shard.write_bytes(shard.read_bytes()[:-5])
-        fresh = ShardedStore(tmp_path / "corpus.shards")
-        assert fresh.namespace(NS).lookup(("A",)) == ("Hit",)
-        assert fresh.namespace(NS).lookup(("B",)) is None
-
-    def test_file_where_directory_expected_is_store_error(self, tmp_path):
-        target = tmp_path / "corpus.shards"
-        target.write_text("plain file")
-        with pytest.raises(StoreError):
-            open_store(str(target), sharded=True)
-
-
 class TestDeltaSaveCost:
     """The O(delta) fix for the O(store) save pinned in
     benchmarks/bench_store_persistence.py, asserted by byte counting."""
@@ -382,21 +342,6 @@ class TestDeltaSaveCost:
         with track_store_io() as io:
             store.save()
         assert io.bytes_written == 0
-
-    def test_sharded_save_touches_only_dirty_shards(self, tmp_path):
-        corpus = ShardedStore(tmp_path / "corpus.shards")
-        other = ("mbl", "cpu", "L2", 0, 22)
-        for i in range(50):
-            corpus.namespace(NS).record((f"a{i}",), ("Hit",))
-            corpus.namespace(other).record((f"b{i}",), ("Miss",))
-        corpus.save()
-        clean_mtime = corpus.shard_path(other).stat().st_mtime_ns
-
-        corpus.namespace(NS).record(("fresh",), ("Hit",))
-        with track_store_io() as io:
-            corpus.save()
-        assert corpus.shard_path(other).stat().st_mtime_ns == clean_mtime
-        assert io.bytes_written < 200  # one delta line on one shard
 
 
 class TestLoadReportSurface:

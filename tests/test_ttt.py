@@ -26,7 +26,7 @@ from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
 from repro.learning.ttt import TTTLearner, TTTTree
 from repro.polca.pipeline import learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
-from repro.store import open_store
+from repro.store import PrefixStore
 
 #: A 3-state minimal reference machine: ``b`` walks 0 -> 1 -> 2 -> 0 and
 #: every state has a distinct output signature.
@@ -207,11 +207,11 @@ class TestStoreAndResume:
         path = str(tmp_path / "ttt-store.json")
         configurations = [("SRRIP-HP", 2)]
         cold = run_table2(
-            configurations=configurations, store=open_store(path), learner="ttt"
+            configurations=configurations, store=PrefixStore(path), learner="ttt"
         )
         assert cold[0].membership_queries > 0
         warm = run_table2(
-            configurations=configurations, store=open_store(path), learner="ttt"
+            configurations=configurations, store=PrefixStore(path), learner="ttt"
         )
         assert warm[0].membership_queries == 0
         assert warm[0].learner_queries == 0
