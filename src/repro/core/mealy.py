@@ -6,16 +6,33 @@ This module provides the automaton model used everywhere in the library:
 * the learner (our LearnLib substitute) produces hypotheses as Mealy machines;
 * the synthesizer checks candidate programs by Mealy trace-equivalence.
 
-The implementation favours explicit data structures over cleverness: a
-machine is a set of states with a transition map ``(state, input) -> state``
-and an output map ``(state, input) -> output``.  States can be arbitrary
-hashable objects (policy control states, observation-table rows, age
-vectors), which keeps the rest of the code free of encoding concerns.
+A machine is defined by a set of states, an input alphabet, a transition map
+``(state, input) -> state`` and an output map ``(state, input) -> output``.
+States can be arbitrary hashable objects (policy control states,
+observation-table rows, age vectors), which keeps the rest of the code free
+of encoding concerns.
+
+The constructor validates the definition once and stores it as *rows*, one
+dict per state: ``rows[state][input] == (successor, output)``.  The rows are
+the machine's only stored transition function, and every walk (running a
+word, the breadth-first searches, partition refinement) reads one row per
+state it visits instead of building a ``(state, input)`` key per symbol.
+Nothing writes to the rows after construction.
+:attr:`MealyMachine.transitions` and :attr:`MealyMachine.outputs` stay
+readable as ``(state, input)``-keyed mappings, but they are read-only views
+over the rows: writing to them raises :class:`TypeError`, so they can never
+disagree with the rows, and a changed machine is a new machine built
+through the constructor.
+
+A definition must be exact: a missing transition or output, a transition to
+an unknown state, and a stray key outside ``states x inputs`` each raise
+:class:`MealyDefinitionError` naming the key.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -35,12 +52,58 @@ from repro.errors import ReproError
 State = Hashable
 Input = Hashable
 Output = Hashable
+Row = Dict[Input, Tuple[State, Output]]
 
 StateT = TypeVar("StateT", bound=Hashable)
 
 
 class MealyDefinitionError(ReproError):
     """The machine definition is incomplete or inconsistent."""
+
+
+class _RowColumn(Mapping):
+    """A read-only ``(state, input)``-keyed view of one column of a
+    machine's rows: the successors (column 0) or the outputs (column 1).
+
+    It compares equal to any mapping with the same items, plain dicts
+    included, and has no item assignment.
+    """
+
+    __slots__ = ("_rows", "_column")
+
+    def __init__(self, rows: Dict[State, Row], column: int) -> None:
+        self._rows = rows
+        self._column = column
+
+    def __getitem__(self, key):
+        try:
+            state, symbol = key
+            return self._rows[state][symbol][self._column]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return ((state, symbol) for state, row in self._rows.items() for symbol in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _stray_key(mapping: Mapping, rows: Dict[State, Row]):
+    """Return the first key of ``mapping`` that is no ``(state, input)`` pair
+    of ``rows``, or ``None``."""
+    for key in mapping:
+        try:
+            state, symbol = key
+            if symbol in rows[state]:
+                continue
+        except (KeyError, TypeError, ValueError):
+            pass
+        return key
+    return None
 
 
 @dataclass
@@ -56,38 +119,68 @@ class MealyMachine:
     inputs:
         The input alphabet.
     transitions:
-        Mapping ``(state, input) -> successor state``.
+        Mapping ``(state, input) -> successor state``, with exactly one key
+        per pair of ``states x inputs``.
     outputs:
-        Mapping ``(state, input) -> output symbol``.
+        Mapping ``(state, input) -> output symbol``, with the same keys.
+    name:
+        Optional label, carried through the transformations.
+
+    The constructor stores the validated definition in :attr:`rows`,
+    ``rows[state][input] == (successor, output)``, and replaces
+    ``transitions`` and ``outputs`` by read-only views over them.  Two
+    machines are equal when their states (in order), initial state, inputs
+    (in order), name and rows are.
     """
 
     states: List[State]
     initial_state: State
     inputs: List[Input]
-    transitions: Dict[Tuple[State, Input], State]
-    outputs: Dict[Tuple[State, Input], Output]
+    transitions: Mapping = field(compare=False)
+    outputs: Mapping = field(compare=False)
     name: str = ""
-    _state_set: set = field(init=False, repr=False, default_factory=set)
+    rows: Dict[State, Row] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.states = list(self.states)
-        self.inputs = list(self.inputs)
-        self._state_set = set(self.states)
-        if len(self._state_set) != len(self.states):
+        states = list(self.states)
+        inputs = list(self.inputs)
+        transitions = self.transitions
+        outputs = self.outputs
+        state_set = set(states)
+        if len(state_set) != len(states):
             raise MealyDefinitionError("duplicate states in machine definition")
-        if self.initial_state not in self._state_set:
+        if self.initial_state not in state_set:
             raise MealyDefinitionError(f"initial state {self.initial_state!r} not in states")
-        for state in self.states:
-            for symbol in self.inputs:
+        rows: Dict[State, Row] = {}
+        for state in states:
+            row: Row = {}
+            for symbol in inputs:
                 key = (state, symbol)
-                if key not in self.transitions:
+                if key not in transitions:
                     raise MealyDefinitionError(f"missing transition for {key!r}")
-                if key not in self.outputs:
+                if key not in outputs:
                     raise MealyDefinitionError(f"missing output for {key!r}")
-                if self.transitions[key] not in self._state_set:
+                successor = transitions[key]
+                if successor not in state_set:
                     raise MealyDefinitionError(
-                        f"transition {key!r} leads to unknown state {self.transitions[key]!r}"
+                        f"transition {key!r} leads to unknown state {successor!r}"
                     )
+                row[symbol] = (successor, outputs[key])
+            rows[state] = row
+        # Every pair of states x inputs is a key of both maps, so a longer
+        # map holds a key outside them.
+        pairs = len(states) * len(rows[self.initial_state])
+        for mapping, kind in ((transitions, "transition"), (outputs, "output")):
+            if len(mapping) != pairs:
+                raise MealyDefinitionError(
+                    f"stray {kind} for {_stray_key(mapping, rows)!r}: "
+                    "not a (state, input) pair of the machine"
+                )
+        self.states = states
+        self.inputs = inputs
+        self.rows = rows
+        self.transitions = _RowColumn(rows, 0)
+        self.outputs = _RowColumn(rows, 1)
 
     # ------------------------------------------------------------------ basic
 
@@ -98,11 +191,10 @@ class MealyMachine:
 
     def step(self, state: State, symbol: Input) -> Tuple[State, Output]:
         """Return ``(successor, output)`` for one input symbol."""
-        key = (state, symbol)
         try:
-            return self.transitions[key], self.outputs[key]
+            return self.rows[state][symbol]
         except KeyError as exc:
-            raise MealyDefinitionError(f"no transition for {key!r}") from exc
+            raise MealyDefinitionError(f"no transition for {(state, symbol)!r}") from exc
 
     def run(self, word: Sequence[Input], state: Optional[State] = None) -> Tuple[Output, ...]:
         """Return the output word produced when reading ``word``.
@@ -112,31 +204,26 @@ class MealyMachine:
         input symbol are collected.
         """
         current = self.initial_state if state is None else state
-        transitions = self.transitions
-        outputs = self.outputs
+        rows = self.rows
         produced: List[Output] = []
         append = produced.append
-        key = None
         try:
             for symbol in word:
-                key = (current, symbol)
-                append(outputs[key])
-                current = transitions[key]
+                current, output = rows[current][symbol]
+                append(output)
         except KeyError as exc:
-            raise MealyDefinitionError(f"no transition for {key!r}") from exc
+            raise MealyDefinitionError(f"no transition for {(current, symbol)!r}") from exc
         return tuple(produced)
 
     def state_after(self, word: Sequence[Input], state: Optional[State] = None) -> State:
         """Return the state reached after reading ``word``."""
         current = self.initial_state if state is None else state
-        transitions = self.transitions
-        key = None
+        rows = self.rows
         try:
             for symbol in word:
-                key = (current, symbol)
-                current = transitions[key]
+                current = rows[current][symbol][0]
         except KeyError as exc:
-            raise MealyDefinitionError(f"no transition for {key!r}") from exc
+            raise MealyDefinitionError(f"no transition for {(current, symbol)!r}") from exc
         return current
 
     def trace(self, word: Sequence[Input]) -> Trace:
@@ -151,28 +238,30 @@ class MealyMachine:
 
     def reachable(self) -> "MealyMachine":
         """Return the sub-machine restricted to states reachable from the initial state."""
+        rows = self.rows
         seen = {self.initial_state}
         order = [self.initial_state]
         queue = deque(order)
         while queue:
-            state = queue.popleft()
-            for symbol in self.inputs:
-                successor = self.transitions[(state, symbol)]
+            for successor, _ in rows[queue.popleft()].values():
                 if successor not in seen:
                     seen.add(successor)
                     order.append(successor)
                     queue.append(successor)
-        transitions = {
-            (state, symbol): self.transitions[(state, symbol)]
-            for state in order
-            for symbol in self.inputs
-        }
-        outputs = {
-            (state, symbol): self.outputs[(state, symbol)]
-            for state in order
-            for symbol in self.inputs
-        }
-        return MealyMachine(order, self.initial_state, list(self.inputs), transitions, outputs, self.name)
+        return self._from_rows(order, self.initial_state, {state: rows[state] for state in order})
+
+    def _from_rows(
+        self, states: List[State], initial_state: State, rows: Dict[State, Row]
+    ) -> "MealyMachine":
+        """A machine over ``rows`` (a dict of this machine's row shape) with
+        this machine's inputs and name, validated by the constructor."""
+        transitions = {}
+        outputs = {}
+        for state, row in rows.items():
+            for symbol, (successor, output) in row.items():
+                transitions[(state, symbol)] = successor
+                outputs[(state, symbol)] = output
+        return MealyMachine(states, initial_state, self.inputs, transitions, outputs, self.name)
 
     def equivalence_blocks(self) -> Dict[State, int]:
         """Block index of every state in the coarsest partition of
@@ -184,20 +273,20 @@ class MealyMachine:
         stops growing.  The coarsest stable partition is unique, so which
         states share a block does not depend on the labels.
         """
-        inputs = self.inputs
+        rows = self.rows
         index: Dict[Tuple, int] = {}
         block_of: Dict[State, int] = {}
-        for state in self.states:
-            signature = tuple(self.outputs[(state, symbol)] for symbol in inputs)
+        for state, row in rows.items():
+            signature = tuple(output for _, output in row.values())
             block_of[state] = index.setdefault(signature, len(index))
         while True:
             count = len(index)
             index = {}
             refined: Dict[State, int] = {}
-            for state in self.states:
+            for state, row in rows.items():
                 key = (
                     block_of[state],
-                    tuple(block_of[self.transitions[(state, symbol)]] for symbol in inputs),
+                    tuple(block_of[successor] for successor, _ in row.values()),
                 )
                 refined[state] = index.setdefault(key, len(index))
             block_of = refined
@@ -215,19 +304,15 @@ class MealyMachine:
         machine = self.reachable()
         block_of = machine.equivalence_blocks()
         representative = {block: state for state, block in block_of.items()}
-        transitions: Dict[Tuple[State, Input], State] = {}
-        outputs: Dict[Tuple[State, Input], Output] = {}
-        for block, state in representative.items():
-            for symbol in machine.inputs:
-                transitions[(block, symbol)] = block_of[machine.transitions[(state, symbol)]]
-                outputs[(block, symbol)] = machine.outputs[(state, symbol)]
-        quotient = MealyMachine(
-            list(representative),
-            block_of[machine.initial_state],
-            list(machine.inputs),
-            transitions,
-            outputs,
-            machine.name,
+        rows = {
+            block: {
+                symbol: (block_of[successor], output)
+                for symbol, (successor, output) in machine.rows[state].items()
+            }
+            for block, state in representative.items()
+        }
+        quotient = machine._from_rows(
+            list(representative), block_of[machine.initial_state], rows
         )
         return quotient.relabel()
 
@@ -236,17 +321,14 @@ class MealyMachine:
         order: :meth:`reachable`'s state order."""
         machine = self.reachable()
         numbering = {state: number for number, state in enumerate(machine.states)}
-        transitions = {
-            (numbering[state], symbol): numbering[successor]
-            for (state, symbol), successor in machine.transitions.items()
+        rows = {
+            numbering[state]: {
+                symbol: (numbering[successor], output)
+                for symbol, (successor, output) in row.items()
+            }
+            for state, row in machine.rows.items()
         }
-        outputs = {
-            (numbering[state], symbol): output
-            for (state, symbol), output in machine.outputs.items()
-        }
-        return MealyMachine(
-            list(range(len(numbering))), 0, list(machine.inputs), transitions, outputs, machine.name
-        )
+        return machine._from_rows(list(range(len(numbering))), 0, rows)
 
     # ------------------------------------------------------------ comparison
 
@@ -274,10 +356,8 @@ class MealyMachine:
         for state in self.states:
             lines.append(f'  s{index[state]} [shape=circle, label="{state}"];')
         lines.append(f"  __start -> s{index[self.initial_state]};")
-        for state in self.states:
-            for symbol in self.inputs:
-                succ = self.transitions[(state, symbol)]
-                out = self.outputs[(state, symbol)]
+        for state, row in self.rows.items():
+            for symbol, (succ, out) in row.items():
                 lines.append(
                     f'  s{index[state]} -> s{index[succ]} [label="{symbol}/{out}"];'
                 )
@@ -286,13 +366,11 @@ class MealyMachine:
 
     def transition_table(self) -> List[Tuple[State, Input, Output, State]]:
         """Return the machine as a flat list of ``(state, input, output, successor)`` rows."""
-        rows = []
-        for state in self.states:
-            for symbol in self.inputs:
-                rows.append(
-                    (state, symbol, self.outputs[(state, symbol)], self.transitions[(state, symbol)])
-                )
-        return rows
+        return [
+            (state, symbol, output, successor)
+            for state, row in self.rows.items()
+            for symbol, (successor, output) in row.items()
+        ]
 
 
 def shortest_counterexample(
@@ -318,17 +396,16 @@ def shortest_counterexample(
     Raises :class:`MealyDefinitionError` when more than ``max_pairs`` pairs
     are visited.
     """
+    rows = machine.rows
     start = (machine.initial_state, initial_state)
     visited = {start}
     queue: deque = deque([(start, ())])
     while queue:
         (state_a, state_b), word = queue.popleft()
-        for symbol in machine.inputs:
-            next_a, out_a = machine.step(state_a, symbol)
+        for symbol, (next_a, out_a) in rows[state_a].items():
             next_b, out_b = step(state_b, symbol)
-            extended = word + (symbol,)
             if out_a != out_b:
-                return extended
+                return word + (symbol,)
             pair = (next_a, next_b)
             if pair not in visited:
                 if max_pairs is not None and len(visited) >= max_pairs:
@@ -336,7 +413,7 @@ def shortest_counterexample(
                         f"product walk exceeded max_pairs={max_pairs}"
                     )
                 visited.add(pair)
-                queue.append((pair, extended))
+                queue.append((pair, word + (symbol,)))
     return None
 
 

@@ -184,8 +184,15 @@ class RandomWalkEquivalenceOracle:
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        alphabet = tuple(alphabet)
+        if not alphabet:
+            raise ValueError("alphabet must not be empty")
+        if min_length > max_length:
+            raise ValueError(
+                f"min_length must be <= max_length, got {min_length} > {max_length}"
+            )
         self.oracle = oracle
-        self.alphabet = tuple(alphabet)
+        self.alphabet = alphabet
         self.num_words = num_words
         self.min_length = min_length
         self.max_length = max_length

@@ -47,7 +47,6 @@ An oracle *may* implement one extension on top of the mandatory
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import EVICT, Evict, Line
@@ -125,36 +124,30 @@ def dedupe_and_subsume(words: Sequence[Sequence[Input]]) -> List[Word]:
     word in the batch: its answer is a slice of the longer word's answer, so
     executing the maximal words answers the whole batch.  The empty word is
     always dropped (its answer is the empty output word).
+
+    Only a prefix whose length is the length of some batch word can be a
+    batch word, so each word probes its prefixes at the batch's distinct
+    word lengths shorter than itself against the batch's own set, and drops
+    each prefix found there.  Symbols need only be hashable, never ordered,
+    and a batch whose words share one length probes nothing.  A word pays
+    one slice per distinct shorter length, which is cheap for the engine's
+    batches (suite chunks and table fills span a few lengths) but grows
+    quadratically with word length in batches of long words of many
+    lengths, such as random walks.
     """
-    unique: List[Word] = []
-    seen = set()
-    for word in words:
-        word = tuple(word)
-        if word and word not in seen:
-            seen.add(word)
-            unique.append(word)
-    if len(unique) <= 1:
-        return unique
-    # Map symbols to integer ids so words become comparable key lists
-    # (symbols themselves need not be orderable), then sort: in
-    # lexicographic order every proper prefix sits immediately before one
-    # of its extensions, so a single next-neighbour check per word replaces
-    # materializing (and hashing) every prefix of every word — the
-    # difference between O(total symbols) and O(total symbols * length) on
-    # the deep batches of the tabulated kernels.  Any injective numbering
-    # finds the same prefixes, so the batch's distinct symbols are numbered
-    # in set order and each key is built by one ``map``.
-    symbol_ids = {symbol: code for code, symbol in enumerate(set(chain.from_iterable(unique)))}
-    code_of = symbol_ids.__getitem__
-    keys: List[List[int]] = [list(map(code_of, word)) for word in unique]
-    order = sorted(range(len(unique)), key=keys.__getitem__)
+    unique = dict.fromkeys(map(tuple, words))
+    unique.pop((), None)
+    shorter_lengths = sorted(set(map(len, unique)))[:-1]
     dropped = set()
-    for here, there in zip(order, order[1:]):
-        key = keys[here]
-        longer = keys[there]
-        if len(key) < len(longer) and longer[: len(key)] == key:
-            dropped.add(here)
-    return [word for index, word in enumerate(unique) if index not in dropped]
+    for word in unique:
+        size = len(word)
+        for length in shorter_lengths:
+            if length >= size:
+                break
+            prefix = word[:length]
+            if prefix in unique:
+                dropped.add(prefix)
+    return [word for word in unique if word not in dropped]
 
 
 def partition_batch(

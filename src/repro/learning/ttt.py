@@ -368,7 +368,7 @@ class TTTTree:
         source = hypothesis.state_after(word[:low])
         symbol = word[low]
         new_access = access[source] + (symbol,)
-        confused_state = hypothesis.transitions[(source, symbol)]
+        confused_state, _ = hypothesis.step(source, symbol)
         self.split(self._leaves[access[confused_state]], new_access, suffix)
 
     def split(self, leaf: _Leaf, new_access: Word, suffix: Word) -> _Leaf:

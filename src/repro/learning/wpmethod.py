@@ -66,13 +66,13 @@ Word = Tuple[Input, ...]
 
 def state_cover(machine: MealyMachine) -> Dict[Hashable, Word]:
     """Return a shortest access word for every state (BFS from the initial state)."""
+    rows = machine.rows
     cover: Dict[Hashable, Word] = {machine.initial_state: ()}
     frontier: List[Hashable] = [machine.initial_state]
     while frontier:
         next_frontier: List[Hashable] = []
         for state in frontier:
-            for symbol in machine.inputs:
-                successor, _ = machine.step(state, symbol)
+            for symbol, (successor, _) in rows[state].items():
                 if successor not in cover:
                     cover[successor] = cover[state] + (symbol,)
                     next_frontier.append(successor)
@@ -116,25 +116,23 @@ def _distinguishing_suffix(
         hit = cache.get(pair_key)
         if hit is not None:
             return hit
-    transitions = machine.transitions
-    outputs = machine.outputs
-    inputs = machine.inputs
+    rows = machine.rows
     visited: Set[Tuple[Hashable, Hashable]] = {(state_a, state_b)}
     queue: Deque[Tuple[Hashable, Hashable, Word]] = deque([(state_a, state_b, ())])
     while queue:
         current_a, current_b, word = queue.popleft()
-        for symbol in inputs:
-            key_a = (current_a, symbol)
-            key_b = (current_b, symbol)
-            extended = word + (symbol,)
-            if outputs[key_a] != outputs[key_b]:
+        row_b = rows[current_b]
+        for symbol, (next_a, out_a) in rows[current_a].items():
+            next_b, out_b = row_b[symbol]
+            if out_a != out_b:
+                extended = word + (symbol,)
                 if cache is not None:
                     cache[pair_key] = extended
                 return extended
-            pair = (transitions[key_a], transitions[key_b])
+            pair = (next_a, next_b)
             if pair not in visited:
                 visited.add(pair)
-                queue.append((pair[0], pair[1], extended))
+                queue.append((next_a, next_b, word + (symbol,)))
     raise LearningError(
         "states are equivalent; the machine is not minimal"
     )

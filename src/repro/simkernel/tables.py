@@ -169,10 +169,11 @@ def tabulate_policy(policy, *, max_states: int = None) -> TabulatedPolicy:
     next_state = []
     outputs = []
     for state in machine.states:
+        row = machine.rows[state]
         for symbol in symbols:
-            key = (state, symbol)
-            next_state.append(index[machine.transitions[key]])
-            outputs.append(_encode_output(machine.outputs[key], associativity, policy.name))
+            successor, output = row[symbol]
+            next_state.append(index[successor])
+            outputs.append(_encode_output(output, associativity, policy.name))
     return TabulatedPolicy(
         name=f"{policy.name}-{associativity}",
         associativity=associativity,

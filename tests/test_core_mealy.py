@@ -1,5 +1,7 @@
 """Unit and property tests for the Mealy machine core."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,59 @@ class TestConstruction:
     def test_transition_to_unknown_state_rejected(self):
         with pytest.raises(MealyDefinitionError):
             MealyMachine(["s"], "s", ["a"], {("s", "a"): "t"}, {("s", "a"): 0})
+
+    def test_stray_keys_rejected(self):
+        with pytest.raises(MealyDefinitionError, match=r"stray transition for \('s', 'b'\)"):
+            MealyMachine(
+                ["s"],
+                "s",
+                ["a"],
+                {("s", "a"): "s", ("s", "b"): "t", ("u", "a"): "s"},
+                {("s", "a"): 0, ("s", "b"): 1},
+            )
+        with pytest.raises(MealyDefinitionError, match=r"stray output for \('u', 'a'\)"):
+            MealyMachine(
+                ["s"], "s", ["a"], {("s", "a"): "s"}, {("s", "a"): 0, ("u", "a"): 1}
+            )
+
+    def test_transitions_and_outputs_are_read_only(self):
+        machine = _toggle_machine()
+        with pytest.raises(TypeError):
+            machine.transitions[("even", "a")] = "even"
+        with pytest.raises(TypeError):
+            machine.outputs[("even", "a")] = 9
+        with pytest.raises(TypeError):
+            del machine.outputs[("even", "a")]
+        assert machine.run(["a"]) == (0,)
+
+    def test_views_compare_equal_to_plain_dicts(self):
+        machine = _toggle_machine()
+        transitions = {
+            ("even", "a"): "odd",
+            ("even", "b"): "even",
+            ("odd", "a"): "even",
+            ("odd", "b"): "odd",
+        }
+        assert machine.transitions == transitions
+        assert transitions == machine.transitions
+        assert machine.outputs == _toggle_machine().outputs
+        assert ("even", "a") in machine.transitions
+        assert ("even", "c") not in machine.transitions
+        assert "even" not in machine.transitions
+        assert len(machine.outputs) == 4
+
+    def test_pickle_round_trip_gives_an_equal_machine(self):
+        machine = make_policy("PLRU", 4).to_mealy().minimize()
+        copy = pickle.loads(pickle.dumps(machine))
+        assert copy == machine
+        assert copy.transitions == machine.transitions
+        assert copy.outputs == machine.outputs
+        words = [tuple(machine.inputs) * 3, tuple(reversed(machine.inputs)) * 2, ()]
+        for word in words:
+            assert copy.run(word) == machine.run(word)
+            assert copy.state_after(word) == machine.state_after(word)
+        with pytest.raises(TypeError):
+            copy.outputs[(0, machine.inputs[0])] = "x"
 
 
 class TestSemantics:
@@ -124,9 +179,12 @@ class TestEquivalence:
 
     def test_counterexample_is_shortest(self):
         machine = _toggle_machine()
-        other = _toggle_machine()
         # Flip one output: the counterexample must be the single symbol word.
-        other.outputs[("even", "a")] = 9
+        outputs = dict(machine.outputs)
+        outputs[("even", "a")] = 9
+        other = MealyMachine(
+            machine.states, machine.initial_state, machine.inputs, machine.transitions, outputs
+        )
         counterexample = machine.find_counterexample(other)
         assert counterexample == ("a",)
 

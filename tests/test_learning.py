@@ -174,15 +174,11 @@ class TestWpMethod:
         machine = make_policy("FIFO", 4).to_mealy().minimize()
         suite = w_method_suite(machine, depth=1)
         # Mutate one output; some word of the suite must expose it.
+        outputs = dict(machine.outputs)
+        outputs[next(iter(outputs))] = 99
         mutated = MealyMachine(
-            list(machine.states),
-            machine.initial_state,
-            list(machine.inputs),
-            dict(machine.transitions),
-            dict(machine.outputs),
+            machine.states, machine.initial_state, machine.inputs, machine.transitions, outputs
         )
-        key = next(iter(mutated.outputs))
-        mutated.outputs[key] = 99
         assert any(machine.run(word) != mutated.run(word) for word in suite)
 
     def test_wp_suite_is_not_larger_than_w_suite(self):

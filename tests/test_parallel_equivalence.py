@@ -358,3 +358,13 @@ class TestRandomWalkBatching:
         engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU", 2)))
         with pytest.raises(ValueError):
             RandomWalkEquivalenceOracle(engine, ("a",), batch_size=0)
+
+    def test_random_walk_rejects_an_empty_alphabet(self):
+        engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU", 2)))
+        with pytest.raises(ValueError, match="alphabet"):
+            RandomWalkEquivalenceOracle(engine, ())
+
+    def test_random_walk_rejects_min_length_above_max_length(self):
+        engine = CachedMembershipOracle(MealyMachineOracle(_machine("LRU", 2)))
+        with pytest.raises(ValueError, match="min_length"):
+            RandomWalkEquivalenceOracle(engine, ("a",), min_length=5, max_length=4)

@@ -102,6 +102,45 @@ class TestDedupeAndSubsume:
         words = [("b", "b"), ("a",), ("a", "c")]
         assert dedupe_and_subsume(words) == [("b", "b"), ("a", "c")]
 
+    def test_matches_a_brute_force_reference_on_seeded_batches(self):
+        def reference(words):
+            words = [tuple(word) for word in words]
+            maximal = []
+            for word in words:
+                if not word or word in maximal:
+                    continue
+                if any(len(other) > len(word) and other[: len(word)] == word for other in words):
+                    continue
+                maximal.append(word)
+            return maximal
+
+        # object() symbols hash but do not order.
+        symbols = [object() for _ in range(3)]
+        lengths_seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            batch = []
+            for _ in range(rng.randint(0, 40)):
+                roll = rng.random()
+                if batch and roll < 0.25:
+                    batch.append(rng.choice(batch))  # a duplicate
+                elif batch and roll < 0.5:
+                    base = rng.choice(batch)  # a prefix or an extension
+                    cut = rng.randint(0, len(base))
+                    extension = [rng.choice(symbols) for _ in range(rng.randint(0, 4))]
+                    batch.append(tuple(base[:cut]) + tuple(extension))
+                elif roll < 0.55:
+                    batch.append(())
+                else:
+                    length = rng.choice((rng.randint(1, 4), rng.randint(10, 14)))
+                    batch.append(tuple(rng.choice(symbols) for _ in range(length)))
+            # Half the batches hand lists, as callers outside the engine may.
+            if seed % 2:
+                batch = [list(word) for word in batch]
+            lengths_seen.update(map(len, batch))
+            assert dedupe_and_subsume(batch) == reference(batch), seed
+        assert 0 in lengths_seen and max(lengths_seen) >= 14
+
 
 class TestPartitionBatch:
     def test_counts_known_words_and_subsumes_only_the_misses(self):
