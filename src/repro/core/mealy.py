@@ -27,6 +27,14 @@ through the constructor.
 A definition must be exact: a missing transition or output, a transition to
 an unknown state, and a stray key outside ``states x inputs`` each raise
 :class:`MealyDefinitionError` naming the key.
+
+Code that already holds rows builds the machine with
+:meth:`MealyMachine.from_rows`, which validates them the same way and
+keeps the row dicts instead of going through two ``(state, input)``-keyed
+maps.  Enumerating a policy (:func:`mealy_from_step_function`), the
+transformations (:meth:`~MealyMachine.reachable`,
+:meth:`~MealyMachine.minimize`, :meth:`~MealyMachine.relabel`) and the L*
+hypothesis all do.
 """
 
 from __future__ import annotations
@@ -92,6 +100,30 @@ class _RowColumn(Mapping):
         return repr(dict(self.items()))
 
 
+def _state_set(states: List[State], initial_state: State) -> set:
+    """The states as a set, once they hold no duplicate and the initial state."""
+    state_set = set(states)
+    if len(state_set) != len(states):
+        raise MealyDefinitionError("duplicate states in machine definition")
+    if initial_state not in state_set:
+        raise MealyDefinitionError(f"initial state {initial_state!r} not in states")
+    return state_set
+
+
+def _ordered_row(state: State, row: Mapping, inputs: List[Input]) -> Row:
+    """``row`` laid out in ``inputs`` order, once it has exactly their keys."""
+    for symbol in inputs:
+        if symbol not in row:
+            raise MealyDefinitionError(f"missing transition for {(state, symbol)!r}")
+    ordered = {symbol: row[symbol] for symbol in inputs}
+    if len(ordered) != len(row):
+        stray = next(symbol for symbol in row if symbol not in ordered)
+        raise MealyDefinitionError(
+            f"stray transition for {(state, stray)!r}: not a (state, input) pair of the machine"
+        )
+    return ordered
+
+
 def _stray_key(mapping: Mapping, rows: Dict[State, Row]):
     """Return the first key of ``mapping`` that is no ``(state, input)`` pair
     of ``rows``, or ``None``."""
@@ -146,11 +178,7 @@ class MealyMachine:
         inputs = list(self.inputs)
         transitions = self.transitions
         outputs = self.outputs
-        state_set = set(states)
-        if len(state_set) != len(states):
-            raise MealyDefinitionError("duplicate states in machine definition")
-        if self.initial_state not in state_set:
-            raise MealyDefinitionError(f"initial state {self.initial_state!r} not in states")
+        state_set = _state_set(states, self.initial_state)
         rows: Dict[State, Row] = {}
         for state in states:
             row: Row = {}
@@ -176,6 +204,60 @@ class MealyMachine:
                     f"stray {kind} for {_stray_key(mapping, rows)!r}: "
                     "not a (state, input) pair of the machine"
                 )
+        self._adopt_rows(states, inputs, rows)
+
+    @classmethod
+    def from_rows(
+        cls,
+        states: Iterable[State],
+        initial_state: State,
+        inputs: Iterable[Input],
+        rows: Mapping,
+        name: str = "",
+    ) -> "MealyMachine":
+        """Build a machine straight from rows,
+        ``rows[state][input] == (successor, output)``.
+
+        The rows are validated as the constructor validates its two maps: a
+        duplicate state, an initial state outside ``states``, a missing
+        transition, a stray transition (a row or a row key outside
+        ``states x inputs``) and a successor outside ``states`` each raise
+        :class:`MealyDefinitionError`.  The machine keeps the row dicts
+        themselves, so the caller must not change them afterwards; a row
+        whose keys are not in input order is laid out again in input order.
+        """
+        states = list(states)
+        inputs = list(inputs)
+        state_set = _state_set(states, initial_state)
+        ordered: Dict[State, Row] = {}
+        for state in states:
+            row = rows.get(state) or {}
+            if list(row) != inputs:
+                row = _ordered_row(state, row, inputs)
+            if not state_set.issuperset([successor for successor, _ in row.values()]):
+                for symbol, (successor, _) in row.items():
+                    if successor not in state_set:
+                        raise MealyDefinitionError(
+                            f"transition {(state, symbol)!r} leads to unknown "
+                            f"state {successor!r}"
+                        )
+            ordered[state] = row
+        if len(rows) != len(ordered):
+            stray = next(state for state in rows if state not in state_set)
+            key = (stray, next(iter(rows[stray]), None))
+            raise MealyDefinitionError(
+                f"stray transition for {key!r}: not a (state, input) pair of the machine"
+            )
+        machine = cls.__new__(cls)
+        machine.initial_state = initial_state
+        machine.name = name
+        machine._adopt_rows(states, inputs, ordered)
+        return machine
+
+    def _adopt_rows(
+        self, states: List[State], inputs: List[Input], rows: Dict[State, Row]
+    ) -> None:
+        """Store validated rows and the read-only views over them."""
         self.states = states
         self.inputs = inputs
         self.rows = rows
@@ -248,20 +330,13 @@ class MealyMachine:
                     seen.add(successor)
                     order.append(successor)
                     queue.append(successor)
-        return self._from_rows(order, self.initial_state, {state: rows[state] for state in order})
-
-    def _from_rows(
-        self, states: List[State], initial_state: State, rows: Dict[State, Row]
-    ) -> "MealyMachine":
-        """A machine over ``rows`` (a dict of this machine's row shape) with
-        this machine's inputs and name, validated by the constructor."""
-        transitions = {}
-        outputs = {}
-        for state, row in rows.items():
-            for symbol, (successor, output) in row.items():
-                transitions[(state, symbol)] = successor
-                outputs[(state, symbol)] = output
-        return MealyMachine(states, initial_state, self.inputs, transitions, outputs, self.name)
+        return MealyMachine.from_rows(
+            order,
+            self.initial_state,
+            self.inputs,
+            {state: rows[state] for state in order},
+            self.name,
+        )
 
     def equivalence_blocks(self) -> Dict[State, int]:
         """Block index of every state in the coarsest partition of
@@ -277,7 +352,7 @@ class MealyMachine:
         index: Dict[Tuple, int] = {}
         block_of: Dict[State, int] = {}
         for state, row in rows.items():
-            signature = tuple(output for _, output in row.values())
+            signature = tuple([output for _, output in row.values()])
             block_of[state] = index.setdefault(signature, len(index))
         while True:
             count = len(index)
@@ -286,7 +361,7 @@ class MealyMachine:
             for state, row in rows.items():
                 key = (
                     block_of[state],
-                    tuple(block_of[successor] for successor, _ in row.values()),
+                    tuple([block_of[successor] for successor, _ in row.values()]),
                 )
                 refined[state] = index.setdefault(key, len(index))
             block_of = refined
@@ -311,8 +386,12 @@ class MealyMachine:
             }
             for block, state in representative.items()
         }
-        quotient = machine._from_rows(
-            list(representative), block_of[machine.initial_state], rows
+        quotient = MealyMachine.from_rows(
+            list(representative),
+            block_of[machine.initial_state],
+            machine.inputs,
+            rows,
+            machine.name,
         )
         return quotient.relabel()
 
@@ -328,7 +407,9 @@ class MealyMachine:
             }
             for state, row in machine.rows.items()
         }
-        return machine._from_rows(list(range(len(numbering))), 0, rows)
+        return MealyMachine.from_rows(
+            range(len(numbering)), 0, machine.inputs, rows, machine.name
+        )
 
     # ------------------------------------------------------------ comparison
 
@@ -440,15 +521,14 @@ def mealy_from_step_function(
     input_list = list(inputs)
     states: List[StateT] = [initial_state]
     seen = {initial_state}
-    transitions: Dict[Tuple[State, Input], State] = {}
-    outputs: Dict[Tuple[State, Input], Output] = {}
+    rows: Dict[State, Row] = {}
     queue = deque([initial_state])
     while queue:
         state = queue.popleft()
+        row = rows[state] = {}
         for symbol in input_list:
             successor, output = step(state, symbol)
-            transitions[(state, symbol)] = successor
-            outputs[(state, symbol)] = output
+            row[symbol] = (successor, output)
             if successor not in seen:
                 if len(seen) >= max_states:
                     raise MealyDefinitionError(
@@ -457,4 +537,4 @@ def mealy_from_step_function(
                 seen.add(successor)
                 states.append(successor)
                 queue.append(successor)
-    return MealyMachine(states, initial_state, input_list, transitions, outputs, name)
+    return MealyMachine.from_rows(states, initial_state, input_list, rows, name)

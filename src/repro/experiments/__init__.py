@@ -11,34 +11,8 @@ Every experiment comes in (at least) two sizes:
   should run by default).
 
 The :mod:`repro.experiments.cli` module exposes all of them as
-``repro-experiments <table> --mode fast|standard|full``.
+``repro-experiments <table> --mode fast|standard|full``.  The package
+re-exports nothing: import the table's own module (for example
+``from repro.experiments.table2 import run_table2``), so a run loads only
+the experiment it runs.
 """
-
-from repro.experiments.reporting import format_table
-from repro.experiments.table2 import Table2Row, run_table2, table2_configurations
-from repro.experiments.table3 import table3_rows
-from repro.experiments.table4 import Table4Row, run_table4, table4_configurations
-from repro.experiments.table5 import Table5Row, run_table5, table5_policies
-from repro.experiments.overhead import (
-    mbl_query_latency,
-    simulated_vs_cachequery_overhead,
-)
-from repro.experiments.leader_sets import detect_leader_sets, leader_set_formula_check
-
-__all__ = [
-    "format_table",
-    "Table2Row",
-    "run_table2",
-    "table2_configurations",
-    "table3_rows",
-    "Table4Row",
-    "run_table4",
-    "table4_configurations",
-    "Table5Row",
-    "run_table5",
-    "table5_policies",
-    "mbl_query_latency",
-    "simulated_vs_cachequery_overhead",
-    "detect_leader_sets",
-    "leader_set_formula_check",
-]

@@ -26,7 +26,9 @@ learning as one more membership oracle, ``CachedMembershipOracle(
 WorkerPool(sul, n))``.  It runs the misses of each engine batch — the
 learner's rounds and the conformance suite's chunks alike — on worker
 processes holding copies of the SUL and returns the answers in batch
-order, so learned machines are bit-identical to serial runs.
+order, so learned machines are bit-identical to serial runs.  The package
+does not re-export it, so a serial run never imports the process pool:
+import it from :mod:`repro.learning.parallel`.
 """
 
 from repro.learning.query_engine import (
@@ -57,7 +59,6 @@ from repro.learning.wpmethod import (
     w_method_suite,
     wp_method_suite,
 )
-from repro.learning.parallel import WorkerPool
 from repro.learning.equivalence import (
     ConformanceEquivalenceOracle,
     EquivalenceOracle,
@@ -95,7 +96,6 @@ __all__ = [
     "transition_cover",
     "w_method_suite",
     "wp_method_suite",
-    "WorkerPool",
     "ConformanceEquivalenceOracle",
     "EquivalenceOracle",
     "PerfectEquivalenceOracle",

@@ -59,8 +59,12 @@ class ObservationTable:
     every missing ``(prefix, suffix)`` cell and issues **one** batch per
     stabilisation round, letting the oracle dedupe and prefix-subsume before
     a single word reaches the system under learning (or the worker pool
-    wrapping it, which splits the misses across processes).  Row contents
-    are memoised per prefix and invalidated when the suffix set changes.
+    wrapping it, which splits the misses across processes).
+
+    Suffixes are only ever appended, so a row over the first ``n`` columns
+    stays valid when columns are added: :meth:`row` memoises each prefix's
+    row and extends it by the columns added since it was built, instead of
+    rebuilding every row after each new column.
     """
 
     def __init__(self, alphabet: Sequence[Input], oracle: MembershipOracle) -> None:
@@ -75,14 +79,18 @@ class ObservationTable:
         self.suffixes: List[Word] = [(symbol,) for symbol in self.alphabet]
         # Cell storage: (prefix, suffix) -> outputs of the suffix part.
         self._cells: Dict[Tuple[Word, Word], Tuple[Output, ...]] = {}
-        # Memoised row contents, keyed by prefix; valid for the current
-        # suffix list only (add_suffix invalidates).
+        # Memoised row contents, keyed by prefix: the cells of the first
+        # len(row) suffixes, extended by row() when columns were added.
         self._row_cache: Dict[Word, Tuple[Tuple[Output, ...], ...]] = {}
         # Per prefix, how many leading suffixes are known to have a cell:
         # set when a fill completes.  Suffixes are only ever appended, so
         # missing_cells scans each row from there and sees only new long
         # rows and new columns.
         self._filled: Dict[Word, int] = {}
+        # (short prefixes, suffixes) when the last fill completed.  Both
+        # lists only grow, so while their lengths stay put every cell of
+        # the table is known and a fill has nothing to do.
+        self._filled_shape = (0, 0)
         #: Access word of each state of the last :meth:`hypothesis`, in state
         #: order: the first short prefix with that state's row.
         self.access_words: List[Word] = []
@@ -92,16 +100,23 @@ class ObservationTable:
 
     def _query_cell(self, prefix: Word, suffix: Word) -> Tuple[Output, ...]:
         key = (prefix, suffix)
-        if key not in self._cells:
+        cell = self._cells.get(key)
+        if cell is None:
             outputs = self.oracle.output_query(prefix + suffix)
-            self._cells[key] = tuple(outputs[len(prefix):])
-        return self._cells[key]
+            cell = self._cells[key] = tuple(outputs[len(prefix):])
+        return cell
 
     def row(self, prefix: Word) -> Tuple[Tuple[Output, ...], ...]:
-        """Return the (memoised) row contents of ``prefix`` over the current suffixes."""
-        row = self._row_cache.get(prefix)
-        if row is None:
-            row = tuple(self._query_cell(prefix, suffix) for suffix in self.suffixes)
+        """Return the row contents of ``prefix`` over the current suffixes.
+
+        The memoised row is extended by the cells of the columns added
+        since it was built.
+        """
+        row = self._row_cache.get(prefix, ())
+        suffixes = self.suffixes
+        if len(row) < len(suffixes):
+            query_cell = self._query_cell
+            row += tuple([query_cell(prefix, suffix) for suffix in suffixes[len(row):]])
             self._row_cache[prefix] = row
         return row
 
@@ -127,6 +142,9 @@ class ObservationTable:
         query, so the oracle sees the whole round at once and can dedupe,
         prefix-subsume and (for caches) reuse earlier answers.
         """
+        shape = (len(self.short_prefixes), len(self.suffixes))
+        if shape == self._filled_shape:
+            return
         prefixes = self.all_prefixes()
         missing = self._missing_cells(prefixes)
         if missing:
@@ -135,6 +153,7 @@ class ObservationTable:
             for (prefix, suffix), outputs in zip(missing, answers):
                 self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
         self._filled.update(dict.fromkeys(prefixes, len(self.suffixes)))
+        self._filled_shape = shape
 
     def all_prefixes(self) -> List[Word]:
         """Return short prefixes followed by their one-symbol extensions."""
@@ -219,8 +238,7 @@ class ObservationTable:
             if tail == suffix:
                 added_full = True
         if added_any:
-            # Row contents gained columns: every memoised row is stale.
-            self._row_cache.clear()
+            # Memoised rows stay valid: row() extends them by the new columns.
             self.fill()
         return added_full
 
@@ -271,12 +289,11 @@ class ObservationTable:
                 row_to_state[row] = len(state_access)
                 state_access.append(prefix)
 
-        states = list(range(len(state_access)))
-        transitions: Dict[Tuple[int, Input], int] = {}
-        outputs: Dict[Tuple[int, Input], Output] = {}
+        rows: Dict[int, Dict[Input, Tuple[int, Output]]] = {}
         suffix_index = {suffix: position for position, suffix in enumerate(self.suffixes)}
 
         for state, access in enumerate(state_access):
+            row = rows[state] = {}
             for symbol in self.alphabet:
                 extended = access + (symbol,)
                 target_row = self.row(extended)
@@ -284,14 +301,18 @@ class ObservationTable:
                     raise LearningError(
                         "hypothesis construction on a non-closed table"
                     )  # pragma: no cover - guarded by make_closed_and_consistent
-                transitions[(state, symbol)] = row_to_state[target_row]
-                outputs[(state, symbol)] = self._query_cell(access, (symbol,))[0]
+                row[symbol] = (
+                    row_to_state[target_row],
+                    self._query_cell(access, (symbol,))[0],
+                )
                 # The single-symbol suffix is guaranteed to exist because the
                 # suffix set is initialised with the full alphabet.
                 assert (symbol,) in suffix_index
         initial_state = row_to_state[self.row(EMPTY)]
         self.access_words = state_access
-        return MealyMachine(states, initial_state, list(self.alphabet), transitions, outputs)
+        return MealyMachine.from_rows(
+            range(len(state_access)), initial_state, self.alphabet, rows
+        )
 
     # ------------------------------------------------------------- inspection
 

@@ -209,14 +209,14 @@ class CachedMembershipOracle:
         or prefix of an executed word is read back from the trie.
         """
         words = [tuple(word) for word in words]
-        answers, missing = partition_batch(words, self._trie.lookup)
+        lookup = self._trie.namespace.lookup
+        answers, missing = partition_batch(words, lookup)
         self.statistics.record_batch(
             len(words), len(words) - answers.count(None), len(missing)
         )
         if not missing:
             return answers
         executed = self._merge(missing, execute_words(self._delegate, missing))
-        lookup = self._trie.lookup
         for index, answer in enumerate(answers):
             if answer is None:
                 word = words[index]
@@ -227,8 +227,12 @@ class CachedMembershipOracle:
     def _merge(
         self, words: Sequence[Word], answers: Sequence[OutputWord]
     ) -> Dict[Word, OutputWord]:
-        """Insert executed answers, one executed membership query per word;
-        return each word's answer."""
+        """Record executed answers, one executed membership query per word;
+        return each word's answer.
+
+        Each answer is length-checked here and recorded straight into the
+        trie's namespace, which checks it against the stored prefixes.
+        """
         answers = list(answers)
         if len(answers) != len(words):
             # One answer per handed word is the SUL batch contract.
@@ -236,14 +240,14 @@ class CachedMembershipOracle:
                 f"oracle returned {len(answers)} answers for a batch of "
                 f"{len(words)} words"
             )
-        insert = self._trie.insert
+        record = self._trie.namespace.record
         record_query = self.statistics.record_query
         executed = {}
         for word, outputs in zip(words, answers):
             outputs = tuple(outputs)
             if len(outputs) != len(word):
                 raise OutputLengthMismatchError(word, outputs)
-            insert(word, outputs)
+            record(word, outputs, terminal=False)
             record_query(len(word))
             executed[word] = outputs
         return executed

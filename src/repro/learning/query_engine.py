@@ -50,6 +50,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import EVICT, Evict, Line
+from repro.errors import OutputLengthMismatchError
 from repro.store import PrefixStore, register_symbol_codec
 
 Input = Hashable
@@ -85,16 +86,18 @@ class ResponseTrie:
         namespace: Sequence[Hashable] = DEFAULT_LEARNING_NAMESPACE,
     ) -> None:
         self.store = store if store is not None else PrefixStore()
-        self._namespace = self.store.namespace(namespace)
+        #: The store namespace holding the trie; the engine records its
+        #: executed answers straight into it.
+        self.namespace = self.store.namespace(namespace)
 
     def __len__(self) -> int:
-        return self._namespace.node_count
+        return self.namespace.node_count
 
     def lookup(self, word: Sequence[Input]) -> Optional[OutputWord]:
         """Return the cached output word for ``word``, or ``None``."""
         if not word:
             return ()
-        return self._namespace.lookup(word)
+        return self.namespace.lookup(word)
 
     def insert(self, word: Sequence[Input], outputs: Sequence[Output]) -> None:
         """Store ``outputs`` for ``word`` (and thereby for all its prefixes).
@@ -110,11 +113,11 @@ class ResponseTrie:
                 f"word of length {len(word)} needs exactly {len(word)} outputs, "
                 f"got {len(outputs)}"
             )
-        self._namespace.record(word, outputs, terminal=False)
+        self.namespace.record(word, outputs, terminal=False)
 
     def clear(self) -> None:
         """Drop every cached response."""
-        self._namespace.clear()
+        self.namespace.clear()
 
 
 def dedupe_and_subsume(words: Sequence[Sequence[Input]]) -> List[Word]:
@@ -155,8 +158,9 @@ def partition_batch(
 ) -> Tuple[List[Optional[OutputWord]], List[Word]]:
     """Partition a batch by what a cache can already answer.
 
-    ``lookup`` answers a word from a prefix-closed cache, or returns
-    ``None`` (the engine passes its response trie's ``lookup``).  Returns
+    ``lookup`` answers a non-empty word from a prefix-closed cache, or
+    returns ``None`` (the engine passes its trie namespace's ``lookup``);
+    the empty word is answered ``()`` without asking it.  Returns
     ``(answers, missing)``: ``answers`` holds, per batch word, its cached
     answer or ``None`` for a miss — the non-``None`` entries are the
     cache hits, duplicates included — and ``missing`` holds the deduped,
@@ -164,7 +168,7 @@ def partition_batch(
     Because the known set is prefix-closed, a miss is never a proper prefix
     of a known word, so subsuming the misses alone loses nothing.
     """
-    answers = list(map(lookup, words))
+    answers = [lookup(word) if word else () for word in words]
     misses = [word for word, answer in zip(words, answers) if answer is None]
     return answers, dedupe_and_subsume(misses)
 
@@ -192,11 +196,15 @@ def batch_via_single_queries(oracle, words: Sequence[Word]) -> List[OutputWord]:
 
     The fallback of :func:`output_query_batch` for oracles without a native
     batch entry point — and, outside the query engine, the only place a
-    batch is deduped.
+    batch is deduped.  An answer whose length is not its word's raises
+    :class:`~repro.errors.OutputLengthMismatchError`, as in the engine.
     """
     answers = ResponseTrie()
     for word in dedupe_and_subsume(words):
-        answers.insert(word, oracle.output_query(word))
+        outputs = tuple(oracle.output_query(word))
+        if len(outputs) != len(word):
+            raise OutputLengthMismatchError(word, outputs)
+        answers.insert(word, outputs)
     return [answers.lookup(word) for word in words]
 
 

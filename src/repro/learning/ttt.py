@@ -332,13 +332,16 @@ class TTTTree:
             for (state, symbol), answer in zip(missing, answers):
                 self._outputs[(state, symbol)] = answer[-1]
 
-        return MealyMachine(
-            states=list(range(len(self._access))),
-            initial_state=0,
-            inputs=list(self.alphabet),
-            transitions=dict(self._transitions),
-            outputs=dict(self._outputs),
-        )
+        transitions = self._transitions
+        outputs = self._outputs
+        rows = {
+            state: {
+                symbol: (transitions[(state, symbol)], outputs[(state, symbol)])
+                for symbol in self.alphabet
+            }
+            for state in range(len(self._access))
+        }
+        return MealyMachine.from_rows(range(len(self._access)), 0, self.alphabet, rows)
 
     # ------------------------------------------------------------- refinement
 

@@ -195,37 +195,44 @@ def identification_sets(
 ) -> Dict[Hashable, List[Word]]:
     """Return per-state identification sets ``W_s`` (for the Wp-method phase 2).
 
-    ``W_s`` distinguishes ``s`` from every other state of the machine.
+    ``W_s`` distinguishes ``s`` from every other state of the machine.  It
+    is built greedily, as a scan over the other states in state order that
+    adds a shortest distinguishing suffix for each state the suffixes so
+    far do not separate from ``s``.
 
-    Output tails are memoised per ``(state, suffix)`` across the whole
-    construction — the same suffix separates many pairs, and without the
-    cache the pair scan re-runs it O(|S|²) times.  The returned sets are
-    unchanged.
+    The scan is not run pair by pair.  Each state keeps the ordered list of
+    the states it has not separated yet; the first of them gets the next
+    suffix, and the list is filtered once by that suffix.  Output tails are
+    memoised per ``(suffix, state)`` across the whole construction, so each
+    is run at most once.  The sets are the pair scan's, in its order.
     """
     states = list(machine.states)
+    run = machine.run
     sets: Dict[Hashable, List[Word]] = {}
-    tails: Dict[Tuple[Hashable, Word], Tuple] = {}
-
-    def tail(word: Word, state: Hashable) -> Tuple:
-        key = (state, word)
-        answer = tails.get(key)
-        if answer is None:
-            answer = machine.run(word, state)
-            tails[key] = answer
-        return answer
-
+    tails: Dict[Word, Dict[Hashable, Tuple]] = {}
     for state in states:
         suffixes: List[Word] = []
-
-        def separated(other: Hashable) -> bool:
-            return any(tail(word, state) != tail(word, other) for word in suffixes)
-
-        for other in states:
-            if other == state or separated(other):
-                continue
-            suffixes.append(
-                _distinguishing_suffix(machine, state, other, _suffix_cache)
-            )
+        unseparated = [other for other in states if other != state]
+        while unseparated:
+            suffix = _distinguishing_suffix(machine, state, unseparated[0], _suffix_cache)
+            suffixes.append(suffix)
+            # The suffix separates the state it was found for by construction.
+            rest = unseparated[1:]
+            if not rest:
+                break
+            column = tails.get(suffix)
+            if column is None:
+                column = tails[suffix] = {}
+            own = column.get(state)
+            if own is None:
+                own = column[state] = run(suffix, state)
+            unseparated = []
+            for other in rest:
+                tail = column.get(other)
+                if tail is None:
+                    tail = column[other] = run(suffix, other)
+                if tail == own:
+                    unseparated.append(other)
         if not suffixes:
             suffixes.append((machine.inputs[0],))
         sets[state] = suffixes
@@ -288,7 +295,10 @@ def iter_wp_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word
     w_set = characterization_set(machine, _suffix_cache=suffix_cache)
 
     def generate() -> Iterator[Word]:
+        # A word is new when adding it grows the set: one hash per word.
         seen: Set[Word] = set()
+        add = seen.add
+        count = 0
         middles = _middle_words(machine.inputs, depth)
 
         # Phase 1: state cover x Sigma^{<=depth} x W.
@@ -297,9 +307,11 @@ def iter_wp_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word
                 stem = base + middle
                 for suffix in w_set:
                     word = stem + suffix
-                    if word and word not in seen:
-                        seen.add(word)
-                        yield word
+                    if word:
+                        add(word)
+                        if len(seen) > count:
+                            count += 1
+                            yield word
 
         # Phase 2: transition cover x Sigma^{<=depth} x W_{target state}.
         # The identification sets are built only when phase 2 actually
@@ -321,9 +333,11 @@ def iter_wp_method_suite(machine: MealyMachine, depth: int = 1) -> Iterator[Word
                     target = machine.state_after(middle, reached)
                     for suffix in ident[target]:
                         word = stem + suffix
-                        if word and word not in seen:
-                            seen.add(word)
-                            yield word
+                        if word:
+                            add(word)
+                            if len(seen) > count:
+                                count += 1
+                                yield word
 
     return generate()
 

@@ -21,7 +21,6 @@ from repro.errors import LearningError, PolicyError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LEARNER_NAMES, LearningResult, make_learner
 from repro.learning.oracles import CachedMembershipOracle
-from repro.learning.parallel import WorkerPool
 from repro.polca.algorithm import PolcaMembershipOracle, PolcaStatistics
 from repro.polca.interfaces import CacheProbeInterface, SimulatedCacheInterface
 from repro.policies.base import ReplacementPolicy
@@ -143,7 +142,12 @@ def learn_policy_from_cache(
         raise LearningError(f"unknown learner {learner!r}; expected one of {LEARNER_NAMES}")
     start = time.perf_counter()
     polca = PolcaMembershipOracle(cache, kernel=kernel)
-    pool = WorkerPool(polca, workers) if workers is not None and workers > 1 else None
+    pool = None
+    if workers is not None and workers > 1:
+        # Imported here, so a serial run never loads the process pool.
+        from repro.learning.parallel import WorkerPool
+
+        pool = WorkerPool(polca, workers)
     derive = getattr(cache, "store_namespace", None)
     namespace = ("learning",) + (tuple(derive()) if callable(derive) else ())
     engine = CachedMembershipOracle(pool or polca, store=store, namespace=namespace)

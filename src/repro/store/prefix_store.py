@@ -117,9 +117,9 @@ class _StoreNode:
 
     __slots__ = ("children", "payload", "terminal")
 
-    def __init__(self) -> None:
+    def __init__(self, payload: Payload = None) -> None:
         self.children: Dict[Symbol, "_StoreNode"] = {}
-        self.payload: Payload = None
+        self.payload = payload
         #: True when a word *ending* here was explicitly recorded as an entry
         #: (used for entry counting and :meth:`PrefixNamespace.iter_entries`).
         self.terminal = False
@@ -155,6 +155,9 @@ class PrefixNamespace:
         #: outlives its store stops journaling, which is safe because a dead
         #: store can never save.
         self._owner = weakref.ref(owner) if owner is not None else None
+        #: Whether records reach the owner's journal at all: a store
+        #: without a file keeps none, and its path is fixed for life.
+        self._journaled = owner is not None and owner.path is not None
 
     def _live_owner(self) -> Optional["PrefixStore"]:
         """The store to journal to, or None (standalone, or the store is gone)."""
@@ -227,49 +230,68 @@ class PrefixNamespace:
         :class:`~repro.errors.NonDeterminismError` carrying the conflicting
         prefix — the system under measurement answered the same prefix
         differently across runs.
+
+        Only the part of ``word`` the trie already stores is walked and
+        merged.  From the first new symbol on, the tail is grown without
+        a lookup, since every node it adds is new and empty.  The stored
+        payloads of a conflicting prefix are read back only to raise the
+        error, and a namespace whose store has no file journals nothing.
         """
         word = tuple(word)
+        size = len(word)
         if payloads is None:
-            payloads = (None,) * len(word)
+            payloads = (None,) * size
         else:
             payloads = tuple(payloads)
-            if len(payloads) != len(word):
+            if len(payloads) != size:
                 raise StoreError(
-                    f"word of length {len(word)} needs exactly {len(word)} "
+                    f"word of length {size} needs exactly {size} "
                     f"payloads, got {len(payloads)}"
                 )
         node = self._root
-        stored: List[Payload] = []
         changed = False
-        for position, symbol in enumerate(word):
+        position = 0
+        for symbol in word:
             child = node.children.get(symbol)
             if child is None:
-                child = _StoreNode()
-                child.payload = payloads[position]
-                node.children[symbol] = child
-                self._nodes += 1
+                break
+            payload = payloads[position]
+            if payload is not None and child.payload != payload:
+                if child.payload is not None:
+                    raise self._conflict(word, payloads, position)
+                child.payload = payload
                 changed = True
-            elif payloads[position] is not None:
-                if child.payload is None:
-                    child.payload = payloads[position]
-                    changed = True
-                elif child.payload != payloads[position]:
-                    raise NonDeterminismError(
-                        word[: position + 1],
-                        stored + [child.payload],
-                        payloads[: position + 1],
-                    )
-            stored.append(child.payload)
             node = child
+            position += 1
+        if position < size:
+            for symbol, payload in zip(word[position:], payloads[position:]):
+                child = _StoreNode(payload)
+                node.children[symbol] = child
+                node = child
+            self._nodes += size - position
+            changed = True
         new_entry = terminal and not node.terminal
         if new_entry:
             node.terminal = True
             self._entries += 1
             changed = True
-        owner = self._live_owner() if changed else None
-        if owner is not None:
-            owner._journal_record(self.key, word, payloads, terminal)
+        if changed and self._journaled:
+            owner = self._live_owner()
+            if owner is not None:
+                owner._journal_record(self.key, word, payloads, terminal)
         return new_entry
+
+    def _conflict(
+        self, word: Word, payloads: Tuple[Payload, ...], position: int
+    ) -> NonDeterminismError:
+        """The error for ``payloads[position]`` disagreeing with the stored
+        payload of ``word[: position + 1]``, which the trie holds."""
+        node = self._root
+        stored: List[Payload] = []
+        for symbol in word[: position + 1]:
+            node = node.children[symbol]
+            stored.append(node.payload)
+        return NonDeterminismError(word[: position + 1], stored, payloads[: position + 1])
 
     # --------------------------------------------------------------- merging
 

@@ -1,6 +1,10 @@
 """Unit and property tests for the Mealy machine core."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +73,70 @@ class TestConstruction:
             MealyMachine(
                 ["s"], "s", ["a"], {("s", "a"): "s"}, {("s", "a"): 0, ("u", "a"): 1}
             )
+
+    def test_from_rows_builds_the_constructors_machine(self):
+        machine = _toggle_machine()
+        rows = {state: dict(row) for state, row in machine.rows.items()}
+        built = MealyMachine.from_rows(machine.states, "even", machine.inputs, rows)
+        assert built == machine
+        assert built.transitions == machine.transitions
+        assert built.outputs == machine.outputs
+        # A row out of input order is laid out again in input order.
+        shuffled = {"odd": {"b": ("odd", 1), "a": ("even", 1)}, "even": rows["even"]}
+        reordered = MealyMachine.from_rows(["even", "odd"], "even", ["a", "b"], shuffled)
+        assert reordered == machine
+        assert [list(row) for row in reordered.rows.values()] == [["a", "b"], ["a", "b"]]
+        assert list(reordered.rows) == ["even", "odd"]
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "missing transition",
+            "missing row",
+            "stray transition",
+            "stray row",
+            "unknown successor",
+            "duplicate state",
+            "bad initial state",
+        ],
+    )
+    def test_from_rows_rejects_what_the_constructor_rejects(self, defect):
+        states = ["s0", "s1"]
+        initial = "s0"
+        inputs = ["a", "b"]
+        rows = {
+            "s0": {"a": ("s1", 0), "b": ("s0", 1)},
+            "s1": {"a": ("s0", 1), "b": ("s1", 0)},
+        }
+        if defect == "missing transition":
+            del rows["s1"]["b"]
+        elif defect == "missing row":
+            del rows["s1"]
+        elif defect == "stray transition":
+            rows["s1"]["z"] = ("s0", 0)
+        elif defect == "stray row":
+            rows["ghost"] = {"a": ("s0", 0), "b": ("s0", 0)}
+        elif defect == "unknown successor":
+            rows["s0"]["a"] = ("nowhere", 0)
+        elif defect == "duplicate state":
+            states.append("s0")
+        else:
+            initial = "nowhere"
+        transitions = {
+            (state, symbol): successor
+            for state, row in rows.items()
+            for symbol, (successor, _) in row.items()
+        }
+        outputs = {
+            (state, symbol): output
+            for state, row in rows.items()
+            for symbol, (_, output) in row.items()
+        }
+        with pytest.raises(MealyDefinitionError) as from_maps:
+            MealyMachine(states, initial, inputs, transitions, outputs)
+        with pytest.raises(MealyDefinitionError) as from_rows:
+            MealyMachine.from_rows(states, initial, inputs, rows)
+        assert str(from_rows.value) == str(from_maps.value)
 
     def test_transitions_and_outputs_are_read_only(self):
         machine = _toggle_machine()
@@ -250,6 +318,31 @@ class TestStepFunctionEnumeration:
             mealy_from_step_function(
                 0, ["inc"], lambda state, _: (state + 1, state), max_states=10
             )
+
+    @pytest.mark.slow
+    def test_plru16_enumeration_peak_memory_is_bounded(self):
+        """Enumerating PLRU-16 (32,768 states) builds its rows once and keeps
+        no second ``(state, input)``-keyed copy of them alive beside them.
+        Run in a fresh interpreter, so the traced peak is this call's alone."""
+        script = (
+            "import tracemalloc\n"
+            "from repro.policies.registry import make_policy\n"
+            "tracemalloc.start()\n"
+            "machine = make_policy('PLRU', 16).to_mealy()\n"
+            "print(machine.size, tracemalloc.get_traced_memory()[1])\n"
+        )
+        source = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=600,
+            check=True,
+        )
+        size, peak = map(int, result.stdout.split())
+        assert size == 32768
+        assert peak <= 190 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
 
 
 @settings(max_examples=30, deadline=None)

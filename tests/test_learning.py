@@ -142,6 +142,42 @@ class TestObservationTable:
             )
 
 
+    @pytest.mark.parametrize(
+        "target",
+        ["MRU-4", "SRRIP-HP-2", "PLRU-4", *[f"random-{seed}" for seed in range(6)]],
+    )
+    def test_rows_match_rebuilt_rows_after_every_added_suffix(self, monkeypatch, target):
+        """Memoised rows grow by the columns added since they were built;
+        after every ``add_suffix`` of a learn each row equals a row
+        rebuilt from scratch."""
+        if target.startswith("random-"):
+            reference = _regression_machine(12, int(target[len("random-"):])).minimize()
+            # Depth-1 conformance is not complete for machines this irregular.
+            equivalence = PerfectEquivalenceOracle(reference)
+        else:
+            name, associativity = target.rsplit("-", 1)
+            reference = make_policy(name, int(associativity)).to_mealy().minimize()
+            equivalence = ConformanceEquivalenceOracle(MealyMachineOracle(reference), depth=1)
+        add_suffix = ObservationTable.add_suffix
+        checked = []
+
+        def add_suffix_and_check(table, suffix):
+            added = add_suffix(table, suffix)
+            for prefix in table.all_prefixes():
+                rebuilt = tuple(
+                    reference.run(prefix + column)[len(prefix):] for column in table.suffixes
+                )
+                assert table.row(prefix) == rebuilt, (prefix, suffix)
+            checked.append(len(table.suffixes))
+            return added
+
+        monkeypatch.setattr(ObservationTable, "add_suffix", add_suffix_and_check)
+        oracle = MealyMachineOracle(reference)
+        result = learn_mealy_machine(reference.inputs, oracle, equivalence)
+        assert reference.equivalent(result.machine)
+        assert checked and checked[-1] > len(reference.inputs)
+
+
 class TestWpMethod:
     def test_state_and_transition_cover(self):
         machine = make_policy("LRU", 2).to_mealy().minimize()

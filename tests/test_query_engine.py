@@ -154,6 +154,16 @@ class TestPartitionBatch:
 
 
 class TestBatchedOracles:
+    def test_single_query_path_types_a_short_answer(self):
+        """An oracle without a batch entry point is driven word by word; an
+        answer of the wrong length is the engine's typed error, not a bare
+        ``ValueError`` from the scratch trie."""
+        oracle = FunctionOracle(lambda word: word[:-1])
+        with pytest.raises(OutputLengthMismatchError) as caught:
+            output_query_batch(oracle, [("a", "b")])
+        assert caught.value.word == ("a", "b")
+        assert caught.value.outputs == ("a",)
+
     def test_function_oracle_batch_executes_only_maximal_words(self):
         oracle = FunctionOracle(_echo)
         assert not supports_batching(oracle)

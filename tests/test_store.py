@@ -13,6 +13,7 @@ import gc
 import json
 import os
 import pickle
+import random
 import weakref
 
 import pytest
@@ -29,6 +30,7 @@ from repro.store import (
     decode_symbol,
     encode_symbol,
 )
+from repro.store.prefix_store import _StoreNode
 
 
 class TestPrefixNamespace:
@@ -114,6 +116,147 @@ class TestPrefixNamespace:
         with pytest.raises(NonDeterminismError):
             target.merge(other)
         assert target.lookup(("a",)) == ("x",)
+
+
+def _reference_record(namespace, word, payloads=None, *, terminal=True):
+    """``PrefixNamespace.record`` as it was before it stopped re-walking:
+    one child probe per symbol, the stored payloads gathered on the way,
+    and the journal reached through the owner whenever something changed."""
+    word = tuple(word)
+    if payloads is None:
+        payloads = (None,) * len(word)
+    else:
+        payloads = tuple(payloads)
+        if len(payloads) != len(word):
+            raise StoreError("payload count")
+    node = namespace._root
+    stored = []
+    changed = False
+    for position, symbol in enumerate(word):
+        child = node.children.get(symbol)
+        if child is None:
+            child = _StoreNode()
+            child.payload = payloads[position]
+            node.children[symbol] = child
+            namespace._nodes += 1
+            changed = True
+        elif payloads[position] is not None:
+            if child.payload is None:
+                child.payload = payloads[position]
+                changed = True
+            elif child.payload != payloads[position]:
+                raise NonDeterminismError(
+                    word[: position + 1], stored + [child.payload], payloads[: position + 1]
+                )
+        stored.append(child.payload)
+        node = child
+    new_entry = terminal and not node.terminal
+    if new_entry:
+        node.terminal = True
+        namespace._entries += 1
+        changed = True
+    owner = namespace._live_owner() if changed else None
+    if owner is not None:
+        owner._journal_record(namespace.key, word, payloads, terminal)
+    return new_entry
+
+
+def _trie_nodes(namespace):
+    """Every node of a namespace as ``(word, payload, terminal)``, sorted."""
+    nodes = []
+    stack = [((), namespace._root)]
+    while stack:
+        word, node = stack.pop()
+        nodes.append((word, node.payload, node.terminal))
+        for symbol, child in node.children.items():
+            stack.append((word + (symbol,), child))
+    return sorted(nodes, key=repr)
+
+
+def _record_script(seed):
+    """Seeded ``(word, payloads, terminal)`` records over a small alphabet:
+    fresh paths with ``None`` holes and pure marks, then, for stored words,
+    a conflict at every position with the holes before it filled in."""
+    rng = random.Random(f"record-{seed}")
+    stored = {}
+    script = []
+    for _ in range(40):
+        word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+        if rng.random() < 0.15:
+            payloads = None
+        else:
+            payloads = tuple(
+                None if rng.random() < 0.3 else rng.randrange(3) for _ in word
+            )
+        script.append((word, payloads, rng.random() < 0.7))
+        if payloads is not None:
+            known = stored.setdefault(word, [None] * len(word))
+            for position, payload in enumerate(payloads):
+                if payload is not None and known[position] is None:
+                    known[position] = payload
+    for word, known in sorted(stored.items()):
+        for position in range(len(word)):
+            payloads = [
+                rng.randrange(3) if payload is None else rng.choice((payload, None))
+                for payload in known[:position]
+            ]
+            payloads.append(3)  # never recorded: conflicts with a known payload
+            payloads.extend(rng.choice((None, 0)) for _ in word[position + 1:])
+            script.append((word, tuple(payloads), rng.random() < 0.5))
+    return script
+
+
+def _replay(record, namespace, script):
+    """Apply ``script`` through ``record``; return each record's outcome and
+    the namespace's sizes after it."""
+    outcomes = []
+    for word, payloads, terminal in script:
+        try:
+            outcome = ("new", record(namespace, word, payloads, terminal=terminal))
+        except NonDeterminismError as error:
+            outcome = ("conflict", error.query, error.first, error.second)
+        outcomes.append((outcome, namespace.node_count, namespace.entry_count))
+    return outcomes
+
+
+class TestRecordMatchesReference:
+    """``PrefixNamespace.record`` walks only the stored part of a path and
+    grows the new tail without probing it; it must behave exactly as the
+    symbol-by-symbol walk it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_in_memory_store(self, seed):
+        script = _record_script(seed)
+        assert any(payloads is None for _, payloads, _ in script)
+        stores = [PrefixStore(), PrefixStore()]
+        namespaces = [store.namespace(("t",)) for store in stores]
+        outcomes = [
+            _replay(record, namespace, script)
+            for record, namespace in zip(
+                (type(namespaces[0]).record, _reference_record), namespaces
+            )
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert sum(outcome[0] == "conflict" for outcome, _, _ in outcomes[0]) >= 10
+        assert _trie_nodes(namespaces[0]) == _trie_nodes(namespaces[1])
+        # A store without a file keeps no journal.
+        assert [store.pending_records for store in stores] == [0, 0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_file_backed_store_journals_the_same_records(self, tmp_path, seed):
+        script = _record_script(seed)
+        stores = [PrefixStore(tmp_path / "new.json"), PrefixStore(tmp_path / "old.json")]
+        namespaces = [store.namespace(("t",)) for store in stores]
+        outcomes = [
+            _replay(record, namespace, script)
+            for record, namespace in zip(
+                (type(namespaces[0]).record, _reference_record), namespaces
+            )
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert _trie_nodes(namespaces[0]) == _trie_nodes(namespaces[1])
+        assert stores[0].pending_records > 0
+        assert stores[0]._journal == stores[1]._journal
 
 
 class TestPrefixStore:

@@ -168,6 +168,63 @@ def test_characterization_set_matches_the_pair_scan_on_random_machines():
         assert (runs, w_set) == _runs_and_result(_reference_characterization_set, machine), seed
 
 
+def _reference_identification_sets(machine):
+    """The pair scan identification_sets ran before it kept, per state, the
+    list of states it has not separated yet: every other state in state
+    order, tested against every suffix chosen so far."""
+    states = list(machine.states)
+    sets = {}
+    tails = {}
+
+    def tail(word, state):
+        key = (state, word)
+        if key not in tails:
+            tails[key] = machine.run(word, state)
+        return tails[key]
+
+    for state in states:
+        suffixes = []
+        for other in states:
+            if other == state or any(
+                tail(word, state) != tail(word, other) for word in suffixes
+            ):
+                continue
+            suffixes.append(_distinguishing_suffix(machine, state, other))
+        if not suffixes:
+            suffixes.append((machine.inputs[0],))
+        sets[state] = suffixes
+    return sets
+
+
+#: The pair scan takes seconds on the ~1,000-state BRRIP machines.
+_SLOW_IDENTIFICATION_MACHINES = {("BRRIP-FP", 4), ("BRRIP-HP", 4)}
+_IDENTIFICATION_MACHINES = [
+    pytest.param(
+        name,
+        associativity,
+        marks=[pytest.mark.slow] if (name, associativity) in _SLOW_IDENTIFICATION_MACHINES else [],
+    )
+    for name in available_policies()
+    for associativity in (2, 3, 4)
+    if not (name == "PLRU" and associativity == 3)  # PLRU needs a power of two
+]
+
+
+@pytest.mark.parametrize("policy_name,associativity", _IDENTIFICATION_MACHINES)
+def test_identification_sets_match_the_pair_scan(policy_name, associativity):
+    machine = _machine(policy_name, associativity)
+    runs, sets = _runs_and_result(identification_sets, machine)
+    assert (runs, sets) == _runs_and_result(_reference_identification_sets, machine)
+    assert list(sets) == list(machine.states)
+
+
+def test_identification_sets_match_the_pair_scan_on_random_machines():
+    for seed in range(60):
+        machine = _random_minimal_machine(seed)
+        runs, sets = _runs_and_result(identification_sets, machine)
+        assert (runs, sets) == _runs_and_result(_reference_identification_sets, machine), seed
+
+
 # --------------------------------------------------------------- exact parity
 
 
