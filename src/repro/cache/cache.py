@@ -117,11 +117,15 @@ class SetAssociativeCache:
     """One cache level: lazily materialised sets behind an address mapper.
 
     Each physical address the level sees is routed once, on first touch, to
-    ``(cache set, block id, leader role or None)``; :meth:`access`,
-    :meth:`contains` and :meth:`flush` then cost one dict lookup before the
-    set's own line scan.  The routes hold the set objects themselves, so
-    :meth:`configure_cat`, the only place that drops sets, clears them too.
-    Like the mapper's memo, the routes grow with the distinct addresses seen.
+    ``(cache set, block id, leader role or None)`` by :meth:`_route`;
+    :meth:`access`, :meth:`contains` and :meth:`flush` then cost one dict
+    lookup before the set's own line scan, and a
+    :class:`~repro.cache.hierarchy.CacheHierarchy` keeps the same entries in
+    its own per-address routes.  Routes hold the set objects themselves, so
+    a set, once built, is never replaced: :meth:`configure_cat` rebuilds
+    every set in place, and no route, here or in a hierarchy, can reach a
+    set of the old CAT configuration.  Like the mapper's memo, the routes
+    grow with the distinct addresses seen.
     Each :class:`~repro.cache.cacheset.CacheSet` also memoizes its policy's
     transitions, up to
     :data:`~repro.cache.cacheset.TRANSITION_MEMO_BOUND` entries per table;
@@ -159,11 +163,15 @@ class SetAssociativeCache:
         return self.cat.effective_associativity(self.nominal_associativity)
 
     def configure_cat(self, cat: CATConfig) -> None:
-        """Install a new CAT configuration; drops all cached set state."""
+        """Install a new CAT configuration; every set restarts empty at the new associativity.
+
+        Each built set is rebuilt in place, as a set built after the change
+        would be, so the routes holding it stay valid.
+        """
         cat.effective_associativity(self.nominal_associativity)  # validate
         self.cat = cat
-        self._sets.clear()
-        self._routes.clear()
+        for (slice_index, set_index), cache_set in self._sets.items():
+            vars(cache_set).update(vars(self._build_set(slice_index, set_index)))
 
     def set_role(self, set_index: int, slice_index: int = 0) -> str:
         """Return ``leader_a`` / ``leader_b`` / ``follower`` / ``fixed`` for a set."""

@@ -15,6 +15,14 @@ Lookup semantics are kept simple but structurally faithful:
 * on a full miss, the block is filled into every level and DRAM latency is
   charged;
 * ``clflush`` invalidates the block in every level.
+
+Every physical address is routed once, on first touch: its route holds,
+per level, the level, its cache set, the block id and the set's leader role
+(or ``None``), each decided by ``SetAssociativeCache._route``.  Loads, the
+untimed bulk loop (:meth:`CacheHierarchy.load_untimed`, one call for a
+whole run of loads), ``peek`` and ``clflush`` then cost one dict lookup per
+address and one cache-set call per level visited.  A CAT change rebuilds a
+level's sets in place, so a route never names a set the change replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ from repro.cache.cache import AdaptiveConfig, SetAssociativeCache
 from repro.cache.cacheset import HIT
 from repro.cache.cat import CATConfig
 from repro.errors import CacheError
+
+
+#: One level of an address's route: (level, cache set, block id, leader role or None).
+_LevelRoute = Tuple[SetAssociativeCache, object, int, Optional[str]]
 
 
 @dataclass
@@ -92,6 +104,7 @@ class CacheHierarchy:
         self._latency: Dict[str, int] = {
             config.name: config.hit_latency for config in self.configs
         }
+        self._routes: Dict[int, Tuple[_LevelRoute, ...]] = {}
 
     # ----------------------------------------------------------------- lookup
 
@@ -106,16 +119,50 @@ class CacheHierarchy:
         """Return the level names from closest to the core outwards."""
         return tuple(cache.name for cache in self.levels)
 
+    def _route(self, physical_address: int) -> Tuple[_LevelRoute, ...]:
+        """Build and memoize the per-level route of an address."""
+        route = self._routes[physical_address] = tuple(
+            (cache,) + cache._route(physical_address) for cache in self.levels
+        )
+        return route
+
     def load_level(self, physical_address: int) -> Optional[str]:
         """Perform one load; return the level it hit in, or ``None`` for DRAM.
 
         Each level missed on the way allocates the block, so a full miss
         leaves it filled everywhere.
         """
-        for cache in self.levels:
-            if cache.access(physical_address) == HIT:
+        route = self._routes.get(physical_address) or self._route(physical_address)
+        for cache, target, block, role in route:
+            if target.access(block) == HIT:
+                cache.hits += 1
                 return cache.name
+            cache.misses += 1
+            if role is not None:
+                cache.adaptive.controller.record_leader_miss(role)
         return None
+
+    def load_untimed(self, physical_addresses: Sequence[int]) -> Dict[Optional[str], int]:
+        """Perform one load per address, in order; count the loads each level served.
+
+        Every cache set, statistic and PSEL counter ends as after one
+        :meth:`load_level` per address.  The counts are keyed by level name
+        (``None`` for DRAM), in the order each level first served a load.
+        """
+        routes = self._routes
+        served: Dict[Optional[str], int] = {}
+        for address in physical_addresses:
+            name = None
+            for cache, target, block, role in routes.get(address) or self._route(address):
+                if target.access(block) == HIT:
+                    cache.hits += 1
+                    name = cache.name
+                    break
+                cache.misses += 1
+                if role is not None:
+                    cache.adaptive.controller.record_leader_miss(role)
+            served[name] = served.get(name, 0) + 1
+        return served
 
     def load(self, physical_address: int) -> AccessResult:
         """Perform one load; return where it hit and the latency charged."""
@@ -125,8 +172,9 @@ class CacheHierarchy:
 
     def peek(self, physical_address: int) -> Optional[str]:
         """Return the closest level containing the address, without side effects."""
-        for cache in self.levels:
-            if cache.contains(physical_address):
+        route = self._routes.get(physical_address) or self._route(physical_address)
+        for cache, target, block, _ in route:
+            if block in target.content:
                 return cache.name
         return None
 
@@ -134,8 +182,9 @@ class CacheHierarchy:
 
     def clflush(self, physical_address: int) -> None:
         """Invalidate the block containing ``physical_address`` in every level."""
-        for cache in self.levels:
-            cache.flush(physical_address)
+        route = self._routes.get(physical_address) or self._route(physical_address)
+        for _, target, block, _ in route:
+            target.flush(block)
 
     def wbinvd(self) -> None:
         """Invalidate every cache level entirely."""

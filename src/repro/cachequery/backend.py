@@ -9,7 +9,10 @@ real hardware:
 * **cache filtering** — before an access aimed at L2/L3, the block is evicted
   from every closer level by touching per-level eviction sets (addresses
   congruent with the block in the closer level but not in the target level),
-  so the access really exercises — and is served by — the target level;
+  so the access really exercises — and is served by — the target level.
+  Nobody reads an eviction load's latency, so each eviction set runs as one
+  untimed batch (:meth:`~repro.hardware.cpu.SimulatedCPU.load_untimed`): the
+  same cache steps, counters and noise draws as timed loads, no latency;
 * **code generation** — queries are "compiled" into a pseudo-assembly
   listing (``movabs`` loads serialised by fences plus ``rdtsc`` profiling),
   mirroring the real module's generated code;
@@ -180,7 +183,8 @@ class CacheQueryBackend:
         """Evict the block from every level closer to the core than the target.
 
         Each round loads the eviction set of the closest level still holding
-        the block; the block is checked again after every round, the last
+        the block, untimed and in one call, booking one executed load per
+        address; the block is checked again after every round, the last
         one included, and only a block still held after ``eviction_rounds``
         rounds is an error.
         """
@@ -193,9 +197,9 @@ class CacheQueryBackend:
                     f"{context.level}"
                 )
             rounds -= 1
-            for address in self._eviction_addresses(block_address, holder):
-                self.cpu.load_physical(address)
-                self.executed_loads += 1
+            addresses = self._eviction_addresses(block_address, holder)
+            self.cpu.load_untimed(addresses)
+            self.executed_loads += len(addresses)
             holder = self.cpu.hierarchy.peek(block_address)
 
     # -------------------------------------------------------------- execution

@@ -6,6 +6,11 @@ hardware:
 
 * ``load(virtual_address)`` — perform a load and return its (noisy) latency
   in cycles;
+* ``load_physical(physical_address)`` / ``load_untimed(physical_addresses)``
+  — the backend's loads by physical address: a timed one returns its noisy
+  latency, and a run of untimed ones (eviction sets, whose latency nobody
+  reads) books the same hierarchy steps, counters and noise draws without
+  building any latency;
 * ``clflush(virtual_address)`` / ``wbinvd()`` — invalidate one line / all
   caches;
 * ``translate(virtual_address)`` — the virtual→physical mapping (available
@@ -21,7 +26,7 @@ congruent blocks for L2/L3 and has to translate, exactly as on Linux.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import AdaptiveConfig
 from repro.cache.cat import CATConfig
@@ -134,6 +139,17 @@ class SimulatedCPU:
         self.counters.record_load(hit_level)
         return self.timing.latency(hit_level)
 
+    def load_untimed(self, physical_addresses: Sequence[int]) -> None:
+        """Execute loads whose latency nobody reads, in order (backend-internal use).
+
+        Caches, counters and the noise stream end exactly as after one
+        :meth:`load_physical` per address: each load still draws the noise
+        sample its measurement would have drawn, so seeded noisy runs
+        measure the same.  Only the latencies are never built.
+        """
+        self.counters.record_loads(self.hierarchy.load_untimed(physical_addresses))
+        self.timing.noise.skip(len(physical_addresses))
+
     def probe_level(self, virtual_address: int) -> Optional[str]:
         """Return the closest level currently holding the address (no side effects)."""
         return self.hierarchy.peek(self.translate(virtual_address))
@@ -168,8 +184,9 @@ class SimulatedCPU:
         self.hierarchy.level(level).configure_cat(CATConfig.reduce_to(ways))
 
     def clear_cat(self, level: str) -> None:
-        """Remove any CAT restriction on ``level``."""
-        self.hierarchy.level(level).configure_cat(CATConfig(supported=True, way_mask=0))
+        """Remove any CAT restriction on ``level`` (its CAT support stays the profile's)."""
+        spec = self.profile.level(level)
+        self.hierarchy.level(level).configure_cat(CATConfig(supported=spec.supports_cat))
 
     def effective_associativity(self, level: str) -> int:
         """Return the associativity visible to allocations in ``level``."""

@@ -30,6 +30,19 @@ class PerformanceCounters:
         else:
             self.level_hits[hit_level] = self.level_hits.get(hit_level, 0) + 1
 
+    def record_loads(self, served: Dict[Optional[str], int]) -> None:
+        """Record demand loads counted per serving level (None = DRAM).
+
+        Books what one :meth:`record_load` per load would, given ``served``
+        in the order the levels first served a load.
+        """
+        for hit_level, count in served.items():
+            self.loads += count
+            if hit_level is None:
+                self.memory_accesses += count
+            else:
+                self.level_hits[hit_level] = self.level_hits.get(hit_level, 0) + count
+
     def record_flush(self) -> None:
         """Record one ``clflush``."""
         self.flushes += 1

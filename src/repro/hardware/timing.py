@@ -46,6 +46,17 @@ class NoiseModel:
             noise += OUTLIER_MAGNITUDE * self._random.random()
         return noise
 
+    def skip(self, count: int) -> None:
+        """Draw and drop ``count`` samples, for loads whose latency nobody reads.
+
+        The stream ends where ``count`` calls of :meth:`sample` would leave
+        it, so skipping instead of sampling changes no later measurement;
+        when :meth:`sample` draws nothing (noise-free), neither does this.
+        """
+        if self.std > 0 or self.outlier_probability > 0:
+            for _ in range(count):
+                self.sample()
+
     def reseed(self, seed: int) -> None:
         """Restart the noise stream from ``seed`` (for reproducible experiments)."""
         self.seed = seed

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.cat import CATConfig
 from repro.errors import CacheError
 from repro.hardware.cpu import PAGE_SIZE, SimulatedCPU
 from repro.hardware.prefetcher import NextLinePrefetcher
@@ -163,6 +164,14 @@ class TestSimulatedCPU:
 
     def test_cat_rejected_on_haswell_l3(self):
         cpu = SimulatedCPU(HASWELL_I7_4790)
+        with pytest.raises(CacheError):
+            cpu.configure_cat("L3", 4)
+
+    def test_clear_cat_keeps_the_profile_cat_support(self):
+        cpu = SimulatedCPU(HASWELL_I7_4790)
+        assert cpu.hierarchy.level("L3").cat == CATConfig(supported=False, way_mask=0)
+        cpu.clear_cat("L3")
+        assert cpu.hierarchy.level("L3").cat == CATConfig(supported=False, way_mask=0)
         with pytest.raises(CacheError):
             cpu.configure_cat("L3", 4)
 
