@@ -116,20 +116,21 @@ class _DuelingCacheSet:
 class SetAssociativeCache:
     """One cache level: lazily materialised sets behind an address mapper.
 
-    Each physical address the level sees is routed once, on first touch, to
-    ``(cache set, block id, leader role or None)`` by :meth:`_route`;
-    :meth:`access`, :meth:`contains` and :meth:`flush` then cost one dict
-    lookup before the set's own line scan, and a
-    :class:`~repro.cache.hierarchy.CacheHierarchy` keeps the same entries in
-    its own per-address routes.  Routes hold the set objects themselves, so
-    a set, once built, is never replaced: :meth:`configure_cat` rebuilds
-    every set in place, and no route, here or in a hierarchy, can reach a
-    set of the old CAT configuration.  Like the mapper's memo, the routes
-    grow with the distinct addresses seen.
-    Each :class:`~repro.cache.cacheset.CacheSet` also memoizes its policy's
-    transitions, up to
-    :data:`~repro.cache.cacheset.TRANSITION_MEMO_BOUND` entries per table;
-    the follower sets of an adaptive level step their two policies directly.
+    :meth:`route` maps a physical address to ``(cache set, block id, leader
+    role or None)``.  A :class:`~repro.cache.hierarchy.CacheHierarchy` keeps
+    the routes it builds in its own per-address memo; this level memoizes
+    only the addresses its own :meth:`access`, :meth:`contains` and
+    :meth:`flush` touch, which then cost one dict lookup before the set's
+    own line scan.  Routes hold the set objects themselves, so a set, once
+    built, is never replaced: :meth:`configure_cat` rebuilds every set in
+    place, and no route, here or in a hierarchy, can reach a set of the old
+    CAT configuration.  Like the mapper's memo, the routes grow with the
+    distinct addresses seen.
+    Each :class:`~repro.cache.cacheset.CacheSet` also steps through a table
+    of the policy transitions it has taken, over at most
+    :data:`~repro.cache.cacheset.TRANSITION_MEMO_BOUND` numbered control
+    states; the follower sets of an adaptive level step their two policies
+    directly.
     """
 
     def __init__(
@@ -201,19 +202,28 @@ class SetAssociativeCache:
             self._sets[key] = self._build_set(slice_index, set_index)
         return self._sets[key]
 
-    def _route(self, physical_address: int) -> Tuple[object, int, Optional[str]]:
-        """Build and memoize ``(cache set, block id, leader role or None)`` for an address."""
+    def route(self, physical_address: int) -> Tuple[object, int, Optional[str]]:
+        """Return ``(cache set, block id, leader role or None)`` for an address.
+
+        Nothing is memoized: a :class:`~repro.cache.hierarchy.CacheHierarchy`
+        keeps the routes it builds from this in its own per-address memo.
+        """
         slice_index, set_index = self.mapper.locate(physical_address)
         role = None
         if self.adaptive is not None:
             role = self.adaptive.selector.role(set_index, slice_index)
             if role == "follower":
                 role = None
-        route = self._routes[physical_address] = (
+        return (
             self.set_for(slice_index, set_index),
             self.mapper.block_id(physical_address),
             role,
         )
+
+    def _route(self, physical_address: int) -> Tuple[object, int, Optional[str]]:
+        """Build and memoize the route of an address for :meth:`access`,
+        :meth:`contains` and :meth:`flush`."""
+        route = self._routes[physical_address] = self.route(physical_address)
         return route
 
     # ---------------------------------------------------------------- actions

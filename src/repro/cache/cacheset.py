@@ -8,11 +8,18 @@ line, exactly as in the paper's model.  The "software-simulated cache" of
 Section 6 is a :class:`CacheSet` reset before every probe
 (:class:`~repro.polca.interfaces.SimulatedCacheInterface`).
 
-Each :class:`CacheSet` memoizes its policy's ``on_hit``, ``on_fill`` and
-``on_miss`` transitions in three per-set dicts of at most
-:data:`TRANSITION_MEMO_BOUND` entries each, so a transition taken before
-costs one lookup instead of a policy call.  This relies on policies being
-pure functions (see :class:`~repro.policies.base.ReplacementPolicy`).
+Each :class:`CacheSet` numbers the policy control states it visits with
+small ints (the initial state is 0) and steps through per-state rows: a
+hit successor and a fill successor per line, and one ``(successor,
+victim)`` pair per miss, each filled in by one policy call the first time
+the set takes that transition.  A transition taken before therefore costs
+two list reads instead of hashing the state.  This relies on policies
+being pure functions (see :class:`~repro.policies.base.ReplacementPolicy`).
+A set numbers at most :data:`TRANSITION_MEMO_BOUND` states; one that
+reaches a state it could not number steps its policy directly until a
+reset or a full flush brings it back to the initial state (or a restore
+to a numbered one).  :attr:`CacheSet.policy_state` reads and sets the
+control state itself, so snapshots hold states, never their numbers.
 """
 
 from __future__ import annotations
@@ -29,14 +36,14 @@ Block = Hashable
 HIT = "Hit"
 MISS = "Miss"
 
-#: Entries each of a set's three transition memos (hits, fills, misses) may
-#: hold; past it the set still calls its policy but stores nothing more.  A
-#: set visits few control states in practice: a Table 4 fast sweep memoizes
-#: 1,862 transitions over 120 sets, at most 477 in one.  A random trace can
-#: visit far more: 400,000 seeded accesses over 32 blocks take one NEW2-16
-#: set through 389,452 distinct states, and an unbounded memo held 104.5 MiB
-#: for that set; bounded, it holds 32,784 entries in 8.5 MiB (PLRU-16:
-#: 8.0 MiB; sizes from ``tracemalloc``).
+#: Control states one set may number; past it the set steps its policy
+#: directly from any state it could not number.  A set visits few control
+#: states in practice: a Table 4 fast sweep numbers 818 states over 120
+#: sets, at most 128 in one, and fills in 1,573 transitions.  A random trace
+#: can visit far more: 400,000 seeded accesses over 32 blocks take one
+#: NEW2-16 set through 389,452 distinct states, and its bounded table then
+#: holds 10.7 MiB (PLRU-16: 10.6 MiB), where the per-transition dicts it
+#: replaced held 8.5 MiB (8.4 MiB); sizes from ``tracemalloc``.
 TRANSITION_MEMO_BOUND = 1 << 14
 
 
@@ -64,17 +71,55 @@ class CacheSet:
         else:
             self._initial_content = [None] * self.associativity
         self.content: List[Optional[Block]] = list(self._initial_content)
-        self.policy_state = policy.initial_state()
-        self._hits: Dict[Tuple[Hashable, int], Hashable] = {}
-        self._fills: Dict[Tuple[Hashable, int], Hashable] = {}
-        self._misses: Dict[Hashable, Tuple[Hashable, int]] = {}
+        initial = policy.initial_state()
+        #: ``_states[i]`` is the control state numbered ``i`` and
+        #: ``_numbers`` maps it back; row ``i`` of each table holds the
+        #: numbered successors of state ``i`` (``None`` while unknown).
+        self._states: List[Hashable] = [initial]
+        self._numbers: Dict[Hashable, int] = {initial: 0}
+        self._hit_rows: List[List[Optional[int]]] = [[None] * self.associativity]
+        self._fill_rows: List[List[Optional[int]]] = [[None] * self.associativity]
+        self._miss_rows: List[Optional[Tuple[int, int]]] = [None]
+        #: The current state's number, or ``None`` when the table had no room
+        #: for it; the state itself is then ``_unnumbered``.
+        self._number: Optional[int] = 0
+        self._unnumbered: Hashable = None
 
     # ----------------------------------------------------------------- state
+
+    @property
+    def policy_state(self) -> Hashable:
+        """The policy's current control state."""
+        if self._number is None:
+            return self._unnumbered
+        return self._states[self._number]
+
+    @policy_state.setter
+    def policy_state(self, state: Hashable) -> None:
+        self._number = self._enter(state)
+
+    def _enter(self, state: Hashable) -> Optional[int]:
+        """Return the number of ``state``, numbering it while the table has room.
+
+        A state the table has no room for is kept in ``_unnumbered`` and
+        ``None`` is returned, so the caller leaves the table.
+        """
+        number = self._numbers.get(state)
+        if number is None:
+            if len(self._states) >= TRANSITION_MEMO_BOUND:
+                self._unnumbered = state
+                return None
+            number = self._numbers[state] = len(self._states)
+            self._states.append(state)
+            self._hit_rows.append([None] * self.associativity)
+            self._fill_rows.append([None] * self.associativity)
+            self._miss_rows.append(None)
+        return number
 
     def reset(self) -> None:
         """Return the set to its initial content and initial policy state."""
         self.content = list(self._initial_content)
-        self.policy_state = self.policy.initial_state()
+        self._number = 0
 
     def snapshot(self) -> Tuple[Tuple[Optional[Block], ...], Hashable]:
         """Return an immutable snapshot ``(content, policy_state)``."""
@@ -105,39 +150,53 @@ class CacheSet:
         Implements the Hit and Miss rules of Figure 2: a hit updates only the
         policy state (``Ln(i)``); a miss asks the policy for a victim line
         (``Evct``), replaces its content and updates the policy state.  Each
-        transition comes from the set's memo when the set has taken it before.
+        transition comes from the current state's row when the set has
+        taken it before.
         """
         if block is None:
             raise CacheError("cannot access the invalid block None")
         content = self.content
-        state = self.policy_state
+        number = self._number
         if block in content:
             line = content.index(block)
-            next_state = self._hits.get((state, line))
-            if next_state is None:
-                next_state = self.policy.on_hit(state, line)
-                if len(self._hits) < TRANSITION_MEMO_BOUND:
-                    self._hits[state, line] = next_state
-            self.policy_state = next_state
+            if number is None:
+                self._unnumbered = self.policy.on_hit(self._unnumbered, line)
+                return HIT
+            row = self._hit_rows[number]
+            successor = row[line]
+            if successor is None:
+                successor = row[line] = self._enter(
+                    self.policy.on_hit(self._states[number], line)
+                )
+            self._number = successor
             return HIT
         if None in content:
             # Real caches allocate invalid ways before evicting valid blocks;
             # the policy is informed through its insertion (fill) rule.
             line = content.index(None)
             content[line] = block
-            next_state = self._fills.get((state, line))
-            if next_state is None:
-                next_state = self.policy.on_fill(state, line)
-                if len(self._fills) < TRANSITION_MEMO_BOUND:
-                    self._fills[state, line] = next_state
-            self.policy_state = next_state
+            if number is None:
+                self._unnumbered = self.policy.on_fill(self._unnumbered, line)
+                return MISS
+            row = self._fill_rows[number]
+            successor = row[line]
+            if successor is None:
+                successor = row[line] = self._enter(
+                    self.policy.on_fill(self._states[number], line)
+                )
+            self._number = successor
             return MISS
-        transition = self._misses.get(state)
-        if transition is None:
-            transition = self.policy.on_miss(state)
-            if len(self._misses) < TRANSITION_MEMO_BOUND:
-                self._misses[state] = transition
-        self.policy_state, victim = transition
+        if number is None:
+            self._unnumbered, victim = self.policy.on_miss(self._unnumbered)
+        else:
+            transition = self._miss_rows[number]
+            if transition is None:
+                state, victim = self.policy.on_miss(self._states[number])
+                successor = self._enter(state)
+                transition = (successor, victim)
+                if successor is not None:
+                    self._miss_rows[number] = transition
+            self._number, victim = transition
         content[victim] = block
         return MISS
 
@@ -161,13 +220,13 @@ class CacheSet:
             return False
         content[content.index(block)] = None
         if content.count(None) == len(content):
-            self.policy_state = self.policy.initial_state()
+            self._number = 0
         return True
 
     def flush_all(self) -> None:
         """Invalidate every line and reset the policy state (``wbinvd``-like)."""
         self.content = [None] * self.associativity
-        self.policy_state = self.policy.initial_state()
+        self._number = 0
 
     # ---------------------------------------------------------------- traces
 

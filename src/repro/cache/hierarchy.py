@@ -18,11 +18,12 @@ Lookup semantics are kept simple but structurally faithful:
 
 Every physical address is routed once, on first touch: its route holds,
 per level, the level, its cache set, the block id and the set's leader role
-(or ``None``), each decided by ``SetAssociativeCache._route``.  Loads, the
-untimed bulk loop (:meth:`CacheHierarchy.load_untimed`, one call for a
-whole run of loads), ``peek`` and ``clflush`` then cost one dict lookup per
-address and one cache-set call per level visited.  A CAT change rebuilds a
-level's sets in place, so a route never names a set the change replaced.
+(or ``None``), each decided by ``SetAssociativeCache.route``, which keeps
+no copy.  Loads, the untimed bulk loop (:meth:`CacheHierarchy.load_untimed`,
+one call for a whole run of loads) and ``peek`` then cost one dict lookup
+per address and one cache-set call per level visited; ``clflush`` calls a
+set only when it holds the block.  A CAT change rebuilds a level's sets in
+place, so a route never names a set the change replaced.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class CacheHierarchy:
     def _route(self, physical_address: int) -> Tuple[_LevelRoute, ...]:
         """Build and memoize the per-level route of an address."""
         route = self._routes[physical_address] = tuple(
-            (cache,) + cache._route(physical_address) for cache in self.levels
+            (cache,) + cache.route(physical_address) for cache in self.levels
         )
         return route
 
@@ -184,7 +185,8 @@ class CacheHierarchy:
         """Invalidate the block containing ``physical_address`` in every level."""
         route = self._routes.get(physical_address) or self._route(physical_address)
         for _, target, block, _ in route:
-            target.flush(block)
+            if block in target.content:
+                target.flush(block)
 
     def wbinvd(self) -> None:
         """Invalidate every cache level entirely."""

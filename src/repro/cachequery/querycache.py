@@ -29,11 +29,12 @@ like the learning trie beside it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CacheQueryError
-from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG
+from repro.mbl.ast import PROFILE_TAG
 from repro.store import PrefixStore
+from repro.store.prefix_store import PrefixNamespace
 
 #: First element of every frontend namespace key inside a shared store.
 FRONTEND_NAMESPACE = "mbl"
@@ -45,23 +46,21 @@ OperationPath = Tuple[Tuple[str, ...], Tuple[int, ...]]
 def operation_path(query) -> OperationPath:
     """The ``(symbols, profiled)`` key of a concrete query.
 
-    ``symbols`` holds each operation's block, keeping the state-changing
-    flush marker (``A!``) but not the measurement marker (``A?`` → ``A``),
-    and ``profiled`` lists the positions whose outcome the query measures.
-    ``A`` and ``A?`` therefore share one trie node: profiling does not
-    change cache state, only what is observed.
+    ``symbols`` holds each operation's :attr:`~repro.mbl.ast.Operation.symbol`:
+    its block, keeping the state-changing flush marker (``A!``) but not the
+    measurement marker (``A?`` → ``A``), and ``profiled`` lists the
+    positions whose outcome the query measures.  ``A`` and ``A?`` therefore
+    share one trie node: profiling does not change cache state, only what
+    is observed.
     """
-    symbols: List[str] = []
-    profiled: List[int] = []
-    for position, operation in enumerate(query):
-        tag = operation.tag
-        if tag == FLUSH_TAG:
-            symbols.append(operation.block + FLUSH_TAG)
-        else:
-            symbols.append(operation.block)
-            if tag == PROFILE_TAG:
-                profiled.append(position)
-    return tuple(symbols), tuple(profiled)
+    return (
+        tuple([operation.symbol for operation in query]),
+        tuple([
+            position
+            for position, operation in enumerate(query)
+            if operation.tag == PROFILE_TAG
+        ]),
+    )
 
 
 class QueryCache:
@@ -83,16 +82,25 @@ class QueryCache:
         never collide on a target key."""
         self.store = store if store is not None else PrefixStore()
         self._scope = tuple(scope)
+        #: Each target's namespace, looked up in the store once; forgotten
+        #: whenever the store has dropped a namespace since.
+        self._targets: Dict[Tuple[str, int, int], PrefixNamespace] = {}
+        self._drops = self.store.drops
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------- namespaces
 
-    def _key(self, level: str, slice_index: int, set_index: int) -> Tuple[object, ...]:
-        return (FRONTEND_NAMESPACE,) + self._scope + (level, slice_index, set_index)
-
-    def _namespace(self, level: str, slice_index: int, set_index: int):
-        return self.store.namespace(self._key(level, slice_index, set_index))
+    def _namespace(self, level: str, slice_index: int, set_index: int) -> PrefixNamespace:
+        if self._drops != self.store.drops:
+            self._targets.clear()
+            self._drops = self.store.drops
+        target = (level, slice_index, set_index)
+        namespace = self._targets.get(target)
+        if namespace is None:
+            key = (FRONTEND_NAMESPACE,) + self._scope + target
+            namespace = self._targets[target] = self.store.namespace(key)
+        return namespace
 
     def _frontend_namespaces(self):
         marker = (FRONTEND_NAMESPACE,) + self._scope
@@ -118,15 +126,15 @@ class QueryCache:
         it was recorded itself or is a prefix of a longer recorded query —
         and every profiled position carries a measurement.
         """
-        if not symbols:
-            self.misses += 1
-            return None
-        payloads = self._namespace(level, slice_index, set_index).lookup(symbols)
-        if payloads is None or any(payloads[position] is None for position in profiled):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return tuple(payloads[position] for position in profiled)
+        if symbols:
+            payloads = self._namespace(level, slice_index, set_index).lookup(symbols)
+            if payloads is not None:
+                outcomes = tuple([payloads[position] for position in profiled])
+                if None not in outcomes:
+                    self.hits += 1
+                    return outcomes
+        self.misses += 1
+        return None
 
     def put_path(
         self,

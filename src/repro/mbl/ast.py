@@ -17,7 +17,13 @@ VALID_TAGS = (PROFILE_TAG, FLUSH_TAG)
 
 @dataclass(frozen=True)
 class Operation:
-    """One memory operation: access (or flush) a block, optionally profiled."""
+    """One memory operation: access (or flush) a block, optionally profiled.
+
+    ``symbol`` is the operation's response-cache symbol (see
+    :func:`~repro.cachequery.querycache.operation_path`): the block, plus
+    ``!`` for a flush.  It is computed once, is not a field, and so takes
+    no part in equality, hashing, ``repr`` or the pickled state.
+    """
 
     block: str
     tag: Optional[str] = None
@@ -25,6 +31,16 @@ class Operation:
     def __post_init__(self) -> None:
         if self.tag is not None and self.tag not in VALID_TAGS:
             raise ValueError(f"invalid tag {self.tag!r}; expected one of {VALID_TAGS}")
+        symbol = self.block + FLUSH_TAG if self.tag == FLUSH_TAG else self.block
+        object.__setattr__(self, "symbol", symbol)
+
+    def __getstate__(self) -> dict:
+        return {"block": self.block, "tag": self.tag}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "block", state["block"])
+        object.__setattr__(self, "tag", state["tag"])
+        self.__post_init__()
 
     @property
     def profiled(self) -> bool:

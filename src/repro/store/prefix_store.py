@@ -410,6 +410,9 @@ class PrefixStore:
         self._generation = -1
         self._synced_offset = 0
         self._snapshot_end = 0
+        #: Namespaces dropped so far: a view that keeps namespace objects
+        #: looks them up again once this moves.
+        self.drops = 0
         #: :class:`~repro.store.codec.LoadReport` of the last file load
         #: (None for fresh/in-memory stores).
         self.load_report = None
@@ -474,6 +477,7 @@ class PrefixStore:
         """Remove one namespace (a no-op when it does not exist)."""
         dropped = self._namespaces.pop(tuple(key), None)
         if dropped is not None:
+            self.drops += 1
             self._note_structural_change()
 
     # ------------------------------------------------------------------ totals

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.cache.addressing as addressing_module
+import repro.cache.cacheset as cacheset_module
 from repro.cache.adaptive import AdaptiveSetSelector, SetDuelingController
 from repro.cache.addressing import AddressMapper, slice_hash
 from repro.cache.cache import AdaptiveConfig, SetAssociativeCache
@@ -396,16 +397,18 @@ def _reference_access(policy, content, state, block):
     return MISS, content, state
 
 
-@pytest.mark.parametrize("ways", [2, 4, 8])
-@pytest.mark.parametrize("policy_name", available_policies())
-def test_memoized_cache_set_matches_direct_policy_calls(policy_name, ways):
-    """Accesses, flushes, resets and restores agree with a set that never memoizes."""
+def _run_against_direct_policy_calls(policy_name, ways):
+    """Drive one set through seeded accesses, flushes, resets and restores,
+    checking it against Figure 2's rules on direct policy calls after every
+    step.  Return the set, the reference ``(content, state)``, and whether
+    the set ever held a state it had not numbered."""
     policy = make_policy(policy_name, ways)
     cache = CacheSet(policy)
     initial = ([None] * ways, policy.initial_state())
     content, state = initial
     saved = cache.snapshot(), (content, state)
     rng = random.Random(f"{policy_name}-{ways}")
+    left_table = False
     for _ in range(2000):
         roll, block = rng.random(), rng.randrange(ways + 2)
         if roll < 0.85:
@@ -428,6 +431,75 @@ def test_memoized_cache_set_matches_direct_policy_calls(policy_name, ways):
             cache.restore(saved[0])
             content, state = saved[1]
         assert (cache.content, cache.policy_state) == (content, state)
+        left_table = left_table or cache._number is None
+    return cache, (content, state), left_table
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8])
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_memoized_cache_set_matches_direct_policy_calls(policy_name, ways):
+    """Accesses, flushes, resets and restores agree with a set that never memoizes."""
+    _run_against_direct_policy_calls(policy_name, ways)
+
+
+def _leave_table(cache, reference, rng):
+    """Access seeded blocks until the set holds a state it has not numbered
+    (off its table, a set may pass through numbered states too); return the
+    reference ``(content, state)`` it then matches."""
+    content, state = reference
+    for _ in range(10_000):
+        if cache._number is None and cache.policy_state not in cache._numbers:
+            break
+        block = rng.randrange(cache.associativity + 2)
+        expected, content, state = _reference_access(cache.policy, content, state, block)
+        assert cache.access(block) == expected
+    assert cache._number is None
+    assert (cache.content, cache.policy_state) == (content, state)
+    return content, state
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8])
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_memoized_cache_set_matches_direct_policy_calls_past_a_small_bound(
+    policy_name, ways, monkeypatch
+):
+    """The same run with room for ``ways - 1`` states, fewer than any policy
+    reaches: every set leaves its table, stays exact off it, restores, pickles
+    and copies an unnumbered state, and returns after ``reset``/``flush_all``."""
+    monkeypatch.setattr(cacheset_module, "TRANSITION_MEMO_BOUND", ways - 1)
+    cache, reference, left_table = _run_against_direct_policy_calls(policy_name, ways)
+    assert left_table
+    assert len(cache._states) == len(cache._numbers) == ways - 1
+    assert len(cache._hit_rows) == len(cache._fill_rows) == len(cache._miss_rows) == ways - 1
+    policy = cache.policy
+    rng = random.Random(f"{policy_name}-{ways}-off-table")
+    content, state = _leave_table(cache, reference, rng)
+    saved = cache.snapshot()
+    assert saved[1] not in cache._numbers
+    cache.reset()
+    assert cache._number == 0
+    cache.restore(saved)
+    assert cache._number is None and cache.snapshot() == saved
+    clones = [
+        pickle.loads(pickle.dumps(cache)),
+        pickle.loads(pickle.dumps(cache, pickle.HIGHEST_PROTOCOL)),
+        copy.deepcopy(cache),
+    ]
+    tail = [rng.randrange(ways + 2) for _ in range(200)]
+    outputs = []
+    for block in tail:
+        expected, content, state = _reference_access(policy, content, state, block)
+        outputs.append(expected)
+    for cache_set in clones + [cache]:
+        assert cache_set._number is None
+        assert [cache_set.access(block) for block in tail] == outputs
+        assert (cache_set.content, cache_set.policy_state) == (content, state)
+    for back_to_table in (cache.reset, cache.flush_all):
+        _leave_table(cache, (list(cache.content), cache.policy_state), rng)
+        back_to_table()
+        assert cache._number == 0
+        assert cache.policy_state == policy.initial_state()
+    assert cache.content == [None] * ways
 
 
 class _CountingNew2(New2Policy):
@@ -478,8 +550,8 @@ def test_transition_memo_stays_bounded_and_exact_past_its_bound():
         assert cache.access(block) == expected
         assert cache.policy_state == state
     assert cache.content == content
-    sizes = [len(memo) for memo in (cache._hits, cache._fills, cache._misses)]
-    assert max(sizes) == TRANSITION_MEMO_BOUND
+    assert len(cache._states) == len(cache._numbers) == TRANSITION_MEMO_BOUND
+    assert len(cache._hit_rows) == len(cache._miss_rows) == TRANSITION_MEMO_BOUND
 
 
 def test_populated_cache_set_survives_pickle_and_copy():
@@ -493,7 +565,13 @@ def test_populated_cache_set_survives_pickle_and_copy():
         copy.deepcopy(cache),
     ]
     for clone in clones:
-        assert (clone._hits, clone._fills, clone._misses) == (cache._hits, cache._fills, cache._misses)
+        assert (clone._states, clone._hit_rows, clone._fill_rows, clone._miss_rows) == (
+            cache._states,
+            cache._hit_rows,
+            cache._fill_rows,
+            cache._miss_rows,
+        )
+        assert clone._number == cache._number
     tail = [rng.randrange(12) for _ in range(300)]
     outputs = [cache.access(block) for block in tail]
     for clone in clones:

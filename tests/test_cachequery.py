@@ -1,5 +1,7 @@
 """Tests for the CacheQuery frontend/backend and the hit/miss classification."""
 
+import random
+
 import pytest
 
 import repro.cachequery.frontend as frontend_module
@@ -19,7 +21,7 @@ from repro.errors import CacheQueryError, ReproError, StoreCorruptionError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import HASWELL_I7_4790, SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
-from repro.mbl.ast import Operation
+from repro.mbl.ast import FLUSH_TAG, PROFILE_TAG, Operation
 from repro.mbl.expansion import expand
 from repro.polca.interfaces import default_block_names
 from repro.polca.reset import SequenceReset
@@ -33,6 +35,20 @@ def _cpu(noise: float = 0.0) -> SimulatedCPU:
 def _path(text: str):
     """The response-cache key of the one query ``text`` expands to."""
     return operation_path(expand(text, 4, default_block_names(26))[0])
+
+
+def _operation_path_by_tags(query):
+    """``operation_path`` as one loop over each operation's tag (the reference)."""
+    symbols, profiled = [], []
+    for position, operation in enumerate(query):
+        tag = operation.tag
+        if tag == FLUSH_TAG:
+            symbols.append(operation.block + FLUSH_TAG)
+        else:
+            symbols.append(operation.block)
+            if tag == PROFILE_TAG:
+                profiled.append(position)
+    return tuple(symbols), tuple(profiled)
 
 
 class TestClassification:
@@ -166,6 +182,40 @@ class TestQueryCache:
         # ...but a position never measured cannot be served.
         cache.put_path("L2", 0, 3, *_path("A! B C X?"), ("Hit",))
         assert cache.get_path("L2", 0, 3, *_path("A! B C? X?")) == ("Miss", "Hit")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_operation_path_matches_a_loop_over_tags(self, seed):
+        """Seeded MBL texts mixing ``A``, ``A?`` and ``A!`` with macros."""
+        rng = random.Random(seed)
+        blocks = default_block_names(12)
+        terms = [f"{block}{tag}" for block in blocks for tag in ("", "?", "!")]
+        terms += ["@", "@?", "_", "_!", "(A B)?", "(C D)!", "A[B C]"]
+        checked = 0
+        for _ in range(60):
+            text = " ".join(rng.choice(terms) for _ in range(rng.randint(1, 14)))
+            for query in expand(text, 4, blocks):
+                assert operation_path(query) == _operation_path_by_tags(query)
+                checked += 1
+        assert checked > 60
+
+    def test_dropped_namespace_is_never_written_through_a_stale_lookup(self):
+        """The cache looks each target's namespace up once, and again after the
+        store drops a namespace: it neither answers from nor records into the
+        dropped trie."""
+        store = PrefixStore()
+        cache = QueryCache(store=store)
+        cache.put_path("L1", 0, 0, *_path("A?"), ("Hit",))
+        cache.put_path("L1", 0, 1, *_path("A?"), ("Miss",))
+        key = next(key for key in store.namespaces() if key[-1] == 0)
+        dropped = store.namespace(key)
+        store.drop_namespace(key)
+        assert cache.get_path("L1", 0, 0, *_path("A?")) is None
+        cache.put_path("L1", 0, 0, *_path("B?"), ("Miss",))
+        assert dropped.lookup(("B",)) is None and dropped.entry_count == 1
+        assert store.namespace(key).lookup(("B",)) == ("Miss",)
+        assert cache.get_path("L1", 0, 0, *_path("B?")) == ("Miss",)
+        assert cache.get_path("L1", 0, 1, *_path("A?")) == ("Miss",)
+        assert len(cache) == 2
 
     def test_conflicting_measurements_raise_non_determinism(self):
         from repro.errors import NonDeterminismError
@@ -469,6 +519,35 @@ class TestConcreteQueries:
         assert second() == answer
         assert frontend.backend.executed_queries == executed
         assert len(frontend.cache) == 1
+
+    def test_probe_and_text_share_one_entry_across_target_switches(self):
+        """A probe and the MBL text that expands to the same query meet in one
+        entry, also after the frontend has served another target between
+        them; the dropped-and-refilled target executes again."""
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=5))
+        interface = CacheQuerySetInterface(frontend)
+        prefix = interface.reset.mbl_prefix(
+            interface.associativity, interface.block_universe()
+        )
+        assert "!" in prefix
+        answer = interface.probe(["E", "A", "B"])
+        frontend.configure(set_index=6)
+        other = frontend.query(f"{prefix} E? A? B?")[0]
+        frontend.configure(set_index=5)
+        executed = frontend.backend.executed_queries
+        assert frontend.query(f"{prefix} E? A? B?") == [answer]
+        assert frontend.query(f"{prefix} E A? B") == [answer[1:2]]
+        assert frontend.backend.executed_queries == executed == 2
+        assert len(frontend.cache) == 2
+        store = frontend.cache.store
+        (key,) = [key for key in store.namespaces() if key[-1] == 5]
+        store.drop_namespace(key)
+        assert interface.probe(["E", "A", "B"]) == answer
+        assert frontend.backend.executed_queries == 3
+        frontend.configure(set_index=6)
+        assert frontend.query(f"{prefix} E? A? B?") == [other]
+        assert frontend.backend.executed_queries == 3
+        assert len(frontend.cache) == 2
 
     def test_corpora_written_by_sessions_still_answer_probes(self):
         """Stores written by the removed measurement sessions hold operation

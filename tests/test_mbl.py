@@ -1,5 +1,8 @@
 """Tests for the MemBlockLang lexer, parser and expansion semantics."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +125,54 @@ class TestExpansion:
     def test_operation_rejects_bad_tag(self):
         with pytest.raises(ValueError):
             Operation("A", "#")
+
+    @pytest.mark.parametrize(
+        "block, tag, symbol, pickled",
+        [
+            (
+                "A",
+                "!",
+                "A!",
+                b"\x80\x02crepro.mbl.ast\nOperation\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00"
+                b"\x00blockq\x03X\x01\x00\x00\x00Aq\x04X\x03\x00\x00\x00tagq\x05X\x01"
+                b"\x00\x00\x00!q\x06ub.",
+            ),
+            (
+                "B",
+                "?",
+                "B",
+                b"\x80\x02crepro.mbl.ast\nOperation\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00"
+                b"\x00blockq\x03X\x01\x00\x00\x00Bq\x04X\x03\x00\x00\x00tagq\x05X\x01"
+                b"\x00\x00\x00?q\x06ub.",
+            ),
+            (
+                "C",
+                None,
+                "C",
+                b"\x80\x02crepro.mbl.ast\nOperation\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00"
+                b"\x00blockq\x03X\x01\x00\x00\x00Cq\x04X\x03\x00\x00\x00tagq\x05Nub.",
+            ),
+        ],
+    )
+    def test_operation_symbol_leaves_equality_hash_repr_and_pickling_alone(
+        self, block, tag, symbol, pickled
+    ):
+        """``symbol`` is derived, not a field: operations compare, hash, print
+        and pickle as ``(block, tag)`` alone.  ``pickled`` is the protocol-2
+        pickle of an operation written before operations carried symbols."""
+        operation = Operation(block, tag)
+        assert operation.symbol == symbol
+        assert repr(operation) == f"Operation(block={block!r}, tag={tag!r})"
+        assert operation == Operation(block, tag)
+        assert hash(operation) == hash((block, tag))
+        assert operation != Operation(block, "?" if tag != "?" else None)
+        assert pickle.dumps(operation, 2) == pickled
+        for clone in [pickle.loads(pickled), copy.copy(operation), copy.deepcopy(operation)] + [
+            pickle.loads(pickle.dumps(operation, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]:
+            assert clone == operation and hash(clone) == hash(operation)
+            assert clone.symbol == symbol
 
     def test_flush_refill_reset_expression(self):
         """The reset expression used by the hardware experiments expands to one query."""
